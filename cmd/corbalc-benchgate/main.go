@@ -5,7 +5,7 @@
 // Usage:
 //
 //	go test -run='^$' -bench=... -benchmem ./... | corbalc-benchgate \
-//	    -json BENCH_4.json \
+//	    -json BENCH_5.json \
 //	    -max BenchmarkLocalNullInvoke=20 -max BenchmarkGIOPWriteMessage=0
 //
 // Bench output is read from stdin (or a file named by -in). Every

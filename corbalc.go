@@ -33,7 +33,6 @@ import (
 	"corbalc/internal/cohesion"
 	"corbalc/internal/component"
 	"corbalc/internal/deploy"
-	"corbalc/internal/events"
 	"corbalc/internal/iiop"
 	"corbalc/internal/ior"
 	"corbalc/internal/node"
@@ -69,54 +68,11 @@ type Options struct {
 	// Zero values select the documented defaults; peers on simnet
 	// ignore it.
 	IIOP IIOPOptions
-	// Events tunes the node's event fabric (DESIGN.md §12). Zero
-	// values select the documented defaults.
-	Events EventOptions
-	// Cohesion tunes the delta-gossip discovery plane (DESIGN.md §13).
-	// Zero values select the documented defaults.
-	Cohesion CohesionOptions
 }
 
-// CohesionOptions carries the discovery-plane knobs through the facade
-// (DESIGN.md §13). Zero values select the defaults documented in
-// internal/cohesion.
-type CohesionOptions struct {
-	// GossipWindow is the per-destination coalescing window: protocol
-	// messages queued for one peer within the window ride a single
-	// gossip_batch frame (default 2ms).
-	GossipWindow time.Duration
-	// GossipDepth bounds each destination's gossip queue; overflow
-	// drops the oldest queued message (default 128).
-	GossipDepth int
-	// AntiEntropyTicks is the digest-ping period in update ticks
-	// (default 4*(FailMultiple+1)).
-	AntiEntropyTicks int
-	// FullState reverts the discovery plane to the legacy full-state
-	// exchange — whole-directory broadcasts and point-to-point update
-	// oneways — as the bandwidth baseline E12 measures against.
-	FullState bool
-}
-
-// EventOptions carries the event-fabric knobs through the facade
-// (DESIGN.md §12). Zero values select the defaults documented in
-// internal/events.
-type EventOptions struct {
-	// QueueDepth sizes per-subscriber event queues (default 256).
-	QueueDepth int
-	// Overflow selects what Push does on a full subscriber queue:
-	// events.Block (default, backpressure), events.DropOldest or
-	// events.DropNewest. Drops are observable through the hub's
-	// counters (corbalc-admin `events`).
-	Overflow events.OverflowPolicy
-	// BatchWindow makes batch subscribers (remote event subscriptions)
-	// coalesce a trickle of events into window-sized batches (default
-	// 0: deliver immediately).
-	BatchWindow time.Duration
-}
-
-// IIOPOptions carries the IIOP/TCP concurrency knobs through the
-// facade (DESIGN.md §10). Zero values select the defaults documented
-// in internal/iiop.
+// IIOPOptions carries the client-side IIOP/TCP settings through the
+// facade (DESIGN.md §10). Zero values select the defaults documented in
+// internal/iiop; the server side is tuned on iiop.Server directly.
 type IIOPOptions struct {
 	// PoolSize is the striped connection-pool size kept per remote
 	// endpoint (default iiop.DefaultPoolSize = min(8, GOMAXPROCS);
@@ -125,19 +81,6 @@ type IIOPOptions struct {
 	// CallTimeout bounds one two-way call (default
 	// iiop.DefaultCallTimeout; negative disables the limit).
 	CallTimeout time.Duration
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
-	// CoalesceWindow is the group-commit window for write coalescing
-	// on both the client and server side of this peer (default
-	// iiop.DefaultCoalesceWindow; negative disables the timed window).
-	CoalesceWindow time.Duration
-	// MaxDispatch bounds concurrently-dispatched server requests — the
-	// worker-pool size (default iiop.DefaultMaxDispatch()).
-	MaxDispatch int
-	// DispatchQueue bounds requests accepted but not yet dispatched
-	// (default iiop.DefaultDispatchQueue; negative means no queue).
-	// Overflow is refused with a CORBA TRANSIENT system exception.
-	DispatchQueue int
 }
 
 // Peer is one CORBA-LC node with its protocol agent and deployment
@@ -153,26 +96,19 @@ type Peer struct {
 // NewPeer assembles a peer (not yet part of any logical network).
 func NewPeer(name string, opts Options) *Peer {
 	n := node.New(node.Config{
-		Name:             name,
-		Impls:            opts.Impls,
-		Profile:          opts.Profile,
-		TrustedKeys:      opts.TrustedKeys,
-		EventQueueDepth:  opts.Events.QueueDepth,
-		EventOverflow:    opts.Events.Overflow,
-		EventBatchWindow: opts.Events.BatchWindow,
+		Name:        name,
+		Impls:       opts.Impls,
+		Profile:     opts.Profile,
+		TrustedKeys: opts.TrustedKeys,
 	})
 	agent := cohesion.NewAgent(cohesion.Config{
-		Node:             n,
-		GroupSize:        opts.GroupSize,
-		Replicas:         opts.Replicas,
-		UpdateInterval:   opts.UpdateInterval,
-		FailMultiple:     opts.FailMultiple,
-		Mode:             opts.Mode,
-		Policy:           opts.Policy,
-		GossipWindow:     opts.Cohesion.GossipWindow,
-		GossipDepth:      opts.Cohesion.GossipDepth,
-		AntiEntropyTicks: opts.Cohesion.AntiEntropyTicks,
-		FullState:        opts.Cohesion.FullState,
+		Node:           n,
+		GroupSize:      opts.GroupSize,
+		Replicas:       opts.Replicas,
+		UpdateInterval: opts.UpdateInterval,
+		FailMultiple:   opts.FailMultiple,
+		Mode:           opts.Mode,
+		Policy:         opts.Policy,
 	})
 	pol := deploy.DefaultPolicy()
 	if opts.Deploy != nil {
@@ -204,29 +140,18 @@ func (p *Peer) Close() {
 
 // ServeIIOP starts a real IIOP/TCP endpoint for the peer and registers
 // the client-side transport, so IORs minted by this peer are reachable
-// from other processes. The Options.IIOP knobs size the dispatch
-// worker pool and tune write coalescing. It returns the listening
-// server.
+// from other processes. It returns the listening server.
 func (p *Peer) ServeIIOP(addr string) (*iiop.Server, error) {
 	p.UseIIOP()
-	s := iiop.NewServer(p.Node.ORB())
-	s.MaxDispatch = p.iiop.MaxDispatch
-	s.DispatchQueue = p.iiop.DispatchQueue
-	s.CoalesceWindow = p.iiop.CoalesceWindow
-	if err := s.ListenActivate(p.Node.ORB(), addr); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return iiop.ListenAndActivate(p.Node.ORB(), addr)
 }
 
 // UseIIOP registers only the client-side IIOP transport (for peers that
-// call out but do not listen), configured from the Options.IIOP knobs.
+// call out but do not listen), configured from Options.IIOP.
 func (p *Peer) UseIIOP() {
 	p.Node.ORB().RegisterTransport(&iiop.Transport{
-		DialTimeout:    p.iiop.DialTimeout,
-		CallTimeout:    p.iiop.CallTimeout,
-		PoolSize:       p.iiop.PoolSize,
-		CoalesceWindow: p.iiop.CoalesceWindow,
+		CallTimeout: p.iiop.CallTimeout,
+		PoolSize:    p.iiop.PoolSize,
 	})
 }
 

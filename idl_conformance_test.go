@@ -3,6 +3,10 @@ package corbalc_test
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
 	"testing"
 
 	"corbalc"
@@ -79,6 +83,82 @@ func TestServiceIDLConformance(t *testing.T) {
 			if errors.As(err, &se) && se.Name == "BAD_OPERATION" {
 				t.Errorf("%s: declared operation %q not recognised by the servant", scoped, op.Name)
 			}
+		}
+	}
+}
+
+// TestNetworkCohesionOpsMatchIDL pins the cohesion wire surface in both
+// directions: the operation names agentServant dispatches (read off the
+// switch in its InvokeContext) are exactly the ones idl/corbalc.idl
+// declares for NetworkCohesion, and the three operations of the deleted
+// full-state plane answer BAD_OPERATION.
+func TestNetworkCohesionOpsMatchIDL(t *testing.T) {
+	repo := idl.NewRepository()
+	if err := repo.ParseFile("idl/corbalc.idl"); err != nil {
+		t.Fatal(err)
+	}
+	iface, ok := repo.LookupType("corbalc::NetworkCohesion")
+	if !ok {
+		t.Fatal("idl/corbalc.idl does not declare corbalc::NetworkCohesion")
+	}
+	declared := map[string]bool{}
+	for _, op := range iface.AllOperations() {
+		declared[op.Name] = true
+	}
+
+	file, err := parser.ParseFile(token.NewFileSet(), "internal/cohesion/servant.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dispatched := map[string]bool{}
+	for _, decl := range file.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "InvokeContext" {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			sw, ok := n.(*ast.SwitchStmt)
+			if !ok {
+				return true
+			}
+			if tag, ok := sw.Tag.(*ast.Ident); !ok || tag.Name != "op" {
+				return true
+			}
+			for _, stmt := range sw.Body.List {
+				for _, expr := range stmt.(*ast.CaseClause).List {
+					name, err := strconv.Unquote(expr.(*ast.BasicLit).Value)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dispatched[name] = true
+				}
+			}
+			return false
+		})
+	}
+	if len(dispatched) == 0 {
+		t.Fatal("found no operation switch in agentServant.InvokeContext")
+	}
+	for name := range declared {
+		if !dispatched[name] {
+			t.Errorf("IDL declares %q but agentServant does not dispatch it", name)
+		}
+	}
+	for name := range dispatched {
+		if !declared[name] {
+			t.Errorf("agentServant dispatches %q but the IDL does not declare it", name)
+		}
+	}
+
+	p := corbalc.NewPeer("ops", corbalc.Options{})
+	defer p.Close()
+	p.Bootstrap()
+	ref := p.Node.ORB().NewRef(p.Contact())
+	for _, op := range []string{"directory_push", "update", "summary"} {
+		err := ref.Invoke(op, nil, nil)
+		var se *orb.SystemException
+		if !errors.As(err, &se) || se.Name != "BAD_OPERATION" {
+			t.Errorf("%s: err = %v, want CORBA::BAD_OPERATION", op, err)
 		}
 	}
 }

@@ -125,6 +125,13 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 				name == "testdata" || name == "vendor") {
 				return filepath.SkipDir
 			}
+			if path != abs {
+				// A nested module is not part of this one's "./...",
+				// for this loader as for the go tool.
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
 			dirs[path] = true
 			return nil
 		})

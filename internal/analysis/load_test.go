@@ -64,3 +64,19 @@ func TestLoadDirEmptyDirectory(t *testing.T) {
 		t.Fatal("LoadDir of a directory with no Go files must error")
 	}
 }
+
+// A directory with its own go.mod is another module: "./..." stops at
+// it, as it does for the go tool (benchmark/ is one).
+func TestLoadSkipsNestedModules(t *testing.T) {
+	pkgs, err := analysis.Load("./testdata/nested/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 1 || !strings.HasSuffix(pkgs[0].PkgPath, "/nested/a") {
+		var got []string
+		for _, p := range pkgs {
+			got = append(got, p.PkgPath)
+		}
+		t.Fatalf("loaded %v, want only .../nested/a", got)
+	}
+}

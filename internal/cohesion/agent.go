@@ -23,9 +23,9 @@ const (
 	// Soft: periodic keep-alive updates to the group's MRM replicas;
 	// MRMs hold an approximate view and time out silent nodes.
 	Soft Mode = iota
-	// Strong: every reflective change is immediately flooded to every
-	// node, giving all of them "perfect knowledge" — the baseline the
-	// paper argues is unscalable.
+	// Strong: Soft, plus every reflective change is immediately flooded
+	// to every node as a full update, giving all of them "perfect
+	// knowledge" — the baseline the paper argues is unscalable.
 	Strong
 )
 
@@ -43,6 +43,9 @@ const (
 	// last two sent values tracks the real load within epsilon.
 	Predictive
 )
+
+// epsilon is the dead-band width as a load fraction.
+const epsilon = 0.05
 
 // KeyCohesion is the agent's object key in the node's adapter.
 const KeyCohesion = "node/cohesion"
@@ -72,23 +75,9 @@ type Config struct {
 	Mode Mode
 	// Policy refines Soft sending.
 	Policy SendPolicy
-	// Epsilon is the dead-band width as a load fraction (default 0.05).
-	Epsilon float64
-	// GossipWindow is the per-destination coalescing window: protocol
-	// messages queued for one peer within the window travel as a single
-	// gossip_batch frame (default 2ms).
-	GossipWindow time.Duration
-	// GossipDepth bounds each destination's gossip queue; overflow
-	// drops the oldest queued message (default 128).
-	GossipDepth int
 	// AntiEntropyTicks is the digest-ping period in update ticks
 	// (default 4*(FailMultiple+1)).
 	AntiEntropyTicks int
-	// FullState reverts the discovery plane to the legacy exchange —
-	// whole-directory broadcasts and point-to-point update oneways —
-	// as the bandwidth baseline the delta-gossip plane is measured
-	// against (E12). Strong mode implies it.
-	FullState bool
 }
 
 func (c *Config) fill() {
@@ -107,36 +96,16 @@ func (c *Config) fill() {
 	if c.FailMultiple <= 0 {
 		c.FailMultiple = 3
 	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.05
-	}
-	if c.GossipWindow <= 0 {
-		c.GossipWindow = 2 * time.Millisecond
-	}
-	if c.GossipDepth <= 0 {
-		c.GossipDepth = 128
-	}
 	if c.AntiEntropyTicks <= 0 {
 		c.AntiEntropyTicks = 4 * (c.FailMultiple + 1)
 	}
 }
-
-// fullStateDir reports whether directory dissemination uses the legacy
-// whole-snapshot broadcast: explicitly requested, or Strong mode (whose
-// perfect-knowledge baseline already floods everything).
-func (c *Config) fullStateDir() bool { return c.FullState || c.Mode == Strong }
 
 // memberState is an MRM's knowledge of one node.
 type memberState struct {
 	report   *node.Report
 	offers   []*node.Offer
 	lastSeen time.Time
-}
-
-// peerSendState tracks what this node last shipped to one MRM replica,
-// so periodic updates can omit the offer list while it is unchanged.
-type peerSendState struct {
-	offersEpoch uint64
 }
 
 // groupSummary is the root MRM's aggregated knowledge of one group
@@ -278,8 +247,9 @@ type Agent struct {
 	// MRM candidates all died would otherwise go silent forever, since
 	// non-candidate members never act as leader.
 	expectedGroups map[int]time.Time
-	// sent tracks per-destination send state for offer-delta updates.
-	sent   map[string]*peerSendState
+	// sent is the offers epoch last shipped to each MRM replica, so
+	// periodic updates can omit the offer list while it is unchanged.
+	sent   map[string]uint64
 	joined bool
 	// peerEpochs tracks, per gossiping peer, the epoch it last
 	// advertised and for how many consecutive observations it has not
@@ -312,19 +282,15 @@ type Agent struct {
 	wg    sync.WaitGroup
 	ticks uint64 // tick counter driving periodic anti-entropy
 	// floodKick coalesces Strong-mode change floods: many rapid changes
-	// collapse into one pending flood, and a single worker serialises
-	// the sends so a change storm cannot pile up goroutines.
+	// collapse into one pending flood, and a single worker does the
+	// sends so a change never waits on the network.
 	floodKick chan struct{}
-	// pushDir coalesces directory broadcasts the same way: under join
-	// or removal storms only the newest directory needs to travel
-	// (legacy full-state mode only).
-	pushDir chan *Directory
 	// pullKick coalesces divergence-triggered anti-entropy pulls: a gap
 	// in the delta stream schedules one pull, however many deltas
 	// arrived out of order.
 	pullKick chan struct{}
-	// gossip is the per-destination batching plane protocol messages
-	// ride in delta mode.
+	// gossip is the per-destination batching plane every periodic
+	// protocol message rides.
 	gossip *gossiper
 
 	updatesSent   atomic.Uint64
@@ -355,11 +321,10 @@ func NewAgent(cfg Config) *Agent {
 		summaries:      make(map[int]*groupSummary),
 		expected:       make(map[string]time.Time),
 		expectedGroups: make(map[int]time.Time),
-		sent:           make(map[string]*peerSendState),
+		sent:           make(map[string]uint64),
 		peerEpochs:     make(map[string]*epochStreak),
 		hintPulled:     ^uint64(0),
 		stop:           make(chan struct{}),
-		pushDir:        make(chan *Directory, 1),
 		pullKick:       make(chan struct{}, 1),
 	}
 	a.ctx, a.cancel = context.WithCancel(context.Background())
@@ -547,26 +512,23 @@ func (a *Agent) start() {
 	a.wg.Add(1)
 	go a.loop()
 	a.wg.Add(1)
-	go a.pullLoop()
-	if a.cfg.fullStateDir() {
-		a.wg.Add(1)
-		go a.broadcastLoop()
-	}
+	go a.kickLoop(a.pullKick, a.syncDirectory)
 	if a.cfg.Mode == Strong {
 		a.wg.Add(1)
-		go a.floodLoop()
+		go a.kickLoop(a.floodKick, a.floodReport)
 	}
 }
 
-// pullLoop serialises divergence-triggered anti-entropy pulls.
-func (a *Agent) pullLoop() {
+// kickLoop is the worker behind a coalescing kick channel: it runs work
+// once per pending kick, serially, until the agent stops.
+func (a *Agent) kickLoop(kick <-chan struct{}, work func()) {
 	defer a.wg.Done()
 	for {
 		select {
 		case <-a.stop:
 			return
-		case <-a.pullKick:
-			a.syncDirectory()
+		case <-kick:
+			work()
 		}
 	}
 }
@@ -577,48 +539,6 @@ func (a *Agent) kickPull() {
 	select {
 	case a.pullKick <- struct{}{}:
 	default:
-	}
-}
-
-// broadcastLoop drains coalesced directory broadcasts (root duty).
-func (a *Agent) broadcastLoop() {
-	defer a.wg.Done()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case dir := <-a.pushDir:
-			a.broadcastDirectory(dir)
-		}
-	}
-}
-
-// kickBroadcast schedules a directory broadcast, replacing any pending
-// older one.
-func (a *Agent) kickBroadcast(dir *Directory) {
-	for {
-		select {
-		case a.pushDir <- dir:
-			return
-		default:
-			select {
-			case <-a.pushDir: // discard the stale pending directory
-			default:
-			}
-		}
-	}
-}
-
-// floodLoop drains coalesced change notifications in Strong mode.
-func (a *Agent) floodLoop() {
-	defer a.wg.Done()
-	for {
-		select {
-		case <-a.stop:
-			return
-		case <-a.floodKick:
-			a.floodReport()
-		}
 	}
 }
 
@@ -672,15 +592,10 @@ func (a *Agent) tick() {
 		return
 	}
 
-	switch a.cfg.Mode {
-	case Soft:
-		if report, offers, full, send := a.policyDecide(); send {
-			a.sendUpdate(cands, report, offers, full)
-		}
-	case Strong:
-		// Liveness keep-alive only; changes flood immediately.
-		report := a.n.Report()
-		a.sendUpdate(cands, &report, nil, false)
+	// Both modes keep their MRM replicas current this way; Strong floods
+	// changes to everyone on top (floodReport).
+	if report, offers, full, send := a.policyDecide(); send {
+		a.sendUpdate(cands, report, offers, full)
 	}
 
 	// MRM replica duties. Stale view entries are not deleted here: the
@@ -775,17 +690,9 @@ func (a *Agent) syncDirectory() {
 	if !member {
 		// Falsely expelled (or the root lost us): rejoin through the
 		// root and adopt the resulting directory.
-		desc := a.Desc()
-		var fresh *Directory
 		ctx, cancel := a.rpcCtx()
 		defer cancel()
-		err := a.callRoot(ctx, "join",
-			func(e *cdr.Encoder) { desc.Marshal(e) },
-			func(d *cdr.Decoder) error {
-				var e error
-				fresh, e = UnmarshalDirectory(d)
-				return e
-			})
+		fresh, err := a.rootDirectory(ctx, "join", a.Desc().Marshal)
 		if err == nil && fresh != nil {
 			a.mu.Lock()
 			if fresh.Epoch > a.dir.Epoch {
@@ -799,8 +706,9 @@ func (a *Agent) syncDirectory() {
 	}
 
 	a.mu.Lock()
+	behind := patch.Epoch > a.dir.Epoch
 	adopted := false
-	if patch.Epoch > a.dir.Epoch {
+	if behind {
 		if dir, ok := patch.Rebuild(a.dir.Nodes); ok {
 			a.dir = dir
 			adopted = true
@@ -811,23 +719,22 @@ func (a *Agent) syncDirectory() {
 		a.pruneGossip()
 		return
 	}
-	if patch.Epoch <= a.dir.Epoch {
+	if !behind {
 		return
 	}
 
 	// The patch did not cover a member this node never saw (e.g. its
 	// state predates the root's log entirely): fall back to the full
 	// snapshot.
-	var dir *Directory
 	ctx, cancel := a.rpcCtx()
 	defer cancel()
-	err = a.callRoot(ctx, "get_directory", nil, func(d *cdr.Decoder) error {
-		var e error
-		dir, e = UnmarshalDirectory(d)
-		return e
-	})
+	dir, err := a.rootDirectory(ctx, "get_directory", nil)
 	if err == nil && dir != nil {
-		a.installDirectory(dir)
+		a.mu.Lock()
+		if dir.Epoch > a.dir.Epoch {
+			a.dir = dir
+		}
+		a.mu.Unlock()
 	}
 }
 
@@ -875,14 +782,14 @@ func (a *Agent) policyDecide() (report *node.Report, offers []*node.Offer, full,
 		a.recordSentLocked(&r, now)
 		return &r, offers, false, true
 	case DeadBand:
-		if math.Abs(r.LoadFraction()-a.lastSent.LoadFraction()) > a.cfg.Epsilon {
+		if math.Abs(r.LoadFraction()-a.lastSent.LoadFraction()) > epsilon {
 			a.recordSentLocked(&r, now)
 			return &r, offers, false, true
 		}
 		return nil, nil, false, false
 	case Predictive:
 		predicted := a.predictLocked(now)
-		if math.Abs(r.LoadFraction()-predicted) > a.cfg.Epsilon {
+		if math.Abs(r.LoadFraction()-predicted) > epsilon {
 			a.recordSentLocked(&r, now)
 			return &r, offers, false, true
 		}
@@ -912,34 +819,10 @@ func (a *Agent) predictLocked(now time.Time) float64 {
 	return a.lastSent.LoadFraction() + slope*now.Sub(a.lastSentAt).Seconds()
 }
 
-// sendUpdate pushes one update to each MRM replica candidate. In delta
-// mode the update rides the gossip plane and carries the offer list
-// only when it changed for that destination (or on keep-alive refresh);
-// the legacy full-state/Strong path keeps point-to-point oneways with
-// offers always attached.
+// sendUpdate pushes one update to each MRM replica candidate over the
+// gossip plane; it carries the offer list only when that changed for the
+// destination (or on keep-alive refresh).
 func (a *Agent) sendUpdate(cands []string, report *node.Report, offers []*node.Offer, full bool) {
-	if a.cfg.fullStateDir() {
-		payload := func(e *cdr.Encoder) {
-			report.Marshal(e)
-			node.MarshalOffers(e, offers)
-		}
-		// Measure the payload size once for accounting.
-		sizer := cdr.NewEncoder(cdr.LittleEndian)
-		payload(sizer)
-		ctx, cancel := a.rpcCtx()
-		defer cancel()
-		for _, cand := range cands {
-			ref, ok := a.refOf(cand)
-			if !ok {
-				continue
-			}
-			a.updatesSent.Add(1)
-			a.updateBytes.Add(uint64(sizer.Len()))
-			_ = ref.InvokeOnewayContext(ctx, "update", payload)
-		}
-		return
-	}
-
 	// Encode the two possible bodies once; destinations share them
 	// (the gossip queue treats bodies as immutable). Both advertise this
 	// node's directory epoch so a fresher receiver can push a repair
@@ -953,16 +836,11 @@ func (a *Agent) sendUpdate(cands []string, report *node.Report, offers []*node.O
 	for _, cand := range cands {
 		withOffers := full
 		a.mu.Lock()
-		st := a.sent[cand]
-		if st == nil {
-			st = &peerSendState{offersEpoch: ^uint64(0)}
-			a.sent[cand] = st
-		}
-		if st.offersEpoch != report.OffersEpoch {
+		if last, ok := a.sent[cand]; !ok || last != report.OffersEpoch {
 			withOffers = true
 		}
 		if withOffers {
-			st.offersEpoch = report.OffersEpoch
+			a.sent[cand] = report.OffersEpoch
 		}
 		a.mu.Unlock()
 		body := slim
@@ -1061,45 +939,30 @@ func (a *Agent) actingLeaderFor(peer string) bool {
 	return g >= 0 && a.actingLeader(g)
 }
 
-// memberNames snapshots the directory membership; ok is false until the
-// agent has joined.
-func (a *Agent) memberNames() (names []string, ok bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.joined {
-		return nil, false
-	}
-	return a.dir.Names(), true
-}
-
-// floodReport sends this node's report to every node (Strong mode).
+// floodReport is what Strong mode adds to Soft: this node's full update
+// (report and offers) sent to every member, not just its MRM replicas —
+// the same gossipUpdate entry, each in a gossip_batch frame of its own.
+// It bypasses the queues because a flood is N messages per change:
+// queued, every node would keep a queue and a forwarder per member (N²
+// of them) and drop under overload exactly what this mode promises to
+// deliver; sent from the one flood worker, it throttles itself.
 func (a *Agent) floodReport() {
-	names, ok := a.memberNames()
-	if !ok {
+	a.mu.Lock()
+	joined, names, epoch := a.joined, a.dir.Names(), a.dir.Epoch
+	a.mu.Unlock()
+	if !joined {
 		return
 	}
 	report := a.n.Report()
-	offers := a.n.AllOffers()
-	payload := func(e *cdr.Encoder) {
-		report.Marshal(e)
-		node.MarshalOffers(e, offers)
-	}
-	sizer := cdr.NewEncoder(cdr.LittleEndian)
-	payload(sizer)
+	body := encodeUpdate(&report, a.n.AllOffers(), true, epoch)
 	a.floods.Add(1)
-	ctx, cancel := a.rpcCtx()
-	defer cancel()
 	for _, name := range names {
 		if name == a.name {
 			continue
 		}
-		ref, ok := a.refOf(name)
-		if !ok {
-			continue
-		}
 		a.updatesSent.Add(1)
-		a.updateBytes.Add(uint64(sizer.Len()))
-		_ = ref.InvokeOnewayContext(ctx, "update", payload)
+		a.updateBytes.Add(uint64(len(body)))
+		a.gossip.sendNow(name, gossipUpdate, body)
 	}
 }
 
@@ -1154,10 +1017,10 @@ func (a *Agent) actingLeader(group int) bool {
 }
 
 // sendSummary pushes this group's aggregate to the root MRM replicas.
-// In delta mode the digest also advertises the leader's name and
-// directory epoch, so a fresher root pushes a repair hint straight back
-// (observePeerEpoch) — candidates are the relay tier, and a stale
-// leader starves its whole group of deltas until repaired.
+// The digest also advertises the leader's name and directory epoch, so
+// a fresher root pushes a repair hint straight back (observePeerEpoch)
+// — candidates are the relay tier, and a stale leader starves its whole
+// group of deltas until repaired.
 func (a *Agent) sendSummary(group int, rootCands []string) {
 	a.mu.Lock()
 	epoch := a.dir.Epoch
@@ -1193,37 +1056,21 @@ func (a *Agent) sendSummary(group int, rootCands []string) {
 	for k := range exports {
 		exportList = append(exportList, k)
 	}
-	payload := func(e *cdr.Encoder) {
-		e.WriteULong(uint32(group))
-		e.WriteULong(alive)
-		e.WriteDouble(freeCPU)
-		e.WriteStringSeq(exportList)
-	}
-	var body []byte
-	if !a.cfg.fullStateDir() {
-		e := cdr.NewEncoder(cdr.LittleEndian)
-		payload(e)
-		e.WriteULongLong(epoch) // trailing fields: older decoders stop short
-		e.WriteString(a.name)
-		body = e.Bytes()
-	}
-	ctx, cancel := a.rpcCtx()
-	defer cancel()
+	e := cdr.NewEncoder(cdr.LittleEndian)
+	e.WriteULong(uint32(group))
+	e.WriteULong(alive)
+	e.WriteDouble(freeCPU)
+	e.WriteStringSeq(exportList)
+	e.WriteULongLong(epoch) // trailing fields: older decoders stop short
+	e.WriteString(a.name)
+	body := e.Bytes()
 	for _, rc := range rootCands {
 		if rc == a.name {
 			// Local shortcut: ingest own summary directly.
 			a.ingestSummary(group, alive, freeCPU, exportList)
 			continue
 		}
-		if body != nil {
-			a.gossip.enqueue(rc, gossipSummary, body)
-			continue
-		}
-		ref, ok := a.refOf(rc)
-		if !ok {
-			continue
-		}
-		_ = ref.InvokeOnewayContext(ctx, "summary", payload)
+		a.gossip.enqueue(rc, gossipSummary, body)
 	}
 }
 
@@ -1344,6 +1191,18 @@ func (a *Agent) reapSilentGroups() {
 		_ = a.handleRemoval(ctx, name)
 		cancel()
 	}
+}
+
+// rootDirectory invokes a directory-returning operation (join,
+// get_directory) on the root.
+func (a *Agent) rootDirectory(ctx context.Context, op string, args orb.Marshaller) (*Directory, error) {
+	var dir *Directory
+	err := a.callRoot(ctx, op, args, func(d *cdr.Decoder) error {
+		var e error
+		dir, e = UnmarshalDirectory(d)
+		return e
+	})
+	return dir, err
 }
 
 // callRoot invokes an operation on the first reachable root MRM replica

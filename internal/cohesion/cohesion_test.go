@@ -3,15 +3,18 @@ package cohesion
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"corbalc/internal/cdr"
 	"corbalc/internal/component"
+	"corbalc/internal/events"
 	"corbalc/internal/ior"
 	"corbalc/internal/leak"
 	"corbalc/internal/node"
+	"corbalc/internal/orb"
 	"corbalc/internal/simnet"
 	"corbalc/internal/xmldesc"
 )
@@ -340,6 +343,66 @@ func TestStrongModePerfectKnowledge(t *testing.T) {
 	}
 	if st3.Floods == 0 {
 		t.Fatal("no floods recorded")
+	}
+}
+
+// onewayTrace is a server interceptor counting, per operation name, the
+// oneway requests the ORBs it is attached to receive.
+type onewayTrace struct {
+	mu  sync.Mutex
+	ops map[string]int
+}
+
+func (tr *onewayTrace) ReceiveRequest(_ context.Context, info *orb.RequestInfo) error {
+	if info.Oneway {
+		tr.mu.Lock()
+		tr.ops[info.Operation]++
+		tr.mu.Unlock()
+	}
+	return nil
+}
+
+func (tr *onewayTrace) SendReply(context.Context, *orb.RequestInfo) {}
+
+// Strong mode is a policy over the gossip plane, not a plane of its
+// own: a reflective change reaches every member's view, and the only
+// oneway operation any node ever receives is gossip_batch.
+func TestStrongFloodRidesGossipOnly(t *testing.T) {
+	leak.Check(t)
+	trace := &onewayTrace{ops: make(map[string]int)}
+	tc := newCluster(t, 5, func(c *Config) { // groups {0,1,2} {3,4}
+		c.Mode = Strong
+		c.Node.ORB().AddServerInterceptor(trace)
+	})
+	c, err := adderSpec("adder", "1.0.0").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.nodes[4].InstallComponent(c); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 3*time.Second, "the change to reach every member's view", func() bool {
+		for _, ag := range tc.agents[:4] {
+			offers := ag.viewQuery("IDL:test/Adder:1.0", "*")
+			if len(offers) != 1 || offers[0].Node != "n04" {
+				return false
+			}
+		}
+		return true
+	})
+	trace.mu.Lock()
+	defer trace.mu.Unlock()
+	if len(trace.ops) != 1 || trace.ops["gossip_batch"] == 0 {
+		t.Fatalf("oneway operations received = %v, want gossip_batch only", trace.ops)
+	}
+}
+
+// The gossip queue settings were options nothing set; they are fixed at
+// the values that were their defaults.
+func TestGossipQueueDefaultsPinned(t *testing.T) {
+	want := events.Config{Depth: 128, Policy: events.DropOldest, BatchWindow: 2 * time.Millisecond}
+	if gossipQueue != want {
+		t.Fatalf("gossipQueue = %+v, want %+v", gossipQueue, want)
 	}
 }
 

@@ -327,18 +327,27 @@ func TestRepairHintHealsStaleNode(t *testing.T) {
 	})
 
 	// Pretend the last delta never arrived: only the epoch regresses, so
-	// the periodic digest ping (disabled above) is the sole legacy path
+	// the periodic digest ping (disabled above) is the only other thing
 	// that would ever notice.
 	lag := tc.agents[2]
-	lag.mu.Lock()
-	lag.dir.Epoch--
-	lag.mu.Unlock()
-
-	waitFor(t, 10*time.Second, "repair hint to restore the epoch", func() bool {
-		e0, _, _ := root.Stamp()
-		e, _, _ := lag.Stamp()
-		return e == e0
-	})
+	regressAndHeal := func() {
+		lag.mu.Lock()
+		lag.dir.Epoch--
+		lag.mu.Unlock()
+		waitFor(t, 10*time.Second, "repair hint to restore the epoch", func() bool {
+			e0, _, _ := root.Stamp()
+			e, _, _ := lag.Stamp()
+			return e == e0
+		})
+	}
+	regressAndHeal()
+	if lag.Stats().RepairHintsRecv == 0 {
+		// The delta announcing the node's own join trails the join reply
+		// through the gossip queue; still in flight, it applied
+		// contiguously to the regressed epoch and healed the node with
+		// no hint involved. It is spent now.
+		regressAndHeal()
+	}
 	if got := lag.Stats().RepairHintsRecv; got == 0 {
 		t.Error("stale node healed without receiving a repair hint")
 	}
@@ -348,5 +357,55 @@ func TestRepairHintHealsStaleNode(t *testing.T) {
 	sent := tc.agents[0].Stats().RepairHintsSent + tc.agents[1].Stats().RepairHintsSent
 	if sent == 0 {
 		t.Error("no MRM candidate pushed a repair hint")
+	}
+}
+
+// TestPullRacesDeltaStream drives anti-entropy pulls against a node
+// that is concurrently applying deltas. The node is kept ahead of the
+// root, so every digest ping diverges and every patch comes back not
+// newer: the pull then has to compare epochs once more, and it used to
+// do that after dropping the lock, racing Directory.Apply. Meaningful
+// under -race only.
+func TestPullRacesDeltaStream(t *testing.T) {
+	leak.Check(t)
+	tc := newCluster(t, 3, func(c *Config) { c.AntiEntropyTicks = 1 << 30 })
+	waitFor(t, 10*time.Second, "initial convergence", func() bool {
+		return swarmConverged(tc.agents, 3)
+	})
+	victim := tc.agents[2] // a plain member: it relays nothing
+	bump := func() {
+		from, _, _ := victim.Stamp()
+		victim.handleDelta(&DirectoryDelta{From: from, To: from + 1}, nil)
+	}
+	start, _, _ := victim.Stamp()
+	bump() // ahead of the root before the first ping
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				bump()
+			}
+		}
+	}()
+	// Keep pulling until the stream has demonstrably run alongside.
+	deadline := time.Now().Add(10 * time.Second)
+	for pulls := 0; ; pulls++ {
+		victim.syncDirectory()
+		if e, _, _ := victim.Stamp(); pulls >= 50 && e >= start+50 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("delta stream never overlapped the pulls")
+		}
+	}
+	close(stop)
+	<-done
+	if got := victim.Stats().AntiEntropyPulls; got < 50 {
+		t.Fatalf("pulls issued = %d, want every sync to pull", got)
 	}
 }

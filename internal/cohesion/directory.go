@@ -74,8 +74,7 @@ func UnmarshalNodeDesc(d *cdr.Decoder) (*NodeDesc, error) {
 // Directory is the replicated membership state: the set of nodes, their
 // grouping, and a monotonically increasing epoch. The root MRM mutates
 // it (joins, leaves, confirmed deaths) and disseminates versioned
-// deltas (or, in the legacy full-state mode, whole snapshots) to every
-// node; everyone else treats it as read-only.
+// deltas to every node; everyone else treats it as read-only.
 type Directory struct {
 	Epoch  uint64
 	Groups [][]string // group index -> member names, join order preserved

@@ -1,9 +1,9 @@
 package cohesion
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"corbalc/internal/cdr"
 	"corbalc/internal/events"
@@ -56,14 +56,19 @@ type gossiper struct {
 	bytes   atomic.Uint64
 }
 
+// gossipQueue configures every destination's queue: messages for one
+// peer within the 2ms window ride a single gossip_batch frame, and past
+// 128 queued the oldest is dropped (anti-entropy repairs the gap).
+var gossipQueue = events.Config{
+	Depth:       128,
+	Policy:      events.DropOldest,
+	BatchWindow: 2 * time.Millisecond,
+}
+
 func newGossiper(a *Agent) *gossiper {
 	return &gossiper{
-		a: a,
-		hub: events.NewHubConfig(events.Config{
-			Depth:       a.cfg.GossipDepth,
-			Policy:      events.DropOldest,
-			BatchWindow: a.cfg.GossipWindow,
-		}),
+		a:       a,
+		hub:     events.NewHubConfig(gossipQueue),
 		cancels: make(map[string]func()),
 	}
 }
@@ -79,6 +84,12 @@ func (g *gossiper) enqueue(dest string, kind byte, body []byte) {
 	_ = ch.Push(events.Event{Source: kindSources[kind], Data: body})
 }
 
+// sendNow ships one protocol message to dest as a frame of its own,
+// bypassing the queue; it returns once the transport took the frame.
+func (g *gossiper) sendNow(dest string, kind byte, body []byte) {
+	g.ship(dest, []events.Event{{Source: kindSources[kind], Data: body}})
+}
+
 // channel returns dest's coalescing channel, attaching its batch
 // forwarder on first use; nil after close.
 func (g *gossiper) channel(dest string) *events.Channel {
@@ -89,35 +100,33 @@ func (g *gossiper) channel(dest string) *events.Channel {
 	}
 	ch := g.hub.Channel(dest)
 	if _, ok := g.cancels[dest]; !ok {
-		g.cancels[dest] = ch.SubscribeBatch("gossip/"+dest, g.forwarder(dest))
+		g.cancels[dest] = ch.SubscribeBatch("gossip/"+dest, func(batch []events.Event) { g.ship(dest, batch) })
 	}
 	return ch
 }
 
-// forwarder builds the batch consumer shipping one drained run as a
-// single gossip_batch frame.
-func (g *gossiper) forwarder(dest string) events.BatchConsumer {
-	return func(batch []events.Event) {
-		a := g.a
-		ref, ok := a.refOf(dest)
-		if !ok {
-			return
+// ship sends one run of protocol messages to dest as a single
+// gossip_batch frame.
+func (g *gossiper) ship(dest string, batch []events.Event) {
+	a := g.a
+	ref, ok := a.refOf(dest)
+	if !ok {
+		return
+	}
+	ctx, done := a.rpcCtx()
+	defer done()
+	size := 0
+	err := ref.InvokeOnewayScoped(ctx, "gossip_batch", func(e *cdr.Encoder) {
+		e.WriteULong(uint32(len(batch)))
+		for _, ev := range batch {
+			e.WriteOctet(kindOf(ev.Source))
+			e.WriteOctetSeq(ev.Data)
 		}
-		ctx, done := context.WithTimeout(a.ctx, a.rpcTimeout())
-		defer done()
-		size := 0
-		err := ref.InvokeOnewayScoped(ctx, "gossip_batch", func(e *cdr.Encoder) {
-			e.WriteULong(uint32(len(batch)))
-			for _, ev := range batch {
-				e.WriteOctet(kindOf(ev.Source))
-				e.WriteOctetSeq(ev.Data)
-			}
-			size = e.Len()
-		}, orb.SyncNone)
-		if err == nil {
-			g.batches.Add(1)
-			g.bytes.Add(uint64(size))
-		}
+		size = e.Len()
+	}, orb.SyncNone)
+	if err == nil {
+		g.batches.Add(1)
+		g.bytes.Add(uint64(size))
 	}
 }
 

@@ -64,46 +64,6 @@ func (s *agentServant) InvokeContext(ctx context.Context, op string, args *cdr.D
 		dir.Marshal(reply)
 		return nil
 
-	case "directory_push":
-		dir, err := UnmarshalDirectory(args)
-		if err != nil {
-			return orb.Marshal()
-		}
-		a.installDirectory(dir)
-		return nil
-
-	case "update":
-		report, err := node.UnmarshalReport(args)
-		if err != nil {
-			return orb.Marshal()
-		}
-		offers, err := node.UnmarshalOffers(args)
-		if err != nil {
-			return orb.Marshal()
-		}
-		a.ingestUpdate(report, offers)
-		return nil
-
-	case "summary":
-		group, err := args.ReadULong()
-		if err != nil {
-			return orb.Marshal()
-		}
-		alive, err := args.ReadULong()
-		if err != nil {
-			return orb.Marshal()
-		}
-		freeCPU, err := args.ReadDouble()
-		if err != nil {
-			return orb.Marshal()
-		}
-		exports, err := args.ReadStringSeq()
-		if err != nil {
-			return orb.Marshal()
-		}
-		a.ingestSummary(int(group), alive, freeCPU, exports)
-		return nil
-
 	case "mrm_query":
 		portID, err := args.ReadString()
 		if err != nil {
@@ -198,7 +158,7 @@ func (s *agentServant) dispatchGossip(kind byte, body []byte) {
 				return
 			}
 		}
-		a.ingestGossipUpdate(report, offers, hasOffers)
+		a.ingestUpdate(report, offers, hasOffers)
 		// Trailing epoch advertisement (absent in older senders); only
 		// the reporter's acting group leader may answer with a hint.
 		if epoch, err := d.ReadULongLong(); err == nil {
@@ -289,26 +249,10 @@ func (a *Agent) handleJoin(ctx context.Context, desc *NodeDesc) (*Directory, err
 		}
 		dir := a.dir.Clone()
 		a.mu.Unlock()
-		if a.cfg.fullStateDir() {
-			a.kickBroadcast(dir)
-		} else {
-			a.disseminateDelta(dir, delta)
-		}
+		a.disseminateDelta(dir, delta)
 		return dir, nil
 	}
-	// Forward to the root.
-	var dir *Directory
-	err := a.callRoot(ctx, "join",
-		func(e *cdr.Encoder) { desc.Marshal(e) },
-		func(d *cdr.Decoder) error {
-			var err error
-			dir, err = UnmarshalDirectory(d)
-			return err
-		})
-	if err != nil {
-		return nil, err
-	}
-	return dir, nil
+	return a.rootDirectory(ctx, "join", desc.Marshal) // forward to the root
 }
 
 // handleRemoval removes a departed or dead node: executed at the root
@@ -326,12 +270,8 @@ func (a *Agent) handleRemoval(ctx context.Context, name string) error {
 		delete(a.peerEpochs, name)
 		a.mu.Unlock()
 		if removed {
-			if a.cfg.fullStateDir() {
-				a.kickBroadcast(dir)
-			} else {
-				a.disseminateDelta(dir, delta)
-				a.gossip.drop(name)
-			}
+			a.disseminateDelta(dir, delta)
+			a.gossip.drop(name)
 		}
 		return nil
 	}
@@ -451,41 +391,9 @@ func (a *Agent) handleDelta(delta *DirectoryDelta, raw []byte) {
 	}
 }
 
-// broadcastDirectory pushes a new directory epoch to every member.
-func (a *Agent) broadcastDirectory(dir *Directory) {
-	ctx, cancel := a.rpcCtx()
-	defer cancel()
-	for name, nd := range dir.Nodes {
-		if name == a.name {
-			continue
-		}
-		ref := a.o.NewRef(nd.Cohesion)
-		_ = ref.InvokeOnewayContext(ctx, "directory_push", dir.Marshal)
-	}
-}
-
-// installDirectory adopts a directory if it is newer than the current
-// one.
-func (a *Agent) installDirectory(dir *Directory) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if dir.Epoch > a.dir.Epoch {
-		a.dir = dir
-	}
-}
-
-// ingestUpdate stores a member's report+offers in this MRM's view.
-func (a *Agent) ingestUpdate(report *node.Report, offers []*node.Offer) {
-	a.updatesRecv.Add(1)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.view[report.Node] = &memberState{report: report, offers: offers, lastSeen: time.Now()}
-	delete(a.expected, report.Node)
-}
-
-// ingestGossipUpdate stores a member's report in this MRM's view; an
-// update without offers ("unchanged") keeps the offers last shipped.
-func (a *Agent) ingestGossipUpdate(report *node.Report, offers []*node.Offer, hasOffers bool) {
+// ingestUpdate stores a member's report in this MRM's view; an update
+// without offers ("unchanged") keeps the offers last shipped.
+func (a *Agent) ingestUpdate(report *node.Report, offers []*node.Offer, hasOffers bool) {
 	a.updatesRecv.Add(1)
 	a.mu.Lock()
 	defer a.mu.Unlock()

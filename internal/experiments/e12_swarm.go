@@ -2,14 +2,11 @@ package experiments
 
 // E12: the delta-gossip swarm experiment. The paper claims the
 // reflective directory scales to "hundreds or thousands" of nodes
-// (§2.4.3); a full-state exchange cannot — every membership change
-// ships the whole Directory to every replica, so control traffic per
-// node grows with the swarm. E12 measures both planes on the same
-// workload: converge a swarm, observe steady-state control bandwidth,
-// then kill 5% of the nodes and measure how long the survivors take to
-// agree on the surviving membership and how many bytes that heal cost.
-// The delta plane should hold bytes/node/s roughly flat as the swarm
-// grows and cost at most a fifth of the full-state baseline at scale.
+// (§2.4.3). E12 converges a swarm, observes steady-state control
+// bandwidth, then kills 5% of the nodes and measures how long the
+// survivors take to agree on the surviving membership and how many
+// bytes that heal cost. Bytes/node/s should stay roughly flat as the
+// swarm grows.
 
 import (
 	"fmt"
@@ -20,15 +17,14 @@ import (
 	"corbalc/internal/simnet"
 )
 
-// SwarmResult is one E12 run: a swarm of Nodes on one discovery plane,
-// measured in steady state and through a 5%-churn heal.
+// SwarmResult is one E12 run: a swarm of Nodes measured in steady state
+// and through a 5%-churn heal.
 type SwarmResult struct {
 	Nodes       int
-	FullState   bool
 	SteadyBps   float64       // steady-state control bytes/node/s
 	HealTime    time.Duration // churn until survivors reconverge
 	ChurnBps    float64       // bytes/node/s across the heal window
-	DeltasSent  uint64        // root's directory deltas (0 on full-state)
+	DeltasSent  uint64        // root's directory deltas
 	PullsServed uint64        // anti-entropy pulls answered swarm-wide
 }
 
@@ -85,8 +81,6 @@ func waitSwarm(agents []*cohesion.Agent, want int, timeout time.Duration, what s
 // swarmInterval picks the status tick for an N-node swarm: 50ms for
 // CI-sized swarms, stretched for thousand-node runs so the aggregate
 // tick rate (N/interval) stays near what one or two cores can absorb.
-// Both planes of a row share the interval, so the delta-vs-full-state
-// ratio is measured on identical workloads.
 func swarmInterval(nodes int) time.Duration {
 	if nodes > 250 {
 		return 200 * time.Millisecond
@@ -94,16 +88,15 @@ func swarmInterval(nodes int) time.Duration {
 	return 50 * time.Millisecond
 }
 
-// RunSwarm measures one (nodes, plane) cell of E12: steady-state
-// bandwidth over the steady window, then heal time and bandwidth after
-// killing 5% of the swarm (sparing the root group, so the experiment
-// measures dissemination rather than root failover).
-func RunSwarm(nodes int, fullState bool, steady time.Duration) SwarmResult {
+// RunSwarm measures one swarm size of E12: steady-state bandwidth over
+// the steady window, then heal time and bandwidth after killing 5% of
+// the swarm (sparing the root group, so the experiment measures
+// dissemination rather than root failover).
+func RunSwarm(nodes int, steady time.Duration) SwarmResult {
 	c, err := corbalc.NewCluster(nodes, "s%04d", simnet.Link{}, corbalc.Options{
 		UpdateInterval: swarmInterval(nodes),
 		GroupSize:      8,
 		FailMultiple:   4,
-		Cohesion:       corbalc.CohesionOptions{FullState: fullState},
 	})
 	if err != nil {
 		panic(err)
@@ -150,7 +143,6 @@ func RunSwarm(nodes int, fullState bool, steady time.Duration) SwarmResult {
 
 	res := SwarmResult{
 		Nodes:     nodes,
-		FullState: fullState,
 		SteadyBps: float64(steadyBytes) / float64(nodes) / steady.Seconds(),
 		HealTime:  heal,
 		ChurnBps:  float64(churnBytes) / float64(len(survivors)) / heal.Seconds(),
@@ -162,37 +154,28 @@ func RunSwarm(nodes int, fullState bool, steady time.Duration) SwarmResult {
 	return res
 }
 
-// E12Swarm runs the swarm matrix: both planes at a CI-sized swarm and
-// at a scaled one (250×Scale.Nodes — pass -scale 4 to corbalc-bench for
-// the 1000-node acceptance row).
+// E12Swarm runs the swarm at a CI-sized scale and at a scaled one
+// (250×Scale.Nodes; Nodes 4 is the 1000-node acceptance row).
 func E12Swarm(sc Scale) *Table {
 	t := &Table{
 		ID:    "E12",
-		Title: "delta-gossip vs full-state discovery at swarm scale",
-		Claim: "§2.4.3: the replicated directory scales to thousands of nodes — incremental deltas keep control bandwidth per node flat where full-state exchange grows with the swarm",
+		Title: "delta-gossip discovery at swarm scale",
+		Claim: "§2.4.3: the replicated directory scales to thousands of nodes — incremental deltas keep control bandwidth per node flat as the swarm grows",
 		Columns: []string{
-			"nodes", "plane", "steady-B/node/s", "5%-churn heal", "churn-B/node/s", "deltas", "pulls",
+			"nodes", "steady-B/node/s", "5%-churn heal", "churn-B/node/s", "deltas", "pulls",
 		},
 		Notes: "workload: converge, measure steady window, kill 5% (root group spared), measure until survivors reconverge; G=8, R=2, interval 50ms (200ms above 250 nodes)",
 	}
 	steady := sc.window(2 * time.Second)
 	for _, n := range []int{60, sc.nodes(250)} {
-		for _, plane := range []struct {
-			name string
-			full bool
-		}{
-			{"delta", false},
-			{"fullstate", true},
-		} {
-			r := RunSwarm(n, plane.full, steady)
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(n), plane.name,
-				fmt.Sprintf("%.0f", r.SteadyBps),
-				fmtDur(r.HealTime),
-				fmt.Sprintf("%.0f", r.ChurnBps),
-				fmt.Sprint(r.DeltasSent), fmt.Sprint(r.PullsServed),
-			})
-		}
+		r := RunSwarm(n, steady)
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprint(n),
+			fmt.Sprintf("%.0f", r.SteadyBps),
+			fmtDur(r.HealTime),
+			fmt.Sprintf("%.0f", r.ChurnBps),
+			fmt.Sprint(r.DeltasSent), fmt.Sprint(r.PullsServed),
+		})
 	}
 	return t
 }

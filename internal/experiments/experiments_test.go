@@ -308,38 +308,27 @@ func TestE12SwarmShape(t *testing.T) {
 	}
 	if race.Enabled {
 		// The race job exercises the swarm via TestSwarmChurnConvergence
-		// (500 nodes); the bandwidth ratios here are timing-sensitive and
-		// the full-state baseline is quadratic work the detector makes
-		// painfully slow.
-		t.Skip("race detector: swarm ratios measured without instrumentation")
+		// (500 nodes); the bandwidth figures here are timing-sensitive.
+		t.Skip("race detector: swarm bandwidth measured without instrumentation")
 	}
 	tab := E12Swarm(quick)
-	if len(tab.Rows) != 4 { // 2 swarm sizes × 2 planes
+	if len(tab.Rows) != 2 { // 2 swarm sizes
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	churn := map[string]float64{} // "nodes/plane" -> churn-B/node/s
 	for _, row := range tab.Rows {
-		churn[row[0]+"/"+row[1]] = num(t, row[4])
-		if heal := dur(t, row[3]); heal <= 0 || heal > 30*time.Second {
-			t.Errorf("%s/%s: heal time %v out of range", row[0], row[1], heal)
+		if heal := dur(t, row[2]); heal <= 0 || heal > 30*time.Second {
+			t.Errorf("N=%s: heal time %v out of range", row[0], heal)
 		}
-		if row[1] == "delta" && num(t, row[5]) == 0 {
-			t.Errorf("%s/delta: no deltas disseminated", row[0])
-		}
-	}
-	small, big := cell(tab, 0, 0), cell(tab, 2, 0)
-	// The tentpole ratio: during churn the delta plane must cost a small
-	// fraction of full-state exchange, at every measured swarm size.
-	for _, n := range []string{small, big} {
-		if d, f := churn[n+"/delta"], churn[n+"/fullstate"]; d*4 >= f {
-			t.Errorf("N=%s: delta churn %.0f B/node/s not well below full-state %.0f", n, d, f)
+		if num(t, row[4]) == 0 {
+			t.Errorf("N=%s: no deltas disseminated", row[0])
 		}
 	}
-	// Flatness: per-node delta bandwidth must not grow with the swarm
-	// (full-state visibly does; see E3 for the steady-state analogue).
-	if churn[big+"/delta"] > 3*churn[small+"/delta"] {
-		t.Errorf("delta churn bandwidth grew with swarm: %.0f (N=%s) -> %.0f (N=%s)",
-			churn[small+"/delta"], small, churn[big+"/delta"], big)
+	// Flatness: per-node churn bandwidth must not grow with the swarm
+	// (Strong-mode flooding visibly does; see E3).
+	small, big := num(t, cell(tab, 0, 3)), num(t, cell(tab, 1, 3))
+	if big > 3*small {
+		t.Errorf("churn bandwidth grew with swarm: %.0f (N=%s) -> %.0f (N=%s)",
+			small, cell(tab, 0, 0), big, cell(tab, 1, 0))
 	}
 	t.Log("\n" + tab.Render())
 }

@@ -556,8 +556,6 @@ const DefaultCallTimeout = 30 * time.Second
 // Transport is the client-side IIOP transport, registered with an ORB to
 // serve TagInternetIOP profiles.
 type Transport struct {
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
 	// CallTimeout bounds a single two-way request (default
 	// DefaultCallTimeout; negative disables the limit, mirroring
 	// MaxFragment).
@@ -633,18 +631,17 @@ func (t *Transport) Endpoint(profile []byte) (string, error) {
 	return p.Addr(), nil
 }
 
+// dialTimeout bounds connection establishment.
+const dialTimeout = 5 * time.Second
+
 // Dial implements orb.Transport. Establishment is bounded by both
-// DialTimeout and ctx, whichever ends first.
+// dialTimeout and ctx, whichever ends first.
 func (t *Transport) Dial(ctx context.Context, profile []byte) (orb.Channel, error) {
 	addr, err := t.Endpoint(profile)
 	if err != nil {
 		return nil, err
 	}
-	dt := t.DialTimeout
-	if dt == 0 {
-		dt = 5 * time.Second
-	}
-	d := net.Dialer{Timeout: dt}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("iiop: dial %s: %w", addr, err)

@@ -389,3 +389,11 @@ func TestFragmentedTransfersOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Connection establishment was bounded by an option nothing set; it is
+// fixed at the value that was its default.
+func TestDialBoundPinned(t *testing.T) {
+	if dialTimeout != 5*time.Second {
+		t.Fatalf("dialTimeout = %v, want 5s", dialTimeout)
+	}
+}

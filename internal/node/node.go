@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"corbalc/internal/cdr"
 	"corbalc/internal/component"
@@ -63,15 +62,12 @@ type Config struct {
 	// TrustedKeys, when non-empty, makes the acceptor reject packages
 	// not signed by one of them.
 	TrustedKeys []ed25519.PublicKey
-	// EventQueueDepth sizes per-subscriber event queues (default 256).
-	EventQueueDepth int
-	// EventOverflow selects what Push does on a full subscriber queue
-	// (default events.Block: backpressure).
-	EventOverflow events.OverflowPolicy
-	// EventBatchWindow makes batch subscribers coalesce a trickle of
-	// events into window-sized batches (default 0: deliver immediately).
-	EventBatchWindow time.Duration
 }
+
+// eventQueues configures the node hub's per-subscriber queues: 256 deep,
+// a full queue blocks the publisher (backpressure, nothing dropped), and
+// batch subscribers are handed events as they arrive (no window).
+var eventQueues = events.Config{Depth: 256, Policy: events.Block}
 
 // Node is one CORBA-LC node.
 type Node struct {
@@ -118,18 +114,10 @@ func New(cfg Config) *Node {
 	if prof.CPUCores == 0 && prof.MemoryMB == 0 {
 		prof = WorkstationProfile()
 	}
-	depth := cfg.EventQueueDepth
-	if depth <= 0 {
-		depth = 256
-	}
 	n := &Node{
-		name: cfg.Name,
-		orb:  o,
-		hub: events.NewHubConfig(events.Config{
-			Depth:       depth,
-			Policy:      cfg.EventOverflow,
-			BatchWindow: cfg.EventBatchWindow,
-		}),
+		name:       cfg.Name,
+		orb:        o,
+		hub:        events.NewHubConfig(eventQueues),
 		impls:      impls,
 		res:        NewResources(prof),
 		repo:       NewRepository(),

@@ -10,6 +10,7 @@ import (
 	"corbalc/internal/cdr"
 	"corbalc/internal/component"
 	"corbalc/internal/container"
+	"corbalc/internal/events"
 	"corbalc/internal/ior"
 	"corbalc/internal/leak"
 	"corbalc/internal/orb"
@@ -517,5 +518,14 @@ func TestAdmitReleasesOnDestroy(t *testing.T) {
 	}
 	if _, err := n.Instantiate(context.Background(), id, "three"); err != nil {
 		t.Fatalf("create after release: %v", err)
+	}
+}
+
+// The node hub's queue settings were options nothing set; they are fixed
+// at the values that were their defaults.
+func TestEventQueueDefaultsPinned(t *testing.T) {
+	want := events.Config{Depth: 256, Policy: events.Block, BatchWindow: 0}
+	if eventQueues != want {
+		t.Fatalf("eventQueues = %+v, want %+v", eventQueues, want)
 	}
 }

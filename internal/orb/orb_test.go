@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"corbalc/internal/cdr"
 	"corbalc/internal/giop"
@@ -588,5 +589,36 @@ func TestSystemExceptionWireRoundTrip(t *testing.T) {
 	se, err = unmarshalSystemException(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
 	if err != nil || se.Name != "IDL:vendor/Odd:2.0" {
 		t.Fatalf("vendor id = %+v, %v", se, err)
+	}
+}
+
+// A CORBA::TIMEOUT that comes back as a reply (the server's copy of the
+// propagated deadline fired first) carries the same chain as one the
+// client's own timer produces; without a deadline it stays bare.
+func TestTimeoutReplyAttributedToDeadline(t *testing.T) {
+	o := NewORB()
+	o.Activate("slow", ServantFunc{
+		RepoID: "IDL:test/Slow:1.0",
+		Fn:     func(string, *cdr.Decoder, *cdr.Encoder) error { return Timeout() },
+	})
+	ref := o.NewRef(o.NewIOR("IDL:test/Slow:1.0", "slow"))
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	err := ref.InvokeContext(ctx, "op", nil, nil)
+	var se *SystemException
+	if !errors.As(err, &se) || se.Name != "TIMEOUT" {
+		t.Fatalf("bounded call err = %v, want CORBA::TIMEOUT", err)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("bounded call err = %v, want context.DeadlineExceeded in the chain", err)
+	}
+
+	err = ref.InvokeContext(context.Background(), "op", nil, nil)
+	if !errors.As(err, &se) || se.Name != "TIMEOUT" {
+		t.Fatalf("unbounded call err = %v, want CORBA::TIMEOUT", err)
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("unbounded call err = %v: no deadline to blame", err)
 	}
 }

@@ -274,6 +274,21 @@ func ctxError(ctx context.Context, err error) error {
 	return &wrappedException{SystemException: Timeout(), cause: cause}
 }
 
+// deadlineReply attributes a CORBA::TIMEOUT reply to the caller's own
+// deadline. The deadline travels with the request (SvcDeadline), so the
+// server's timer and the client's race to report the same expiry; when
+// the server wins, its bare TIMEOUT gets the chain ctxError builds when
+// the client wins, so errors.Is(err, context.DeadlineExceeded) holds
+// whichever side noticed first.
+func deadlineReply(ctx context.Context, err error) error {
+	if se, ok := err.(*SystemException); ok && se.Name == "TIMEOUT" {
+		if _, bounded := ctx.Deadline(); bounded {
+			return &wrappedException{SystemException: se, cause: context.DeadlineExceeded}
+		}
+	}
+	return err
+}
+
 // wrappedException is a system exception that also preserves an
 // underlying cause for errors.Is (e.g. context.DeadlineExceeded).
 type wrappedException struct {
@@ -424,7 +439,7 @@ func (r *ObjectRef) dispatch(ctx context.Context, sc *clientScratch, msg *giop.M
 		if !twoway {
 			return nil
 		}
-		return o.decodeReply(sc, reply, reqID, result)
+		return deadlineReply(ctx, o.decodeReply(sc, reply, reqID, result))
 	}
 
 	// Remote: pick the first profile with a registered transport,
@@ -484,7 +499,7 @@ func (r *ObjectRef) dispatch(ctx context.Context, sc *clientScratch, msg *giop.M
 			lastErr = err
 			continue
 		}
-		return o.decodeReply(sc, reply, reqID, result)
+		return deadlineReply(ctx, o.decodeReply(sc, reply, reqID, result))
 	}
 	if lastErr == nil {
 		return NoImplement()
