@@ -2,11 +2,14 @@ package corbalc_test
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"corbalc"
 	"corbalc/internal/cdr"
+	"corbalc/internal/cohesion"
 	"corbalc/internal/component"
 	"corbalc/internal/node"
 	"corbalc/internal/orb"
@@ -284,5 +287,95 @@ func TestFigure1NodeWiring(t *testing.T) {
 	after := readReport()
 	if after.Instances != before.Instances+1 || after.Digest <= before.Digest {
 		t.Fatalf("dynamic reflection: before=%+v after=%+v", before, after)
+	}
+}
+
+// liveHeap is the heap in use after a forced collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC() // the first may only have queued finalizers
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// A crashed peer is still reachable — simnet keeps its endpoint, the
+// endpoint its ORB, the ORB the cohesion servant, the servant the agent
+// — so Close must leave the agent holding nothing: it reads as never
+// joined, and a cluster that keeps crashing and replacing peers without
+// ever detaching them does not grow by a directory replica per corpse.
+func TestClosedPeerPinsNoState(t *testing.T) {
+	const n, cycles = 40, 30
+	opts := corbalc.Options{UpdateInterval: 20 * time.Millisecond}
+	c, err := corbalc.NewCluster(n, "hp%02d", simnet.Link{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	agreed := func(peers []*corbalc.Peer) bool {
+		e0, n0, x0 := peers[0].Agent.Stamp()
+		for _, p := range peers[1:] {
+			if e, m, x := p.Agent.Stamp(); e != e0 || m != n0 || x != x0 {
+				return false
+			}
+		}
+		return n0 == len(peers)
+	}
+	settle := func(peers []*corbalc.Peer) {
+		t.Helper()
+		for deadline := time.Now().Add(20 * time.Second); !agreed(peers); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("cluster never agreed on its membership")
+			}
+		}
+	}
+	settle(c.Peers)
+
+	// What one decoded replica of this cluster's directory weighs.
+	e := cdr.NewEncoder(cdr.LittleEndian)
+	c.Peers[0].Agent.Directory().Marshal(e)
+	replicas := make([]*cohesion.Directory, 32)
+	before := liveHeap()
+	for i := range replicas {
+		if replicas[i], err = cohesion.UnmarshalDirectory(cdr.NewDecoder(e.Bytes(), cdr.LittleEndian)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replica := (liveHeap() - before) / uint64(len(replicas))
+	runtime.KeepAlive(replicas)
+
+	var corpses []*corbalc.Peer
+	before = liveHeap()
+	for i := 0; i < cycles; i++ {
+		last := len(c.Peers) - 1
+		victim := c.Peers[last]
+		c.Net.SetDown(victim.Node.Name(), true) // down, never detached
+		victim.Close()
+		corpses = append(corpses, victim)
+		settle(c.Peers[:last])
+		name := fmt.Sprintf("hp-new%02d", i)
+		p := corbalc.NewPeer(name, opts)
+		if err := c.Net.Attach(name, p.Node.ORB()); err != nil {
+			t.Fatal(err)
+		}
+		c.Peers[last] = p // before Join: the deferred Close covers it either way
+		if err := p.Join(c.Peers[0].Contact()); err != nil {
+			t.Fatal(err)
+		}
+		settle(c.Peers)
+	}
+	grown := int64(liveHeap()) - int64(before)
+
+	for _, p := range corpses {
+		if _, members, _ := p.Agent.Stamp(); members != 0 || p.Agent.Directory().Len() != 0 {
+			t.Fatalf("%s: closed peer still holds a %d-member directory", p.Node.Name(), members)
+		}
+	}
+	perCorpse := grown / cycles
+	t.Logf("one replica %d B; heap grew %d B over %d crash+join cycles, %d B per crashed peer", replica, grown, cycles, perCorpse)
+	// Half a replica: the replica is weighed while the cluster gossips,
+	// so the figure itself wanders by a quarter.
+	if perCorpse >= int64(replica/2) {
+		t.Fatalf("heap grew %d B per crashed peer against a directory replica of %d B: closed peers pin state", perCorpse, replica)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,7 +102,9 @@ func (c *Config) fill() {
 	}
 }
 
-// memberState is an MRM's knowledge of one node.
+// memberState is an MRM's knowledge of one node. Until the member's
+// first update arrives report is nil and lastSeen is when this MRM first
+// counted on it: silence from birth and silence after run on one clock.
 type memberState struct {
 	report   *node.Report
 	offers   []*node.Offer
@@ -238,14 +241,9 @@ type Agent struct {
 	dir       *Directory
 	view      map[string]*memberState
 	summaries map[int]*groupSummary
-	// expected tracks when this MRM first counted on hearing from a
-	// group member that has not reported yet; members silent from birth
-	// beyond a grace period are declared dead too.
-	expected map[string]time.Time
 	// expectedGroups tracks when the root first counted on a group's
-	// summaries (the same grace discipline, one tier up): a group whose
-	// MRM candidates all died would otherwise go silent forever, since
-	// non-candidate members never act as leader.
+	// summaries: a group whose MRM candidates all died would otherwise go
+	// silent forever, since non-candidate members never act as leader.
 	expectedGroups map[int]time.Time
 	// sent is the offers epoch last shipped to each MRM replica, so
 	// periodic updates can omit the offer list while it is unchanged.
@@ -289,6 +287,9 @@ type Agent struct {
 	// in the delta stream schedules one pull, however many deltas
 	// arrived out of order.
 	pullKick chan struct{}
+	// deathKick hands an acting leader's detectFailures to a worker, so a
+	// tick never waits on a suspect's ping or the root's report_dead.
+	deathKick chan struct{}
 	// gossip is the per-destination batching plane every periodic
 	// protocol message rides.
 	gossip *gossiper
@@ -313,34 +314,38 @@ type Agent struct {
 func NewAgent(cfg Config) *Agent {
 	cfg.fill()
 	a := &Agent{
-		cfg:            cfg,
-		n:              cfg.Node,
-		o:              cfg.Node.ORB(),
-		dir:            NewDirectory(),
-		view:           make(map[string]*memberState),
-		summaries:      make(map[int]*groupSummary),
-		expected:       make(map[string]time.Time),
-		expectedGroups: make(map[int]time.Time),
-		sent:           make(map[string]uint64),
-		peerEpochs:     make(map[string]*epochStreak),
-		hintPulled:     ^uint64(0),
-		stop:           make(chan struct{}),
-		pullKick:       make(chan struct{}, 1),
+		cfg:        cfg,
+		n:          cfg.Node,
+		o:          cfg.Node.ORB(),
+		hintPulled: ^uint64(0),
+		stop:       make(chan struct{}),
+		pullKick:   make(chan struct{}, 1),
+		deathKick:  make(chan struct{}, 1),
 	}
+	a.resetLocked()
 	a.ctx, a.cancel = context.WithCancel(context.Background())
 	a.gossip = newGossiper(a)
 	a.name = cfg.Node.Name()
 	a.o.Activate(KeyCohesion, &agentServant{a: a})
 	if cfg.Mode == Strong {
 		a.floodKick = make(chan struct{}, 1)
-		a.n.SetChangeListener(func() {
-			select {
-			case a.floodKick <- struct{}{}:
-			default: // a flood is already pending; it will carry this change
-			}
-		})
+		a.n.SetChangeListener(func() { kick(a.floodKick) })
 	}
 	return a
+}
+
+// resetLocked is the state of an agent that never joined. Stop ends
+// there too: a crashed peer stays reachable through its endpoint, ORB and
+// servant, and must not pin a directory replica and MRM view that long.
+func (a *Agent) resetLocked() {
+	a.joined = false
+	a.dir = NewDirectory()
+	a.view = make(map[string]*memberState)
+	a.summaries = make(map[int]*groupSummary)
+	a.expectedGroups = make(map[int]time.Time)
+	a.sent = make(map[string]uint64)
+	a.peerEpochs = make(map[string]*epochStreak)
+	a.lastSent, a.prevSent = nil, nil
 }
 
 // Desc mints this agent's directory entry. IORs are minted lazily so
@@ -417,7 +422,7 @@ func (a *Agent) GroupView() []MemberView {
 	defer a.mu.Unlock()
 	out := make([]MemberView, 0, len(a.view))
 	for name, st := range a.view {
-		if st.lastSeen.Before(cutoff) {
+		if st.report == nil || st.lastSeen.Before(cutoff) {
 			continue
 		}
 		desc, ok := a.dir.Nodes[name]
@@ -469,7 +474,6 @@ func (a *Agent) Join(contact *ior.IOR) error {
 	a.mu.Lock()
 	a.dir = dir
 	a.joined = true
-	a.forceSend = true
 	a.mu.Unlock()
 	a.start()
 	if a.cfg.Mode == Strong {
@@ -494,7 +498,8 @@ func (a *Agent) Leave() {
 }
 
 // Stop halts the protocol loop without notifying anyone (crash
-// simulation pairs this with simnet.SetDown).
+// simulation pairs this with simnet.SetDown) and releases the protocol
+// state: a stopped agent reads as never joined.
 func (a *Agent) Stop() {
 	a.mu.Lock()
 	select {
@@ -506,13 +511,16 @@ func (a *Agent) Stop() {
 	a.cancel()       // aborts in-flight protocol RPCs
 	a.gossip.close() // drains per-destination forwarders
 	a.wg.Wait()
+	a.mu.Lock()
+	a.resetLocked()
+	a.mu.Unlock()
 }
 
 func (a *Agent) start() {
-	a.wg.Add(1)
+	a.wg.Add(3)
 	go a.loop()
-	a.wg.Add(1)
 	go a.kickLoop(a.pullKick, a.syncDirectory)
+	go a.kickLoop(a.deathKick, a.detectFailures)
 	if a.cfg.Mode == Strong {
 		a.wg.Add(1)
 		go a.kickLoop(a.floodKick, a.floodReport)
@@ -533,25 +541,27 @@ func (a *Agent) kickLoop(kick <-chan struct{}, work func()) {
 	}
 }
 
-// kickPull schedules one anti-entropy pull, coalescing with any pending
-// one.
-func (a *Agent) kickPull() {
+// kick schedules one run of a kickLoop's work, coalescing with a run
+// already pending (which will see whatever this kick was about).
+func kick(ch chan<- struct{}) {
 	select {
-	case a.pullKick <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
 
+// loop ticks once on start — first contact: a joiner's MRMs hear from it
+// milliseconds after the root admitted it — then every UpdateInterval.
 func (a *Agent) loop() {
 	defer a.wg.Done()
 	t := time.NewTicker(a.cfg.UpdateInterval)
 	defer t.Stop()
 	for {
+		a.tick()
 		select {
 		case <-a.stop:
 			return
 		case <-t.C:
-			a.tick()
 		}
 	}
 }
@@ -594,23 +604,14 @@ func (a *Agent) tick() {
 
 	// Both modes keep their MRM replicas current this way; Strong floods
 	// changes to everyone on top (floodReport).
-	if report, offers, full, send := a.policyDecide(); send {
-		a.sendUpdate(cands, report, offers, full)
-	}
+	a.heartbeat(cands)
 
 	// MRM replica duties. Stale view entries are not deleted here: the
 	// failure timeout filters them out of every read, and reportDeaths
 	// needs to see them once to escalate to the root.
-	if contains(cands, a.name) && a.actingLeader(group) {
+	if slices.Contains(cands, a.name) && a.actingLeader(group) {
 		a.sendSummary(group, rootCands)
-		a.reportDeaths(group)
-	}
-
-	// Root duty one tier up: groups whose summaries went silent have
-	// lost every MRM candidate — reap the dead candidates so the next
-	// members become candidates and the group rejoins the hierarchy.
-	if a.actingRootLeader() {
-		a.reapSilentGroups()
+		kick(a.deathKick)
 	}
 
 	// Anti-entropy: periodically compare directory epochs with the root
@@ -682,7 +683,7 @@ func (a *Agent) syncDirectory() {
 
 	member := false
 	for _, g := range patch.Groups {
-		if contains(g, a.name) {
+		if slices.Contains(g, a.name) {
 			member = true
 			break
 		}
@@ -699,8 +700,10 @@ func (a *Agent) syncDirectory() {
 				a.dir = fresh
 			}
 			a.forceSend = true
+			cands := a.dir.Candidates(a.dir.GroupOf(a.name), a.cfg.Replicas)
 			a.mu.Unlock()
 			a.pruneGossip()
+			a.heartbeat(cands) // first contact, as at Join: not a tick later
 		}
 		return
 	}
@@ -758,6 +761,14 @@ func (a *Agent) pruneGossip() {
 	}
 	a.mu.Unlock()
 	a.gossip.prune(members)
+}
+
+// heartbeat sends this node's status update to its MRM candidates if the
+// send policy wants one now.
+func (a *Agent) heartbeat(cands []string) {
+	if report, offers, full, send := a.policyDecide(); send {
+		a.sendUpdate(cands, report, offers, full)
+	}
 }
 
 // policyDecide applies the send policy; it returns the report/offers to
@@ -1041,7 +1052,7 @@ func (a *Agent) sendSummary(group int, rootCands []string) {
 			}
 			continue
 		}
-		if !ok {
+		if !ok || st.report == nil {
 			continue
 		}
 		alive++
@@ -1074,61 +1085,54 @@ func (a *Agent) sendSummary(group int, rootCands []string) {
 	}
 }
 
+// detectFailures is an acting leader's failure duty, both tiers in this
+// order: a replica that believes it leads only because the leader's last
+// update is late pings it in reportDeaths, refreshes it, and has stood
+// down by the time the root duty asks — reaping as a second root writer
+// forks the directory at one epoch, which no digest ping can see.
+func (a *Agent) detectFailures() {
+	a.reportDeaths()
+	if a.actingRootLeader() {
+		a.reapSilentGroups()
+	}
+}
+
 // reportDeaths escalates group members that fell silent beyond the
 // failure timeout ("the MRM can suppose a node of the group has been
-// down after some time-out"). Before accusing, the MRM performs the
-// paper’s ping/reply handshake: a suspect that still answers a direct
-// ping is merely slow (e.g. the whole system is CPU-starved during a
-// join storm), not dead — its liveness is refreshed instead. Members
-// never seen get a grace period before their first suspicion. Reported
-// members are dropped from the view so the accusation happens once.
-func (a *Agent) reportDeaths(group int) {
-	cutoff := time.Now().Add(-a.failTimeout())
-	graceCutoff := time.Now().Add(-4 * a.failTimeout())
+// down after some time-out"); a member never heard from enters the view
+// when this MRM first counts on it, so it runs on the same clock. Before
+// accusing, the MRM performs the paper's ping/reply handshake: a suspect
+// that still answers is merely slow (a joiner on a CPU-starved host), not
+// dead — its liveness is refreshed instead. Reported members are dropped
+// from the view so the accusation happens once. It runs on the deathKick
+// worker: a black-holed suspect holds up the next accusation, never the
+// leader's own updates and summaries.
+func (a *Agent) reportDeaths() {
 	now := time.Now()
+	cutoff := now.Add(-a.failTimeout())
 	a.mu.Lock()
 	var suspects []string
-	for _, m := range a.dir.Members(group) {
+	for _, m := range a.dir.Members(a.dir.GroupOf(a.name)) {
 		if m == a.name {
 			continue
 		}
-		if st, ok := a.view[m]; ok {
-			if st.lastSeen.Before(cutoff) {
-				suspects = append(suspects, m)
-			}
-			continue
-		}
-		// Never heard from this member: start (or check) its grace
-		// clock.
-		first, tracked := a.expected[m]
-		switch {
-		case !tracked:
-			a.expected[m] = now
-		case first.Before(graceCutoff):
+		if st := a.view[m]; st == nil {
+			a.view[m] = &memberState{lastSeen: now} // counted on from now
+		} else if st.lastSeen.Before(cutoff) {
 			suspects = append(suspects, m)
 		}
 	}
 	a.mu.Unlock()
 
 	for _, name := range suspects {
-		if ref, ok := a.refOf(name); ok {
-			pingCtx, cancel := a.rpcCtx()
-			err := ref.InvokeContext(pingCtx, "ping", nil, func(d *cdr.Decoder) error {
-				_, e := d.ReadULongLong()
-				return e
-			})
-			cancel()
-			if err == nil {
-				// Alive after all: refresh liveness, keep the view.
-				a.mu.Lock()
-				if st, ok := a.view[name]; ok {
-					st.lastSeen = time.Now()
-				} else {
-					a.expected[name] = time.Now()
-				}
-				a.mu.Unlock()
-				continue
+		if a.answersPing(name) {
+			// Alive after all: refresh liveness, keep the view.
+			a.mu.Lock()
+			if st, ok := a.view[name]; ok {
+				st.lastSeen = time.Now()
 			}
+			a.mu.Unlock()
+			continue
 		}
 		ctx, cancel := a.rpcCtx()
 		err := a.callRoot(ctx, "report_dead", func(e *cdr.Encoder) { e.WriteString(name) }, nil)
@@ -1136,10 +1140,24 @@ func (a *Agent) reportDeaths(group int) {
 		if err == nil {
 			a.mu.Lock()
 			delete(a.view, name)
-			delete(a.expected, name)
 			a.mu.Unlock()
 		}
 	}
+}
+
+// answersPing reports whether a member answers a direct ping within one
+// RPC budget.
+func (a *Agent) answersPing(name string) bool {
+	ref, ok := a.refOf(name)
+	if !ok {
+		return false
+	}
+	ctx, cancel := a.rpcCtx()
+	defer cancel()
+	return ref.InvokeContext(ctx, "ping", nil, func(d *cdr.Decoder) error {
+		_, e := d.ReadULongLong()
+		return e
+	}) == nil
 }
 
 // reapSilentGroups is the root leader's guard against a group losing
@@ -1176,16 +1194,8 @@ func (a *Agent) reapSilentGroups() {
 	a.mu.Unlock()
 
 	for _, name := range suspects {
-		if ref, ok := a.refOf(name); ok {
-			pingCtx, cancel := a.rpcCtx()
-			err := ref.InvokeContext(pingCtx, "ping", nil, func(d *cdr.Decoder) error {
-				_, e := d.ReadULongLong()
-				return e
-			})
-			cancel()
-			if err == nil {
-				continue // alive: let it resume its summary duty
-			}
+		if a.answersPing(name) {
+			continue // alive: let it resume its summary duty
 		}
 		ctx, cancel := a.rpcCtx()
 		_ = a.handleRemoval(ctx, name)
@@ -1237,13 +1247,4 @@ func (a *Agent) callRoot(ctx context.Context, op string, args orb.Marshaller, re
 		}
 	}
 	return lastErr
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

@@ -15,6 +15,7 @@ import (
 	"corbalc/internal/leak"
 	"corbalc/internal/node"
 	"corbalc/internal/orb"
+	"corbalc/internal/race"
 	"corbalc/internal/simnet"
 	"corbalc/internal/xmldesc"
 )
@@ -39,28 +40,33 @@ func testImpls() *component.Registry {
 	return reg
 }
 
+// newAgent attaches one node to the cluster's network and builds its
+// agent with the test defaults, not yet joined.
+func (tc *testCluster) newAgent(t testing.TB, name string, tweak func(*Config)) (*node.Node, *Agent) {
+	t.Helper()
+	nd := node.New(node.Config{Name: name, Impls: testImpls(), Profile: node.WorkstationProfile()})
+	if err := tc.net.Attach(name, nd.ORB()); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Node:           nd,
+		GroupSize:      3,
+		Replicas:       2,
+		UpdateInterval: 25 * time.Millisecond,
+		FailMultiple:   3,
+	}
+	if tweak != nil {
+		tweak(&cfg)
+	}
+	return nd, NewAgent(cfg)
+}
+
 // newCluster builds n nodes, bootstraps the first and joins the rest.
 func newCluster(t testing.TB, n int, tweak func(*Config)) *testCluster {
 	t.Helper()
 	tc := &testCluster{net: simnet.New(simnet.Link{})}
-	impls := testImpls()
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("n%02d", i)
-		nd := node.New(node.Config{Name: name, Impls: impls, Profile: node.WorkstationProfile()})
-		if err := tc.net.Attach(name, nd.ORB()); err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{
-			Node:           nd,
-			GroupSize:      3,
-			Replicas:       2,
-			UpdateInterval: 25 * time.Millisecond,
-			FailMultiple:   3,
-		}
-		if tweak != nil {
-			tweak(&cfg)
-		}
-		ag := NewAgent(cfg)
+		nd, ag := tc.newAgent(t, fmt.Sprintf("n%02d", i), tweak)
 		tc.nodes = append(tc.nodes, nd)
 		tc.agents = append(tc.agents, ag)
 	}
@@ -286,6 +292,136 @@ func TestFailureDetectionRemovesNode(t *testing.T) {
 	waitFor(t, 3*time.Second, "survivors to converge", func() bool {
 		return tc.agents[1].Directory().Len() == 3 && tc.agents[3].Directory().Len() == 3
 	})
+}
+
+// joinLate joins one more node through the root. It stays out of
+// tc.agents, which tests read as the survivors.
+func (tc *testCluster) joinLate(t testing.TB, name string, tweak func(*Config)) *Agent {
+	t.Helper()
+	nd, ag := tc.newAgent(t, name, tweak)
+	t.Cleanup(func() { ag.Stop(); nd.Close() })
+	if err := ag.Join(tc.agents[0].CohesionIOR()); err != nil {
+		t.Fatal(err)
+	}
+	return ag
+}
+
+// The detection bound (DESIGN.md §13.8): a crash is agreed on by every
+// survivor within the failure timeout plus three ticks — one until the
+// MRM counts on the member, one of tick phase, one of dissemination —
+// whatever the victim's age. The blind spot this pins was a victim that
+// died before its first heartbeat: its MRM had never heard from it and
+// waited four failure timeouts before the first suspicion.
+func TestCrashHealsWithinOneFailTimeoutAtAnyAge(t *testing.T) {
+	leak.Check(t)
+	tweak := func(c *Config) {
+		c.UpdateInterval = 50 * time.Millisecond
+		c.FailMultiple = 4
+	}
+	const n = 8 // groups {0,1,2} {3,4,5} {6,7}: a joiner is group 2's third member
+	tc := newCluster(t, n, tweak)
+	waitFor(t, 10*time.Second, "initial convergence", func() bool { return swarmConverged(tc.agents, n) })
+	interval := tc.agents[0].cfg.UpdateInterval
+	bound := tc.agents[0].failTimeout() + 3*interval
+	if race.Enabled {
+		bound *= 2
+	}
+	for i, age := range []time.Duration{0, 2*interval + interval/2} {
+		name := fmt.Sprintf("victim%d", i)
+		victim := tc.joinLate(t, name, tweak)
+		joined, _, _ := tc.agents[0].Stamp() // the root admitted it at this epoch
+		if age > 0 {
+			waitFor(t, 10*time.Second, "the join to spread", func() bool {
+				return swarmConverged(append(tc.agents[:n:n], victim), n+1)
+			})
+			time.Sleep(age)
+		}
+		tc.net.SetDown(name, true)
+		victim.Stop()
+		crashed := time.Now()
+		waitFor(t, 10*bound, "survivors to agree on the crash", func() bool {
+			epoch, _, _ := tc.agents[0].Stamp()
+			return epoch > joined && swarmConverged(tc.agents, n)
+		})
+		healed := time.Since(crashed)
+		t.Logf("victim aged %v: healed in %v (%.1f intervals; bound %v)", age, healed, float64(healed)/float64(interval), bound)
+		if healed > bound {
+			t.Errorf("victim aged %v: survivors agreed after %v, want within %v", age, healed, bound)
+		}
+	}
+}
+
+// An accusation in flight must not hold up the accuser's own heartbeat:
+// with the suspect behind a link slower than several failure timeouts,
+// the leader keeps its update cadence and its replica never has cause to
+// take over.
+func TestSlowAccusationDoesNotStallLeaderHeartbeat(t *testing.T) {
+	leak.Check(t)
+	tc := newCluster(t, 3, func(c *Config) { // one group, candidates n00 (leader), n01
+		c.UpdateInterval = 50 * time.Millisecond
+		c.FailMultiple = 4
+	})
+	waitFor(t, 5*time.Second, "initial convergence", func() bool { return swarmConverged(tc.agents, 3) })
+	leader, replica := tc.agents[0], tc.agents[1]
+	waitFor(t, 5*time.Second, "the replica to hear from the leader", func() bool { return !replica.actingLeader(0) })
+
+	// The ping that precedes the accusation takes four failure timeouts
+	// to fail.
+	delay := 4 * leader.failTimeout()
+	tc.net.SetLink("n00", "n02", simnet.Link{Latency: delay})
+	tc.net.SetDown("n02", true)
+	tc.agents[2].Stop()
+	crashed := time.Now()
+	sent := leader.Stats().UpdatesSent
+	for leader.Directory().Len() != 2 {
+		if replica.actingLeader(0) {
+			t.Fatalf("replica took over %v into the accusation: the leader's heartbeat stalled", time.Since(crashed))
+		}
+		if time.Since(crashed) > 10*delay {
+			t.Fatal("the suspect was never expelled")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	took := time.Since(crashed)
+	if took < delay {
+		t.Fatalf("expelled after %v: the accusation never waited on the %v link", took, delay)
+	}
+	// Two candidates hear from the leader every tick; allow half to slip.
+	ticks := uint64(took / leader.cfg.UpdateInterval)
+	if got := leader.Stats().UpdatesSent - sent; got < ticks {
+		t.Fatalf("leader sent %d updates over %d ticks of accusation, want at least %d", got, ticks, ticks)
+	}
+}
+
+// A root replica that believes it leads only because the leader's last
+// update is late must verify the leader before it acts as the root: its
+// ping stands it down, so it never reaps a silent group as a second
+// directory writer (two writers fork the directory at one epoch, which
+// the anti-entropy digest cannot see).
+func TestLateLeaderUpdateDoesNotMakeReplicaReap(t *testing.T) {
+	leak.Check(t)
+	tc := newCluster(t, 7, nil) // groups {0,1,2} {3,4,5} {6}; root candidates n00, n01
+	waitFor(t, 5*time.Second, "initial convergence", func() bool { return swarmConverged(tc.agents, 7) })
+	root, replica := tc.agents[0], tc.agents[1]
+	// Group 1 looks dead from the replica alone: its candidates' summaries
+	// stop arriving and they would fail the reaper's ping.
+	tc.net.Partition("n01", "n03", true)
+	tc.net.Partition("n01", "n04", true)
+	time.Sleep(5 * replica.failTimeout())
+	replica.mu.Lock()
+	replica.expectedGroups[1] = time.Now().Add(-time.Hour) // the reaper's window has long run out
+	replica.mu.Unlock()
+	// The leader's updates now reach the replica several timeouts late.
+	tc.net.SetLink("n00", "n01", simnet.Link{Latency: 4 * replica.failTimeout()})
+	for deadline := time.Now().Add(8 * replica.failTimeout()); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if d := replica.Directory(); d.GroupOf("n03") < 0 || d.GroupOf("n04") < 0 {
+			t.Fatalf("replica reaped group 1 at epoch %d while the root leader was alive", d.Epoch)
+		}
+	}
+	re, rn, rx := root.Stamp()
+	if e, n, x := replica.Stamp(); e != re || n != rn || x != rx {
+		t.Fatalf("replica directory (%d, %d, %x) forked from the root's (%d, %d, %x)", e, n, x, re, rn, rx)
+	}
 }
 
 func TestMRMFailoverToReplica(t *testing.T) {

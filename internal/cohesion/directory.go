@@ -19,6 +19,7 @@ package cohesion
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"corbalc/internal/cdr"
@@ -241,13 +242,11 @@ func (dir *Directory) RootGroup() int {
 
 // Candidates returns the first r members of a group — the group's MRM
 // replica candidates in priority order ("the protocol must allow
-// replicated peer MRMs per group").
+// replicated peer MRMs per group") — as a copy: agents carry it out from
+// under their lock, and a removal shifts the group's slice in place.
 func (dir *Directory) Candidates(group, r int) []string {
 	g := dir.Members(group)
-	if len(g) < r {
-		r = len(g)
-	}
-	return g[:r]
+	return slices.Clone(g[:min(r, len(g))])
 }
 
 // RootCandidates returns the root MRM replica candidates.

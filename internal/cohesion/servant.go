@@ -2,6 +2,7 @@ package cohesion
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"corbalc/internal/cdr"
@@ -209,7 +210,7 @@ func (s *agentServant) dispatchGossip(kind byte, body []byte) {
 		}
 		a.mu.Unlock()
 		if behind {
-			a.kickPull()
+			kick(a.pullKick)
 		}
 	}
 }
@@ -226,7 +227,7 @@ func joinExc(err error) error {
 func (a *Agent) actingRootLeader() bool {
 	a.mu.Lock()
 	rg := a.dir.RootGroup()
-	inRoot := rg >= 0 && contains(a.dir.Candidates(rg, a.cfg.Replicas), a.name)
+	inRoot := rg >= 0 && slices.Contains(a.dir.Candidates(rg, a.cfg.Replicas), a.name)
 	a.mu.Unlock()
 	return inRoot && a.actingLeader(rg)
 }
@@ -265,7 +266,6 @@ func (a *Agent) handleRemoval(ctx context.Context, name string) error {
 		delta := &DirectoryDelta{From: from, To: a.dir.Epoch, Removes: []string{name}}
 		dir := a.dir.Clone()
 		delete(a.view, name)
-		delete(a.expected, name)
 		delete(a.sent, name)
 		delete(a.peerEpochs, name)
 		a.mu.Unlock()
@@ -317,7 +317,7 @@ func (a *Agent) disseminateDelta(dir *Directory, delta *DirectoryDelta) {
 // non-candidate members, who are outside the root's fan-out.
 func (a *Agent) relayDelta(dir *Directory, body []byte) {
 	group := dir.GroupOf(a.name)
-	if group < 0 || !contains(dir.Candidates(group, a.cfg.Replicas), a.name) || !a.actingLeader(group) {
+	if group < 0 || !slices.Contains(dir.Candidates(group, a.cfg.Replicas), a.name) || !a.actingLeader(group) {
 		return
 	}
 	members := dir.Members(group)
@@ -357,7 +357,6 @@ func (a *Agent) applyDelta(delta *DirectoryDelta) (deltaOutcome, *Directory) {
 		a.deltasApplied.Add(1)
 		for _, name := range delta.Removes {
 			delete(a.view, name)
-			delete(a.expected, name)
 			delete(a.sent, name)
 			delete(a.peerEpochs, name)
 		}
@@ -381,7 +380,7 @@ func (a *Agent) handleDelta(delta *DirectoryDelta, raw []byte) {
 		// Behind the stream, or expelled by it: reconcile with the root
 		// — anti-entropy pulls exactly the missing entries, and rejoins
 		// if the root confirms the expulsion.
-		a.kickPull()
+		kick(a.pullKick)
 	case deltaApplied:
 		body := append([]byte(nil), raw...)
 		a.relayDelta(dir, body)
@@ -403,7 +402,6 @@ func (a *Agent) ingestUpdate(report *node.Report, offers []*node.Offer, hasOffer
 		}
 	}
 	a.view[report.Node] = &memberState{report: report, offers: offers, lastSeen: time.Now()}
-	delete(a.expected, report.Node)
 }
 
 // ingestSummary stores a group leader's aggregate in the root view.
