@@ -2,6 +2,7 @@ package cohesion
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"corbalc/internal/cdr"
 	"corbalc/internal/ior"
 	"corbalc/internal/leak"
+	"corbalc/internal/simnet"
 )
 
 // deltaDesc mints a descriptor whose IORs are distinguishable per name.
@@ -408,4 +410,54 @@ func TestPullRacesDeltaStream(t *testing.T) {
 	if got := victim.Stats().AntiEntropyPulls; got < 50 {
 		t.Fatalf("pulls issued = %d, want every sync to pull", got)
 	}
+}
+
+// TestRootQueryRacesDeltaStream answers root queries while the same
+// agent applies a delta stream that adds and drops a member of the
+// exporting group. rootQuery must copy the group's candidates before it
+// drops the lock, or it races Directory.Apply. Meaningful under -race
+// only.
+func TestRootQueryRacesDeltaStream(t *testing.T) {
+	leak.Check(t)
+	tc := &testCluster{net: simnet.New(simnet.Link{})}
+	nd, root := tc.newAgent(t, "root", nil)
+	t.Cleanup(func() {
+		root.Stop()
+		nd.Close()
+	})
+	const port = "IDL:test/Adder:1.0"
+	root.mu.Lock()
+	root.dir.Assign(root.Desc(), root.cfg.GroupSize)
+	root.summaries[0] = &groupSummary{exports: map[string]bool{port: true}}
+	root.mu.Unlock()
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		x := deltaDesc("x")
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			e, _, _ := root.Stamp()
+			root.handleDelta(&DirectoryDelta{From: e, To: e + 1,
+				Upserts: []DirUpsert{{Group: 0, Version: e + 1, Desc: x}}}, nil)
+			root.handleDelta(&DirectoryDelta{From: e + 1, To: e + 2, Removes: []string{"x"}}, nil)
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for queries := 0; ; queries++ {
+		root.rootQuery(context.Background(), port, "", -1)
+		if e, _, _ := root.Stamp(); queries >= 2000 && e >= 200 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("delta stream never overlapped the queries")
+		}
+	}
+	close(stop)
+	<-done
 }

@@ -449,22 +449,21 @@ func (a *Agent) viewQuery(portID, verReq string) []*node.Offer {
 }
 
 // rootQuery resolves a query at the root: the summaries prune the fan-out
-// to groups that actually export the port, exploiting the hierarchy.
+// to groups that actually export the port, exploiting the hierarchy. The
+// candidate lists are copied under the lock: deltas mutate a.dir in place.
 func (a *Agent) rootQuery(ctx context.Context, portID, verReq string, skipGroup int) []*node.Offer {
 	a.mu.Lock()
-	var groups []int
+	var groups [][]string
 	for g, sum := range a.summaries {
 		if g != skipGroup && sum.exports[portID] {
-			groups = append(groups, g)
+			groups = append(groups, a.dir.Candidates(g, a.cfg.Replicas))
 		}
 	}
-	dir := a.dir
-	replicas := a.cfg.Replicas
 	a.mu.Unlock()
 
 	var out []*node.Offer
-	for _, g := range groups {
-		for _, cand := range dir.Candidates(g, replicas) {
+	for _, cands := range groups {
+		for _, cand := range cands {
 			if cand == a.name {
 				out = append(out, a.viewQuery(portID, verReq)...)
 				break

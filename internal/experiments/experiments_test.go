@@ -401,8 +401,8 @@ func TestE13GatewayShape(t *testing.T) {
 	}
 	for _, row := range tab.Rows {
 		// A zero rate means a path errored mid-window (measureRate's
-		// failure signal) — any positive rate is shape enough; absolute
-		// throughput is the bench gate's job (BENCH_9).
+		// failure signal) — any positive rate is shape enough; throughput
+		// is the benchmark suite's job (gw_uncached, gw_mix_open).
 		for col := 1; col <= 3; col++ {
 			if v := num(t, row[col]); v <= 0 {
 				t.Errorf("C=%s: %s = %v", row[0], tab.Columns[col], v)

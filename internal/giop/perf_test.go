@@ -38,8 +38,8 @@ func buildBenchRequest(t testing.TB) (Header, []byte) {
 
 // BenchmarkGIOPWriteMessage drives the vectored send path with a warm
 // Writer: the allocation budget here is zero — header and body go to the
-// stream as one writev with no staging copy (gate: allocs/op == 0,
-// enforced by TestWriteMessageZeroAlloc and the bench-json budget).
+// stream as one writev with no staging copy (allocs/op == 0, enforced
+// by TestWriteMessageZeroAlloc).
 func BenchmarkGIOPWriteMessage(b *testing.B) {
 	h, body := buildBenchRequest(b)
 	mw := NewWriter(io.Discard)

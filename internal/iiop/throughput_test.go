@@ -94,9 +94,9 @@ func BenchmarkConcurrentTCPThroughput(b *testing.B) {
 			benchThroughput(b, c, &Transport{})
 		})
 	}
-	// The pre-pool architecture, for the speedup ratio the benchgate
-	// records: one connection per endpoint, no write coalescing on
-	// either side. C=1/single is the seed-equivalent configuration.
+	// The pre-pool architecture, for the speedup ratio E1b reports: one
+	// connection per endpoint, no write coalescing on either side.
+	// C=1/single is the seed-equivalent configuration.
 	for _, c := range []int{1, 64} {
 		b.Run(fmt.Sprintf("C=%d-single", c), func(b *testing.B) {
 			benchThroughputSrv(b, c, &Transport{PoolSize: -1, CoalesceWindow: -1}, -1)
@@ -108,8 +108,9 @@ func BenchmarkConcurrentTCPThroughput(b *testing.B) {
 // b.RunParallel — one worker per GOMAXPROCS — so `go test -cpu 1,2,4,8`
 // sweeps the multi-core scaling curve of the sharded hot path: COW
 // registry reads, processor-affine stripe selection, per-stripe pending
-// maps and coalescers. The benchgate's -minratio floor on its /cpu=N
-// variants is what pins "more cores means more throughput" in CI.
+// maps and coalescers. Nothing gates the curve: it needs a host with at
+// least 4 cores (ROADMAP 1b). TestTCPRoundTripAllocBudget holds its
+// allocations.
 func BenchmarkParallelDispatch(b *testing.B) {
 	serverORB := orb.NewORB()
 	srv := NewServer(serverORB)

@@ -14,9 +14,9 @@ import (
 const nullCallAllocBudget = 20
 
 // TestNullCallAllocBudget is the in-tree allocation gate: a collocated
-// null call must stay within nullCallAllocBudget allocations. The CI
-// bench gate (cmd/corbalc-benchgate) enforces the same budget on the
-// -benchmem output; this test catches regressions in a plain `go test`.
+// null call must stay within nullCallAllocBudget allocations, in a plain
+// `go test`. The benchmark suite's orb.collocated_allocs traces the same
+// path.
 func TestNullCallAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool randomly drops items under the race detector; alloc counts are not stable")

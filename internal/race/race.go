@@ -7,8 +7,7 @@
 // drops a random quarter of Put items (to widen the interleavings the
 // detector can observe), so steady-state allocation counts over pooled
 // code are not stable and the strict AllocsPerRun assertions must be
-// skipped. The budgets remain enforced by the plain-test run and by
-// the corbalc-benchgate CI gate.
+// skipped. The budgets remain enforced by the plain-test run.
 package race
 
 // Enabled reports whether the race detector is active.
