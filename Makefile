@@ -47,16 +47,15 @@ test:
 
 ## race: the full suite under the race detector. Runs without -short,
 ## so it includes the 500-node delta-gossip swarm smoke test
-## (cohesion.TestSwarmChurnConvergence) that quick runs skip.
+## (cohesion.TestSwarmChurnConvergence/N=500) that quick runs skip.
 race:
 	$(GO) test -race -count=1 ./...
 
 ## bench: compile and run every benchmark once (-benchtime=1x) so CI
 ## catches bench-only bit-rot without paying for real measurement runs.
-## -short skips the thousand-node E12 swarm rows — those are a
-## measurement run, not a compile check.
+## No benchmark consults testing.Short(), so -short would change nothing.
 bench:
-	$(GO) test -short -run=^$$ -bench=. -benchtime=1x ./...
+	$(GO) test -run=^$$ -bench=. -benchtime=1x ./...
 
 ## bench-compare: the performance gate. Runs benchmark/ at BASE (a git
 ## revision, required) and at the working tree, three alternated pairs

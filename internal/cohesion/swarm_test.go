@@ -1,6 +1,7 @@
 package cohesion
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -44,19 +45,55 @@ func swarmTweak(c *Config) {
 	}
 }
 
-// TestSwarmChurnConvergence kills 5% of a 500-node swarm and asserts
-// every survivor converges on the surviving membership. This is the
-// race-job smoke test for the delta plane at scale; -short skips it.
+// churnTweak is the churn-bandwidth configuration: paper-default fanout
+// at a 50ms tick, small enough swarms that the host keeps up.
+func churnTweak(c *Config) {
+	c.GroupSize = 8
+	c.UpdateInterval = 50 * time.Millisecond
+	c.FailMultiple = 4
+}
+
+// TestSwarmChurnConvergence kills 5% of an N-node swarm and asserts
+// every survivor converges on the surviving membership through the
+// delta plane. At 60 and 250 nodes it also holds the §2.4.3 scalability
+// claim: control bytes per surviving node per second across the heal
+// window must stay flat as the swarm grows (Strong-mode flooding
+// visibly does not; see E3). Those two sizes skip under the race
+// detector, which distorts timing; the 500-node size is the race-job
+// smoke test for the delta plane at scale. -short skips all three.
 func TestSwarmChurnConvergence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("short mode: 500-node swarm")
+		t.Skip("short mode: swarm churn")
 	}
-	leak.Check(t)
-	const n = 500
-	tc := newCluster(t, n, swarmTweak)
+	churnBps := map[int]float64{}
+	for _, size := range []struct {
+		n     int
+		tweak func(*Config)
+	}{{60, churnTweak}, {250, churnTweak}, {500, swarmTweak}} {
+		t.Run(fmt.Sprintf("N=%d", size.n), func(t *testing.T) {
+			if race.Enabled && size.n < 500 {
+				t.Skip("race detector: churn bandwidth is measured without instrumentation")
+			}
+			leak.Check(t)
+			churnBps[size.n] = churnSwarm(t, size.n, size.tweak)
+			t.Logf("churn %.0f B/node/s", churnBps[size.n])
+		})
+	}
+	small, big := churnBps[60], churnBps[250]
+	if small > 0 && big > 3*small {
+		t.Errorf("churn bandwidth grew with swarm: %.0f (N=60) -> %.0f (N=250) B/node/s", small, big)
+	}
+}
+
+// churnSwarm converges an n-node swarm, kills 5% of it and waits for
+// the survivors to agree on the surviving membership, returning the
+// control bytes per survivor per second across that heal window.
+func churnSwarm(t *testing.T, n int, tweak func(*Config)) float64 {
+	tc := newCluster(t, n, tweak)
 	waitFor(t, 120*time.Second, "initial swarm convergence", func() bool {
 		return swarmConverged(tc.agents, n)
 	})
+	time.Sleep(1500 * time.Millisecond) // let post-join traffic settle
 
 	// Kill 5%, spread across groups, sparing the root group so the
 	// directory writer survives (root failover is TestMRMFailover's
@@ -72,6 +109,8 @@ func TestSwarmChurnConvergence(t *testing.T) {
 	}
 	alive := make([]*Agent, 0, n-len(victims))
 	dead := make(map[int]bool, len(victims))
+	tc.net.ResetStats()
+	start := time.Now()
 	for _, i := range victims {
 		dead[i] = true
 		tc.net.SetDown(tc.agents[i].name, true)
@@ -86,6 +125,8 @@ func TestSwarmChurnConvergence(t *testing.T) {
 	waitFor(t, 120*time.Second, "post-churn convergence", func() bool {
 		return swarmConverged(alive, n-len(victims))
 	})
+	heal := time.Since(start)
+	_, bytes := tc.net.Totals()
 
 	// The plane that healed the swarm must actually be the delta plane.
 	root := tc.agents[0].Stats()
@@ -99,6 +140,7 @@ func TestSwarmChurnConvergence(t *testing.T) {
 	if applied == 0 {
 		t.Error("no agent applied a delta")
 	}
+	return float64(bytes) / float64(len(alive)) / heal.Seconds()
 }
 
 // TestSwarmPartitionHeal splits a 60-node swarm into a majority and a

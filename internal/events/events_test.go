@@ -102,52 +102,69 @@ func TestCancelStopsDelivery(t *testing.T) {
 	}
 }
 
+// TestDropOldestOverflow overflows a one-subscriber queue twice under
+// each drop policy: DropOldest displaces the queued events 1 and 2,
+// DropNewest refuses the pushed events 3 and 4. Either way the two drops
+// are counted, and the ledger delivered + dropped = published ×
+// subscribers balances — overflow is an accounted policy, not silent loss.
 func TestDropOldestOverflow(t *testing.T) {
-	leak.Check(t)
-	ch := NewChannel("e", 2, DropOldest)
-	defer ch.Close()
-	release := make(chan struct{})
-	var got []byte
-	var mu sync.Mutex
-	done := make(chan struct{}, 16)
-	ch.Subscribe("slow", func(ev Event) {
-		<-release
-		mu.Lock()
-		got = append(got, ev.Data[0])
-		mu.Unlock()
-		done <- struct{}{}
-	})
-	// First event is picked up by the delivery loop and blocks on
-	// release; give the loop a moment so the queue is empty again.
-	_ = ch.Push(Event{Data: []byte{0}})
-	time.Sleep(20 * time.Millisecond)
-	// Fill the queue (capacity 2) and overflow it twice.
-	for i := 1; i <= 4; i++ {
-		_ = ch.Push(Event{Data: []byte{byte(i)}})
-	}
-	close(release)
-	// Expect delivery of event 0 plus the two newest queued (3, 4).
-	deadline := time.After(2 * time.Second)
-	for i := 0; i < 3; i++ {
-		select {
-		case <-done:
-		case <-deadline:
-			t.Fatal("timed out")
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 3 || got[0] != 0 || got[1] != 3 || got[2] != 4 {
-		t.Fatalf("got = %v, want [0 3 4]", got)
-	}
-	// Events 1 and 2 were displaced by the overflow: the drop policy's
-	// cost is observable through the counter.
-	if got := ch.Dropped(); got != 2 {
-		t.Fatalf("dropped = %d, want 2", got)
-	}
-	pub, del, _ := ch.Stats()
-	if pub != 5 || del != 3 {
-		t.Fatalf("stats = %d published, %d delivered; want 5, 3", pub, del)
+	for _, tc := range []struct {
+		policy OverflowPolicy
+		name   string
+		want   []byte
+	}{
+		{DropOldest, "DropOldest", []byte{0, 3, 4}},
+		{DropNewest, "DropNewest", []byte{0, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leak.Check(t)
+			ch := NewChannel("e", 2, tc.policy)
+			defer ch.Close()
+			release := make(chan struct{})
+			var got []byte
+			var mu sync.Mutex
+			done := make(chan struct{}, 16)
+			ch.Subscribe("slow", func(ev Event) {
+				<-release
+				mu.Lock()
+				got = append(got, ev.Data[0])
+				mu.Unlock()
+				done <- struct{}{}
+			})
+			// First event is picked up by the delivery loop and blocks on
+			// release; give the loop a moment so the queue is empty again.
+			_ = ch.Push(Event{Data: []byte{0}})
+			time.Sleep(20 * time.Millisecond)
+			// Fill the queue (capacity 2) and overflow it twice.
+			for i := 1; i <= 4; i++ {
+				_ = ch.Push(Event{Data: []byte{byte(i)}})
+			}
+			close(release)
+			deadline := time.After(2 * time.Second)
+			for i := 0; i < len(tc.want); i++ {
+				select {
+				case <-done:
+				case <-deadline:
+					t.Fatal("timed out")
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if string(got) != string(tc.want) {
+				t.Fatalf("got = %v, want %v", got, tc.want)
+			}
+			if got := ch.Dropped(); got != 2 {
+				t.Fatalf("dropped = %d, want 2", got)
+			}
+			const subscribers = 1
+			pub, del, drop := ch.Stats()
+			if pub != 5 || del != 3 {
+				t.Fatalf("stats = %d published, %d delivered; want 5, 3", pub, del)
+			}
+			if del+drop != pub*subscribers {
+				t.Fatalf("ledger: %d delivered + %d dropped != %d published × %d subscribers", del, drop, pub, subscribers)
+			}
+		})
 	}
 }
 

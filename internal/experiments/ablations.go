@@ -17,7 +17,7 @@ import (
 // mean many groups (root fan-out grows); large groups mean fat MRMs
 // (per-leader ingest grows) — the sweep exposes the trade-off behind
 // the default of 8.
-func A1Fanout(sc Scale) *Table {
+func A1Fanout() *Table {
 	t := &Table{
 		ID:      "A1",
 		Title:   "ablation: MRM fanout (group size) at N=32",
@@ -25,7 +25,7 @@ func A1Fanout(sc Scale) *Table {
 		Columns: []string{"fanout", "groups", "msgs/node/s", "query msgs", "query us"},
 	}
 	const n = 32
-	window := sc.window(1 * time.Second)
+	const window = 500 * time.Millisecond
 	for _, g := range []int{2, 4, 8, 16} {
 		c := cluster(n, simnet.Link{}, func(o *corbalc.Options) {
 			o.GroupSize = g
@@ -78,7 +78,7 @@ func A1Fanout(sc Scale) *Table {
 // A2Replicas sweeps the MRM replication degree R: more replicas cost
 // proportionally more update traffic and buy failover headroom (R-1
 // leader deaths survivable without a directory rebuild).
-func A2Replicas(sc Scale) *Table {
+func A2Replicas() *Table {
 	t := &Table{
 		ID:      "A2",
 		Title:   "ablation: MRM replication degree at N=16, G=8",
@@ -86,7 +86,7 @@ func A2Replicas(sc Scale) *Table {
 		Columns: []string{"replicas", "msgs/node/s", "queries ok after R-1 kills"},
 	}
 	const n = 16
-	window := sc.window(1 * time.Second)
+	const window = 500 * time.Millisecond
 	for _, r := range []int{1, 2, 3} {
 		c := cluster(n, simnet.Link{}, func(o *corbalc.Options) {
 			o.GroupSize = 8

@@ -3,211 +3,26 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"corbalc"
 	"corbalc/internal/cdr"
 	"corbalc/internal/cohesion"
-	"corbalc/internal/iiop"
 	"corbalc/internal/node"
-	"corbalc/internal/orb"
 	"corbalc/internal/simnet"
 )
-
-// E1Invocation measures raw invocation cost over the three transports —
-// requirement 1 ("simplicity and performance ... it must be
-// lightweight").
-func E1Invocation(sc Scale) *Table {
-	iters := 2000 * sc.nodes(1)
-	t := &Table{
-		ID:      "E1",
-		Title:   "invocation latency by transport",
-		Claim:   "Req.1: the model is lightweight — invocations cost microseconds, not milliseconds",
-		Columns: []string{"transport", "operation", "calls", "us/call", "calls/s"},
-	}
-
-	payload := make([]byte, 1024)
-	ops := []struct {
-		label string
-		name  string
-		args  orb.Marshaller
-		res   orb.Unmarshaller
-	}{
-		{"null_op", "null_op", nil, nil},
-		{"echo_long", "echo_long",
-			func(e *cdr.Encoder) { e.WriteLong(42) },
-			func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err }},
-		{"echo_struct(1KiB)", "echo_struct",
-			func(e *cdr.Encoder) { e.WriteString("id"); e.WriteDouble(3.14); e.WriteOctetSeq(payload) },
-			func(d *cdr.Decoder) error {
-				if _, err := d.ReadString(); err != nil {
-					return err
-				}
-				if _, err := d.ReadDouble(); err != nil {
-					return err
-				}
-				_, err := d.ReadOctetSeq()
-				return err
-			}},
-	}
-
-	measure := func(transport string, ref *orb.ObjectRef) {
-		for _, op := range ops {
-			// Warm up the path (dial, caches).
-			if err := ref.InvokeContext(context.Background(), op.name, op.args, op.res); err != nil {
-				panic(fmt.Sprintf("E1 %s/%s: %v", transport, op.name, err))
-			}
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := ref.InvokeContext(context.Background(), op.name, op.args, op.res); err != nil {
-					panic(err)
-				}
-			}
-			el := time.Since(start)
-			t.Rows = append(t.Rows, []string{
-				transport, op.label, fmt.Sprint(iters),
-				fmtF(float64(el.Microseconds()) / float64(iters)),
-				fmt.Sprintf("%.0f", float64(iters)/el.Seconds()),
-			})
-		}
-	}
-
-	// Collocated: client and servant share one ORB.
-	local := orb.NewORB()
-	measure("collocated", local.NewRef(local.Activate("echo", echoServant{})))
-
-	// Virtual network, zero injected delay: pure stack cost.
-	net := simnet.New(simnet.Link{})
-	so := orb.NewORB()
-	co := orb.NewORB()
-	if err := net.Attach("s", so); err != nil {
-		panic(err)
-	}
-	if err := net.Attach("c", co); err != nil {
-		panic(err)
-	}
-	measure("simnet", co.NewRef(so.Activate("echo", echoServant{})))
-
-	// Real IIOP over TCP loopback.
-	serverORB := orb.NewORB()
-	srv, err := iiop.ListenAndActivate(serverORB, "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	defer srv.Close()
-	clientORB := orb.NewORB()
-	clientORB.RegisterTransport(&iiop.Transport{})
-	defer clientORB.Shutdown()
-	measure("iiop/tcp", clientORB.NewRef(serverORB.Activate("echo", echoServant{})))
-
-	return t
-}
-
-// E1bConcurrency measures invocation throughput under caller fan-in —
-// the concurrency half of requirement 1. The pooled rows exercise the
-// whole concurrent-throughput layer (striped connection pool, write
-// coalescing, bounded dispatch — DESIGN.md §10); the "single" row pins
-// one multiplexed connection with the timed coalescing window off,
-// i.e. the pre-pool architecture, so the table shows what the layer
-// buys at the same fan-in.
-func E1bConcurrency(sc Scale) *Table {
-	total := 4000 * sc.nodes(1)
-	t := &Table{
-		ID:      "E1b",
-		Title:   "concurrent invocation throughput by caller fan-in",
-		Claim:   "Req.1: fan-in multiplies calls/s instead of serialising on the wire",
-		Columns: []string{"transport", "callers", "calls", "calls/s", "vs C=1"},
-	}
-
-	measure := func(transport string, ref *orb.ObjectRef, callers int, base float64) float64 {
-		// Warm the path (dial, pools, caches) before timing.
-		for i := 0; i < 8; i++ {
-			if err := ref.InvokeContext(context.Background(), "null_op", nil, nil); err != nil {
-				panic(fmt.Sprintf("E1b %s warm: %v", transport, err))
-			}
-		}
-		start := time.Now()
-		var wg sync.WaitGroup
-		for g := 0; g < callers; g++ {
-			n := total / callers
-			if g < total%callers {
-				n++
-			}
-			wg.Add(1)
-			go func(n int) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					if err := ref.InvokeContext(context.Background(), "null_op", nil, nil); err != nil {
-						panic(err)
-					}
-				}
-			}(n)
-		}
-		wg.Wait()
-		rate := float64(total) / time.Since(start).Seconds()
-		rel := "1.00x"
-		if base > 0 {
-			rel = fmt.Sprintf("%.2fx", rate/base)
-		}
-		t.Rows = append(t.Rows, []string{
-			transport, fmt.Sprint(callers), fmt.Sprint(total),
-			fmt.Sprintf("%.0f", rate), rel,
-		})
-		return rate
-	}
-
-	// Real IIOP over TCP loopback with the full layer on.
-	serverORB := orb.NewORB()
-	srv, err := iiop.ListenAndActivate(serverORB, "127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	defer srv.Close()
-	key := serverORB.Activate("echo", echoServant{})
-
-	pooled := orb.NewORB()
-	pooled.RegisterTransport(&iiop.Transport{})
-	base := measure("iiop/tcp", pooled.NewRef(key), 1, 0)
-	measure("iiop/tcp", pooled.NewRef(key), 8, base)
-	measure("iiop/tcp", pooled.NewRef(key), 64, base)
-	pooled.Shutdown()
-
-	// Same server, one connection, timed coalescing off: the pre-pool
-	// architecture at the same fan-in.
-	single := orb.NewORB()
-	single.RegisterTransport(&iiop.Transport{PoolSize: -1, CoalesceWindow: -1})
-	measure("iiop/tcp-single", single.NewRef(key), 64, base)
-	single.Shutdown()
-
-	// Virtual network: the same fan-in with no socket underneath.
-	vnet := simnet.New(simnet.Link{})
-	so := orb.NewORB()
-	co := orb.NewORB()
-	if err := vnet.Attach("s", so); err != nil {
-		panic(err)
-	}
-	if err := vnet.Attach("c", co); err != nil {
-		panic(err)
-	}
-	nref := co.NewRef(so.Activate("echo", echoServant{}))
-	nbase := measure("simnet", nref, 1, 0)
-	measure("simnet", nref, 64, nbase)
-
-	return t
-}
 
 // E2Registry measures the reflective node services: component install
 // rate through the acceptor and query rate through the registry, as the
 // repository grows (Fig. 1 behaviour under load).
-func E2Registry(sc Scale) *Table {
+func E2Registry() *Table {
 	t := &Table{
 		ID:      "E2",
 		Title:   "node reflection: install and query throughput vs repository size",
 		Claim:   "Fig.1/Req.5: components installed at run time become instantly and cheaply queryable",
 		Columns: []string{"installed", "install/s", "query/s", "found"},
 	}
-	for _, count := range []int{10, 100, 400 * sc.nodes(1)} {
+	for _, count := range []int{10, 100, 400} {
 		p := corbalc.NewPeer(fmt.Sprintf("e2-%d", count), corbalc.Options{Impls: benchImpls()})
 		p.Bootstrap()
 		o := p.Node.ORB()
@@ -268,7 +83,7 @@ func E2Registry(sc Scale) *Table {
 // E3Consistency compares control-plane bandwidth per node under soft
 // (periodic updates to MRM replicas) and strong (change-flood to all)
 // consistency while every node changes state at a fixed rate.
-func E3Consistency(sc Scale) *Table {
+func E3Consistency() *Table {
 	t := &Table{
 		ID:      "E3",
 		Title:   "control bandwidth per node: soft vs strong consistency",
@@ -276,8 +91,8 @@ func E3Consistency(sc Scale) *Table {
 		Columns: []string{"nodes", "mode", "msgs/node/s", "bytes/node/s"},
 		Notes:   "workload: every node makes one reflective change per 100ms; soft interval 50ms, R=2",
 	}
-	window := sc.window(1500 * time.Millisecond)
-	for _, n := range []int{8, 24, 48 * sc.nodes(1)} {
+	const window = 750 * time.Millisecond
+	for _, n := range []int{8, 24, 48} {
 		for _, mode := range []struct {
 			name string
 			mut  func(*corbalc.Options)
@@ -320,7 +135,7 @@ func E3Consistency(sc Scale) *Table {
 
 // E4QueryHierarchy compares the message cost of resolving a component
 // via the MRM hierarchy against the flat broadcast baseline.
-func E4QueryHierarchy(sc Scale) *Table {
+func E4QueryHierarchy() *Table {
 	t := &Table{
 		ID:      "E4",
 		Title:   "distributed query cost: hierarchical MRMs vs flat broadcast",
@@ -328,7 +143,7 @@ func E4QueryHierarchy(sc Scale) *Table {
 		Columns: []string{"nodes", "strategy", "msgs/query", "us/query", "found"},
 		Notes:   "querier is a plain member; hier-local: target in its group; hier-remote: target in a far group; fanout G=8",
 	}
-	for _, n := range []int{16, 48, 64 * sc.nodes(1)} {
+	for _, n := range []int{16, 48, 64} {
 		c := cluster(n, simnet.Link{}, nil)
 		// Remote target: on the last node (a different group from the
 		// querying first node). Local target: on the querier's group
@@ -389,7 +204,7 @@ func E4QueryHierarchy(sc Scale) *Table {
 // E5Failover measures MRM failure handling: query availability through
 // the peer replica immediately after the leader dies, and the time until
 // the soft-consistency timeout expels the dead node from the directory.
-func E5Failover(sc Scale) *Table {
+func E5Failover() *Table {
 	t := &Table{
 		ID:      "E5",
 		Title:   "MRM failover and failure detection vs keep-alive interval",

@@ -23,7 +23,7 @@ import (
 // E6Deployment compares fixed design-time placement (the CCM/EJB model
 // the paper criticises) with CORBA-LC's run-time, load-aware placement
 // on a cluster with skewed background load.
-func E6Deployment(sc Scale) *Table {
+func E6Deployment() *Table {
 	t := &Table{
 		ID:      "E6",
 		Title:   "instance placement: static round-robin vs run-time load-aware",
@@ -101,7 +101,7 @@ func E6Deployment(sc Scale) *Table {
 // E7Migration reproduces the paper's MPEG argument: a bandwidth-bound
 // decoder is faster fetched-and-run-locally than invoked across a slow
 // link, once enough frames flow.
-func E7Migration(sc Scale) *Table {
+func E7Migration() *Table {
 	t := &Table{
 		ID:      "E7",
 		Title:   "bandwidth-bound component: remote use vs fetch-and-run-local",
@@ -109,7 +109,7 @@ func E7Migration(sc Scale) *Table {
 		Columns: []string{"frames", "remote", "fetch+local", "winner"},
 		Notes:   "2 MB/s link, 4ms RTT; 64 KiB/frame; ~130 KiB package fetched once",
 	}
-	for _, frames := range []int{1, 4, 16, 64 * sc.nodes(1)} {
+	for _, frames := range []int{1, 4, 16, 64} {
 		times := make(map[string]time.Duration, 2)
 		for _, mode := range []string{"remote", "fetch+local"} {
 			link := simnet.Link{Latency: 2 * time.Millisecond, BandwidthBps: 2 << 20}
@@ -176,7 +176,7 @@ func decoderComponent() *component.Component {
 // E8TinyDevices verifies requirement 8 and the §2.3 subsetting story:
 // placement never selects a PDA, a PDA never fetches, and a package
 // subset for the PDA's platform is a fraction of the full archive.
-func E8TinyDevices(sc Scale) *Table {
+func E8TinyDevices() *Table {
 	t := &Table{
 		ID:      "E8",
 		Title:   "tiny devices: placement constraints and package subsetting",
@@ -276,7 +276,7 @@ func E8TinyDevices(sc Scale) *Table {
 // E9Grid measures data-parallel aggregation speedup over W volunteers
 // with simulated per-chunk remote CPU cost, with and without mid-run
 // churn (§3.2).
-func E9Grid(sc Scale) *Table {
+func E9Grid() *Table {
 	t := &Table{
 		ID:      "E9",
 		Title:   "grid aggregation speedup vs volunteers",
@@ -386,15 +386,15 @@ func farm(master *corbalc.Peer, offers []*node.Offer, chunks, chunkMs int, onDon
 
 // E10Predictive measures update suppression under the three send
 // policies for three load traces.
-func E10Predictive(sc Scale) *Table {
+func E10Predictive() *Table {
 	t := &Table{
 		ID:      "E10",
 		Title:   "update suppression: periodic vs dead-band vs predictive",
 		Claim:   "§2.4.3: predictive/adaptive techniques reduce update bandwidth even further",
 		Columns: []string{"trace", "policy", "updates", "bytes"},
-		Notes:   "2s window, 25ms interval, epsilon 0.05; updates counted at the sender",
+		Notes:   "1s window, 25ms interval, epsilon 0.05; updates counted at the sender",
 	}
-	window := sc.window(2 * time.Second)
+	const window = time.Second
 	traces := []struct {
 		name  string
 		drive func(p *corbalc.Peer, stop <-chan struct{})

@@ -5,13 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"corbalc/internal/race"
 )
-
-// quick is the smallest scale: every experiment must still exhibit the
-// claimed *shape*, which is what these tests assert.
-var quick = Scale{Nodes: 1, Seconds: 0.5}
 
 func cell(t *Table, row, col int) string { return t.Rows[row][col] }
 
@@ -34,55 +28,8 @@ func dur(t *testing.T, s string) time.Duration {
 	return d
 }
 
-func TestE1InvocationShape(t *testing.T) {
-	tab := E1Invocation(Scale{Nodes: 1})
-	if len(tab.Rows) != 9 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// Lightweightness: a collocated null invocation stays under 100µs
-	// even on tiny machines; TCP stays under 5ms.
-	if us := num(t, cell(tab, 0, 3)); us > 100 {
-		t.Errorf("collocated null op = %v us", us)
-	}
-	for _, row := range tab.Rows {
-		if row[0] == "iiop/tcp" {
-			if us := num(t, row[3]); us > 5000 {
-				t.Errorf("tcp %s = %v us", row[1], us)
-			}
-		}
-	}
-	t.Log("\n" + tab.Render())
-}
-
-func TestE1bConcurrencyShape(t *testing.T) {
-	tab := E1bConcurrency(Scale{Nodes: 1})
-	if len(tab.Rows) != 6 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// The claimed shape: fan-in multiplies throughput. On one core the
-	// gain comes from batching syscalls (write coalescing) and keeping
-	// the wire full, so it survives GOMAXPROCS=1; the race detector
-	// serialises everything, so only direction is asserted there.
-	factor := 2.0
-	if race.Enabled {
-		factor = 1.1
-	}
-	c1 := num(t, cell(tab, 0, 3))
-	c64 := num(t, cell(tab, 2, 3))
-	if c64 < factor*c1 {
-		t.Errorf("tcp C=64 = %v calls/s, want >= %v x C=1 (%v)", c64, factor, c1)
-	}
-	if tab.Rows[2][0] != "iiop/tcp" || tab.Rows[2][1] != "64" {
-		t.Fatalf("row 2 = %v, want iiop/tcp C=64", tab.Rows[2])
-	}
-	if tab.Rows[3][0] != "iiop/tcp-single" {
-		t.Fatalf("row 3 = %v, want iiop/tcp-single", tab.Rows[3])
-	}
-	t.Log("\n" + tab.Render())
-}
-
 func TestE2RegistryShape(t *testing.T) {
-	tab := E2Registry(Scale{Nodes: 1})
+	tab := E2Registry()
 	for _, row := range tab.Rows {
 		if num(t, row[1]) <= 0 || num(t, row[2]) <= 0 {
 			t.Errorf("non-positive rate in %v", row)
@@ -99,7 +46,7 @@ func TestE3SoftBeatsStrong(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab := E3Consistency(quick)
+	tab := E3Consistency()
 	// Rows alternate soft/strong per N; at the largest N soft must use
 	// (much) less bandwidth per node.
 	last := len(tab.Rows)
@@ -124,7 +71,7 @@ func TestE4HierarchicalCheaperThanFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab := E4QueryHierarchy(quick)
+	tab := E4QueryHierarchy()
 	for i := 0; i+2 < len(tab.Rows); i += 3 {
 		local := num(t, cell(tab, i, 2))
 		remote := num(t, cell(tab, i+1, 2))
@@ -155,7 +102,7 @@ func TestE5FailoverShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab := E5Failover(quick)
+	tab := E5Failover()
 	for _, row := range tab.Rows {
 		if row[2] != "true" {
 			t.Errorf("query after MRM kill failed: %v", row)
@@ -176,7 +123,7 @@ func TestE6RuntimeBeatsStatic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab := E6Deployment(quick)
+	tab := E6Deployment()
 	staticFailed := num(t, cell(tab, 0, 2))
 	runtimeFailed := num(t, cell(tab, 1, 2))
 	if runtimeFailed > staticFailed {
@@ -194,7 +141,7 @@ func TestE7CrossoverToLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab := E7Migration(quick)
+	tab := E7Migration()
 	// With one frame, fetching cannot pay off... the last row (many
 	// frames) must favour fetch+local, and by a wide margin.
 	last := tab.Rows[len(tab.Rows)-1]
@@ -213,7 +160,7 @@ func TestE8TinyDeviceInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab := E8TinyDevices(quick)
+	tab := E8TinyDevices()
 	checks := map[string]string{}
 	for _, row := range tab.Rows {
 		checks[row[0]] = row[1]
@@ -234,7 +181,7 @@ func TestE9GridSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab := E9Grid(quick)
+	tab := E9Grid()
 	// Find the 8-worker no-churn row: speedup must be > 3x.
 	for _, row := range tab.Rows {
 		if row[0] == "8" && row[1] == "false" {
@@ -254,7 +201,7 @@ func TestE10PredictiveSuppression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab := E10Predictive(quick)
+	tab := E10Predictive()
 	byKey := map[string]float64{}
 	for _, row := range tab.Rows {
 		byKey[row[0]+"/"+row[1]] = num(t, row[2])
@@ -272,63 +219,6 @@ func TestE10PredictiveSuppression(t *testing.T) {
 	if byKey["trending/predictive"] > byKey["trending/deadband"] {
 		t.Errorf("predictive %v worse than deadband %v on trending load",
 			byKey["trending/predictive"], byKey["trending/deadband"])
-	}
-	t.Log("\n" + tab.Render())
-}
-
-func TestE11FanOutShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tab := E11FanOut(quick)
-	if len(tab.Rows) != 9 { // 3 subscriber counts × 3 policies
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		subs, pub := num(t, row[0]), num(t, row[2])
-		del, drop := num(t, row[4]), num(t, row[5])
-		// Every enqueued delivery is accounted: delivered or dropped.
-		if del+drop != subs*pub {
-			t.Errorf("%s/%s: delivered %v + dropped %v != %v×%v", row[0], row[1], del, drop, subs, pub)
-		}
-		// Block never drops; the fabric keeps a positive fan-out rate.
-		if row[1] == "block" && drop != 0 {
-			t.Errorf("block policy dropped %v deliveries", drop)
-		}
-		if num(t, row[3]) <= 0 {
-			t.Errorf("%s/%s: events/s = %s", row[0], row[1], row[3])
-		}
-	}
-	t.Log("\n" + tab.Render())
-}
-
-func TestE12SwarmShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	if race.Enabled {
-		// The race job exercises the swarm via TestSwarmChurnConvergence
-		// (500 nodes); the bandwidth figures here are timing-sensitive.
-		t.Skip("race detector: swarm bandwidth measured without instrumentation")
-	}
-	tab := E12Swarm(quick)
-	if len(tab.Rows) != 2 { // 2 swarm sizes
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		if heal := dur(t, row[2]); heal <= 0 || heal > 30*time.Second {
-			t.Errorf("N=%s: heal time %v out of range", row[0], heal)
-		}
-		if num(t, row[4]) == 0 {
-			t.Errorf("N=%s: no deltas disseminated", row[0])
-		}
-	}
-	// Flatness: per-node churn bandwidth must not grow with the swarm
-	// (Strong-mode flooding visibly does; see E3).
-	small, big := num(t, cell(tab, 0, 3)), num(t, cell(tab, 1, 3))
-	if big > 3*small {
-		t.Errorf("churn bandwidth grew with swarm: %.0f (N=%s) -> %.0f (N=%s)",
-			small, cell(tab, 0, 0), big, cell(tab, 1, 0))
 	}
 	t.Log("\n" + tab.Render())
 }
@@ -352,7 +242,7 @@ func TestA1FanoutShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab := A1Fanout(quick)
+	tab := A1Fanout()
 	if len(tab.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -376,7 +266,7 @@ func TestA2ReplicasShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	tab := A2Replicas(quick)
+	tab := A2Replicas()
 	for _, row := range tab.Rows {
 		if row[2] != "true" {
 			t.Errorf("R=%s: queries failed after R-1 kills", row[0])
@@ -387,32 +277,6 @@ func TestA2ReplicasShape(t *testing.T) {
 	r3 := num(t, cell(tab, 2, 1))
 	if r3 <= r1 {
 		t.Errorf("traffic did not grow with replicas: R=1 %.1f vs R=3 %.1f", r1, r3)
-	}
-	t.Log("\n" + tab.Render())
-}
-
-func TestE13GatewayShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	tab := E13Gateway(quick)
-	if len(tab.Rows) != 3 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	for _, row := range tab.Rows {
-		// A zero rate means a path errored mid-window (measureRate's
-		// failure signal) — any positive rate is shape enough; throughput
-		// is the benchmark suite's job (gw_uncached, gw_mix_open).
-		for col := 1; col <= 3; col++ {
-			if v := num(t, row[col]); v <= 0 {
-				t.Errorf("C=%s: %s = %v", row[0], tab.Columns[col], v)
-			}
-		}
-	}
-	// At high concurrency the cache-hit path must beat the uncached
-	// gateway path: hits skip the IIOP round trip entirely.
-	if hit := num(t, cell(tab, 2, 5)); hit < 1 {
-		t.Errorf("C=64 hit-speedup-x = %v, want >= 1", hit)
 	}
 	t.Log("\n" + tab.Render())
 }

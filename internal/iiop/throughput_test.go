@@ -10,6 +10,7 @@ import (
 
 	"corbalc/internal/cdr"
 	"corbalc/internal/orb"
+	"corbalc/internal/race"
 )
 
 func benchThroughput(b *testing.B, callers int, tr *Transport) {
@@ -58,19 +59,32 @@ func benchThroughputSrv(b *testing.B, callers int, tr *Transport, srvWindow time
 
 	b.ReportAllocs()
 	b.ResetTimer()
+	el, err := fanIn(callers, b.N, func(g int) error { return square(int32(g%100 + 2)) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	if sec := el.Seconds(); sec > 0 {
+		b.ReportMetric(float64(b.N)/sec, "calls/s")
+	}
+}
+
+// fanIn makes total calls split evenly across callers goroutines (call
+// receives the caller's index) and reports how long they took, or the
+// first error.
+func fanIn(callers, total int, call func(g int) error) (time.Duration, error) {
 	start := time.Now()
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
 	for g := 0; g < callers; g++ {
-		n := b.N / callers
-		if g < b.N%callers {
+		n := total / callers
+		if g < total%callers {
 			n++
 		}
 		wg.Add(1)
 		go func(g, n int) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				if err := square(int32(g%100 + 2)); err != nil {
+				if err := call(g); err != nil {
 					errs <- err
 					return
 				}
@@ -80,11 +94,43 @@ func benchThroughputSrv(b *testing.B, callers int, tr *Transport, srvWindow time
 	wg.Wait()
 	el := time.Since(start)
 	close(errs)
-	for err := range errs {
-		b.Fatal(err)
+	return el, <-errs
+}
+
+// TestFanInMultipliesThroughput holds Req. 1 under load: caller fan-in
+// multiplies calls/s instead of serialising on the wire. 4,000 `square`
+// calls from 64 callers must finish at least twice as fast as from one.
+// On one core the gain comes from write coalescing and a wire kept full,
+// not from parallelism, so it holds at GOMAXPROCS=1.
+func TestFanInMultipliesThroughput(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector serialises callers; throughput ratios are not stable")
 	}
-	if sec := el.Seconds(); sec > 0 {
-		b.ReportMetric(float64(b.N)/sec, "calls/s")
+	serverORB, _ := startServer(t, "calc", calcServant{})
+	ref := newClient(t).NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
+	square := func(int) error {
+		return ref.Invoke("square",
+			func(e *cdr.Encoder) { e.WriteLong(7) },
+			func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err })
+	}
+	const total = 4000
+	rate := func(callers int) float64 {
+		for i := 0; i < 8; i++ { // warm dials, pools and caches
+			if err := square(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		el, err := fanIn(callers, total, square)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return total / el.Seconds()
+	}
+	c1 := rate(1)
+	c64 := rate(64)
+	t.Logf("C=1 %.0f calls/s, C=64 %.0f calls/s (%.2fx)", c1, c64, c64/c1)
+	if c64 < 2*c1 {
+		t.Errorf("C=64 = %.0f calls/s, want >= 2 x C=1 (%.0f)", c64, c1)
 	}
 }
 
@@ -94,8 +140,8 @@ func BenchmarkConcurrentTCPThroughput(b *testing.B) {
 			benchThroughput(b, c, &Transport{})
 		})
 	}
-	// The pre-pool architecture, for the speedup ratio E1b reports: one
-	// connection per endpoint, no write coalescing on either side.
+	// The pre-pool architecture, as the baseline for the fan-in speedup:
+	// one connection per endpoint, no write coalescing on either side.
 	// C=1/single is the seed-equivalent configuration.
 	for _, c := range []int{1, 64} {
 		b.Run(fmt.Sprintf("C=%d-single", c), func(b *testing.B) {

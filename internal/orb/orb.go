@@ -96,7 +96,7 @@ type ORB struct {
 	chanGen atomic.Uint64
 
 	// stats is the always-registered stats/latency interceptor backing
-	// RequestsServed/RequestsSent (exported for the E1 benchmarks).
+	// RequestsServed/RequestsSent (read by tests and by the benchmark).
 	stats *Stats
 }
 
