@@ -45,14 +45,16 @@ import (
 	"strings"
 )
 
-// defaultPackages are the invocation hot path: marshalling, framing,
-// transport, the ORB core, and the buffer pool underneath them all.
+// defaultPackages are the invocation hot path — marshalling, framing,
+// transport, the ORB core, and the buffer pool underneath them all —
+// and the event fabric's publish path.
 var defaultPackages = []string{
 	"./internal/cdr",
 	"./internal/giop",
 	"./internal/iiop",
 	"./internal/orb",
 	"./internal/bufpool",
+	"./internal/events",
 }
 
 // baseline is the checked-in escape inventory.

@@ -4,19 +4,20 @@
 // express interest in that kind.
 //
 // A Hub manages one Channel per event type ID. The channel is built for
-// fan-out: publication walks a copy-on-write subscriber list (no lock,
-// no allocation on the push path), and delivery to each subscriber is
-// decoupled through a bounded per-subscriber queue drained by a
-// dedicated goroutine — one slow consumer cannot stall producers or its
-// peers. The overflow policy is explicit (block, drop oldest, drop
-// newest) and observable (Dropped), and drains are batched: a delivery
-// loop takes everything queued in one lock acquisition and can hand the
-// whole run to a BatchConsumer, which is how remote subscribers ride the
-// transport's write-coalescing layer one batch at a time.
+// fan-out: Push writes each event once, into the channel's ring, and each
+// subscriber reads the ring through its own cursor on a dedicated
+// delivery goroutine, so a publish costs the same at any fan-out. A
+// subscriber Config.Depth events behind is full: the policy then holds
+// the publisher (Block) or skips that subscriber's oldest event
+// (DropOldest), counted in Dropped. A delivery loop copies up to MaxBatch
+// events per pass and can hand the run to a BatchConsumer, which is how
+// remote subscribers ride the transport's write coalescer.
 package events
 
 import (
 	"errors"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,31 +48,29 @@ type Consumer func(Event)
 // its return must copy them.
 type BatchConsumer func([]Event)
 
-// OverflowPolicy selects behaviour when a subscriber queue is full.
+// OverflowPolicy selects behaviour when a subscriber is full.
 type OverflowPolicy int
 
 // Overflow policies.
 const (
-	// Block makes Push wait for space (backpressure).
+	// Block makes Push wait for the slowest subscriber (backpressure).
 	Block OverflowPolicy = iota
-	// DropOldest discards the oldest queued event to admit the new one.
+	// DropOldest skips a full subscriber's oldest event.
 	DropOldest
-	// DropNewest discards the event being pushed, keeping the queue.
-	DropNewest
 )
 
 // ErrClosed reports publication on a closed channel.
 var ErrClosed = errors.New("events: channel closed")
 
-// DefaultMaxBatch bounds one delivery-loop drain when Config.MaxBatch is
-// zero.
+// DefaultMaxBatch bounds one delivery-loop drain when Config.MaxBatch is 0.
 const DefaultMaxBatch = 64
 
 // Config tunes a channel (and, via the hub, every channel of a node).
 type Config struct {
-	// Depth is the per-subscriber queue capacity (minimum 1).
+	// Depth is how many events a subscriber may fall behind before it
+	// is full (minimum 1).
 	Depth int
-	// Policy selects the overflow behaviour on a full subscriber queue.
+	// Policy selects the overflow behaviour on a full subscriber.
 	Policy OverflowPolicy
 	// MaxBatch bounds how many events one delivery pass drains (and the
 	// largest slice a BatchConsumer sees). Zero means DefaultMaxBatch.
@@ -94,41 +93,54 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Channel is one push event channel.
+// Channel is one push event channel. Its fields sit on three groups of
+// cache lines: what delivery loops read every pass, what the publisher
+// writes every push, and the counters the loops write.
 type Channel struct {
-	typeID string
-	cfg    Config
+	typeID  string
+	cfg     Config
+	depth   uint64
+	ring    []Event // allocated by the first Subscribe; length a power of two ≥ depth
+	closed  atomic.Bool
+	nsubs   atomic.Int64
+	waiting atomic.Int64 // publishers waiting in room
 
-	// subs is the copy-on-write subscriber list Push reads lock-free;
-	// nil marks the channel closed. Mutations happen under mu.
-	subs atomic.Pointer[[]*subscriber]
-
-	mu     sync.Mutex
-	closed bool
-	seq    atomic.Uint64
-	wg     sync.WaitGroup // one count per live deliverLoop
-
+	// mu is the publisher lock over Push, the ring, the subscriber list
+	// and teardown; a Block publisher waits in room for the slowest cursor.
+	_         [64]byte
+	mu        sync.Mutex
+	room      sync.Cond
+	subs      []*subscriber
+	gate      uint64         // cached slowest cursor, never ahead of the true one
+	cleared   uint64         // ring indexes below this hold no payload
+	wg        sync.WaitGroup // one count per live deliverLoop
+	head      atomic.Uint64  // ring index of the next event; stored under mu
 	published atomic.Uint64
+
+	_         [64]byte
+	parked    atomic.Int64 // delivery loops waiting for head to move
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
 }
 
 type subscriber struct {
-	name string
 	fn   Consumer      // exactly one of fn
 	bfn  BatchConsumer // and bfn is set
+	wake chan struct{} // capacity 1: a parked loop's doorbell
 
-	mu   sync.Mutex
-	cond sync.Cond
-	// ring buffer
-	buf    []Event
-	start  int
-	count  int
-	closed bool
+	// mu is held only while the loop copies from the ring and advances
+	// its cursor, so an eviction or a cancel never lands mid-copy and
+	// never waits on a consumer callback.
+	mu      sync.Mutex
+	stopped bool
+
+	_      [64]byte
+	cursor atomic.Uint64 // ring index of the next event this subscriber takes
+	parked atomic.Bool
+	_      [55]byte
 }
 
-// NewChannel creates a channel for one event kind. depth is the
-// per-subscriber queue capacity (minimum 1).
+// NewChannel creates a channel for one event kind (see Config.Depth).
 func NewChannel(typeID string, depth int, policy OverflowPolicy) *Channel {
 	return NewChannelConfig(typeID, Config{Depth: depth, Policy: policy})
 }
@@ -136,249 +148,314 @@ func NewChannel(typeID string, depth int, policy OverflowPolicy) *Channel {
 // NewChannelConfig creates a channel with the full set of knobs.
 func NewChannelConfig(typeID string, cfg Config) *Channel {
 	c := &Channel{typeID: typeID, cfg: cfg.withDefaults()}
-	empty := make([]*subscriber, 0)
-	c.subs.Store(&empty)
+	c.depth = uint64(c.cfg.Depth)
+	c.room.L = &c.mu
 	return c
 }
 
 // TypeID returns the event kind this channel carries.
 func (c *Channel) TypeID() string { return c.typeID }
 
-// Stats reports lifetime counters: published events, deliveries made
-// (one per event per subscriber) and deliveries dropped by overflow or
-// teardown.
+// Stats reports lifetime counters: published events, deliveries made (one
+// per event per subscriber) and deliveries dropped by overflow or cancel.
 func (c *Channel) Stats() (published, delivered, dropped uint64) {
 	return c.published.Load(), c.delivered.Load(), c.dropped.Load()
 }
 
-// Dropped reports how many deliveries the channel discarded: overflow
-// under DropOldest/DropNewest, plus events refused by a closing
-// subscriber. A non-zero value is the observable cost of the configured
-// drop policy.
+// Dropped reports how many deliveries the channel discarded: events
+// DropOldest skipped, plus events a cancelled subscriber had not taken.
+// A non-zero value is the observable cost of the configured drop policy.
 func (c *Channel) Dropped() uint64 { return c.dropped.Load() }
 
-// Subscribe registers a per-event consumer and returns a cancel
-// function.
+// Subscribe registers a per-event consumer and returns a cancel function.
 func (c *Channel) Subscribe(name string, fn Consumer) (cancel func()) {
-	return c.subscribe(&subscriber{name: name, fn: fn})
+	return c.subscribe(&subscriber{fn: fn})
 }
 
 // SubscribeBatch registers a batch consumer: the delivery loop hands it
 // whole drained runs (up to MaxBatch events), coalescing trickle into
 // batches when BatchWindow is set. Returns a cancel function.
 func (c *Channel) SubscribeBatch(name string, fn BatchConsumer) (cancel func()) {
-	return c.subscribe(&subscriber{name: name, bfn: fn})
+	return c.subscribe(&subscriber{bfn: fn})
 }
 
+// subscribe starts s's delivery loop. Its cancel stops s at its cursor:
+// the batch in hand is still delivered, what s had not taken counts as
+// dropped, and a publisher waiting on s is released.
 func (c *Channel) subscribe(s *subscriber) (cancel func()) {
-	s.cond.L = &s.mu
-	s.buf = make([]Event, c.cfg.Depth)
-
+	s.wake = make(chan struct{}, 1)
 	if !c.attach(s) {
 		return func() {}
 	}
 	go c.deliverLoop(s)
 
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			c.mu.Lock()
-			if !c.closed {
-				c.editSubs(func(subs []*subscriber) []*subscriber {
-					out := make([]*subscriber, 0, len(subs))
-					for _, x := range subs {
-						if x != s {
-							out = append(out, x)
-						}
-					}
-					return out
-				})
-			}
-			c.mu.Unlock()
-			s.close()
-		})
-	}
+	return func() { once.Do(func() { c.detach(s) }) }
 }
 
-// attach adds s to the live subscriber list and charges its delivery
-// loop to the channel's WaitGroup; false if the channel is closed.
+// attach lists s with its cursor at head and charges its delivery loop
+// to the channel's WaitGroup; false if the channel is closed.
 func (c *Channel) attach(s *subscriber) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	if c.closed.Load() {
 		return false
 	}
-	c.editSubs(func(subs []*subscriber) []*subscriber {
-		return append(subs, s)
-	})
+	if c.ring == nil {
+		c.ring = make([]Event, 1<<bits.Len(uint(c.cfg.Depth-1)))
+	}
+	s.cursor.Store(c.head.Load())
+	c.subs = append(c.subs, s)
+	c.nsubs.Add(1)
 	c.wg.Add(1)
 	return true
 }
 
-// editSubs swaps in an edited copy of the subscriber list. Caller holds
-// c.mu (which serialises writers; Push readers are lock-free).
-func (c *Channel) editSubs(edit func([]*subscriber) []*subscriber) {
-	cur := c.subs.Load()
-	if cur == nil {
-		return
+// detach stops s before unlisting it, so a loop that then sees itself the
+// sole subscriber never clears a slot s is still copying.
+func (c *Channel) detach(s *subscriber) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s.mu.Lock()
+	s.stopped = true
+	c.dropped.Add(c.head.Load() - s.cursor.Load())
+	s.mu.Unlock()
+	s.signal()
+	if i := slices.Index(c.subs, s); i >= 0 {
+		c.subs = slices.Delete(c.subs, i, i+1)
+		c.nsubs.Add(-1)
 	}
-	next := edit(append([]*subscriber(nil), (*cur)...))
-	c.subs.Store(&next)
+	c.room.Broadcast()
+	c.release()
 }
 
 // SubscriberCount reports the current number of subscribers.
-func (c *Channel) SubscriberCount() int {
-	if subs := c.subs.Load(); subs != nil {
-		return len(*subs)
-	}
-	return 0
-}
+func (c *Channel) SubscriberCount() int { return int(c.nsubs.Load()) }
 
-// Push publishes an event to every current subscriber. The event's Seq
-// and TypeID fields are set by the channel. The subscriber list is read
-// lock-free and nothing is allocated: at fan-out rates the push path is
-// the producer's hot loop.
+// Push publishes an event to every current subscriber, stamping its Seq
+// and TypeID and writing it once whatever the fan-out; it allocates
+// nothing. Under Block it waits while a subscriber is full, and returns
+// ErrClosed if the channel closes meanwhile.
 func (c *Channel) Push(ev Event) error {
-	subs := c.subs.Load()
-	if subs == nil {
-		return ErrClosed
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		if c.closed.Load() {
+			return ErrClosed
+		}
+		if len(c.subs) == 0 || c.admit() {
+			break
+		}
+		c.room.Wait() // admit left this publisher counted in waiting
+		c.waiting.Add(-1)
 	}
 	ev.TypeID = c.typeID
-	ev.Seq = c.seq.Add(1)
-	c.published.Add(1)
-	for _, s := range *subs {
-		if d := s.enqueue(ev, c.cfg.Policy); d != 0 {
-			c.dropped.Add(d)
+	ev.Seq = c.published.Add(1)
+	if len(c.subs) == 0 {
+		return nil
+	}
+	head := c.head.Load()
+	c.ring[head&uint64(len(c.ring)-1)] = ev
+	c.head.Store(head + 1)
+	if c.parked.Load() > 0 {
+		for _, s := range c.subs {
+			if s.parked.Load() && s.parked.CompareAndSwap(true, false) {
+				c.parked.Add(-1)
+				s.signal()
+			}
 		}
 	}
 	return nil
 }
 
-// detachAll marks the channel closed and hands back the subscribers to
-// shut down; nil when the channel was already closed.
-func (c *Channel) detachAll() []*subscriber {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil
+// admit reports whether every subscriber has room for one more event. It
+// trusts the cached gate until that says full, then rescans the cursors;
+// DropOldest makes room by evicting. A Block publisher is counted in
+// waiting before it reads a cursor, so a loop that advances after the
+// scan sees it and wakes it; on false it stays counted. Caller holds mu.
+func (c *Channel) admit() bool {
+	head := c.head.Load()
+	if head-c.gate < c.depth {
+		return true
 	}
-	c.closed = true
-	subs := c.subs.Load()
-	c.subs.Store(nil)
-	if subs == nil {
-		return nil
+	block := c.cfg.Policy == Block
+	if block {
+		c.waiting.Add(1)
 	}
-	return *subs
+	c.gate = head
+	for _, s := range c.subs {
+		cur := s.cursor.Load()
+		if !block && head-cur >= c.depth {
+			cur = c.evict(s, head)
+		}
+		c.gate = min(c.gate, cur)
+	}
+	if head-c.gate >= c.depth {
+		return false
+	}
+	if block {
+		c.waiting.Add(-1)
+	}
+	return true
 }
 
-// Close tears the channel down and waits for the subscribers' delivery
-// loops to drain their queues and exit. Only the call that actually
-// closes the channel waits; once teardown is underway, Close from any
-// goroutine (including a consumer callback) returns immediately. A
-// consumer callback must not be the one to initiate Close — it would
-// wait on its own delivery loop.
-func (c *Channel) Close() {
-	subs := c.detachAll()
-	if subs == nil {
+// evict advances a full subscriber past its oldest event, counting the
+// drop. Caller holds mu.
+func (c *Channel) evict(s *subscriber, head uint64) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur := s.cursor.Load()
+	if floor := head + 1 - c.depth; cur < floor {
+		c.dropped.Add(floor - cur)
+		cur = floor
+		s.cursor.Store(cur)
+	}
+	return cur
+}
+
+// release drops the payloads every live cursor has passed; the publisher
+// overwrites the rest as it laps the ring. Caller holds mu.
+func (c *Channel) release() {
+	if c.ring == nil {
 		return
 	}
-	for _, s := range subs {
-		s.close()
+	head, n := c.head.Load(), uint64(len(c.ring))
+	low := head
+	for _, s := range c.subs {
+		low = min(low, s.cursor.Load())
+	}
+	from := c.cleared
+	if head > n {
+		from = max(from, head-n)
+	}
+	for i := from; i < low; i++ {
+		c.ring[i&(n-1)] = Event{}
+	}
+	c.cleared = max(c.cleared, low)
+}
+
+// shut marks the channel closed and wakes every delivery loop and
+// waiting publisher; false when it was already closed.
+func (c *Channel) shut() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
+		return false
+	}
+	c.closed.Store(true)
+	for _, s := range c.subs {
+		s.signal()
+	}
+	c.room.Broadcast()
+	return true
+}
+
+// Close rejects further pushes (a publisher waiting for room gets
+// ErrClosed), then waits for every delivery loop to drain what was
+// published and exit. Only the call that actually closes the channel
+// waits; once teardown is underway, Close from any goroutine (including
+// a consumer callback) returns immediately. A consumer callback must not
+// be the one to initiate Close — it would wait on its own delivery loop.
+func (c *Channel) Close() {
+	if !c.shut() {
+		return
 	}
 	c.wg.Wait()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.subs, c.ring = nil, nil
+	c.nsubs.Store(0)
 }
 
-// enqueue admits ev to the subscriber queue under the channel's overflow
-// policy, reporting how many deliveries were dropped to do so: the
-// displaced event under DropOldest, the pushed event under DropNewest
-// (or when the subscriber is closing).
-func (s *subscriber) enqueue(ev Event, policy OverflowPolicy) (dropped uint64) {
+// signal rings s's doorbell without blocking; a pending ring is enough.
+func (s *subscriber) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// take copies up to len(dst) events from [cursor, head) into dst and
+// advances the cursor. A sole subscriber clears the slots it takes: no
+// other cursor will read them. ok is false once s is stopped, or the
+// channel is closed and s has taken everything.
+func (c *Channel) take(s *subscriber, dst []Event) (n int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.count == len(s.buf) && !s.closed {
-		switch policy {
-		case DropOldest:
-			s.start = (s.start + 1) % len(s.buf)
-			s.count--
-			dropped++
-		case DropNewest:
-			return 1
-		default: // Block: backpressure the producer
-			s.cond.Wait()
-			continue
+	closed := c.closed.Load() // before head: a closed channel's head is final
+	cur, head := s.cursor.Load(), c.head.Load()
+	if s.stopped || cur == head {
+		return 0, !s.stopped && !closed
+	}
+	n = int(min(head-cur, uint64(len(dst))))
+	mask, sole := uint64(len(c.ring)-1), c.nsubs.Load() == 1
+	for i := range dst[:n] {
+		slot := &c.ring[(cur+uint64(i))&mask]
+		dst[i] = *slot
+		if sole {
+			*slot = Event{}
 		}
-		break
 	}
-	if s.closed {
-		return dropped + 1
-	}
-	s.buf[(s.start+s.count)%len(s.buf)] = ev
-	s.count++
-	s.cond.Broadcast()
-	return dropped
-}
-
-func (s *subscriber) close() {
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// take blocks until events are buffered (returned even after close, so
-// the queue drains) and moves up to len(dst) of them into dst in one
-// lock acquisition; ok is false once the subscriber closed empty.
-func (s *subscriber) take(dst []Event) (n int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for s.count == 0 && !s.closed {
-		s.cond.Wait()
-	}
-	if s.count == 0 {
-		return 0, false
-	}
-	n = min(s.count, len(dst))
-	for i := 0; i < n; i++ {
-		dst[i] = s.buf[s.start]
-		s.buf[s.start] = Event{} // do not pin payloads in the ring
-		s.start = (s.start + 1) % len(s.buf)
-	}
-	s.count -= n
-	s.cond.Broadcast()
+	s.cursor.Store(cur + uint64(n))
 	return n, true
 }
 
-// drained reports an empty, still-open queue (the batch-window probe).
-func (s *subscriber) drained() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.count == 0 && !s.closed
+// park sleeps a caught-up delivery loop until Push, cancel or Close rings
+// its doorbell. The loop raises its flag before rechecking head and Push
+// stores head before reading the flags, so one of them sees the other.
+// The last of several loops to park drops what every cursor has passed.
+func (c *Channel) park(s *subscriber) {
+	s.parked.Store(true)
+	if subs := c.nsubs.Load(); c.parked.Add(1) >= subs && subs > 1 {
+		c.mu.Lock()
+		c.release()
+		c.mu.Unlock()
+	}
+	if s.cursor.Load() == c.head.Load() && !c.closed.Load() {
+		<-s.wake
+	}
+	if s.parked.CompareAndSwap(true, false) {
+		c.parked.Add(-1)
+	}
 }
 
-// deliverLoop drains the subscriber queue in batches: each pass takes
-// everything buffered (bounded by MaxBatch) in one lock acquisition and
-// hands it to the consumer — whole runs to a BatchConsumer, in-order
-// single calls otherwise.
+// deliverLoop copies up to MaxBatch events per pass into its private
+// batch and hands them to the consumer — whole runs to a BatchConsumer,
+// in-order single calls otherwise — then clears the batch, so it pins no
+// delivered payload.
 func (c *Channel) deliverLoop(s *subscriber) {
 	defer c.wg.Done()
 	batch := make([]Event, c.cfg.MaxBatch)
 	for {
-		n, ok := s.take(batch)
+		from := s.cursor.Load() // only this loop moves it while a publisher waits
+		n, ok := c.take(s, batch)
 		if !ok {
 			return
+		}
+		if n == 0 {
+			c.park(s)
+			continue
+		}
+		if c.waiting.Load() > 0 && c.head.Load()-from >= c.depth {
+			// s was full, so a publisher may be waiting on it; taking
+			// mu orders the wake after that publisher's cursor scan.
+			c.mu.Lock()
+			c.room.Broadcast()
+			c.mu.Unlock()
 		}
 		c.delivered.Add(uint64(n))
 		if s.bfn != nil {
 			s.bfn(batch[:n])
-			if c.cfg.BatchWindow > 0 && s.drained() {
-				// Let a trickle accumulate into the next batch instead
-				// of waking per event; teardown pays at most one window.
-				time.Sleep(c.cfg.BatchWindow)
-			}
 		} else {
 			for _, ev := range batch[:n] {
 				s.fn(ev)
 			}
+		}
+		clear(batch[:n])
+		if s.bfn != nil && c.cfg.BatchWindow > 0 && s.cursor.Load() == c.head.Load() && !c.closed.Load() {
+			// Let a trickle accumulate into the next batch instead of
+			// waking per event; teardown pays at most one window.
+			time.Sleep(c.cfg.BatchWindow)
 		}
 	}
 }
@@ -405,8 +482,7 @@ func NewHub(depth int, policy OverflowPolicy) *Hub {
 	return NewHubConfig(Config{Depth: depth, Policy: policy})
 }
 
-// NewHubConfig returns a hub creating channels with the full set of
-// knobs.
+// NewHubConfig returns a hub creating channels with the full set of knobs.
 func NewHubConfig(cfg Config) *Hub {
 	return &Hub{channels: make(map[string]*Channel), cfg: cfg.withDefaults()}
 }
@@ -421,27 +497,6 @@ func (h *Hub) Channel(typeID string) *Channel {
 		h.channels[typeID] = c
 	}
 	return c
-}
-
-// Kinds lists the event kinds with open channels.
-func (h *Hub) Kinds() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.channels))
-	for k := range h.channels {
-		out = append(out, k)
-	}
-	return out
-}
-
-// Dropped reports the total deliveries dropped across every channel —
-// the hub-level view of the drop policy's cost.
-func (h *Hub) Dropped() uint64 {
-	var total uint64
-	for _, c := range h.snapshot() {
-		total += c.Dropped()
-	}
-	return total
 }
 
 // ChannelStats reports every channel's counters (order unspecified).

@@ -1,0 +1,258 @@
+package events
+
+// Tests for the shared ring's edges: a publisher blocked on a stuck
+// consumer is released by cancel and by Close, concurrent publishers and
+// churning subscribers never read a slot mid-overwrite and keep the
+// delivered + dropped ledger, and a channel nobody subscribed to has no
+// ring.
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"corbalc/internal/leak"
+)
+
+// TestBlockedPublisherReleased parks a publisher on a full Block queue
+// whose consumer is stuck in its callback, then releases it with cancel
+// (the push lands with no subscriber left) or with Close (the push is
+// refused), within a second either way.
+func TestBlockedPublisherReleased(t *testing.T) {
+	var closing sync.WaitGroup
+	for _, tc := range []struct {
+		name      string
+		release   func(ch *Channel, cancel func())
+		want      error
+		published uint64
+	}{
+		{"cancel", func(_ *Channel, cancel func()) { cancel() }, nil, 3},
+		{"Close", func(ch *Channel, _ func()) {
+			closing.Add(1)
+			go func() { defer closing.Done(); ch.Close() }()
+		}, ErrClosed, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leak.Check(t)
+			ch := NewChannel("e", 1, Block)
+			stuck := make(chan struct{})
+			took := make(chan struct{}, 1)
+			cancel := ch.Subscribe("stuck", func(Event) {
+				took <- struct{}{}
+				<-stuck
+			})
+			_ = ch.Push(Event{}) // taken; the consumer sticks on it
+			<-took
+			_ = ch.Push(Event{}) // fills the queue
+			pushed := make(chan error, 1)
+			go func() { pushed <- ch.Push(Event{}) }()
+			select {
+			case err := <-pushed:
+				t.Fatalf("push did not block on a full queue: %v", err)
+			case <-time.After(30 * time.Millisecond):
+			}
+			tc.release(ch, cancel)
+			select {
+			case err := <-pushed:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("released push: err = %v, want %v", err, tc.want)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("blocked publisher not released")
+			}
+			close(stuck)
+			ch.Close()
+			closing.Wait()
+			cancel()
+			// The stuck event was delivered; the queued one was delivered
+			// by the drain after Close, or dropped by cancel.
+			if pub, del, drop := ch.Stats(); pub != tc.published || del+drop != 2 {
+				t.Fatalf("stats = %d published, %d delivered, %d dropped; want %d published, 2 owed", pub, del, drop, tc.published)
+			}
+		})
+	}
+}
+
+// stressPayload is what publisher p writes as its i-th event: a value and
+// its checksum, so a consumer that read a slot mid-overwrite would see a
+// pair that does not match.
+func stressPayload(p, i int) []byte {
+	b := make([]byte, 16)
+	v := uint64(p)<<32 | uint64(i)
+	binary.LittleEndian.PutUint64(b, v)
+	binary.LittleEndian.PutUint64(b[8:], v*0x9e3779b97f4a7c15^0xa5a5a5a5a5a5a5a5)
+	return b
+}
+
+var stressSources = [8]string{"p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"}
+
+// stressSub records what one subscriber saw.
+type stressSub struct {
+	last, n uint64
+	bad     string
+	owed    uint64 // events published while it was attached
+}
+
+func (r *stressSub) see(block bool, ev Event) {
+	var v uint64
+	if len(ev.Data) == 16 {
+		v = binary.LittleEndian.Uint64(ev.Data)
+	}
+	switch {
+	case ev.TypeID != "IDL:stress:1.0" || len(ev.Data) != 16:
+		r.bad = fmt.Sprintf("malformed event %+v", ev)
+	case binary.LittleEndian.Uint64(ev.Data[8:]) != v*0x9e3779b97f4a7c15^0xa5a5a5a5a5a5a5a5 ||
+		v>>32 >= uint64(len(stressSources)) || stressSources[v>>32] != ev.Source:
+		r.bad = fmt.Sprintf("torn event at seq %d: %+v", ev.Seq, ev)
+	case ev.Seq <= r.last:
+		r.bad = fmt.Sprintf("seq %d after %d", ev.Seq, r.last)
+	case block && r.n > 0 && ev.Seq != r.last+1:
+		r.bad = fmt.Sprintf("gap under Block: seq %d after %d", ev.Seq, r.last)
+	}
+	r.last = ev.Seq
+	r.n++
+}
+
+// TestRingStress runs 8 publishers against 32 subscribers — half per
+// event, half batch; half for the whole storm, half attaching and
+// cancelling mid-storm — under both policies. Every subscriber sees
+// strictly increasing Seq (gap-free under Block), every payload matches
+// its checksum, and delivered + dropped equals the events owed.
+func TestRingStress(t *testing.T) {
+	const publishers, perPublisher, subs, churns = 8, 400, 32, 6
+	for _, policy := range []OverflowPolicy{Block, DropOldest} {
+		t.Run(map[OverflowPolicy]string{Block: "Block", DropOldest: "DropOldest"}[policy], func(t *testing.T) {
+			leak.Check(t)
+			block := policy == Block
+			ch := NewChannelConfig("IDL:stress:1.0", Config{Depth: 8, Policy: policy, MaxBatch: 4})
+			// Publishers hold pause for reading across each Push; churn
+			// takes it for writing, so an attach or a cancel falls between
+			// publications and its share of the ledger is exact.
+			var pause sync.RWMutex
+			var all []*stressSub
+			subscribe := func(i int) (*stressSub, func()) {
+				r := &stressSub{}
+				all = append(all, r)
+				slow := !block && i%4 == 3
+				if i%2 == 0 {
+					return r, ch.Subscribe(fmt.Sprint(i), func(ev Event) {
+						r.see(block, ev)
+						if slow && r.n%16 == 0 {
+							time.Sleep(50 * time.Microsecond)
+						}
+					})
+				}
+				return r, ch.SubscribeBatch(fmt.Sprint(i), func(batch []Event) {
+					for _, ev := range batch {
+						r.see(block, ev)
+					}
+					if slow {
+						runtime.Gosched()
+					}
+				})
+			}
+			var cancels []func()
+			for i := 0; i < subs/2; i++ {
+				_, cancel := subscribe(i)
+				cancels = append(cancels, cancel)
+			}
+			var pubs, churn sync.WaitGroup
+			stop := make(chan struct{})
+			for p := 0; p < publishers; p++ {
+				pubs.Add(1)
+				go func() {
+					defer pubs.Done()
+					for i := 0; i < perPublisher; i++ {
+						pause.RLock()
+						err := ch.Push(Event{Source: stressSources[p], Data: stressPayload(p, i)})
+						pause.RUnlock()
+						if i%4 == 0 {
+							runtime.Gosched() // let consumers keep up some of the time
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			for i := subs / 2; i < subs; i++ {
+				churn.Add(1)
+				go func() {
+					defer churn.Done()
+					for k := 0; k < churns; k++ {
+						pause.Lock()
+						r, cancel := subscribe(i)
+						start, _, _ := ch.Stats()
+						pause.Unlock()
+						select {
+						case <-stop:
+						case <-time.After(time.Duration(100+i*37%400) * time.Microsecond):
+						}
+						pause.Lock()
+						cancel()
+						end, _, _ := ch.Stats()
+						r.owed = end - start
+						pause.Unlock()
+					}
+				}()
+			}
+			pubs.Wait()
+			close(stop)
+			churn.Wait()
+			ch.Close()
+			for _, cancel := range cancels {
+				cancel()
+			}
+
+			published, delivered, dropped := ch.Stats()
+			if published != publishers*perPublisher {
+				t.Fatalf("published = %d, want %d", published, publishers*perPublisher)
+			}
+			var seen, owed uint64
+			for _, r := range all[:subs/2] {
+				r.owed = published
+			}
+			for _, r := range all {
+				if r.bad != "" {
+					t.Fatal(r.bad)
+				}
+				seen += r.n
+				owed += r.owed
+			}
+			if delivered != seen {
+				t.Fatalf("delivered = %d, consumers saw %d", delivered, seen)
+			}
+			if delivered+dropped != owed {
+				t.Fatalf("ledger: %d delivered + %d dropped != %d owed", delivered, dropped, owed)
+			}
+			if block {
+				for _, r := range all[:subs/2] {
+					if r.n != published {
+						t.Fatalf("a whole-storm subscriber saw %d of %d events under Block", r.n, published)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestIdleChannelHasNoRing holds a channel nobody subscribed to at zero
+// cost: the hub's lookup and a Push write nothing, not even a ring.
+func TestIdleChannelHasNoRing(t *testing.T) {
+	h := NewHub(256, Block)
+	defer h.Close()
+	ch := h.Channel("IDL:idle:1.0")
+	if err := ch.Push(Event{Data: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	if ch.ring != nil {
+		t.Fatalf("a channel with no subscriber allocated a %d-slot ring", len(ch.ring))
+	}
+}

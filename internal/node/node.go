@@ -64,9 +64,10 @@ type Config struct {
 	TrustedKeys []ed25519.PublicKey
 }
 
-// eventQueues configures the node hub's per-subscriber queues: 256 deep,
-// a full queue blocks the publisher (backpressure, nothing dropped), and
-// batch subscribers are handed events as they arrive (no window).
+// eventQueues configures the node hub's channels: a subscriber may fall
+// 256 events behind, one that far behind blocks the publisher
+// (backpressure, nothing dropped), and batch subscribers are handed
+// events as they arrive (no window).
 var eventQueues = events.Config{Depth: 256, Policy: events.Block}
 
 // Node is one CORBA-LC node.
