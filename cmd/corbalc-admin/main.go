@@ -76,7 +76,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	dir := fetchDirectory(o, ref)
+	ctx := context.Background()
+	dir := fetchDirectory(ctx, ref)
 
 	args := flag.Args()
 	switch args[0] {
@@ -94,14 +95,14 @@ func main() {
 		}
 	case "report":
 		nd := nodeArg(dir, args, 1)
-		r := fetchReport(o, nd)
+		r := fetchReport(ctx, o, nd)
 		fmt.Printf("node %s (%s): os=%s/%s cpu=%.2f/%.2f mem=%d/%dMB bw=%.0fMbps instances=%d digest=%d\n",
 			r.Node, r.Capability, r.OS, r.Arch, r.CPUUsed, r.CPUCores,
 			r.MemoryUsedMB, r.MemoryMB, r.BandwidthMbps, r.Instances, r.Digest)
 	case "components":
 		nd := nodeArg(dir, args, 1)
 		var names []string
-		must(o.NewRef(nd.Registry).Invoke("list_components", nil, func(d *cdr.Decoder) error {
+		must(o.NewRef(nd.Registry).InvokeContext(ctx, "list_components", nil, func(d *cdr.Decoder) error {
 			var e error
 			names, e = d.ReadStringSeq()
 			return e
@@ -120,7 +121,7 @@ func main() {
 		if len(args) > 2 {
 			verReq = args[2]
 		}
-		offers := rootQuery(o, dir, args[1], verReq)
+		offers := rootQuery(ctx, o, dir, args[1], verReq)
 		for _, of := range offers {
 			fmt.Printf("%-24s node=%-12s port=%-10s load=%.2f movable=%v\n",
 				of.ComponentID, of.Node, of.Port, of.NodeLoad, of.Movable)
@@ -138,7 +139,7 @@ func main() {
 			fatal(err)
 		}
 		var id string
-		must(o.NewRef(nd.Acceptor).Invoke("install",
+		must(o.NewRef(nd.Acceptor).InvokeContext(ctx, "install",
 			func(e *cdr.Encoder) { e.WriteOctetSeq(data) },
 			func(d *cdr.Decoder) error { var e error; id, e = d.ReadString(); return e }))
 		fmt.Println("installed", id, "on", nd.Name)
@@ -148,7 +149,7 @@ func main() {
 			fatal(fmt.Errorf("instantiate needs <node> <component-id> <instance>"))
 		}
 		var equiv *ior.IOR
-		must(o.NewRef(nd.Acceptor).Invoke("instantiate",
+		must(o.NewRef(nd.Acceptor).InvokeContext(ctx, "instantiate",
 			func(e *cdr.Encoder) { e.WriteString(args[2]); e.WriteString(args[3]) },
 			func(d *cdr.Decoder) error { var e error; equiv, e = ior.Unmarshal(d); return e }))
 		fmt.Printf("instance %s of %s running on %s\n", args[3], args[2], nd.Name)
@@ -158,7 +159,7 @@ func main() {
 		if len(args) < 4 {
 			fatal(fmt.Errorf("ports needs <node> <component-id> <instance>"))
 		}
-		must(o.NewRef(nd.Registry).Invoke("instance_ports",
+		must(o.NewRef(nd.Registry).InvokeContext(ctx, "instance_ports",
 			func(e *cdr.Encoder) { e.WriteString(args[2]); e.WriteString(args[3]) },
 			func(d *cdr.Decoder) error {
 				n, err := d.ReadULong()
@@ -193,10 +194,10 @@ func main() {
 		// every node, its components, instances and port states.
 		for _, name := range dir.Names() {
 			nd := dir.Nodes[name]
-			r := fetchReport(o, nd)
+			r := fetchReport(ctx, o, nd)
 			fmt.Printf("%s (%s) load=%.2f\n", name, nd.Capability, r.LoadFraction())
 			var comps []string
-			_ = o.NewRef(nd.Registry).Invoke("list_components", nil, func(d *cdr.Decoder) error {
+			_ = o.NewRef(nd.Registry).InvokeContext(ctx, "list_components", nil, func(d *cdr.Decoder) error {
 				var e error
 				comps, e = d.ReadStringSeq()
 				return e
@@ -206,7 +207,7 @@ func main() {
 			}
 			type instRow struct{ comp, inst string }
 			var insts []instRow
-			_ = o.NewRef(nd.Registry).Invoke("list_instances", nil, func(d *cdr.Decoder) error {
+			_ = o.NewRef(nd.Registry).InvokeContext(ctx, "list_instances", nil, func(d *cdr.Decoder) error {
 				n, err := d.ReadULong()
 				if err != nil {
 					return err
@@ -226,7 +227,7 @@ func main() {
 			})
 			for _, ir := range insts {
 				fmt.Printf("  instance  %s of %s\n", ir.inst, ir.comp)
-				_ = o.NewRef(nd.Registry).Invoke("instance_ports",
+				_ = o.NewRef(nd.Registry).InvokeContext(ctx, "instance_ports",
 					func(e *cdr.Encoder) { e.WriteString(ir.comp); e.WriteString(ir.inst) },
 					func(d *cdr.Decoder) error {
 						n, err := d.ReadULong()
@@ -266,11 +267,11 @@ func main() {
 		// observable from outside (DESIGN.md §12).
 		nd := nodeArg(dir, args, 1)
 		var evRef *ior.IOR
-		must(o.NewRef(nd.Acceptor).Invoke("event_service", nil,
+		must(o.NewRef(nd.Acceptor).InvokeContext(ctx, "event_service", nil,
 			func(d *cdr.Decoder) error { var e error; evRef, e = ior.Unmarshal(d); return e }))
 		var total uint64
 		var rows int
-		must(o.NewRef(evRef).Invoke("events_stats", nil, func(d *cdr.Decoder) error {
+		must(o.NewRef(evRef).InvokeContext(ctx, "events_stats", nil, func(d *cdr.Decoder) error {
 			n, err := d.ReadULong()
 			if err != nil {
 				return err
@@ -315,7 +316,7 @@ func main() {
 		// gossip frames/bytes it has shipped.
 		nd := nodeArg(dir, args, 1)
 		var st *cohesion.Stats
-		must(o.NewRef(nd.Cohesion).Invoke("cohesion_stats", nil,
+		must(o.NewRef(nd.Cohesion).InvokeContext(ctx, "cohesion_stats", nil,
 			func(d *cdr.Decoder) error { var e error; st, e = cohesion.UnmarshalStats(d); return e }))
 		fmt.Printf("directory: epoch=%d nodes=%d groups=%d vv-entries=%d\n",
 			st.Epoch, st.Nodes, st.Groups, st.VVSize)
@@ -346,7 +347,7 @@ func main() {
 			fatal(fmt.Errorf("call needs <node> <component-id> <instance> <port> <op> [args...]"))
 		}
 		nd := nodeArg(dir, args, 1)
-		callOp(o, nd, args[2], args[3], args[4], args[5], args[6:])
+		callOp(ctx, o, nd, args[2], args[3], args[4], args[5], args[6:])
 	default:
 		fatal(fmt.Errorf("unknown command %q", args[0]))
 	}
@@ -421,17 +422,17 @@ func orDefaultStr(s, def string) string {
 // component package for its IDL, binds the port reference against the
 // port's interface type, parses scalar arguments per the signature and
 // prints the outputs.
-func callOp(o *orb.ORB, nd *cohesion.NodeDesc, compID, instance, port, op string, rawArgs []string) {
+func callOp(ctx context.Context, o *orb.ORB, nd *cohesion.NodeDesc, compID, instance, port, op string, rawArgs []string) {
 	// The component's IDL travels inside its package.
 	var pkgBytes []byte
-	must(o.NewRef(nd.Registry).Invoke("get_package",
+	must(o.NewRef(nd.Registry).InvokeContext(ctx, "get_package",
 		func(e *cdr.Encoder) { e.WriteString(compID) },
 		func(d *cdr.Decoder) error { var e error; pkgBytes, e = d.ReadOctetSeq(); return e }))
 	comp, err := component.LoadBytes(pkgBytes)
 	must(err)
 
 	var portRef *ior.IOR
-	must(o.NewRef(nd.Acceptor).Invoke("provide",
+	must(o.NewRef(nd.Acceptor).InvokeContext(ctx, "provide",
 		func(e *cdr.Encoder) {
 			e.WriteString(compID)
 			e.WriteString(instance)
@@ -462,7 +463,7 @@ func callOp(o *orb.ORB, nd *cohesion.NodeDesc, compID, instance, port, op string
 		}
 		callArgs[i] = v
 	}
-	res, err := obj.Call(op, callArgs...)
+	res, err := obj.CallContext(ctx, op, callArgs...)
 	must(err)
 	if res.Return != nil {
 		fmt.Printf("return: %v\n", res.Return)
@@ -503,9 +504,9 @@ func parseScalar(t *idl.Type, s string) (any, error) {
 	return nil, fmt.Errorf("cannot parse %q as %s from the command line", s, t)
 }
 
-func fetchDirectory(o *orb.ORB, contact *orb.ObjectRef) *cohesion.Directory {
+func fetchDirectory(ctx context.Context, contact *orb.ObjectRef) *cohesion.Directory {
 	var dir *cohesion.Directory
-	must(contact.Invoke("get_directory", nil, func(d *cdr.Decoder) error {
+	must(contact.InvokeContext(ctx, "get_directory", nil, func(d *cdr.Decoder) error {
 		var e error
 		dir, e = cohesion.UnmarshalDirectory(d)
 		return e
@@ -513,9 +514,9 @@ func fetchDirectory(o *orb.ORB, contact *orb.ObjectRef) *cohesion.Directory {
 	return dir
 }
 
-func fetchReport(o *orb.ORB, nd *cohesion.NodeDesc) *node.Report {
+func fetchReport(ctx context.Context, o *orb.ORB, nd *cohesion.NodeDesc) *node.Report {
 	var r *node.Report
-	must(o.NewRef(nd.Resources).Invoke("report", nil, func(d *cdr.Decoder) error {
+	must(o.NewRef(nd.Resources).InvokeContext(ctx, "report", nil, func(d *cdr.Decoder) error {
 		var e error
 		r, e = node.UnmarshalReport(d)
 		return e
@@ -524,14 +525,14 @@ func fetchReport(o *orb.ORB, nd *cohesion.NodeDesc) *node.Report {
 }
 
 // rootQuery asks the root MRM (first root candidate that answers).
-func rootQuery(o *orb.ORB, dir *cohesion.Directory, portID, verReq string) []*node.Offer {
+func rootQuery(ctx context.Context, o *orb.ORB, dir *cohesion.Directory, portID, verReq string) []*node.Offer {
 	for _, cand := range dir.RootCandidates(4) {
 		nd := dir.Nodes[cand]
 		if nd == nil {
 			continue
 		}
 		var offers []*node.Offer
-		err := o.NewRef(nd.Cohesion).Invoke("root_query",
+		err := o.NewRef(nd.Cohesion).InvokeContext(ctx, "root_query",
 			func(e *cdr.Encoder) {
 				e.WriteString(portID)
 				e.WriteString(verReq)

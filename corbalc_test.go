@@ -48,7 +48,7 @@ func hello(t *testing.T, p *corbalc.Peer, who string) string {
 		})
 		if err == nil {
 			var out string
-			err = p.Node.ORB().NewRef(ref).Invoke("hello",
+			err = p.Node.ORB().NewRef(ref).InvokeContext(context.Background(), "hello",
 				func(e *cdr.Encoder) { e.WriteString(who) },
 				func(d *cdr.Decoder) error {
 					var e error
@@ -224,13 +224,13 @@ func TestFigure1NodeWiring(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Invoke(svc.op, nil, func(d *cdr.Decoder) error { return nil }); err != nil {
+		if err := ref.InvokeContext(context.Background(), svc.op, nil, func(d *cdr.Decoder) error { return nil }); err != nil {
 			t.Fatalf("%s: %v", svc.op, err)
 		}
 	}
 	cohRef := o.NewRef(p.Contact())
 	var epoch uint64
-	if err := cohRef.Invoke("ping", nil, func(d *cdr.Decoder) error {
+	if err := cohRef.InvokeContext(context.Background(), "ping", nil, func(d *cdr.Decoder) error {
 		var e error
 		epoch, e = d.ReadULongLong()
 		return e
@@ -245,14 +245,14 @@ func TestFigure1NodeWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	acc := o.NewRef(p.Node.AcceptorIOR())
-	if err := acc.Invoke("install",
+	if err := acc.InvokeContext(context.Background(), "install",
 		func(e *cdr.Encoder) { e.WriteOctetSeq(comp.Package().Bytes()) },
 		func(d *cdr.Decoder) error { _, e := d.ReadString(); return e }); err != nil {
 		t.Fatal(err)
 	}
 	regRef := o.NewRef(p.Node.RegistryIOR())
 	var names []string
-	if err := regRef.Invoke("list_components", nil, func(d *cdr.Decoder) error {
+	if err := regRef.InvokeContext(context.Background(), "list_components", nil, func(d *cdr.Decoder) error {
 		var e error
 		names, e = d.ReadStringSeq()
 		return e
@@ -268,7 +268,7 @@ func TestFigure1NodeWiring(t *testing.T) {
 	rm := o.NewRef(p.Node.ResourcesIOR())
 	readReport := func() *node.Report {
 		var r *node.Report
-		if err := rm.Invoke("report", nil, func(d *cdr.Decoder) error {
+		if err := rm.InvokeContext(context.Background(), "report", nil, func(d *cdr.Decoder) error {
 			var e error
 			r, e = node.UnmarshalReport(d)
 			return e

@@ -127,7 +127,7 @@ func (g *guiPart) ConsumeEvent(port string, ev events.Event) {
 	if err != nil {
 		return
 	}
-	_ = disp.Invoke("plot", func(e *cdr.Encoder) {
+	_ = disp.InvokeContext(context.Background(), "plot", func(e *cdr.Encoder) {
 		e.WriteLong(x)
 		e.WriteLong(y)
 		e.WriteChar(glyph)
@@ -278,7 +278,7 @@ func main() {
 	boardRef := resolve(pda, "IDL:cscw/Board:1.0")
 	for i := 0; i < 8; i++ {
 		x, y := int32(4+i*5), int32(1+i)
-		must(boardRef.Invoke("add_stroke", func(e *cdr.Encoder) {
+		must(boardRef.InvokeContext(context.Background(), "add_stroke", func(e *cdr.Encoder) {
 			e.WriteLong(x)
 			e.WriteLong(y)
 		}, nil))
@@ -300,7 +300,7 @@ func main() {
 	defer dep2.Teardown()
 	boardRef = resolve(pda, "IDL:cscw/Board:1.0")
 	for i := 0; i < 8; i++ {
-		must(boardRef.Invoke("add_stroke", func(e *cdr.Encoder) {
+		must(boardRef.InvokeContext(context.Background(), "add_stroke", func(e *cdr.Encoder) {
 			e.WriteLong(int32(4 + i*5))
 			e.WriteLong(int32(8 - i))
 		}, nil))
@@ -347,7 +347,7 @@ func resolve(p *corbalc.Peer, repoID string) *orb.ObjectRef {
 func render(p *corbalc.Peer, screen *ior.IOR) string {
 	ref := p.Node.ORB().NewRef(screen)
 	var out string
-	must(ref.Invoke("render", nil, func(d *cdr.Decoder) error {
+	must(ref.InvokeContext(context.Background(), "render", nil, func(d *cdr.Decoder) error {
 		var e error
 		out, e = d.ReadString()
 		return e

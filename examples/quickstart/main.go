@@ -109,7 +109,7 @@ func main() {
 
 	// 6. Invoke it like any CORBA object.
 	var out string
-	err = ref.Invoke("hello",
+	err = ref.InvokeContext(context.Background(), "hello",
 		func(e *cdr.Encoder) { e.WriteString("world") },
 		func(d *cdr.Decoder) error {
 			var e error

@@ -78,7 +78,7 @@ func TestServiceIDLConformance(t *testing.T) {
 			t.Errorf("%s: servant advertises %q, IDL says %q", scoped, target.TypeID, iface.RepoID())
 		}
 		for _, op := range iface.AllOperations() {
-			err := ref.Invoke(op.Name, nil, nil)
+			err := ref.InvokeContext(context.Background(), op.Name, nil, nil)
 			var se *orb.SystemException
 			if errors.As(err, &se) && se.Name == "BAD_OPERATION" {
 				t.Errorf("%s: declared operation %q not recognised by the servant", scoped, op.Name)
@@ -155,7 +155,7 @@ func TestNetworkCohesionOpsMatchIDL(t *testing.T) {
 	p.Bootstrap()
 	ref := p.Node.ORB().NewRef(p.Contact())
 	for _, op := range []string{"directory_push", "update", "summary"} {
-		err := ref.Invoke(op, nil, nil)
+		err := ref.InvokeContext(context.Background(), op, nil, nil)
 		var se *orb.SystemException
 		if !errors.As(err, &se) || se.Name != "BAD_OPERATION" {
 			t.Errorf("%s: err = %v, want CORBA::BAD_OPERATION", op, err)

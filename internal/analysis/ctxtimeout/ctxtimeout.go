@@ -11,19 +11,16 @@
 //   - (net.Dialer).Dial on a Dialer literal with neither Timeout nor
 //     Deadline set (use DialContext or set a bound);
 //   - http.Get / Head / Post / PostForm, which use the deadline-free
-//     http.DefaultClient;
-//   - the context-less invocation wrappers ObjectRef.Invoke /
-//     InvokeOneway / Exists (internal/orb) and Object.Call / Get / Set
-//     (internal/dii) when called from another internal package. The
-//     wrappers exist for the public facade, cmd/, examples/ and tests;
-//     inside internal/ every call rides a caller context so deadlines
-//     and cancellation propagate end-to-end (use the ...Context forms).
+//     http.DefaultClient.
+//
+// ORB invocations need no rule here: ObjectRef and dii.Object offer only
+// context-taking forms, so the compiler already makes every call carry
+// the caller's deadline and cancellation.
 package ctxtimeout
 
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"corbalc/internal/analysis"
 )
@@ -47,22 +44,7 @@ var defaultClientCalls = map[string]bool{
 	"Get": true, "Head": true, "Post": true, "PostForm": true,
 }
 
-// ctxlessWrappers maps {package-path suffix, receiver type, method} of
-// the context-less invocation wrappers to the context-aware primary an
-// internal caller must use instead. Matching is by path suffix so the
-// analyzer's own fixtures (loaded as "internal/...") hit the same code
-// path as the real corbalc/internal packages.
-var ctxlessWrappers = map[[3]string]string{
-	{"internal/orb", "ObjectRef", "Invoke"}:       "InvokeContext",
-	{"internal/orb", "ObjectRef", "InvokeOneway"}: "InvokeOnewayContext",
-	{"internal/orb", "ObjectRef", "Exists"}:       "ExistsContext",
-	{"internal/dii", "Object", "Call"}:            "CallContext",
-	{"internal/dii", "Object", "Get"}:             "GetContext",
-	{"internal/dii", "Object", "Set"}:             "SetContext",
-}
-
 func run(pass *analysis.Pass) error {
-	internalCaller := strings.Contains(pass.PkgPath+"/", "internal/")
 	analysis.InspectFiles(pass, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -84,39 +66,10 @@ func run(pass *analysis.Pass) error {
 		case pkg == "net/http" && sig.Recv() == nil && defaultClientCalls[name]:
 			pass.Reportf(call.Pos(),
 				"http.%s uses the deadline-free http.DefaultClient; use a Client with Timeout", name)
-		case internalCaller && sig.Recv() != nil:
-			recv := recvTypeName(sig)
-			if ctx, ok := ctxlessWrappers[[3]string{pathSuffix(pkg), recv, name}]; ok {
-				pass.Reportf(call.Pos(),
-					"context-less %s.%s from an internal package drops deadline/cancellation propagation; use %s", recv, name, ctx)
-			}
 		}
 		return true
 	})
 	return nil
-}
-
-// recvTypeName returns the name of a method's receiver type, stripping
-// any pointer indirection ("" for anonymous receivers).
-func recvTypeName(sig *types.Signature) string {
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// pathSuffix normalises a callee package path to its trailing
-// internal/<pkg> segment, so "corbalc/internal/orb" and a fixture
-// stand-in loaded as "internal/orb" compare equal.
-func pathSuffix(pkg string) string {
-	if i := strings.Index(pkg, "internal/"); i >= 0 {
-		return pkg[i:]
-	}
-	return pkg
 }
 
 // isUnboundedDialerLit reports whether the receiver of a Dialer.Dial

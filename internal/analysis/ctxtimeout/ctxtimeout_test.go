@@ -8,7 +8,5 @@ import (
 )
 
 func TestCtxTimeout(t *testing.T) {
-	// "internal/b" simulates a corbalc/internal caller (wrapper calls
-	// flagged); "pub" simulates the public facade (wrappers allowed).
-	analysistest.Run(t, ctxtimeout.Analyzer, "a", "pub", "internal/b")
+	analysistest.Run(t, ctxtimeout.Analyzer, "a")
 }

@@ -15,9 +15,10 @@
 //  2. No blocking operation while a lock is held: time.Sleep, net
 //     dials/listens/accepts, sync.WaitGroup.Wait, bare channel sends and
 //     receives (selects are exempt — they are assumed to carry timeout
-//     arms), and ORB remote invocations (orb.ObjectRef.Invoke,
-//     orb.Channel.Call). A node that blocks inside its registry lock
-//     stalls every peer that gossips with it.
+//     arms), and ORB remote invocations (orb.ObjectRef.InvokeContext and
+//     its oneway, existence and async forms, orb.Channel.Call/Send). A
+//     node that blocks inside its registry lock stalls every peer that
+//     gossips with it.
 package lockdiscipline
 
 import (
@@ -260,6 +261,13 @@ func checkBlocking(pass *analysis.Pass, body *ast.BlockStmt, op *lockOp, start, 
 	})
 }
 
+// orbBlocking names the internal/orb methods that wait on a remote peer:
+// the ObjectRef invocation forms and the Channel primitives under them.
+var orbBlocking = map[string]bool{
+	"InvokeContext": true, "InvokeOnewayContext": true, "InvokeOnewayScoped": true,
+	"ExistsContext": true, "CallAsyncContext": true, "Call": true, "Send": true,
+}
+
 // blockingCall classifies call as a known-blocking operation, returning
 // a description or "".
 func blockingCall(info *types.Info, call *ast.CallExpr) string {
@@ -276,8 +284,7 @@ func blockingCall(info *types.Info, call *ast.CallExpr) string {
 		return "call to net." + name
 	case pkg == "sync" && name == "Wait" && sig.Recv() != nil && !isCondRecv(sig):
 		return "call to sync.WaitGroup.Wait"
-	case strings.HasSuffix(pkg, "internal/orb") && sig.Recv() != nil &&
-		(name == "Invoke" || name == "InvokeOneway" || name == "Call" || name == "Send"):
+	case strings.HasSuffix(pkg, "internal/orb") && sig.Recv() != nil && orbBlocking[name]:
 		return "ORB invocation " + name
 	}
 	return ""

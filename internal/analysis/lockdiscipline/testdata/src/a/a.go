@@ -3,9 +3,12 @@
 package a
 
 import (
+	"context"
 	"net"
 	"sync"
 	"time"
+
+	"corbalc/internal/orb"
 )
 
 type registry struct {
@@ -48,6 +51,26 @@ func (r *registry) badDialUnderDefer() error {
 		return err
 	}
 	return conn.Close()
+}
+
+// Bad: remote invocations under the lock, in every form internal code
+// calls — the peer's latency becomes the lock's hold time.
+func (r *registry) badInvokeUnderDefer(ctx context.Context, ref *orb.ObjectRef) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err := ref.InvokeOnewayContext(ctx, "push", nil); err != nil { // want `ORB invocation InvokeOnewayContext while holding r\.mu\.Lock\(\)`
+		return err
+	}
+	if err := ref.InvokeOnewayScoped(ctx, "push", nil, orb.SyncNone); err != nil { // want `ORB invocation InvokeOnewayScoped while holding`
+		return err
+	}
+	if _, err := ref.ExistsContext(ctx); err != nil { // want `ORB invocation ExistsContext while holding`
+		return err
+	}
+	if _, err := ref.CallAsyncContext(ctx, "ping", nil, nil); err != nil { // want `ORB invocation CallAsyncContext while holding`
+		return err
+	}
+	return ref.InvokeContext(ctx, "ping", nil, nil) // want `ORB invocation InvokeContext while holding r\.mu\.Lock\(\)`
 }
 
 // Bad: reader locks follow the same rules.

@@ -4,8 +4,8 @@
 // Buffers from internal/bufpool, encoders from cdr.GetEncoder /
 // giop.GetBodyEncoder, messages from giop.NewMessage /
 // giop.MessageFromEncoder / giop.ReadMessagePooled, and async futures
-// from ObjectRef.CallAsync / CallAsyncContext (which own a registered
-// reply slot until settled by Wait or abandoned by Cancel) have exactly
+// from ObjectRef.CallAsyncContext (which own a registered reply slot
+// until settled by Wait or abandoned by Cancel) have exactly
 // one owner, and that owner must either release the resource or hand
 // ownership to someone who will. A function that acquires one and does
 // neither leaks pool capacity silently: the program stays correct (the
@@ -62,9 +62,9 @@ var futureMethods = map[string]bool{"Wait": true, "Cancel": true}
 
 // acquirers maps {package-path suffix, function name} of each pooled
 // acquire function to its release obligation. Methods are keyed as
-// "Recv.Name" (e.g. "ObjectRef.CallAsync"). Matching is by path suffix
-// so fixture stand-ins loaded as "internal/giop" hit the same code path
-// as corbalc/internal/giop.
+// "Recv.Name" (e.g. "ObjectRef.CallAsyncContext"). Matching is by path
+// suffix so fixture stand-ins loaded as "internal/giop" hit the same code
+// path as corbalc/internal/giop.
 var acquirers = map[[2]string]obligation{
 	{"internal/bufpool", "Get"}:             {"return it with bufpool.Put", releaseMethod},
 	{"internal/cdr", "GetEncoder"}:          {"call its Release method", releaseMethod},
@@ -79,7 +79,6 @@ var acquirers = map[[2]string]obligation{
 	// An async future owns its pending-reply slot: the launcher must
 	// settle it (Wait) or abandon it (Cancel), or hand it to someone
 	// who will.
-	{"internal/orb", "ObjectRef.CallAsync"}:        {"settle it with Wait or abandon it with Cancel", futureMethods},
 	{"internal/orb", "ObjectRef.CallAsyncContext"}: {"settle it with Wait or abandon it with Cancel", futureMethods},
 	// The web gateway's translation buffer wraps a pooled body buffer
 	// and the decoded-argument scratch: one per HTTP request, released
@@ -156,7 +155,7 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 
 // acquirerOf reports whether call invokes one of the tracked pooled
 // acquire functions or methods. Methods match under their receiver
-// type's name: "ObjectRef.CallAsync".
+// type's name: "ObjectRef.CallAsyncContext".
 func acquirerOf(info *types.Info, call *ast.CallExpr) (suffix, name string, ob obligation, ok bool) {
 	f := analysis.FuncOf(info, call)
 	if f == nil || f.Pkg() == nil {

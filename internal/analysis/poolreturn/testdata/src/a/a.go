@@ -160,8 +160,8 @@ func goodRefusalReplyReleased(write func(giop.Header, []byte) error, v giop.Vers
 // Bad: a launched future that is only ever polled — nothing settles or
 // abandons it, so its reply slot (and eventually a pooled reply) stays
 // pinned.
-func badLeakFuture(r *orb.ObjectRef) bool {
-	fu, err := r.CallAsync("op", nil, nil) // want `result of orb\.ObjectRef\.CallAsync is neither released nor transferred`
+func badLeakFuture(ctx context.Context, r *orb.ObjectRef) bool {
+	fu, err := r.CallAsyncContext(ctx, "op", nil, nil) // want `result of orb\.ObjectRef\.CallAsyncContext is neither released nor transferred`
 	if err != nil {
 		return false
 	}
@@ -178,8 +178,8 @@ func goodWaitFuture(ctx context.Context, r *orb.ObjectRef) error {
 }
 
 // Good: Cancel abandons the call, releasing the slot.
-func goodCancelFuture(r *orb.ObjectRef) {
-	fu, err := r.CallAsync("op", nil, nil)
+func goodCancelFuture(ctx context.Context, r *orb.ObjectRef) {
+	fu, err := r.CallAsyncContext(ctx, "op", nil, nil)
 	if err != nil {
 		return
 	}
@@ -188,8 +188,8 @@ func goodCancelFuture(r *orb.ObjectRef) {
 
 // Good: returning the future hands the settle-or-cancel obligation to
 // the caller.
-func goodReturnFuture(r *orb.ObjectRef) (*orb.Future, error) {
-	return r.CallAsync("op", nil, nil)
+func goodReturnFuture(ctx context.Context, r *orb.ObjectRef) (*orb.Future, error) {
+	return r.CallAsyncContext(ctx, "op", nil, nil)
 }
 
 // Suppressed: an acknowledged leak-to-GC stays silent.

@@ -102,7 +102,7 @@ func (pi *producerInstance) InvokePort(port, op string, args *cdr.Decoder, reply
 			return err
 		}
 		var n int32
-		if err := ref.Invoke("count", nil, func(d *cdr.Decoder) error {
+		if err := ref.InvokeContext(context.Background(), "count", nil, func(d *cdr.Decoder) error {
 			var e error
 			n, e = d.ReadLong()
 			return e
@@ -222,7 +222,7 @@ func TestDeployAcrossNodes(t *testing.T) {
 	}
 	ctlRef := c.Peers[0].Node.ORB().NewRef(ctl)
 	for i := 0; i < 5; i++ {
-		if err := ctlRef.Invoke("send", nil, nil); err != nil {
+		if err := ctlRef.InvokeContext(context.Background(), "send", nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +230,7 @@ func TestDeployAcrossNodes(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var n int32
 	for time.Now().Before(deadline) {
-		err = ctlRef.Invoke("relay_count", nil, func(d *cdr.Decoder) error {
+		err = ctlRef.InvokeContext(context.Background(), "relay_count", nil, func(d *cdr.Decoder) error {
 			var e error
 			n, e = d.ReadLong()
 			return e

@@ -18,12 +18,7 @@ type agentServant struct{ a *Agent }
 
 func (s *agentServant) RepositoryID() string { return CohesionRepoID }
 
-// Invoke implements orb.Servant for callers without a context.
-func (s *agentServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
-	return s.InvokeContext(context.Background(), op, args, reply)
-}
-
-// InvokeContext implements orb.ContextServant: forwarded root calls run
+// InvokeContext implements orb.Servant: forwarded root calls run
 // under the inbound request's context, so a caller's deadline bounds the
 // whole forwarding chain.
 func (s *agentServant) InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {

@@ -323,7 +323,7 @@ type factoryServant struct{ c *Container }
 
 func (f *factoryServant) RepositoryID() string { return FactoryRepoID }
 
-func (f *factoryServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (f *factoryServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	switch op {
 	case "create":
 		name, err := args.ReadString()

@@ -88,7 +88,7 @@ func (ci *counterInstance) InvokePort(port, op string, args *cdr.Decoder, reply 
 			return err
 		}
 		var v int32
-		err = ref.Invoke("value", nil, func(d *cdr.Decoder) error {
+		err = ref.InvokeContext(context.Background(), "value", nil, func(d *cdr.Decoder) error {
 			var e error
 			v, e = d.ReadLong()
 			return e
@@ -169,7 +169,7 @@ func TestCreateInvokeDestroy(t *testing.T) {
 	}
 	ref := host.orb.NewRef(portRef)
 	var v int32
-	if err := ref.Invoke("incr",
+	if err := ref.InvokeContext(context.Background(), "incr",
 		func(e *cdr.Encoder) { e.WriteLong(5) },
 		func(d *cdr.Decoder) error { var e error; v, e = d.ReadLong(); return e }); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestCreateInvokeDestroy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The port servant must be gone.
-	err = ref.Invoke("value", nil, nil)
+	err = ref.InvokeContext(context.Background(), "value", nil, nil)
 	var se *orb.SystemException
 	if !errors.As(err, &se) || se.Name != "OBJECT_NOT_EXIST" {
 		t.Fatalf("after destroy: %v", err)
@@ -246,7 +246,7 @@ func TestFactoryServantOverORB(t *testing.T) {
 
 	// create via CORBA
 	var instRef *ior.IOR
-	err := fref.Invoke("create",
+	err := fref.InvokeContext(context.Background(), "create",
 		func(e *cdr.Encoder) { e.WriteString("made-by-corba") },
 		func(d *cdr.Decoder) error {
 			var e error
@@ -262,7 +262,7 @@ func TestFactoryServantOverORB(t *testing.T) {
 
 	// list
 	var names []string
-	if err := fref.Invoke("list", nil, func(d *cdr.Decoder) error {
+	if err := fref.InvokeContext(context.Background(), "list", nil, func(d *cdr.Decoder) error {
 		var e error
 		names, e = d.ReadStringSeq()
 		return e
@@ -274,16 +274,16 @@ func TestFactoryServantOverORB(t *testing.T) {
 	}
 
 	// duplicate create surfaces as a user exception
-	err = fref.Invoke("create", func(e *cdr.Encoder) { e.WriteString("made-by-corba") }, func(d *cdr.Decoder) error { _, e := ior.Unmarshal(d); return e })
+	err = fref.InvokeContext(context.Background(), "create", func(e *cdr.Encoder) { e.WriteString("made-by-corba") }, func(d *cdr.Decoder) error { _, e := ior.Unmarshal(d); return e })
 	if !orb.IsUserException(err, "IDL:corbalc/ComponentFactory/CreateFailed:1.0") {
 		t.Fatalf("dup create err = %v", err)
 	}
 
 	// destroy
-	if err := fref.Invoke("destroy", func(e *cdr.Encoder) { e.WriteString("made-by-corba") }, nil); err != nil {
+	if err := fref.InvokeContext(context.Background(), "destroy", func(e *cdr.Encoder) { e.WriteString("made-by-corba") }, nil); err != nil {
 		t.Fatal(err)
 	}
-	err = fref.Invoke("destroy", func(e *cdr.Encoder) { e.WriteString("made-by-corba") }, nil)
+	err = fref.InvokeContext(context.Background(), "destroy", func(e *cdr.Encoder) { e.WriteString("made-by-corba") }, nil)
 	if !orb.IsUserException(err, "IDL:corbalc/ComponentFactory/NoSuchInstance:1.0") {
 		t.Fatalf("destroy missing err = %v", err)
 	}
@@ -306,7 +306,7 @@ func TestEquivalentInterfaceReflection(t *testing.T) {
 	var rows []portRow
 	readPorts := func() {
 		rows = nil
-		err := eref.Invoke("ports", nil, func(d *cdr.Decoder) error {
+		err := eref.InvokeContext(context.Background(), "ports", nil, func(d *cdr.Decoder) error {
 			n, err := d.ReadULong()
 			if err != nil {
 				return err
@@ -342,7 +342,7 @@ func TestEquivalentInterfaceReflection(t *testing.T) {
 	}
 
 	// add_port at run-time (reflection, §2.4.2), then verify it shows up.
-	err = eref.Invoke("add_port", func(e *cdr.Encoder) {
+	err = eref.InvokeContext(context.Background(), "add_port", func(e *cdr.Encoder) {
 		e.WriteString("snapshot")
 		e.WriteString("provides")
 		e.WriteString("IDL:test/Snap:1.0")
@@ -358,7 +358,7 @@ func TestEquivalentInterfaceReflection(t *testing.T) {
 	// provide_port on the dynamic port yields an invocable ref (the
 	// implementation 404s the unknown port, proving dispatch reached it).
 	var snapRef *ior.IOR
-	err = eref.Invoke("provide_port",
+	err = eref.InvokeContext(context.Background(), "provide_port",
 		func(e *cdr.Encoder) { e.WriteString("snapshot") },
 		func(d *cdr.Decoder) error { var e error; snapRef, e = ior.Unmarshal(d); return e })
 	if err != nil {
@@ -369,7 +369,7 @@ func TestEquivalentInterfaceReflection(t *testing.T) {
 	}
 
 	// remove_port retracts it.
-	if err := eref.Invoke("remove_port", func(e *cdr.Encoder) { e.WriteString("snapshot") }, nil); err != nil {
+	if err := eref.InvokeContext(context.Background(), "remove_port", func(e *cdr.Encoder) { e.WriteString("snapshot") }, nil); err != nil {
 		t.Fatal(err)
 	}
 	readPorts()
@@ -377,7 +377,7 @@ func TestEquivalentInterfaceReflection(t *testing.T) {
 		t.Fatalf("after remove_port: %+v", rows)
 	}
 	// Removing a declared port fails with the NoSuchPort user exception.
-	err = eref.Invoke("remove_port", func(e *cdr.Encoder) { e.WriteString("count") }, nil)
+	err = eref.InvokeContext(context.Background(), "remove_port", func(e *cdr.Encoder) { e.WriteString("count") }, nil)
 	if !orb.IsUserException(err, "IDL:corbalc/ComponentInstance/NoSuchPort:1.0") {
 		t.Fatalf("remove declared err = %v", err)
 	}
@@ -395,7 +395,7 @@ func TestDependencyResolutionAndUsePort(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Seed provider with a value.
-	if err := host.orb.NewRef(pref).Invoke("incr",
+	if err := host.orb.NewRef(pref).InvokeContext(context.Background(), "incr",
 		func(e *cdr.Encoder) { e.WriteLong(7) }, func(d *cdr.Decoder) error { _, e := d.ReadLong(); return e }); err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestDependencyResolutionAndUsePort(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got int32
-	err = host.orb.NewRef(cref).Invoke("call_peer", nil, func(d *cdr.Decoder) error {
+	err = host.orb.NewRef(cref).InvokeContext(context.Background(), "call_peer", nil, func(d *cdr.Decoder) error {
 		var e error
 		got, e = d.ReadLong()
 		return e
@@ -479,7 +479,7 @@ func TestEventFlowBetweenInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := host.orb.NewRef(epRef).Invoke("tick_peer", nil, nil); err != nil {
+		if err := host.orb.NewRef(epRef).InvokeContext(context.Background(), "tick_peer", nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -497,7 +497,7 @@ func TestEventFlowBetweenInstances(t *testing.T) {
 	if err := c.Destroy("listener"); err != nil {
 		t.Fatal(err)
 	}
-	if err := host.orb.NewRef(epRef).Invoke("tick_peer", nil, nil); err != nil {
+	if err := host.orb.NewRef(epRef).InvokeContext(context.Background(), "tick_peer", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
@@ -576,7 +576,7 @@ func TestMigrationPreservesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hostA.orb.NewRef(pref).Invoke("incr",
+	if err := hostA.orb.NewRef(pref).InvokeContext(context.Background(), "incr",
 		func(e *cdr.Encoder) { e.WriteLong(41) }, func(d *cdr.Decoder) error { _, e := d.ReadLong(); return e }); err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +604,7 @@ func TestMigrationPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	var v int32
-	err = hostB.orb.NewRef(pref2).Invoke("incr",
+	err = hostB.orb.NewRef(pref2).InvokeContext(context.Background(), "incr",
 		func(e *cdr.Encoder) { e.WriteLong(1) },
 		func(d *cdr.Decoder) error { var e error; v, e = d.ReadLong(); return e })
 	if err != nil {
@@ -687,7 +687,7 @@ func TestSnapshotKeepsInstanceRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := host.orb.NewRef(mustPortIOR(t, mi, "count"))
-	if err := ref.Invoke("incr", func(e *cdr.Encoder) { e.WriteLong(3) },
+	if err := ref.InvokeContext(context.Background(), "incr", func(e *cdr.Encoder) { e.WriteLong(3) },
 		func(d *cdr.Decoder) error { _, e := d.ReadLong(); return e }); err != nil {
 		t.Fatal(err)
 	}
@@ -700,7 +700,7 @@ func TestSnapshotKeepsInstanceRunning(t *testing.T) {
 	}
 	// The instance still serves after the snapshot quiesce.
 	var v int32
-	if err := ref.Invoke("incr", func(e *cdr.Encoder) { e.WriteLong(1) },
+	if err := ref.InvokeContext(context.Background(), "incr", func(e *cdr.Encoder) { e.WriteLong(1) },
 		func(d *cdr.Decoder) error { var e error; v, e = d.ReadLong(); return e }); err != nil {
 		t.Fatal(err)
 	}
@@ -777,14 +777,14 @@ func TestEquivalentServantEdgeCases(t *testing.T) {
 
 	// name / component_id ops.
 	var name, compID string
-	if err := eref.Invoke("name", nil, func(d *cdr.Decoder) error {
+	if err := eref.InvokeContext(context.Background(), "name", nil, func(d *cdr.Decoder) error {
 		var e error
 		name, e = d.ReadString()
 		return e
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eref.Invoke("component_id", nil, func(d *cdr.Decoder) error {
+	if err := eref.InvokeContext(context.Background(), "component_id", nil, func(d *cdr.Decoder) error {
 		var e error
 		compID, e = d.ReadString()
 		return e
@@ -796,13 +796,13 @@ func TestEquivalentServantEdgeCases(t *testing.T) {
 	}
 
 	// provide_port on a uses port is a NoSuchPort user exception.
-	err = eref.Invoke("provide_port", func(e *cdr.Encoder) { e.WriteString("peer") },
+	err = eref.InvokeContext(context.Background(), "provide_port", func(e *cdr.Encoder) { e.WriteString("peer") },
 		func(d *cdr.Decoder) error { _, e := ior.Unmarshal(d); return e })
 	if !orb.IsUserException(err, "IDL:corbalc/ComponentInstance/NoSuchPort:1.0") {
 		t.Fatalf("provide uses err = %v", err)
 	}
 	// connect with a bogus port.
-	err = eref.Invoke("connect", func(e *cdr.Encoder) {
+	err = eref.InvokeContext(context.Background(), "connect", func(e *cdr.Encoder) {
 		e.WriteString("ghost")
 		ior.New("IDL:x:1.0", "h", 1, []byte("k")).Marshal(e)
 	}, nil)
@@ -810,17 +810,17 @@ func TestEquivalentServantEdgeCases(t *testing.T) {
 		t.Fatalf("connect ghost err = %v", err)
 	}
 	// disconnect via CORBA works on a connected port.
-	if err := eref.Invoke("connect", func(e *cdr.Encoder) {
+	if err := eref.InvokeContext(context.Background(), "connect", func(e *cdr.Encoder) {
 		e.WriteString("peer")
 		ior.New("IDL:test/Counter:1.0", "h", 1, []byte("k")).Marshal(e)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := eref.Invoke("disconnect", func(e *cdr.Encoder) { e.WriteString("peer") }, nil); err != nil {
+	if err := eref.InvokeContext(context.Background(), "disconnect", func(e *cdr.Encoder) { e.WriteString("peer") }, nil); err != nil {
 		t.Fatal(err)
 	}
 	// add_port with a bad kind is a PortError.
-	err = eref.Invoke("add_port", func(e *cdr.Encoder) {
+	err = eref.InvokeContext(context.Background(), "add_port", func(e *cdr.Encoder) {
 		e.WriteString("dyn")
 		e.WriteString("bogus-kind")
 		e.WriteString("IDL:x:1.0")
@@ -829,20 +829,20 @@ func TestEquivalentServantEdgeCases(t *testing.T) {
 		t.Fatalf("bad kind err = %v", err)
 	}
 	// Unknown operation on the equivalent interface.
-	err = eref.Invoke("warp_drive", nil, nil)
+	err = eref.InvokeContext(context.Background(), "warp_drive", nil, nil)
 	var se *orb.SystemException
 	if !errors.As(err, &se) || se.Name != "BAD_OPERATION" {
 		t.Fatalf("unknown op err = %v", err)
 	}
 	// Dynamic consumes port: add, then remove — subscription management.
-	if err := eref.Invoke("add_port", func(e *cdr.Encoder) {
+	if err := eref.InvokeContext(context.Background(), "add_port", func(e *cdr.Encoder) {
 		e.WriteString("extra_in")
 		e.WriteString("consumes")
 		e.WriteString("IDL:test/Tick:1.0")
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := eref.Invoke("remove_port", func(e *cdr.Encoder) { e.WriteString("extra_in") }, nil); err != nil {
+	if err := eref.InvokeContext(context.Background(), "remove_port", func(e *cdr.Encoder) { e.WriteString("extra_in") }, nil); err != nil {
 		t.Fatal(err)
 	}
 }

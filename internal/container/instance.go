@@ -330,7 +330,7 @@ type portServant struct {
 
 func (s *portServant) RepositoryID() string { return s.repoID }
 
-func (s *portServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (s *portServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	s.mi.mu.Lock()
 	active := s.mi.active
 	s.mi.mu.Unlock()
@@ -347,7 +347,7 @@ type equivalentServant struct{ mi *ManagedInstance }
 
 func (s *equivalentServant) RepositoryID() string { return EquivalentRepoID }
 
-func (s *equivalentServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (s *equivalentServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	mi := s.mi
 	switch op {
 	case "name":

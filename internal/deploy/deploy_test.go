@@ -127,7 +127,7 @@ func waitOffers(t *testing.T, p *corbalc.Peer, key string) {
 func callPing(t *testing.T, p *corbalc.Peer, ref *orb.ObjectRef) string {
 	t.Helper()
 	var where string
-	err := ref.Invoke("ping", nil, func(d *cdr.Decoder) error {
+	err := ref.InvokeContext(context.Background(), "ping", nil, func(d *cdr.Decoder) error {
 		var e error
 		where, e = d.ReadString()
 		return e

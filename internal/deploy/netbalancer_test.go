@@ -137,7 +137,7 @@ func TestYieldInstanceOp(t *testing.T) {
 	}
 	acc := c.Peers[1].Node.ORB().NewRef(c.Peers[0].Node.AcceptorIOR())
 	var capsule []byte
-	err = acc.Invoke("yield_instance",
+	err = acc.InvokeContext(context.Background(), "yield_instance",
 		func(e *cdr.Encoder) { e.WriteString(comp.ID().String()); e.WriteString("y1") },
 		func(d *cdr.Decoder) error { var e error; capsule, e = d.ReadOctetSeq(); return e })
 	if err != nil {
@@ -155,7 +155,7 @@ func TestYieldInstanceOp(t *testing.T) {
 		t.Fatal("instance still on source after yield")
 	}
 	// Yielding a ghost is a user exception, not a crash.
-	err = acc.Invoke("yield_instance",
+	err = acc.InvokeContext(context.Background(), "yield_instance",
 		func(e *cdr.Encoder) { e.WriteString(comp.ID().String()); e.WriteString("ghost") }, nil)
 	if err == nil {
 		t.Fatal("ghost yield succeeded")

@@ -42,7 +42,7 @@ func TestReplicateCoordinatedCarriesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := primaryNode.ORB().NewRef(ref).Invoke("ping", nil, func(d *cdr.Decoder) error {
+		if err := primaryNode.ORB().NewRef(ref).InvokeContext(context.Background(), "ping", nil, func(d *cdr.Decoder) error {
 			_, e := d.ReadString()
 			return e
 		}); err != nil {
@@ -59,7 +59,7 @@ func TestReplicateCoordinatedCarriesState(t *testing.T) {
 		t.Fatalf("replica state = %d, want 5", got)
 	}
 	// The primary kept serving through the snapshot quiesce.
-	if err := primaryNode.ORB().NewRef(ref).Invoke("ping", nil, func(d *cdr.Decoder) error {
+	if err := primaryNode.ORB().NewRef(ref).InvokeContext(context.Background(), "ping", nil, func(d *cdr.Decoder) error {
 		_, e := d.ReadString()
 		return e
 	}); err != nil {

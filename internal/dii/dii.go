@@ -143,14 +143,23 @@ func (o *Object) CallContext(ctx context.Context, opName string, args ...any) (*
 		return nil, fmt.Errorf("%w: %s takes %d, got %d", ErrArity, opName, len(inParams), len(args))
 	}
 
-	// Encode in/inout parameters in declaration order.
-	var encodeErr error
+	// The Marshaller runs inside the ORB, which sends whatever it wrote,
+	// so a value that does not fit its parameter type is caught by a
+	// first pass into scratch. Alignment does not change whether Encode
+	// fails, so the scratch offset need not match the request body's.
+	scratch := cdr.GetEncoder(cdr.LittleEndian, 0)
+	for i, p := range inParams {
+		if err := idl.Encode(scratch, p.Type, args[i]); err != nil {
+			scratch.Release()
+			return nil, fmt.Errorf("dii: parameter %s: %w", p.Name, err)
+		}
+	}
+	scratch.Release()
+	// Encode in/inout parameters in declaration order; the pass above
+	// proved every one encodes.
 	marshal := func(e *cdr.Encoder) {
 		for i, p := range inParams {
-			if err := idl.Encode(e, p.Type, args[i]); err != nil {
-				encodeErr = fmt.Errorf("dii: parameter %s: %w", p.Name, err)
-				return
-			}
+			_ = idl.Encode(e, p.Type, args[i])
 		}
 	}
 
@@ -183,9 +192,6 @@ func (o *Object) CallContext(ctx context.Context, opName string, args ...any) (*
 	} else {
 		err = o.Ref.InvokeContext(ctx, opName, marshal, unmarshal)
 	}
-	if encodeErr != nil {
-		return nil, encodeErr
-	}
 	if err != nil {
 		return nil, o.mapException(op, err)
 	}
@@ -214,12 +220,6 @@ func (o *Object) mapException(op *idl.Operation, err error) error {
 	return err
 }
 
-// Call is the context-less form of CallContext, for the public API and
-// tools; production code inside internal/ should pass a real context.
-func (o *Object) Call(opName string, args ...any) (*Result, error) {
-	return o.CallContext(context.Background(), opName, args...)
-}
-
 // GetContext reads an attribute under ctx.
 func (o *Object) GetContext(ctx context.Context, attr string) (any, error) {
 	res, err := o.CallContext(ctx, "_get_"+attr)
@@ -229,18 +229,8 @@ func (o *Object) GetContext(ctx context.Context, attr string) (any, error) {
 	return res.Return, nil
 }
 
-// Get is the context-less form of GetContext.
-func (o *Object) Get(attr string) (any, error) {
-	return o.GetContext(context.Background(), attr)
-}
-
 // SetContext writes an attribute under ctx.
 func (o *Object) SetContext(ctx context.Context, attr string, value any) error {
 	_, err := o.CallContext(ctx, "_set_"+attr, value)
 	return err
-}
-
-// Set is the context-less form of SetContext.
-func (o *Object) Set(attr string, value any) error {
-	return o.SetContext(context.Background(), attr, value)
 }

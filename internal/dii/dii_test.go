@@ -1,6 +1,7 @@
 package dii
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -38,7 +39,7 @@ type calcServant struct {
 
 func (s *calcServant) RepositoryID() string { return "IDL:calc/Calculator:1.0" }
 
-func (s *calcServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (s *calcServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	s.calls.Add(1)
 	switch op {
 	case "_get_call_count":
@@ -126,7 +127,7 @@ func bind(t *testing.T) (*Object, *calcServant) {
 
 func TestCallWithReturn(t *testing.T) {
 	obj, _ := bind(t)
-	res, err := obj.Call("add", int32(20), int32(22))
+	res, err := obj.CallContext(context.Background(), "add", int32(20), int32(22))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestCallWithReturn(t *testing.T) {
 	}
 	// Untyped Go ints are accepted and range-checked by the dynamic
 	// marshaller.
-	res, err = obj.Call("add", 1, 2)
+	res, err = obj.CallContext(context.Background(), "add", 1, 2)
 	if err != nil || res.Return != int32(3) {
 		t.Fatalf("add ints = %v, %v", res.Return, err)
 	}
@@ -143,7 +144,7 @@ func TestCallWithReturn(t *testing.T) {
 
 func TestOutParameter(t *testing.T) {
 	obj, _ := bind(t)
-	res, err := obj.Call("divmod", int32(17), int32(5))
+	res, err := obj.CallContext(context.Background(), "divmod", int32(17), int32(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestOutParameter(t *testing.T) {
 
 func TestInOutParameter(t *testing.T) {
 	obj, _ := bind(t)
-	res, err := obj.Call("scale", 2.5, 4.0)
+	res, err := obj.CallContext(context.Background(), "scale", 2.5, 4.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestInOutParameter(t *testing.T) {
 
 func TestTypedException(t *testing.T) {
 	obj, _ := bind(t)
-	_, err := obj.Call("divmod", int32(9), int32(0))
+	_, err := obj.CallContext(context.Background(), "divmod", int32(9), int32(0))
 	var ex *Exception
 	if !errors.As(err, &ex) {
 		t.Fatalf("err = %v (%T)", err, err)
@@ -183,28 +184,28 @@ func TestTypedException(t *testing.T) {
 
 func TestAttributes(t *testing.T) {
 	obj, _ := bind(t)
-	if err := obj.Set("label", "mine"); err != nil {
+	if err := obj.SetContext(context.Background(), "label", "mine"); err != nil {
 		t.Fatal(err)
 	}
-	v, err := obj.Get("label")
+	v, err := obj.GetContext(context.Background(), "label")
 	if err != nil || v != "mine" {
 		t.Fatalf("label = %v, %v", v, err)
 	}
 	// Readonly attribute has a getter but no setter.
-	if _, err := obj.Get("call_count"); err != nil {
+	if _, err := obj.GetContext(context.Background(), "call_count"); err != nil {
 		t.Fatal(err)
 	}
-	if err := obj.Set("call_count", int64(0)); !errors.Is(err, ErrNoOperation) {
+	if err := obj.SetContext(context.Background(), "call_count", int64(0)); !errors.Is(err, ErrNoOperation) {
 		t.Fatalf("setting readonly attr: %v", err)
 	}
 }
 
 func TestOneway(t *testing.T) {
 	obj, sv := bind(t)
-	if _, err := obj.Call("add", 1, 1); err != nil {
+	if _, err := obj.CallContext(context.Background(), "add", 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := obj.Call("reset")
+	res, err := obj.CallContext(context.Background(), "reset")
 	if err != nil || res.Return != nil {
 		t.Fatalf("reset: %v, %v", res, err)
 	}
@@ -215,14 +216,27 @@ func TestOneway(t *testing.T) {
 
 func TestCallErrors(t *testing.T) {
 	obj, _ := bind(t)
-	if _, err := obj.Call("no_such_op"); !errors.Is(err, ErrNoOperation) {
+	if _, err := obj.CallContext(context.Background(), "no_such_op"); !errors.Is(err, ErrNoOperation) {
 		t.Fatalf("unknown op: %v", err)
 	}
-	if _, err := obj.Call("add", 1); !errors.Is(err, ErrArity) {
+	if _, err := obj.CallContext(context.Background(), "add", 1); !errors.Is(err, ErrArity) {
 		t.Fatalf("arity: %v", err)
 	}
-	if _, err := obj.Call("add", "one", "two"); err == nil {
+	if _, err := obj.CallContext(context.Background(), "add", "one", "two"); err == nil {
 		t.Fatal("type mismatch accepted")
+	}
+}
+
+// TestMarshalFailureSendsNothing: an argument that does not fit its
+// parameter type fails the call before any request leaves, so the
+// servant never runs on the truncated body the failed encode left.
+func TestMarshalFailureSendsNothing(t *testing.T) {
+	obj, sv := bind(t)
+	if _, err := obj.CallContext(context.Background(), "add", int32(1), "x"); err == nil {
+		t.Fatal("type mismatch accepted")
+	}
+	if n := sv.calls.Load(); n != 0 {
+		t.Fatalf("servant ran %d time(s) on a request that failed to marshal", n)
 	}
 }
 

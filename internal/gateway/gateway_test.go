@@ -58,7 +58,7 @@ type demoServant struct {
 
 func (s *demoServant) RepositoryID() string { return "IDL:demo/Calc:1.0" }
 
-func (s *demoServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (s *demoServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	s.total.Add(1)
 	switch op {
 	case "_get_calls":

@@ -25,7 +25,7 @@ type recordingServant struct {
 
 func (recordingServant) RepositoryID() string { return "IDL:corbalc/test/Calc:1.0" }
 
-func (s recordingServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (s recordingServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	select {
 	case s.ops <- op:
 	default:
@@ -95,7 +95,7 @@ func TestOnewayWireSemanticsThroughORB(t *testing.T) {
 	client := newClient(t)
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
 
-	if err := ref.InvokeOneway("fire", nil); err != nil {
+	if err := ref.InvokeOnewayContext(context.Background(), "fire", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := ref.InvokeOnewayScoped(context.Background(), "fire", nil, orb.SyncNone); err != nil {
@@ -137,7 +137,7 @@ func TestCallAsyncFutureOverTCP(t *testing.T) {
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
 
 	var sq int32
-	fu, err := ref.CallAsync("square",
+	fu, err := ref.CallAsyncContext(context.Background(), "square",
 		func(e *cdr.Encoder) { e.WriteLong(12) },
 		func(d *cdr.Decoder) error { var err error; sq, err = d.ReadLong(); return err })
 	if err != nil {
@@ -166,7 +166,7 @@ func TestFutureReadyPolling(t *testing.T) {
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
 
 	var sq int32
-	fu, err := ref.CallAsync("square",
+	fu, err := ref.CallAsyncContext(context.Background(), "square",
 		func(e *cdr.Encoder) { e.WriteLong(5) },
 		func(d *cdr.Decoder) error { var err error; sq, err = d.ReadLong(); return err })
 	if err != nil {
@@ -193,7 +193,7 @@ func TestFutureWaitDeadlineLeavesCallInFlight(t *testing.T) {
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
 
 	var out int32
-	fu, err := ref.CallAsync("slow", nil, // servant sleeps 200ms
+	fu, err := ref.CallAsyncContext(context.Background(), "slow", nil, // servant sleeps 200ms
 		func(d *cdr.Decoder) error { var err error; out, err = d.ReadLong(); return err })
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestFutureCancelPromptness(t *testing.T) {
 	client := newClient(t)
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
 
-	fu, err := ref.CallAsync("slow", nil, nil)
+	fu, err := ref.CallAsyncContext(context.Background(), "slow", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestFutureCancelPromptness(t *testing.T) {
 	fu.Cancel() // idempotent
 
 	// Cancelling while a Wait is blocked must interrupt it promptly too.
-	fu2, err := ref.CallAsync("slow", nil, nil)
+	fu2, err := ref.CallAsyncContext(context.Background(), "slow", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestAsyncStormThroughORB(t *testing.T) {
 	const calls = 64
 	futures := make([]*orb.Future, 0, calls)
 	for i := 0; i < calls; i++ {
-		fu, err := ref.CallAsync("square",
+		fu, err := ref.CallAsyncContext(context.Background(), "square",
 			func(e *cdr.Encoder) { e.WriteLong(int32(i)) },
 			func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err })
 		if err != nil {
@@ -355,7 +355,7 @@ func TestCallAsyncCollocated(t *testing.T) {
 	ref := o.NewRef(o.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
 
 	var sq int32
-	fu, err := ref.CallAsync("square",
+	fu, err := ref.CallAsyncContext(context.Background(), "square",
 		func(e *cdr.Encoder) { e.WriteLong(9) },
 		func(d *cdr.Decoder) error { var err error; sq, err = d.ReadLong(); return err })
 	if err != nil {
@@ -376,7 +376,7 @@ func TestCallAsyncUserException(t *testing.T) {
 	client := newClient(t)
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
 
-	fu, err := ref.CallAsync("boom", nil, nil)
+	fu, err := ref.CallAsyncContext(context.Background(), "boom", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestAsyncInterceptorBracketing(t *testing.T) {
 	})
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
 
-	fu, err := ref.CallAsync("square",
+	fu, err := ref.CallAsyncContext(context.Background(), "square",
 		func(e *cdr.Encoder) { e.WriteLong(4) },
 		func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err })
 	if err != nil {
@@ -421,7 +421,7 @@ func TestAsyncInterceptorBracketing(t *testing.T) {
 	if err := fu.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	fu2, err := ref.CallAsync("slow", nil, nil)
+	fu2, err := ref.CallAsyncContext(context.Background(), "slow", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package iiop
 // replacement.
 
 import (
+	"context"
 	"errors"
 	"net"
 	"sync"
@@ -26,7 +27,7 @@ type slowCalcServant struct{}
 
 func (slowCalcServant) RepositoryID() string { return "IDL:corbalc/test/Calc:1.0" }
 
-func (slowCalcServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (slowCalcServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	if op != "square" {
 		return orb.BadOperation()
 	}
@@ -73,7 +74,7 @@ func TestPoolFailoverRedistributesAndRecovers(t *testing.T) {
 
 	square := func(n int32) error {
 		var sq int32
-		err := ref.Invoke("square",
+		err := ref.InvokeContext(context.Background(), "square",
 			func(e *cdr.Encoder) { e.WriteLong(n) },
 			func(d *cdr.Decoder) error {
 				var err error

@@ -1,6 +1,7 @@
 package iiop
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -18,7 +19,7 @@ type calcServant struct{ sleep time.Duration }
 
 func (calcServant) RepositoryID() string { return "IDL:corbalc/test/Calc:1.0" }
 
-func (s calcServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (s calcServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	switch op {
 	case "square":
 		n, err := args.ReadLong()
@@ -71,7 +72,7 @@ func TestEndToEndOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sq int32
-	err = ref.Invoke("square",
+	err = ref.InvokeContext(context.Background(), "square",
 		func(e *cdr.Encoder) { e.WriteLong(12) },
 		func(d *cdr.Decoder) error {
 			var err error
@@ -96,7 +97,7 @@ func TestEndToEndGIOP10BigEndian(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sq int32
-	err = ref.Invoke("square",
+	err = ref.InvokeContext(context.Background(), "square",
 		func(e *cdr.Encoder) { e.WriteLong(9) },
 		func(d *cdr.Decoder) error {
 			var err error
@@ -112,7 +113,7 @@ func TestUserExceptionOverTCP(t *testing.T) {
 	serverORB, _ := startServer(t, "calc", calcServant{})
 	client := newClient(t)
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
-	err := ref.Invoke("boom", nil, nil)
+	err := ref.InvokeContext(context.Background(), "boom", nil, nil)
 	if !orb.IsUserException(err, "IDL:corbalc/test/Overflow:1.0") {
 		t.Fatalf("err = %v", err)
 	}
@@ -132,7 +133,7 @@ func TestConcurrentCallsMultiplexed(t *testing.T) {
 			for i := int32(1); i <= 8; i++ {
 				n := int32(g)*100 + i
 				var sq int32
-				err := ref.Invoke("square",
+				err := ref.InvokeContext(context.Background(), "square",
 					func(e *cdr.Encoder) { e.WriteLong(n) },
 					func(d *cdr.Decoder) error {
 						var err error
@@ -168,14 +169,14 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
 
 	// Prime the connection.
-	if err := ref.Invoke("square", func(e *cdr.Encoder) { e.WriteLong(2) }, func(d *cdr.Decoder) error {
+	if err := ref.InvokeContext(context.Background(), "square", func(e *cdr.Encoder) { e.WriteLong(2) }, func(d *cdr.Decoder) error {
 		_, err := d.ReadLong()
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
 	_ = srv.Close()
-	err := ref.Invoke("square", func(e *cdr.Encoder) { e.WriteLong(3) }, nil)
+	err := ref.InvokeContext(context.Background(), "square", func(e *cdr.Encoder) { e.WriteLong(3) }, nil)
 	var se *orb.SystemException
 	if !errors.As(err, &se) {
 		t.Fatalf("err after close = %v", err)
@@ -188,7 +189,7 @@ func TestCallTimeout(t *testing.T) {
 	client.RegisterTransport(&Transport{CallTimeout: 30 * time.Millisecond})
 	t.Cleanup(client.Shutdown)
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
-	err := ref.Invoke("slow", nil, nil)
+	err := ref.InvokeContext(context.Background(), "slow", nil, nil)
 	var se *orb.SystemException
 	if !errors.As(err, &se) {
 		t.Fatalf("err = %v", err)
@@ -196,7 +197,7 @@ func TestCallTimeout(t *testing.T) {
 	// The slow reply arriving later must not corrupt a subsequent call.
 	time.Sleep(250 * time.Millisecond)
 	var sq int32
-	if err := ref.Invoke("square", func(e *cdr.Encoder) { e.WriteLong(4) }, func(d *cdr.Decoder) error {
+	if err := ref.InvokeContext(context.Background(), "square", func(e *cdr.Encoder) { e.WriteLong(4) }, func(d *cdr.Decoder) error {
 		var err error
 		sq, err = d.ReadLong()
 		return err
@@ -215,7 +216,7 @@ func TestDialFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	callErr := ref.Invoke("op", nil, nil)
+	callErr := ref.InvokeContext(context.Background(), "op", nil, nil)
 	var se *orb.SystemException
 	if !errors.As(callErr, &se) || se.Name != "COMM_FAILURE" {
 		t.Fatalf("err = %v", callErr)
@@ -226,7 +227,7 @@ func TestOnewayOverTCP(t *testing.T) {
 	serverORB, _ := startServer(t, "calc", calcServant{})
 	client := newClient(t)
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
-	if err := ref.InvokeOneway("square", func(e *cdr.Encoder) { e.WriteLong(3) }); err != nil {
+	if err := ref.InvokeOnewayContext(context.Background(), "square", func(e *cdr.Encoder) { e.WriteLong(3) }); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -255,7 +256,7 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		err := ref.Invoke("square",
+		err := ref.InvokeContext(context.Background(), "square",
 			func(e *cdr.Encoder) { e.WriteLong(7) },
 			func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err })
 		if err != nil {
@@ -280,7 +281,7 @@ func TestTCPRoundTripAllocBudget(t *testing.T) {
 	serverORB, _ := startServer(t, "calc", calcServant{})
 	ref := newClient(t).NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
 	square := func() error {
-		return ref.Invoke("square",
+		return ref.InvokeContext(context.Background(), "square",
 			func(e *cdr.Encoder) { e.WriteLong(7) },
 			func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err })
 	}
@@ -341,7 +342,7 @@ func BenchmarkTCPConcurrent(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			err := ref.Invoke("square",
+			err := ref.InvokeContext(context.Background(), "square",
 				func(e *cdr.Encoder) { e.WriteLong(7) },
 				func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err })
 			if err != nil {
@@ -356,7 +357,7 @@ type blobServant struct{}
 
 func (blobServant) RepositoryID() string { return "IDL:corbalc/test/Blob:1.0" }
 
-func (blobServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (blobServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	switch op {
 	case "echo_blob":
 		b, err := args.ReadOctetSeq()
@@ -402,7 +403,7 @@ func TestFragmentedTransfersOverTCP(t *testing.T) {
 		payload[i] = byte(i * 7)
 	}
 	var got []byte
-	err = ref.Invoke("echo_blob",
+	err = ref.InvokeContext(context.Background(), "echo_blob",
 		func(e *cdr.Encoder) { e.WriteOctetSeq(payload) },
 		func(d *cdr.Decoder) error { var e error; got, e = d.ReadOctetSeq(); return e })
 	if err != nil {
@@ -425,7 +426,7 @@ func TestFragmentedTransfersOverTCP(t *testing.T) {
 		go func(n int32) {
 			defer wg.Done()
 			var blob []byte
-			err := ref.Invoke("make_blob",
+			err := ref.InvokeContext(context.Background(), "make_blob",
 				func(e *cdr.Encoder) { e.WriteLong(n) },
 				func(d *cdr.Decoder) error { var e error; blob, e = d.ReadOctetSeq(); return e })
 			if err != nil {

@@ -79,7 +79,7 @@ func (r *recorder) find(list func(*recorder) []orb.RequestInfo, op string) (orb.
 // reaches the in-flight servant as context cancellation.
 func TestE2EContextPipeline(t *testing.T) {
 	observedCause := make(chan error, 1)
-	servant := orb.ContextServantFunc{
+	servant := orb.ServantFunc{
 		RepoID: "IDL:corbalc/test/Calc:1.0",
 		Fn: func(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 			switch op {

@@ -74,10 +74,6 @@ type parkServant struct {
 
 func (*parkServant) RepositoryID() string { return "IDL:corbalc/test/Park:1.0" }
 
-func (*parkServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
-	return orb.BadOperation()
-}
-
 func (s *parkServant) InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	close(s.parked)
 	select {
@@ -133,7 +129,7 @@ func TestCloseReachesServerPromptly(t *testing.T) {
 	client := newClient(t)
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Park:1.0", "park"))
 
-	go func() { _ = ref.Invoke("park", nil, nil) }()
+	go func() { _ = ref.InvokeContext(context.Background(), "park", nil, nil) }()
 	select {
 	case <-s.parked:
 	case <-time.After(5 * time.Second):
@@ -161,7 +157,7 @@ type keeperServant struct {
 
 func (*keeperServant) RepositoryID() string { return "IDL:corbalc/test/Keeper:1.0" }
 
-func (s *keeperServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (s *keeperServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	switch op {
 	case "keep":
 		b, err := args.ReadOctetSeq() // copying read: safe to retain
@@ -204,7 +200,7 @@ func TestRetainingServantSurvivesBufferRecycling(t *testing.T) {
 	}
 	for i := 0; i < calls; i++ {
 		p := payload(i)
-		if err := ref.Invoke("keep",
+		if err := ref.InvokeContext(context.Background(), "keep",
 			func(e *cdr.Encoder) { e.WriteOctetSeq(p) },
 			func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err },
 		); err != nil {
@@ -251,14 +247,14 @@ func TestConcurrentCallSendStorm(t *testing.T) {
 				if i%5 == 4 {
 					// Interleave oneways: fire-and-forget requests whose
 					// buffers are recycled right after the write.
-					if err := ref.InvokeOneway("square", func(e *cdr.Encoder) { e.WriteLong(n) }); err != nil {
+					if err := ref.InvokeOnewayContext(context.Background(), "square", func(e *cdr.Encoder) { e.WriteLong(n) }); err != nil {
 						errs <- err
 						return
 					}
 					continue
 				}
 				var sq int32
-				err := ref.Invoke("square",
+				err := ref.InvokeContext(context.Background(), "square",
 					func(e *cdr.Encoder) { e.WriteLong(n) },
 					func(d *cdr.Decoder) error {
 						var err error

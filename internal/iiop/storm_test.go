@@ -53,7 +53,7 @@ func TestDispatchStormGoroutineCeiling(t *testing.T) {
 
 	// Warm the connection pool so dialing does not happen mid-storm.
 	for i := 0; i < 8; i++ {
-		if err := ref.Invoke("square",
+		if err := ref.InvokeContext(context.Background(), "square",
 			func(e *cdr.Encoder) { e.WriteLong(3) },
 			func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err },
 		); err != nil {
@@ -100,7 +100,7 @@ func TestDispatchStormGoroutineCeiling(t *testing.T) {
 				// the worst case for a server that spawned per request.
 				// The bounded queue may shed some under overload; the
 				// test asserts the ceiling, not full delivery.
-				if err := ref.InvokeOneway("square", func(e *cdr.Encoder) { e.WriteLong(int32(g + 2)) }); err != nil {
+				if err := ref.InvokeOnewayContext(context.Background(), "square", func(e *cdr.Encoder) { e.WriteLong(int32(g + 2)) }); err != nil {
 					errs <- err
 					return
 				}
@@ -144,7 +144,7 @@ func TestDispatchOverflowAnswersTransient(t *testing.T) {
 
 	// The only worker is parked and the queue holds nothing: this call
 	// must come back refused, promptly.
-	err := calcRef.Invoke("square",
+	err := calcRef.InvokeContext(context.Background(), "square",
 		func(e *cdr.Encoder) { e.WriteLong(3) },
 		func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err })
 	var se *orb.SystemException
@@ -162,15 +162,24 @@ func TestDispatchOverflowAnswersTransient(t *testing.T) {
 		t.Fatal("cancelled parked call reported success")
 	}
 
-	// With the worker free again the server must serve normally.
+	// With the worker free again the server must serve normally. The
+	// released worker may not have freed its slot when the next request
+	// lands, and TRANSIENT means "retry later": retry while it says so.
 	var sq int32
-	if err := calcRef.Invoke("square",
-		func(e *cdr.Encoder) { e.WriteLong(5) },
-		func(d *cdr.Decoder) error {
-			var err error
-			sq, err = d.ReadLong()
-			return err
-		}); err != nil {
+	square := func() error {
+		return calcRef.InvokeContext(context.Background(), "square",
+			func(e *cdr.Encoder) { e.WriteLong(5) },
+			func(d *cdr.Decoder) error {
+				var err error
+				sq, err = d.ReadLong()
+				return err
+			})
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for err = square(); errors.As(err, &se) && se.Name == "TRANSIENT" && time.Now().Before(deadline); err = square() {
+		time.Sleep(time.Millisecond)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	if sq != 25 {

@@ -1,6 +1,7 @@
 package iiop
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"strconv"
@@ -38,7 +39,7 @@ func benchThroughputSrv(b *testing.B, callers int, tr *Transport, srvWindow time
 
 	square := func(n int32) error {
 		var sq int32
-		err := ref.Invoke("square",
+		err := ref.InvokeContext(context.Background(), "square",
 			func(e *cdr.Encoder) { e.WriteLong(n) },
 			func(d *cdr.Decoder) error {
 				var err error
@@ -109,7 +110,7 @@ func TestFanInMultipliesThroughput(t *testing.T) {
 	serverORB, _ := startServer(t, "calc", calcServant{})
 	ref := newClient(t).NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
 	square := func(int) error {
-		return ref.Invoke("square",
+		return ref.InvokeContext(context.Background(), "square",
 			func(e *cdr.Encoder) { e.WriteLong(7) },
 			func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err })
 	}
@@ -177,7 +178,7 @@ func BenchmarkParallelDispatch(b *testing.B) {
 
 	square := func(n int32) error {
 		var sq int32
-		err := ref.Invoke("square",
+		err := ref.InvokeContext(context.Background(), "square",
 			func(e *cdr.Encoder) { e.WriteLong(n) },
 			func(d *cdr.Decoder) error {
 				var err error

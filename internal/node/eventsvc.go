@@ -50,7 +50,7 @@ func newEventService(n *Node) *eventService {
 
 func (s *eventService) RepositoryID() string { return EventServiceRepoID }
 
-func (s *eventService) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (s *eventService) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	switch op {
 	case "push":
 		// (type id, source, data): inject an event into the local hub.

@@ -5,6 +5,7 @@ package node
 // counters the admin tool reads.
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,7 +32,7 @@ func TestEventServiceSubscribeForwardsBatches(t *testing.T) {
 	// published on a arrive on b as push_batch oneways.
 	evA := a.ORB().NewRef(a.EventsIOR())
 	var subID string
-	if err := evA.Invoke("subscribe", func(e *cdr.Encoder) {
+	if err := evA.InvokeContext(context.Background(), "subscribe", func(e *cdr.Encoder) {
 		e.WriteString("IDL:test/E:1.0")
 		b.EventsIOR().Marshal(e)
 	}, func(d *cdr.Decoder) error {
@@ -51,7 +52,7 @@ func TestEventServiceSubscribeForwardsBatches(t *testing.T) {
 	waitCount(t, &got, n)
 
 	// Unsubscribe stops the flow.
-	if err := evA.Invoke("unsubscribe", func(e *cdr.Encoder) { e.WriteString(subID) }, nil); err != nil {
+	if err := evA.InvokeContext(context.Background(), "unsubscribe", func(e *cdr.Encoder) { e.WriteString(subID) }, nil); err != nil {
 		t.Fatal(err)
 	}
 	_ = a.Hub().Channel("IDL:test/E:1.0").Push(events.Event{Source: "src"})
@@ -59,7 +60,7 @@ func TestEventServiceSubscribeForwardsBatches(t *testing.T) {
 	if got.Load() != n {
 		t.Fatalf("events after unsubscribe = %d, want %d", got.Load(), n)
 	}
-	err := evA.Invoke("unsubscribe", func(e *cdr.Encoder) { e.WriteString("sub-999") }, nil)
+	err := evA.InvokeContext(context.Background(), "unsubscribe", func(e *cdr.Encoder) { e.WriteString("sub-999") }, nil)
 	if !orb.IsUserException(err, "IDL:corbalc/EventService/NoSuchSubscription:1.0") {
 		t.Fatalf("err = %v", err)
 	}
@@ -74,7 +75,7 @@ func TestEventServicePushBatchOp(t *testing.T) {
 	defer cancel()
 
 	ev := n.ORB().NewRef(n.EventsIOR())
-	if err := ev.Invoke("push_batch", func(e *cdr.Encoder) {
+	if err := ev.InvokeContext(context.Background(), "push_batch", func(e *cdr.Encoder) {
 		e.WriteString("IDL:test/E:1.0")
 		e.WriteULong(3)
 		for i := 0; i < 3; i++ {
@@ -109,7 +110,7 @@ func TestEventServiceStatsOp(t *testing.T) {
 	}
 	var rows []row
 	ev := n.ORB().NewRef(n.EventsIOR())
-	if err := ev.Invoke("events_stats", nil, func(d *cdr.Decoder) error {
+	if err := ev.InvokeContext(context.Background(), "events_stats", nil, func(d *cdr.Decoder) error {
 		cnt, err := d.ReadULong()
 		if err != nil {
 			return err

@@ -118,7 +118,7 @@ func TestInstallInstantiateInvoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got int32
-	err = n.ORB().NewRef(ref).Invoke("add",
+	err = n.ORB().NewRef(ref).InvokeContext(context.Background(), "add",
 		func(e *cdr.Encoder) { e.WriteLong(40) },
 		func(d *cdr.Decoder) error { var e error; got, e = d.ReadLong(); return e })
 	if err != nil || got != 40 {
@@ -296,7 +296,7 @@ func TestRemoteInstallQueryInstantiateOverCORBA(t *testing.T) {
 	acceptor := b.ORB().NewRef(a.AcceptorIOR())
 	pkgBytes := buildAdder(t, "adder", "1.0.0").Package().Bytes()
 	var idStr string
-	err := acceptor.Invoke("install",
+	err := acceptor.InvokeContext(context.Background(), "install",
 		func(e *cdr.Encoder) { e.WriteOctetSeq(pkgBytes) },
 		func(d *cdr.Decoder) error { var e error; idStr, e = d.ReadString(); return e })
 	if err != nil {
@@ -309,7 +309,7 @@ func TestRemoteInstallQueryInstantiateOverCORBA(t *testing.T) {
 	// Query alpha's registry from beta.
 	reg := b.ORB().NewRef(a.RegistryIOR())
 	var offers []*Offer
-	err = reg.Invoke("query",
+	err = reg.InvokeContext(context.Background(), "query",
 		func(e *cdr.Encoder) { e.WriteString("IDL:test/Adder:1.0"); e.WriteString("*") },
 		func(d *cdr.Decoder) error { var e error; offers, e = UnmarshalOffers(d); return e })
 	if err != nil {
@@ -321,14 +321,14 @@ func TestRemoteInstallQueryInstantiateOverCORBA(t *testing.T) {
 
 	// Instantiate remotely and invoke the provided port from beta.
 	var instRef *ior.IOR
-	err = acceptor.Invoke("instantiate",
+	err = acceptor.InvokeContext(context.Background(), "instantiate",
 		func(e *cdr.Encoder) { e.WriteString(idStr); e.WriteString("remote-made") },
 		func(d *cdr.Decoder) error { var e error; instRef, e = ior.Unmarshal(d); return e })
 	if err != nil {
 		t.Fatal(err)
 	}
 	var portRef *ior.IOR
-	err = acceptor.Invoke("provide",
+	err = acceptor.InvokeContext(context.Background(), "provide",
 		func(e *cdr.Encoder) {
 			e.WriteString(idStr)
 			e.WriteString("remote-made")
@@ -339,7 +339,7 @@ func TestRemoteInstallQueryInstantiateOverCORBA(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total int32
-	err = b.ORB().NewRef(portRef).Invoke("add",
+	err = b.ORB().NewRef(portRef).InvokeContext(context.Background(), "add",
 		func(e *cdr.Encoder) { e.WriteLong(7) },
 		func(d *cdr.Decoder) error { var e error; total, e = d.ReadLong(); return e })
 	if err != nil || total != 7 {
@@ -349,7 +349,7 @@ func TestRemoteInstallQueryInstantiateOverCORBA(t *testing.T) {
 
 	// list_components across the wire.
 	var names []string
-	err = reg.Invoke("list_components", nil, func(d *cdr.Decoder) error {
+	err = reg.InvokeContext(context.Background(), "list_components", nil, func(d *cdr.Decoder) error {
 		var e error
 		names, e = d.ReadStringSeq()
 		return e
@@ -369,7 +369,7 @@ func TestPackageFetchBetweenNodes(t *testing.T) {
 	// it locally: "fetching them from the host they are installed".
 	reg := b.ORB().NewRef(a.RegistryIOR())
 	var pkg []byte
-	err := reg.Invoke("get_package",
+	err := reg.InvokeContext(context.Background(), "get_package",
 		func(e *cdr.Encoder) { e.WriteString("adder-1.0.0") },
 		func(d *cdr.Decoder) error { var e error; pkg, e = d.ReadOctetSeq(); return e })
 	if err != nil {
@@ -383,7 +383,7 @@ func TestPackageFetchBetweenNodes(t *testing.T) {
 		t.Fatalf("fetched id = %s", id)
 	}
 	// Unknown package is a user exception.
-	err = reg.Invoke("get_package",
+	err = reg.InvokeContext(context.Background(), "get_package",
 		func(e *cdr.Encoder) { e.WriteString("ghost-1.0.0") }, nil)
 	if !orb.IsUserException(err, "IDL:corbalc/ComponentRegistry/NoSuchComponent:1.0") {
 		t.Fatalf("err = %v", err)
@@ -409,7 +409,7 @@ func TestMigrationViaAcceptorCapsule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.ORB().NewRef(ref).Invoke("add",
+	if err := a.ORB().NewRef(ref).InvokeContext(context.Background(), "add",
 		func(e *cdr.Encoder) { e.WriteLong(99) },
 		func(d *cdr.Decoder) error { _, e := d.ReadLong(); return e }); err != nil {
 		t.Fatal(err)
@@ -426,7 +426,7 @@ func TestMigrationViaAcceptorCapsule(t *testing.T) {
 	// Ship the capsule to beta through its acceptor.
 	acceptor := a.ORB().NewRef(b.AcceptorIOR())
 	var instRef *ior.IOR
-	err = acceptor.Invoke("receive_capsule",
+	err = acceptor.InvokeContext(context.Background(), "receive_capsule",
 		func(e *cdr.Encoder) {
 			e.WriteString(id.String())
 			e.WriteOctetSeq(capsule.Bytes())
@@ -452,7 +452,7 @@ func TestMigrationViaAcceptorCapsule(t *testing.T) {
 		t.Fatal(err)
 	}
 	var total int32
-	err = a.ORB().NewRef(bref).Invoke("total", nil, func(d *cdr.Decoder) error {
+	err = a.ORB().NewRef(bref).InvokeContext(context.Background(), "total", nil, func(d *cdr.Decoder) error {
 		var e error
 		total, e = d.ReadLong()
 		return e
@@ -481,7 +481,7 @@ func TestUninstallClosesContainer(t *testing.T) {
 	if err := n.Uninstall(id); err != nil {
 		t.Fatal(err)
 	}
-	err = n.ORB().NewRef(ref).Invoke("total", nil, nil)
+	err = n.ORB().NewRef(ref).InvokeContext(context.Background(), "total", nil, nil)
 	var se *orb.SystemException
 	if !errors.As(err, &se) || se.Name != "OBJECT_NOT_EXIST" {
 		t.Fatalf("after uninstall: %v", err)

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -261,7 +262,7 @@ type resourceServant struct{ n *Node }
 
 func (s *resourceServant) RepositoryID() string { return ResourceManagerRepoID }
 
-func (s *resourceServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (s *resourceServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	switch op {
 	case "report":
 		r := s.n.Report()

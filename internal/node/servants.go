@@ -16,12 +16,7 @@ type registryServant struct{ n *Node }
 
 func (s *registryServant) RepositoryID() string { return ComponentRegistryRepoID }
 
-// Invoke implements orb.Servant for callers without a context.
-func (s *registryServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
-	return s.InvokeContext(context.Background(), op, args, reply)
-}
-
-// InvokeContext implements orb.ContextServant.
+// InvokeContext implements orb.Servant.
 func (s *registryServant) InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	_ = ctx // registry operations are all node-local today
 	n := s.n
@@ -169,12 +164,7 @@ type acceptorServant struct{ n *Node }
 
 func (s *acceptorServant) RepositoryID() string { return ComponentAcceptorRepoID }
 
-// Invoke implements orb.Servant for callers without a context.
-func (s *acceptorServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
-	return s.InvokeContext(context.Background(), op, args, reply)
-}
-
-// InvokeContext implements orb.ContextServant: instantiation and port
+// InvokeContext implements orb.Servant: instantiation and port
 // obtainment resolve dependencies network-wide under the caller's
 // context, so a client deadline bounds the entire resolution fan-out.
 func (s *acceptorServant) InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {

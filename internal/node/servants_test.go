@@ -25,7 +25,7 @@ func TestResourceServantOverCORBA(t *testing.T) {
 	rm := n.ORB().NewRef(n.ResourcesIOR())
 
 	var r *Report
-	if err := rm.Invoke("report", nil, func(d *cdr.Decoder) error {
+	if err := rm.InvokeContext(context.Background(), "report", nil, func(d *cdr.Decoder) error {
 		var e error
 		r, e = UnmarshalReport(d)
 		return e
@@ -41,7 +41,7 @@ func TestResourceServantOverCORBA(t *testing.T) {
 
 	canHost := func(cpu float64, mem uint32, bw float64) bool {
 		var ok bool
-		if err := rm.Invoke("can_host",
+		if err := rm.InvokeContext(context.Background(), "can_host",
 			func(e *cdr.Encoder) {
 				e.WriteDouble(cpu)
 				e.WriteULong(mem)
@@ -82,7 +82,7 @@ func TestRegistryServantDigestFactoryAndInstances(t *testing.T) {
 
 	readDigest := func() uint64 {
 		var d64 uint64
-		if err := reg.Invoke("digest", nil, func(d *cdr.Decoder) error {
+		if err := reg.InvokeContext(context.Background(), "digest", nil, func(d *cdr.Decoder) error {
 			var e error
 			d64, e = d.ReadULongLong()
 			return e
@@ -102,12 +102,12 @@ func TestRegistryServantDigestFactoryAndInstances(t *testing.T) {
 
 	// factory via CORBA, then create an instance through it.
 	var factory *ior.IOR
-	if err := reg.Invoke("factory",
+	if err := reg.InvokeContext(context.Background(), "factory",
 		func(e *cdr.Encoder) { e.WriteString(id.String()) },
 		func(d *cdr.Decoder) error { var e error; factory, e = ior.Unmarshal(d); return e }); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.ORB().NewRef(factory).Invoke("create",
+	if err := n.ORB().NewRef(factory).InvokeContext(context.Background(), "create",
 		func(e *cdr.Encoder) { e.WriteString("f1") },
 		func(d *cdr.Decoder) error { _, e := ior.Unmarshal(d); return e }); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestRegistryServantDigestFactoryAndInstances(t *testing.T) {
 
 	// list_instances + instance_ports reflect it.
 	var pairs [][2]string
-	if err := reg.Invoke("list_instances", nil, func(d *cdr.Decoder) error {
+	if err := reg.InvokeContext(context.Background(), "list_instances", nil, func(d *cdr.Decoder) error {
 		cnt, err := d.ReadULong()
 		if err != nil {
 			return err
@@ -139,7 +139,7 @@ func TestRegistryServantDigestFactoryAndInstances(t *testing.T) {
 		t.Fatalf("instances = %v", pairs)
 	}
 	found := 0
-	if err := reg.Invoke("instance_ports",
+	if err := reg.InvokeContext(context.Background(), "instance_ports",
 		func(e *cdr.Encoder) { e.WriteString(id.String()); e.WriteString("f1") },
 		func(d *cdr.Decoder) error {
 			cnt, err := d.ReadULong()
@@ -169,7 +169,7 @@ func TestRegistryServantDigestFactoryAndInstances(t *testing.T) {
 		t.Fatalf("ports = %d", found)
 	}
 	// Unknown instance is a user exception.
-	err = reg.Invoke("instance_ports",
+	err = reg.InvokeContext(context.Background(), "instance_ports",
 		func(e *cdr.Encoder) { e.WriteString(id.String()); e.WriteString("ghost") }, nil)
 	if !orb.IsUserException(err, "IDL:corbalc/ComponentRegistry/NoSuchComponent:1.0") {
 		t.Fatalf("err = %v", err)
@@ -185,7 +185,7 @@ func TestAcceptorUninstallAndEventServiceOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	var evRef *ior.IOR
-	if err := acc.Invoke("event_service", nil, func(d *cdr.Decoder) error {
+	if err := acc.InvokeContext(context.Background(), "event_service", nil, func(d *cdr.Decoder) error {
 		var e error
 		evRef, e = ior.Unmarshal(d)
 		return e
@@ -195,13 +195,13 @@ func TestAcceptorUninstallAndEventServiceOps(t *testing.T) {
 	if evRef.TypeID != EventServiceRepoID {
 		t.Fatalf("event service type = %q", evRef.TypeID)
 	}
-	if err := acc.Invoke("uninstall", func(e *cdr.Encoder) { e.WriteString(id.String()) }, nil); err != nil {
+	if err := acc.InvokeContext(context.Background(), "uninstall", func(e *cdr.Encoder) { e.WriteString(id.String()) }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if n.Repo().Len() != 0 {
 		t.Fatal("uninstall did not empty the repo")
 	}
-	err = acc.Invoke("uninstall", func(e *cdr.Encoder) { e.WriteString(id.String()) }, nil)
+	err = acc.InvokeContext(context.Background(), "uninstall", func(e *cdr.Encoder) { e.WriteString(id.String()) }, nil)
 	if !orb.IsUserException(err, "IDL:corbalc/ComponentRegistry/NoSuchComponent:1.0") {
 		t.Fatalf("double uninstall err = %v", err)
 	}
@@ -222,7 +222,7 @@ func TestEventServicePushAndBridge(t *testing.T) {
 
 	// Push directly into b's hub over CORBA.
 	evB := a.ORB().NewRef(b.EventsIOR())
-	if err := evB.Invoke("push", func(e *cdr.Encoder) {
+	if err := evB.InvokeContext(context.Background(), "push", func(e *cdr.Encoder) {
 		e.WriteString("IDL:test/E:1.0")
 		e.WriteString("tester")
 		e.WriteOctetSeq([]byte("x"))
@@ -234,7 +234,7 @@ func TestEventServicePushAndBridge(t *testing.T) {
 	// Bridge a's channel to b: events published on a flow to b.
 	evA := a.ORB().NewRef(a.EventsIOR())
 	var bridgeID string
-	if err := evA.Invoke("bridge", func(e *cdr.Encoder) {
+	if err := evA.InvokeContext(context.Background(), "bridge", func(e *cdr.Encoder) {
 		e.WriteString("IDL:test/E:1.0")
 		b.EventsIOR().Marshal(e)
 	}, func(d *cdr.Decoder) error {
@@ -250,7 +250,7 @@ func TestEventServicePushAndBridge(t *testing.T) {
 	waitCount(t, &got, 2)
 
 	// Unbridge stops the flow; unknown bridge id is a user exception.
-	if err := evA.Invoke("unbridge", func(e *cdr.Encoder) { e.WriteString(bridgeID) }, nil); err != nil {
+	if err := evA.InvokeContext(context.Background(), "unbridge", func(e *cdr.Encoder) { e.WriteString(bridgeID) }, nil); err != nil {
 		t.Fatal(err)
 	}
 	_ = a.Hub().Channel("IDL:test/E:1.0").Push(events.Event{Source: "tester"})
@@ -258,7 +258,7 @@ func TestEventServicePushAndBridge(t *testing.T) {
 	if got.Load() != 2 {
 		t.Fatalf("events after unbridge = %d", got.Load())
 	}
-	err := evA.Invoke("unbridge", func(e *cdr.Encoder) { e.WriteString("bridge-999") }, nil)
+	err := evA.InvokeContext(context.Background(), "unbridge", func(e *cdr.Encoder) { e.WriteString("bridge-999") }, nil)
 	if !orb.IsUserException(err, "IDL:corbalc/EventService/NoSuchBridge:1.0") {
 		t.Fatalf("err = %v", err)
 	}

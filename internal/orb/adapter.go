@@ -18,19 +18,10 @@ type Servant interface {
 	// RepositoryID is the IDL interface repository ID implemented by
 	// this servant, used as the type ID of IORs that designate it.
 	RepositoryID() string
-	// Invoke executes one operation.
-	Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error
-}
-
-// ContextServant is optionally implemented by servants that want the
-// per-request context: it carries the client-propagated deadline (via the
-// SvcDeadline service context), the end-to-end call ID, and is cancelled
-// when the client sends a GIOP CancelRequest or the transport connection
-// dies. The dispatch loop prefers InvokeContext over Invoke when a
-// servant provides both.
-type ContextServant interface {
-	Servant
-	// InvokeContext executes one operation under the request's context.
+	// InvokeContext executes one operation under the request's context:
+	// it carries the client-propagated deadline (via the SvcDeadline
+	// service context) and the end-to-end call ID, and is cancelled when
+	// the client sends a GIOP CancelRequest or the connection dies.
 	InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error
 }
 
@@ -106,33 +97,13 @@ func (a *Adapter) Keys() []string {
 // interface, for small single-purpose objects.
 type ServantFunc struct {
 	RepoID string
-	Fn     func(op string, args *cdr.Decoder, reply *cdr.Encoder) error
+	Fn     func(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error
 }
 
 // RepositoryID implements Servant.
 func (s ServantFunc) RepositoryID() string { return s.RepoID }
 
-// Invoke implements Servant.
-func (s ServantFunc) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
-	return s.Fn(op, args, reply)
-}
-
-// ContextServantFunc adapts a context-aware function (plus repository ID)
-// to the ContextServant interface.
-type ContextServantFunc struct {
-	RepoID string
-	Fn     func(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error
-}
-
-// RepositoryID implements Servant.
-func (s ContextServantFunc) RepositoryID() string { return s.RepoID }
-
-// Invoke implements Servant, dispatching under a background context.
-func (s ContextServantFunc) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
-	return s.Fn(context.Background(), op, args, reply)
-}
-
-// InvokeContext implements ContextServant.
-func (s ContextServantFunc) InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+// InvokeContext implements Servant.
+func (s ServantFunc) InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	return s.Fn(ctx, op, args, reply)
 }

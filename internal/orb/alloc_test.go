@@ -1,6 +1,7 @@
 package orb
 
 import (
+	"context"
 	"testing"
 
 	"corbalc/internal/race"
@@ -24,7 +25,7 @@ func TestNullCallAllocBudget(t *testing.T) {
 	o := NewORB()
 	ref := o.NewRef(o.Activate("test/echo", echoServant{}))
 	call := func() {
-		if err := ref.Invoke("oneway_ping", nil, nil); err != nil {
+		if err := ref.InvokeContext(context.Background(), "oneway_ping", nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

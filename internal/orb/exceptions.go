@@ -107,7 +107,7 @@ func unmarshalSystemException(d *cdr.Decoder) (*SystemException, error) {
 
 // UserException is an application-defined exception declared in IDL. A
 // servant raises one by returning it (or an error wrapping it) from
-// Invoke; the payload marshaller, if any, contributes exception members
+// InvokeContext; the payload marshaller, if any, contributes exception members
 // after the repository ID.
 type UserException struct {
 	ID      string             // repository ID, e.g. "IDL:corbalc/Node/NotFound:1.0"

@@ -1,7 +1,7 @@
 // Asynchronous invocation: the AMI polling model of CORBA Messaging.
-// CallAsync sends a request immediately and hands back a Future the
-// caller polls (Ready) or waits on (Wait); SyncScope selects how much of
-// the send path a oneway invocation synchronises with, mirroring the
+// CallAsyncContext sends a request immediately and hands back a Future
+// the caller polls (Ready) or waits on (Wait); SyncScope selects how much
+// of the send path a oneway invocation synchronises with, mirroring the
 // CORBA Messaging SyncScope policy.
 //
 // Ownership discipline (DESIGN.md §12): the pooled request buffer never
@@ -389,12 +389,6 @@ func (r *ObjectRef) CallAsyncContext(ctx context.Context, op string, args Marsha
 	}
 	fu.pr = pr
 	return fu, nil
-}
-
-// CallAsync is the context-less form of CallAsyncContext, for the public
-// API surface and tests.
-func (r *ObjectRef) CallAsync(op string, args Marshaller, result Unmarshaller) (*Future, error) {
-	return r.CallAsyncContext(context.Background(), op, args, result)
 }
 
 // dispatchAsync launches the built request over the reference's

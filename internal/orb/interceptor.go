@@ -28,8 +28,9 @@ type RequestInfo struct {
 	Deadline time.Time
 	// Oneway reports a request that expects no reply.
 	Oneway bool
-	// Async reports an invocation launched through CallAsync (client
-	// side only; on the wire an async call is an ordinary request).
+	// Async reports an invocation launched through CallAsyncContext
+	// (client side only; on the wire an async call is an ordinary
+	// request).
 	Async bool
 	// Local reports a collocated dispatch that never reached a transport
 	// (client side only).
@@ -113,8 +114,7 @@ func (o *ORB) serverChain() []ServerInterceptor {
 // (reachable via ORB.Stats; it backs ORB.RequestsServed/RequestsSent),
 // fed intrinsically by the dispatch loops rather than through the
 // interceptor chain — so the chain can stay empty, and the invocation
-// fast path skips the per-call RequestInfo. The interceptor methods
-// remain for explicitly-registered instances.
+// fast path skips the per-call RequestInfo.
 type Stats struct {
 	sent        atomic.Uint64
 	served      atomic.Uint64
@@ -143,43 +143,6 @@ type Stats struct {
 // clock reads per call are measurable at throughput-benchmark rates.
 const latencySampleMask = 7
 
-// SendRequest implements ClientInterceptor.
-func (s *Stats) SendRequest(context.Context, *RequestInfo) {}
-
-// ReceiveReply implements ClientInterceptor. Oneway calls are tallied
-// in their own bucket and excluded from the latency estimate (they have
-// no reply clock — Elapsed only measures the local send path).
-func (s *Stats) ReceiveReply(_ context.Context, info *RequestInfo) {
-	if info.Oneway {
-		s.recordOnewaySent(info.Err)
-		return
-	}
-	s.sent.Add(1)
-	s.sentNanos.Add(int64(info.Elapsed))
-	s.sentSamples.Add(1)
-	if info.Err != nil {
-		s.sentErrs.Add(1)
-	}
-}
-
-// ReceiveRequest implements ServerInterceptor.
-func (s *Stats) ReceiveRequest(context.Context, *RequestInfo) error { return nil }
-
-// SendReply implements ServerInterceptor. Oneway dispatches are tallied
-// apart and excluded from the latency estimate, mirroring ReceiveReply.
-func (s *Stats) SendReply(_ context.Context, info *RequestInfo) {
-	if info.Oneway {
-		s.recordOnewayServed(info.Err)
-		return
-	}
-	s.served.Add(1)
-	s.srvNanos.Add(int64(info.Elapsed))
-	s.srvSamples.Add(1)
-	if info.Err != nil {
-		s.srvErrs.Add(1)
-	}
-}
-
 // RequestsSent reports completed outbound invocations.
 func (s *Stats) RequestsSent() uint64 { return s.sent.Load() }
 
@@ -195,10 +158,10 @@ func (s *Stats) Oneways() (sent, served uint64) {
 	return s.oneSent.Load(), s.oneServed.Load()
 }
 
-// Async reports the asynchronous invocations launched through CallAsync
-// and those settled (resolved by reply, failure or cancellation). A
-// settled call counts in RequestsSent; launched-but-unsettled calls are
-// the in-flight futures.
+// Async reports the asynchronous invocations launched through
+// CallAsyncContext and those settled (resolved by reply, failure or
+// cancellation). A settled call counts in RequestsSent;
+// launched-but-unsettled calls are the in-flight futures.
 func (s *Stats) Async() (launched, settled uint64) {
 	return s.asyncLaunched.Load(), s.asyncSettled.Load()
 }
@@ -308,22 +271,3 @@ func (s *Stats) MeanLatency() (sent, served time.Duration) {
 	}
 	return sent, served
 }
-
-// DeadlineEnforcer is the shipped deadline-enforcement server
-// interceptor: requests whose propagated deadline has already expired are
-// rejected with CORBA::TIMEOUT before reaching the servant — work the
-// client gave up on is not worth dispatching. The ORB applies this
-// policy intrinsically in its dispatch loop (before any registered
-// interceptor runs); the type remains for explicit chains.
-type DeadlineEnforcer struct{}
-
-// ReceiveRequest implements ServerInterceptor.
-func (DeadlineEnforcer) ReceiveRequest(_ context.Context, info *RequestInfo) error {
-	if !info.Deadline.IsZero() && !time.Now().Before(info.Deadline) {
-		return Timeout()
-	}
-	return nil
-}
-
-// SendReply implements ServerInterceptor.
-func (DeadlineEnforcer) SendReply(context.Context, *RequestInfo) {}

@@ -447,18 +447,14 @@ func classifyInvokeErr(err error) (giop.ReplyStatus, *SystemException, *UserExce
 }
 
 // safeInvoke shields the dispatch loop from servant panics, converting
-// them to CORBA::UNKNOWN as a real ORB would. Context-aware servants
-// receive the request context; plain servants are invoked as before.
+// them to CORBA::UNKNOWN as a real ORB would.
 func safeInvoke(ctx context.Context, s Servant, op string, args *cdr.Decoder, reply *cdr.Encoder) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("servant panic: %v: %w", r, Unknown())
 		}
 	}()
-	if cs, ok := s.(ContextServant); ok {
-		return cs.InvokeContext(ctx, op, args, reply)
-	}
-	return s.Invoke(op, args, reply)
+	return s.InvokeContext(ctx, op, args, reply)
 }
 
 func (o *ORB) handleLocateRequest(m *giop.Message) (*giop.Message, error) {

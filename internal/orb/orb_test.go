@@ -18,7 +18,7 @@ type echoServant struct{}
 
 func (echoServant) RepositoryID() string { return "IDL:corbalc/test/Echo:1.0" }
 
-func (echoServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (echoServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	switch op {
 	case "echo_string":
 		s, err := args.ReadString()
@@ -81,7 +81,7 @@ func TestLocalInvoke(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, ref := newLocalPair(t, tc.opts...)
 			var got string
-			err := ref.Invoke("echo_string",
+			err := ref.InvokeContext(context.Background(), "echo_string",
 				func(e *cdr.Encoder) { e.WriteString("hola") },
 				func(d *cdr.Decoder) error {
 					var err error
@@ -95,7 +95,7 @@ func TestLocalInvoke(t *testing.T) {
 				t.Fatalf("echo = %q", got)
 			}
 			var sum int32
-			err = ref.Invoke("add",
+			err = ref.InvokeContext(context.Background(), "add",
 				func(e *cdr.Encoder) { e.WriteLong(20); e.WriteLong(22) },
 				func(d *cdr.Decoder) error {
 					var err error
@@ -115,7 +115,7 @@ func TestReplyBodySpliceAlignment(t *testing.T) {
 		var d8 float64
 		var oct byte
 		var ul uint32
-		err := ref.Invoke("mixed", nil, func(d *cdr.Decoder) error {
+		err := ref.InvokeContext(context.Background(), "mixed", nil, func(d *cdr.Decoder) error {
 			var err error
 			if d8, err = d.ReadDouble(); err != nil {
 				return err
@@ -137,7 +137,7 @@ func TestReplyBodySpliceAlignment(t *testing.T) {
 
 func TestUserException(t *testing.T) {
 	_, ref := newLocalPair(t)
-	err := ref.Invoke("fail_user", nil, nil)
+	err := ref.InvokeContext(context.Background(), "fail_user", nil, nil)
 	if !IsUserException(err, "IDL:corbalc/test/Boom:1.0") {
 		t.Fatalf("err = %v", err)
 	}
@@ -157,23 +157,23 @@ func TestUserException(t *testing.T) {
 
 func TestSystemExceptionPropagation(t *testing.T) {
 	_, ref := newLocalPair(t)
-	err := ref.Invoke("fail_system", nil, nil)
+	err := ref.InvokeContext(context.Background(), "fail_system", nil, nil)
 	var se *SystemException
 	if !errors.As(err, &se) || se.Name != "TRANSIENT" {
 		t.Fatalf("err = %v", err)
 	}
 	// A plain error maps to UNKNOWN.
-	err = ref.Invoke("fail_plain", nil, nil)
+	err = ref.InvokeContext(context.Background(), "fail_plain", nil, nil)
 	if !errors.As(err, &se) || se.Name != "UNKNOWN" {
 		t.Fatalf("plain error -> %v", err)
 	}
 	// A panic maps to UNKNOWN, not a crash.
-	err = ref.Invoke("panics", nil, nil)
+	err = ref.InvokeContext(context.Background(), "panics", nil, nil)
 	if !errors.As(err, &se) || se.Name != "UNKNOWN" {
 		t.Fatalf("panic -> %v", err)
 	}
 	// An unknown operation maps to BAD_OPERATION.
-	err = ref.Invoke("no_such_op", nil, nil)
+	err = ref.InvokeContext(context.Background(), "no_such_op", nil, nil)
 	if !errors.As(err, &se) || se.Name != "BAD_OPERATION" {
 		t.Fatalf("bad op -> %v", err)
 	}
@@ -182,7 +182,7 @@ func TestSystemExceptionPropagation(t *testing.T) {
 func TestObjectNotExist(t *testing.T) {
 	o := NewORB()
 	ref := o.NewRef(o.NewIOR("IDL:whatever:1.0", "absent/key"))
-	err := ref.Invoke("anything", nil, nil)
+	err := ref.InvokeContext(context.Background(), "anything", nil, nil)
 	var se *SystemException
 	if !errors.As(err, &se) || se.Name != "OBJECT_NOT_EXIST" {
 		t.Fatalf("err = %v", err)
@@ -190,7 +190,7 @@ func TestObjectNotExist(t *testing.T) {
 	// Deactivation makes a live object unreachable.
 	o2, ref2 := newLocalPair(t)
 	o2.Adapter().Deactivate("test/echo")
-	err = ref2.Invoke("echo_string", func(e *cdr.Encoder) { e.WriteString("x") }, nil)
+	err = ref2.InvokeContext(context.Background(), "echo_string", func(e *cdr.Encoder) { e.WriteString("x") }, nil)
 	if !errors.As(err, &se) || se.Name != "OBJECT_NOT_EXIST" {
 		t.Fatalf("after deactivate: %v", err)
 	}
@@ -199,7 +199,7 @@ func TestObjectNotExist(t *testing.T) {
 func TestNilReferenceInvoke(t *testing.T) {
 	o := NewORB()
 	ref := o.NewRef(&ior.IOR{})
-	err := ref.Invoke("op", nil, nil)
+	err := ref.InvokeContext(context.Background(), "op", nil, nil)
 	var se *SystemException
 	if !errors.As(err, &se) || se.Name != "OBJECT_NOT_EXIST" {
 		t.Fatalf("err = %v", err)
@@ -208,7 +208,7 @@ func TestNilReferenceInvoke(t *testing.T) {
 
 func TestOneway(t *testing.T) {
 	o, ref := newLocalPair(t)
-	if err := ref.InvokeOneway("oneway_ping", nil); err != nil {
+	if err := ref.InvokeOnewayContext(context.Background(), "oneway_ping", nil); err != nil {
 		t.Fatal(err)
 	}
 	if o.RequestsServed() != 1 {
@@ -326,7 +326,7 @@ func TestRemoteInvokeViaTransport(t *testing.T) {
 	// skipped and the mem profile carries the call.
 	ref := client.NewRef(remoteRef(server, "test/echo"))
 	var got string
-	err := ref.Invoke("echo_string",
+	err := ref.InvokeContext(context.Background(), "echo_string",
 		func(e *cdr.Encoder) { e.WriteString("remote") },
 		func(d *cdr.Decoder) error {
 			var err error
@@ -345,7 +345,7 @@ func TestRemoteInvokeViaTransport(t *testing.T) {
 
 	// Channel caching: 10 more calls, still one dial.
 	for i := 0; i < 10; i++ {
-		if err := ref.Invoke("add",
+		if err := ref.InvokeContext(context.Background(), "add",
 			func(e *cdr.Encoder) { e.WriteLong(int32(i)); e.WriteLong(1) }, func(d *cdr.Decoder) error {
 				_, err := d.ReadLong()
 				return err
@@ -359,12 +359,12 @@ func TestRemoteInvokeViaTransport(t *testing.T) {
 
 	// A failed call drops the cached channel; the next call re-dials.
 	mt.broken = true
-	err = ref.Invoke("add", func(e *cdr.Encoder) { e.WriteLong(1); e.WriteLong(1) }, nil)
+	err = ref.InvokeContext(context.Background(), "add", func(e *cdr.Encoder) { e.WriteLong(1); e.WriteLong(1) }, nil)
 	var se *SystemException
 	if !errors.As(err, &se) || se.Name != "COMM_FAILURE" {
 		t.Fatalf("broken call err = %v", err)
 	}
-	if err := ref.Invoke("add", func(e *cdr.Encoder) { e.WriteLong(1); e.WriteLong(1) }, func(d *cdr.Decoder) error {
+	if err := ref.InvokeContext(context.Background(), "add", func(e *cdr.Encoder) { e.WriteLong(1); e.WriteLong(1) }, func(d *cdr.Decoder) error {
 		_, err := d.ReadLong()
 		return err
 	}); err != nil {
@@ -379,7 +379,7 @@ func TestNoTransportForProfile(t *testing.T) {
 	client := NewORB()
 	r := &ior.IOR{TypeID: "IDL:x:1.0"}
 	r.AddProfile(0xAAAA, []byte("nowhere"))
-	err := client.NewRef(r).Invoke("op", nil, nil)
+	err := client.NewRef(r).InvokeContext(context.Background(), "op", nil, nil)
 	var se *SystemException
 	if !errors.As(err, &se) || se.Name != "NO_IMPLEMENT" {
 		t.Fatalf("err = %v", err)
@@ -397,7 +397,7 @@ func TestConcurrentLocalInvokes(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				want := fmt.Sprintf("g%d-i%d", g, i)
 				var got string
-				err := ref.Invoke("echo_string",
+				err := ref.InvokeContext(context.Background(), "echo_string",
 					func(e *cdr.Encoder) { e.WriteString(want) },
 					func(d *cdr.Decoder) error {
 						var err error
@@ -426,7 +426,7 @@ func TestServantFunc(t *testing.T) {
 	o := NewORB()
 	ref := o.NewRef(o.Activate("fn", ServantFunc{
 		RepoID: "IDL:corbalc/test/Fn:1.0",
-		Fn: func(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+		Fn: func(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 			reply.WriteString(op)
 			return nil
 		},
@@ -435,7 +435,7 @@ func TestServantFunc(t *testing.T) {
 		t.Fatalf("type id = %q", ref.TypeID())
 	}
 	var got string
-	if err := ref.Invoke("whoami", nil, func(d *cdr.Decoder) error {
+	if err := ref.InvokeContext(context.Background(), "whoami", nil, func(d *cdr.Decoder) error {
 		var err error
 		got, err = d.ReadString()
 		return err
@@ -452,7 +452,7 @@ func BenchmarkLocalNullInvoke(b *testing.B) {
 	ref := o.NewRef(o.Activate("test/echo", echoServant{}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := ref.Invoke("oneway_ping", nil, nil); err != nil {
+		if err := ref.InvokeContext(context.Background(), "oneway_ping", nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -463,7 +463,7 @@ func BenchmarkLocalEchoString(b *testing.B) {
 	ref := o.NewRef(o.Activate("test/echo", echoServant{}))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		err := ref.Invoke("echo_string",
+		err := ref.InvokeContext(context.Background(), "echo_string",
 			func(e *cdr.Encoder) { e.WriteString("benchmark payload string") },
 			func(d *cdr.Decoder) error { _, err := d.ReadString(); return err })
 		if err != nil {
@@ -475,18 +475,18 @@ func BenchmarkLocalEchoString(b *testing.B) {
 func TestExistsLocalAndRemote(t *testing.T) {
 	// Local (collocated) probe.
 	o, ref := newLocalPair(t)
-	ok, err := ref.Exists()
+	ok, err := ref.ExistsContext(context.Background())
 	if err != nil || !ok {
 		t.Fatalf("local exists = %v, %v", ok, err)
 	}
 	o.Adapter().Deactivate("test/echo")
-	ok, err = ref.Exists()
+	ok, err = ref.ExistsContext(context.Background())
 	if err != nil || ok {
 		t.Fatalf("after deactivate = %v, %v", ok, err)
 	}
 	// Nil reference.
 	nilRef := o.NewRef(&ior.IOR{})
-	if ok, err := nilRef.Exists(); err != nil || ok {
+	if ok, err := nilRef.ExistsContext(context.Background()); err != nil || ok {
 		t.Fatalf("nil exists = %v, %v", ok, err)
 	}
 
@@ -496,11 +496,11 @@ func TestExistsLocalAndRemote(t *testing.T) {
 	client := NewORB()
 	client.RegisterTransport(&memTransport{target: server})
 	remote := client.NewRef(remoteRef(server, "test/echo"))
-	if ok, err := remote.Exists(); err != nil || !ok {
+	if ok, err := remote.ExistsContext(context.Background()); err != nil || !ok {
 		t.Fatalf("remote exists = %v, %v", ok, err)
 	}
 	ghost := client.NewRef(remoteRef(server, "no/such/object"))
-	if ok, err := ghost.Exists(); err != nil || ok {
+	if ok, err := ghost.ExistsContext(context.Background()); err != nil || ok {
 		t.Fatalf("remote ghost = %v, %v", ok, err)
 	}
 }
@@ -599,7 +599,7 @@ func TestTimeoutReplyAttributedToDeadline(t *testing.T) {
 	o := NewORB()
 	o.Activate("slow", ServantFunc{
 		RepoID: "IDL:test/Slow:1.0",
-		Fn:     func(string, *cdr.Decoder, *cdr.Encoder) error { return Timeout() },
+		Fn:     func(context.Context, string, *cdr.Decoder, *cdr.Encoder) error { return Timeout() },
 	})
 	ref := o.NewRef(o.NewIOR("IDL:test/Slow:1.0", "slow"))
 

@@ -119,13 +119,6 @@ func (r *ObjectRef) InvokeContext(ctx context.Context, op string, args Marshalle
 	return r.invoke(ctx, op, args, result, true, SyncWithTransport)
 }
 
-// Invoke is the context-less form of InvokeContext, for the public API
-// surface and tests; production code inside internal/ should pass a real
-// context (enforced by the ctxtimeout analyzer).
-func (r *ObjectRef) Invoke(op string, args Marshaller, result Unmarshaller) error {
-	return r.InvokeContext(context.Background(), op, args, result)
-}
-
 // InvokeOnewayContext sends a request under ctx without waiting for any
 // reply, synchronised with the transport (SyncWithTransport): it returns
 // once the frame reached the socket.
@@ -139,11 +132,6 @@ func (r *ObjectRef) InvokeOnewayContext(ctx context.Context, op string, args Mar
 // buffer moves to the transport's write path).
 func (r *ObjectRef) InvokeOnewayScoped(ctx context.Context, op string, args Marshaller, scope SyncScope) error {
 	return r.invoke(ctx, op, args, nil, false, scope)
-}
-
-// InvokeOneway is the context-less form of InvokeOnewayContext.
-func (r *ObjectRef) InvokeOneway(op string, args Marshaller) error {
-	return r.InvokeOnewayContext(context.Background(), op, args)
 }
 
 // ExistsContext probes the reference with a GIOP LocateRequest under ctx:
@@ -229,11 +217,6 @@ func (r *ObjectRef) ExistsContext(ctx context.Context) (bool, error) {
 		lastErr = NoImplement()
 	}
 	return false, lastErr
-}
-
-// Exists is the context-less form of ExistsContext.
-func (r *ObjectRef) Exists() (bool, error) {
-	return r.ExistsContext(context.Background())
 }
 
 // localKey extracts the object key from the in-process profile if the

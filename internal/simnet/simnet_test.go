@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -14,7 +15,7 @@ import (
 type echoServant struct{}
 
 func (echoServant) RepositoryID() string { return "IDL:test/Echo:1.0" }
-func (echoServant) Invoke(op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+func (echoServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	switch op {
 	case "echo":
 		s, err := args.ReadString()
@@ -53,7 +54,7 @@ func pair(t testing.TB, net *Network) (*orb.ORB, *orb.ObjectRef) {
 func echo(t testing.TB, ref *orb.ObjectRef, s string) (string, error) {
 	t.Helper()
 	var got string
-	err := ref.Invoke("echo",
+	err := ref.InvokeContext(context.Background(), "echo",
 		func(e *cdr.Encoder) { e.WriteString(s) },
 		func(d *cdr.Decoder) error { var e error; got, e = d.ReadString(); return e })
 	return got, err
@@ -99,7 +100,7 @@ func TestBandwidthDelaysLargePayloads(t *testing.T) {
 	smallT := time.Since(small)
 
 	big := time.Now()
-	err := ref.Invoke("big",
+	err := ref.InvokeContext(context.Background(), "big",
 		func(e *cdr.Encoder) { e.WriteLong(100 << 10) },
 		func(d *cdr.Decoder) error { _, e := d.ReadOctetSeq(); return e })
 	if err != nil {
@@ -251,7 +252,7 @@ func TestOnewayOverSimnet(t *testing.T) {
 	_ = net.Attach("s", server)
 	_ = net.Attach("c", client)
 	ref := client.NewRef(server.Activate("echo", echoServant{}))
-	if err := ref.InvokeOneway("echo", func(e *cdr.Encoder) { e.WriteString("fire and forget") }); err != nil {
+	if err := ref.InvokeOnewayContext(context.Background(), "echo", func(e *cdr.Encoder) { e.WriteString("fire and forget") }); err != nil {
 		t.Fatal(err)
 	}
 	if server.RequestsServed() != 1 {
