@@ -322,7 +322,7 @@ func TestCrashHealsWithinOneFailTimeoutAtAnyAge(t *testing.T) {
 	tc := newCluster(t, n, tweak)
 	waitFor(t, 10*time.Second, "initial convergence", func() bool { return swarmConverged(tc.agents, n) })
 	interval := tc.agents[0].cfg.UpdateInterval
-	bound := tc.agents[0].failTimeout() + 3*interval
+	bound := tc.agents[0].cfg.failTimeout() + 3*interval
 	if race.Enabled {
 		bound *= 2
 	}
@@ -367,7 +367,7 @@ func TestSlowAccusationDoesNotStallLeaderHeartbeat(t *testing.T) {
 
 	// The ping that precedes the accusation takes four failure timeouts
 	// to fail.
-	delay := 4 * leader.failTimeout()
+	delay := 4 * leader.cfg.failTimeout()
 	tc.net.SetLink("n00", "n02", simnet.Link{Latency: delay})
 	tc.net.SetDown("n02", true)
 	tc.agents[2].Stop()
@@ -393,6 +393,41 @@ func TestSlowAccusationDoesNotStallLeaderHeartbeat(t *testing.T) {
 	}
 }
 
+// The periodic anti-entropy ping must not hold up the heartbeat either:
+// with the root behind links slower than several failure timeouts, a
+// group leader keeps its update cadence and its replica never has cause
+// to take over.
+func TestSlowRootPingDoesNotStallLeaderHeartbeat(t *testing.T) {
+	leak.Check(t)
+	tc := newCluster(t, 7, func(c *Config) { // groups {0,1,2} {3,4,5} {6}
+		c.UpdateInterval = 50 * time.Millisecond
+		c.FailMultiple = 4
+	})
+	waitFor(t, 5*time.Second, "initial convergence", func() bool { return swarmConverged(tc.agents, 7) })
+	leader, replica := tc.agents[3], tc.agents[4]
+	waitFor(t, 5*time.Second, "the replica to hear from the leader", func() bool { return !replica.actingLeader(1) })
+
+	// The leader pings the root every other tick, and each ping takes
+	// four failure timeouts to answer.
+	setSyncEvery([]*Agent{leader}, 2)
+	delay := 4 * leader.cfg.failTimeout()
+	tc.net.SetLink("n03", "n00", simnet.Link{Latency: delay})
+	tc.net.SetLink("n03", "n01", simnet.Link{Latency: delay})
+	start := time.Now()
+	sent := leader.Stats().UpdatesSent
+	const ticks = 48
+	for time.Since(start) < ticks*leader.cfg.UpdateInterval {
+		if replica.actingLeader(1) {
+			t.Fatalf("replica took over %v in: the leader's heartbeat stalled behind its root ping", time.Since(start))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Two candidates hear from the leader every tick; allow half to slip.
+	if got := leader.Stats().UpdatesSent - sent; got < ticks {
+		t.Fatalf("leader sent %d updates over %d ticks of slow root pings, want at least %d", got, ticks, ticks)
+	}
+}
+
 // A root replica that believes it leads only because the leader's last
 // update is late must verify the leader before it acts as the root: its
 // ping stands it down, so it never reaps a silent group as a second
@@ -407,13 +442,13 @@ func TestLateLeaderUpdateDoesNotMakeReplicaReap(t *testing.T) {
 	// stop arriving and they would fail the reaper's ping.
 	tc.net.Partition("n01", "n03", true)
 	tc.net.Partition("n01", "n04", true)
-	time.Sleep(5 * replica.failTimeout())
+	time.Sleep(5 * replica.cfg.failTimeout())
 	replica.mu.Lock()
-	replica.expectedGroups[1] = time.Now().Add(-time.Hour) // the reaper's window has long run out
+	replica.c.expectedGroups[1] = time.Now().Add(-time.Hour) // the reaper's window has long run out
 	replica.mu.Unlock()
 	// The leader's updates now reach the replica several timeouts late.
-	tc.net.SetLink("n00", "n01", simnet.Link{Latency: 4 * replica.failTimeout()})
-	for deadline := time.Now().Add(8 * replica.failTimeout()); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+	tc.net.SetLink("n00", "n01", simnet.Link{Latency: 4 * replica.cfg.failTimeout()})
+	for deadline := time.Now().Add(8 * replica.cfg.failTimeout()); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
 		if d := replica.Directory(); d.GroupOf("n03") < 0 || d.GroupOf("n04") < 0 {
 			t.Fatalf("replica reaped group 1 at epoch %d while the root leader was alive", d.Epoch)
 		}
@@ -800,13 +835,13 @@ func TestExpelledNodeUnwedgesViaTickAntiEntropy(t *testing.T) {
 	})
 	root, victim := tc.agents[0], tc.agents[3]
 	root.mu.Lock()
-	dir := root.dir.Clone()
+	dir := root.c.dir.Clone()
 	dir.Remove("n03")
-	root.dir = dir
+	root.c.dir = dir
 	rootEpoch := dir.Epoch
 	root.mu.Unlock()
 	victim.mu.Lock()
-	victim.dir = dir.Clone() // same epoch as the root, self absent
+	victim.c.dir = dir.Clone() // same epoch as the root, self absent
 	victim.mu.Unlock()
 	waitFor(t, 10*time.Second, "victim to rejoin", func() bool {
 		d := root.Directory()

@@ -275,7 +275,8 @@ func sameDir(a, b *Directory) bool {
 // restore convergence without a full snapshot transfer.
 func TestVersionSkewTriggersPull(t *testing.T) {
 	leak.Check(t)
-	tc := newCluster(t, 7, func(c *Config) { c.AntiEntropyTicks = 2 })
+	tc := newCluster(t, 7, nil)
+	setSyncEvery(tc.agents, 2)
 	root := tc.agents[0]
 	waitFor(t, 10*time.Second, "initial convergence", func() bool {
 		e0, n0, x0 := root.Stamp()
@@ -295,7 +296,7 @@ func TestVersionSkewTriggersPull(t *testing.T) {
 	old.Assign(root.Desc(), 3)
 	old.Assign(victim.Desc(), 3)
 	victim.mu.Lock()
-	victim.dir = old
+	victim.c.dir = old
 	victim.mu.Unlock()
 
 	before := victim.Stats().AntiEntropyPulls
@@ -316,7 +317,8 @@ func TestVersionSkewTriggersPull(t *testing.T) {
 // repair hint that kicks an immediate pull.
 func TestRepairHintHealsStaleNode(t *testing.T) {
 	leak.Check(t)
-	tc := newCluster(t, 3, func(c *Config) { c.AntiEntropyTicks = 1 << 30 })
+	tc := newCluster(t, 3, nil)
+	setSyncEvery(tc.agents, 1<<30)
 	root := tc.agents[0]
 	waitFor(t, 10*time.Second, "initial convergence", func() bool {
 		e0, n0, x0 := root.Stamp()
@@ -334,7 +336,7 @@ func TestRepairHintHealsStaleNode(t *testing.T) {
 	lag := tc.agents[2]
 	regressAndHeal := func() {
 		lag.mu.Lock()
-		lag.dir.Epoch--
+		lag.c.dir.Epoch--
 		lag.mu.Unlock()
 		waitFor(t, 10*time.Second, "repair hint to restore the epoch", func() bool {
 			e0, _, _ := root.Stamp()
@@ -370,7 +372,8 @@ func TestRepairHintHealsStaleNode(t *testing.T) {
 // under -race only.
 func TestPullRacesDeltaStream(t *testing.T) {
 	leak.Check(t)
-	tc := newCluster(t, 3, func(c *Config) { c.AntiEntropyTicks = 1 << 30 })
+	tc := newCluster(t, 3, nil)
+	setSyncEvery(tc.agents, 1<<30)
 	waitFor(t, 10*time.Second, "initial convergence", func() bool {
 		return swarmConverged(tc.agents, 3)
 	})
@@ -427,8 +430,8 @@ func TestRootQueryRacesDeltaStream(t *testing.T) {
 	})
 	const port = "IDL:test/Adder:1.0"
 	root.mu.Lock()
-	root.dir.Assign(root.Desc(), root.cfg.GroupSize)
-	root.summaries[0] = &groupSummary{exports: map[string]bool{port: true}}
+	root.c.dir.Assign(root.Desc(), root.cfg.GroupSize)
+	root.c.summaries[0] = &groupSummary{exports: map[string]bool{port: true}}
 	root.mu.Unlock()
 
 	stop := make(chan struct{})

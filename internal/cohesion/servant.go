@@ -1,12 +1,11 @@
 package cohesion
 
 import (
+	"cmp"
 	"context"
-	"slices"
 	"time"
 
 	"corbalc/internal/cdr"
-	"corbalc/internal/component"
 	"corbalc/internal/node"
 	"corbalc/internal/orb"
 	"corbalc/internal/version"
@@ -25,10 +24,7 @@ func (s *agentServant) InvokeContext(ctx context.Context, op string, args *cdr.D
 	a := s.a
 	switch op {
 	case "ping":
-		a.mu.Lock()
-		epoch := a.dir.Epoch
-		a.mu.Unlock()
-		reply.WriteULongLong(epoch)
+		a.locked(func(c *core, _ time.Time) { reply.WriteULongLong(c.dir.Epoch) })
 		return nil
 
 	case "join":
@@ -54,10 +50,7 @@ func (s *agentServant) InvokeContext(ctx context.Context, op string, args *cdr.D
 		return nil
 
 	case "get_directory":
-		a.mu.Lock()
-		dir := a.dir.Clone()
-		a.mu.Unlock()
-		dir.Marshal(reply)
+		a.locked(func(c *core, _ time.Time) { c.dir.Marshal(reply) })
 		return nil
 
 	case "mrm_query":
@@ -69,9 +62,10 @@ func (s *agentServant) InvokeContext(ctx context.Context, op string, args *cdr.D
 		if err != nil {
 			return orb.Marshal()
 		}
-		a.queriesServed.Add(1)
-		offers := a.viewQuery(portID, verReq)
-		node.MarshalOffers(reply, offers)
+		a.locked(func(c *core, now time.Time) {
+			c.stats.QueriesServed++
+			node.MarshalOffers(reply, c.viewQuery(now, portID, verReq))
+		})
 		return nil
 
 	case "gossip_batch":
@@ -97,11 +91,10 @@ func (s *agentServant) InvokeContext(ctx context.Context, op string, args *cdr.D
 		if err != nil {
 			return orb.Marshal()
 		}
-		a.pullsServed.Add(1)
-		a.mu.Lock()
-		patch := a.dir.BuildPatch(vv)
-		a.mu.Unlock()
-		patch.Marshal(reply)
+		a.locked(func(c *core, _ time.Time) {
+			c.stats.PullsServed++
+			c.dir.BuildPatch(vv).Marshal(reply)
+		})
 		return nil
 
 	case "cohesion_stats":
@@ -122,19 +115,18 @@ func (s *agentServant) InvokeContext(ctx context.Context, op string, args *cdr.D
 		if err != nil {
 			return orb.Marshal()
 		}
-		a.queriesServed.Add(1)
-		offers := a.rootQuery(ctx, portID, verReq, int(skipGroup))
-		node.MarshalOffers(reply, offers)
+		a.locked(func(c *core, _ time.Time) { c.stats.QueriesServed++ })
+		node.MarshalOffers(reply, a.rootQuery(ctx, portID, verReq, int(skipGroup)))
 		return nil
 	}
 	return orb.BadOperation()
 }
 
-// dispatchGossip decodes and routes one entry of a gossip_batch frame.
-// body aliases the inbound request buffer: handlers that retain bytes
-// past this call (delta relay) copy first. Unknown kinds are skipped so
-// newer senders interoperate with older receivers; malformed entries are
-// dropped — anti-entropy repairs whatever they carried.
+// dispatchGossip decodes one entry of a gossip_batch frame and feeds it
+// to the core. body aliases the inbound request buffer: the core copies
+// what it keeps past the call (a relayed delta). Unknown kinds are
+// skipped so newer senders interoperate with older receivers; malformed
+// entries are dropped — anti-entropy repairs whatever they carried.
 func (s *agentServant) dispatchGossip(kind byte, body []byte) {
 	a := s.a
 	d := cdr.NewDecoder(body, cdr.LittleEndian)
@@ -154,12 +146,11 @@ func (s *agentServant) dispatchGossip(kind byte, body []byte) {
 				return
 			}
 		}
-		a.ingestUpdate(report, offers, hasOffers)
-		// Trailing epoch advertisement (absent in older senders); only
-		// the reporter's acting group leader may answer with a hint.
-		if epoch, err := d.ReadULongLong(); err == nil {
-			a.observePeerEpoch(report.Node, epoch, a.actingLeaderFor(report.Node))
-		}
+		// Trailing epoch advertisement, absent in older senders.
+		epoch, err := d.ReadULongLong()
+		a.step(func(c *core, now time.Time) []action {
+			return c.update(now, report, offers, hasOffers, epoch, err == nil)
+		})
 	case gossipSummary:
 		group, err := d.ReadULong()
 		if err != nil {
@@ -177,36 +168,27 @@ func (s *agentServant) dispatchGossip(kind byte, body []byte) {
 		if err != nil {
 			return
 		}
-		a.ingestSummary(int(group), alive, freeCPU, exports)
-		// Trailing leader advertisement (absent in older senders): a
-		// stuck group leader gets its repair hint from the acting root
-		// leader here.
-		if epoch, err := d.ReadULongLong(); err == nil {
-			if leader, err := d.ReadString(); err == nil {
-				a.observePeerEpoch(leader, epoch, a.actingRootLeader())
-			}
+		// Trailing leader advertisement, absent in older senders.
+		var leader string
+		epoch, err := d.ReadULongLong()
+		if err == nil {
+			leader, _ = d.ReadString()
 		}
+		a.step(func(c *core, now time.Time) []action {
+			return c.summary(now, int(group), alive, freeCPU, exports, epoch, leader)
+		})
 	case gossipDelta:
 		delta, err := UnmarshalDelta(d)
 		if err != nil {
 			return
 		}
-		a.handleDelta(delta, body)
+		a.step(func(c *core, now time.Time) []action { return c.delta(now, delta, body) })
 	case gossipHint:
 		epoch, err := d.ReadULongLong()
 		if err != nil {
 			return
 		}
-		a.hintsRecv.Add(1)
-		a.mu.Lock()
-		behind := epoch > a.dir.Epoch && a.dir.Epoch != a.hintPulled
-		if behind {
-			a.hintPulled = a.dir.Epoch
-		}
-		a.mu.Unlock()
-		if behind {
-			kick(a.pullKick)
-		}
+		a.step(func(c *core, _ time.Time) []action { return c.hint(epoch) })
 	}
 }
 
@@ -217,270 +199,92 @@ func joinExc(err error) error {
 	}
 }
 
-// actingRootLeader reports whether this agent currently acts as the root
-// MRM leader.
-func (a *Agent) actingRootLeader() bool {
-	a.mu.Lock()
-	rg := a.dir.RootGroup()
-	inRoot := rg >= 0 && slices.Contains(a.dir.Candidates(rg, a.cfg.Replicas), a.name)
-	a.mu.Unlock()
-	return inRoot && a.actingLeader(rg)
-}
-
 // handleJoin admits a node: executed at the root leader, forwarded
 // otherwise.
-func (a *Agent) handleJoin(ctx context.Context, desc *NodeDesc) (*Directory, error) {
-	if a.actingRootLeader() {
-		a.mu.Lock()
-		from := a.dir.Epoch
-		group := a.dir.Assign(desc, a.cfg.GroupSize)
-		delta := &DirectoryDelta{
-			From: from,
-			To:   a.dir.Epoch,
-			Upserts: []DirUpsert{{
-				Group:   int32(group),
-				Version: a.dir.Versions[desc.Name],
-				Desc:    desc,
-			}},
-		}
-		dir := a.dir.Clone()
-		a.mu.Unlock()
-		a.disseminateDelta(dir, delta)
-		return dir, nil
+func (a *Agent) handleJoin(ctx context.Context, desc *NodeDesc) (dir *Directory, err error) {
+	forward := false
+	a.step(func(c *core, now time.Time) (acts []action) {
+		dir, acts, forward = c.join(now, desc)
+		return acts
+	})
+	if forward {
+		err = a.callRoot(ctx, "join", desc.Marshal, intoDirectory(&dir))
 	}
-	return a.rootDirectory(ctx, "join", desc.Marshal) // forward to the root
+	return dir, err
 }
 
 // handleRemoval removes a departed or dead node: executed at the root
 // leader, forwarded otherwise.
 func (a *Agent) handleRemoval(ctx context.Context, name string) error {
-	if a.actingRootLeader() {
-		a.mu.Lock()
-		from := a.dir.Epoch
-		removed := a.dir.Remove(name)
-		delta := &DirectoryDelta{From: from, To: a.dir.Epoch, Removes: []string{name}}
-		dir := a.dir.Clone()
-		delete(a.view, name)
-		delete(a.sent, name)
-		delete(a.peerEpochs, name)
-		a.mu.Unlock()
-		if removed {
-			a.disseminateDelta(dir, delta)
-			a.gossip.drop(name)
-		}
+	forward := false
+	a.step(func(c *core, now time.Time) (acts []action) {
+		acts, forward = c.remove(now, name)
+		return acts
+	})
+	if !forward {
 		return nil
 	}
 	return a.callRoot(ctx, "report_dead", func(e *cdr.Encoder) { e.WriteString(name) }, nil)
 }
 
-// disseminateDelta ships one root mutation down the MRM hierarchy: the
-// root gossips it to every group's MRM candidates, and each group's
-// acting leader relays it to the members beyond the candidate set
-// (relayDelta). The root covers its own group directly. Fan-out at the
-// root is therefore O(replicas × groups), not O(N).
-func (a *Agent) disseminateDelta(dir *Directory, delta *DirectoryDelta) {
-	e := cdr.NewEncoder(cdr.LittleEndian)
-	delta.Marshal(e)
-	body := e.Bytes()
-	own := dir.GroupOf(a.name)
-	for g := range dir.Groups {
-		for _, cand := range dir.Candidates(g, a.cfg.Replicas) {
-			if cand == a.name {
-				continue
-			}
-			a.deltasSent.Add(1)
-			a.gossip.enqueue(cand, gossipDelta, body)
-		}
-	}
-	// Leader duty for the root's own group: relay past the candidates.
-	if own >= 0 {
-		members := dir.Members(own)
-		if len(members) > a.cfg.Replicas {
-			for _, m := range members[a.cfg.Replicas:] {
-				if m == a.name {
-					continue
-				}
-				a.deltasSent.Add(1)
-				a.gossip.enqueue(m, gossipDelta, body)
-			}
-		}
-	}
+// viewQuery answers a component query from this node's own view.
+func (a *Agent) viewQuery(portID, verReq string) (offers []*node.Offer) {
+	a.locked(func(c *core, now time.Time) { offers = c.viewQuery(now, portID, verReq) })
+	return offers
 }
 
-// relayDelta is the second dissemination tier: an acting group leader
-// that received a delta from the root forwards it to its group's
-// non-candidate members, who are outside the root's fan-out.
-func (a *Agent) relayDelta(dir *Directory, body []byte) {
-	group := dir.GroupOf(a.name)
-	if group < 0 || !slices.Contains(dir.Candidates(group, a.cfg.Replicas), a.name) || !a.actingLeader(group) {
-		return
-	}
-	members := dir.Members(group)
-	if len(members) <= a.cfg.Replicas {
-		return
-	}
-	for _, m := range members[a.cfg.Replicas:] {
-		if m == a.name {
+// askGroup asks a group's MRM replicas in priority order (this node's
+// own view locally) and returns the first answer; err is the last
+// failure before it.
+func (a *Agent) askGroup(ctx context.Context, cands []string, portID, verReq string) (offers []*node.Offer, err error) {
+	for _, cand := range cands {
+		if cand == a.name {
+			return a.viewQuery(portID, verReq), err
+		}
+		ref, ok := a.refOf(cand)
+		if !ok {
 			continue
 		}
-		a.deltasSent.Add(1)
-		a.gossip.enqueue(m, gossipDelta, body)
+		a.locked(func(c *core, _ time.Time) { c.stats.QueriesSent++ })
+		callErr := ref.InvokeContext(ctx, "mrm_query",
+			func(e *cdr.Encoder) { e.WriteString(portID); e.WriteString(verReq) }, intoOffers(&offers))
+		if callErr == nil {
+			return offers, err
+		}
+		err = callErr
 	}
+	return nil, err
 }
 
-// deltaOutcome classifies one gossip delta against the local directory.
-type deltaOutcome int
-
-const (
-	deltaStale    deltaOutcome = iota // already incorporated
-	deltaApplied                      // contiguous, applied locally
-	deltaSelfGone                     // applied, and it expelled this node
-	deltaGap                          // non-contiguous: deltas were lost
-)
-
-// applyDelta ingests one delta under the lock and reports what to do
-// next; on deltaApplied, dir is the post-apply clone to relay from.
-func (a *Agent) applyDelta(delta *DirectoryDelta) (deltaOutcome, *Directory) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	switch {
-	case delta.To <= a.dir.Epoch:
-		// Stale or duplicate (e.g. both the root and a relay reached us).
-		return deltaStale, nil
-	case delta.From == a.dir.Epoch:
-		a.dir.Apply(delta)
-		a.deltasApplied.Add(1)
-		for _, name := range delta.Removes {
-			delete(a.view, name)
-			delete(a.sent, name)
-			delete(a.peerEpochs, name)
-		}
-		if a.dir.GroupOf(a.name) < 0 {
-			return deltaSelfGone, nil
-		}
-		return deltaApplied, a.dir.Clone()
-	default:
-		// Gap: deltas were dropped (queue overflow, a missed relay).
-		return deltaGap, nil
-	}
+// askRoot has the root resolve a query across every group but this
+// node's own.
+func (a *Agent) askRoot(ctx context.Context, portID, verReq string, group int) (offers []*node.Offer, err error) {
+	a.locked(func(c *core, _ time.Time) { c.stats.QueriesSent++ })
+	err = a.callRoot(ctx, "root_query", func(e *cdr.Encoder) {
+		e.WriteString(portID)
+		e.WriteString(verReq)
+		e.WriteLong(int32(group))
+	}, intoOffers(&offers))
+	return offers, err
 }
 
-// handleDelta ingests one directory delta from the gossip stream. raw
-// is this frame entry's encoded form, copied if the delta must be
-// relayed (the inbound buffer is transport-owned).
-func (a *Agent) handleDelta(delta *DirectoryDelta, raw []byte) {
-	a.deltasRecv.Add(1)
-	switch outcome, dir := a.applyDelta(delta); outcome {
-	case deltaSelfGone, deltaGap:
-		// Behind the stream, or expelled by it: reconcile with the root
-		// — anti-entropy pulls exactly the missing entries, and rejoins
-		// if the root confirms the expulsion.
-		kick(a.pullKick)
-	case deltaApplied:
-		body := append([]byte(nil), raw...)
-		a.relayDelta(dir, body)
-		for _, name := range delta.Removes {
-			a.gossip.drop(name)
-		}
+// intoOffers decodes an offer-list reply into *dst.
+func intoOffers(dst *[]*node.Offer) orb.Unmarshaller {
+	return func(d *cdr.Decoder) (err error) {
+		*dst, err = node.UnmarshalOffers(d)
+		return err
 	}
-}
-
-// ingestUpdate stores a member's report in this MRM's view; an update
-// without offers ("unchanged") keeps the offers last shipped.
-func (a *Agent) ingestUpdate(report *node.Report, offers []*node.Offer, hasOffers bool) {
-	a.updatesRecv.Add(1)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !hasOffers {
-		if prev, ok := a.view[report.Node]; ok {
-			offers = prev.offers
-		}
-	}
-	a.view[report.Node] = &memberState{report: report, offers: offers, lastSeen: time.Now()}
-}
-
-// ingestSummary stores a group leader's aggregate in the root view.
-func (a *Agent) ingestSummary(group int, alive uint32, freeCPU float64, exports []string) {
-	exp := make(map[string]bool, len(exports))
-	for _, x := range exports {
-		exp[x] = true
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.summaries[group] = &groupSummary{
-		group: group, alive: alive, freeCPU: freeCPU, exports: exp, lastSeen: time.Now(),
-	}
-}
-
-// viewQuery answers a component query from this MRM's (or, in Strong
-// mode, this node's) view.
-func (a *Agent) viewQuery(portID, verReq string) []*node.Offer {
-	req, err := version.ParseRequirement(verReq)
-	if err != nil {
-		return nil
-	}
-	cutoff := time.Now().Add(-a.failTimeout())
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var out []*node.Offer
-	for _, st := range a.view {
-		if st.lastSeen.Before(cutoff) {
-			continue
-		}
-		for _, of := range st.offers {
-			if of.PortRepoID != portID {
-				continue
-			}
-			if id, err := component.ParseID(of.ComponentID); err == nil && !req.Matches(id.Version) {
-				continue
-			}
-			// Refresh the load figure from the latest report.
-			ofCopy := *of
-			ofCopy.NodeLoad = st.report.LoadFraction()
-			out = append(out, &ofCopy)
-		}
-	}
-	return out
 }
 
 // rootQuery resolves a query at the root: the summaries prune the fan-out
-// to groups that actually export the port, exploiting the hierarchy. The
-// candidate lists are copied under the lock: deltas mutate a.dir in place.
+// to groups that actually export the port, exploiting the hierarchy.
 func (a *Agent) rootQuery(ctx context.Context, portID, verReq string, skipGroup int) []*node.Offer {
-	a.mu.Lock()
 	var groups [][]string
-	for g, sum := range a.summaries {
-		if g != skipGroup && sum.exports[portID] {
-			groups = append(groups, a.dir.Candidates(g, a.cfg.Replicas))
-		}
-	}
-	a.mu.Unlock()
-
+	a.locked(func(c *core, _ time.Time) { groups = c.exporters(portID, skipGroup) })
 	var out []*node.Offer
 	for _, cands := range groups {
-		for _, cand := range cands {
-			if cand == a.name {
-				out = append(out, a.viewQuery(portID, verReq)...)
-				break
-			}
-			ref, ok := a.refOf(cand)
-			if !ok {
-				continue
-			}
-			var offers []*node.Offer
-			a.queriesSent.Add(1)
-			err := ref.InvokeContext(ctx, "mrm_query",
-				func(e *cdr.Encoder) { e.WriteString(portID); e.WriteString(verReq) },
-				func(d *cdr.Decoder) error {
-					var err error
-					offers, err = node.UnmarshalOffers(d)
-					return err
-				})
-			if err == nil {
-				out = append(out, offers...)
-				break
-			}
-		}
+		offers, _ := a.askGroup(ctx, cands, portID, verReq)
+		out = append(out, offers...)
 	}
 	return out
 }
@@ -488,23 +292,15 @@ func (a *Agent) rootQuery(ctx context.Context, portID, verReq string, skipGroup 
 // groupSnapshot captures this node's group index and its MRM replica
 // candidates, or ErrNotJoined.
 func (a *Agent) groupSnapshot() (group int, cands []string, err error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.joined {
-		return 0, nil, ErrNotJoined
-	}
-	group = a.dir.GroupOf(a.name)
-	return group, a.dir.Candidates(group, a.cfg.Replicas), nil
-}
-
-// dirClone snapshots the whole directory, or ErrNotJoined.
-func (a *Agent) dirClone() (*Directory, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.joined {
-		return nil, ErrNotJoined
-	}
-	return a.dir.Clone(), nil
+	a.locked(func(c *core, _ time.Time) {
+		if !c.joined {
+			err = ErrNotJoined
+			return
+		}
+		group = c.dir.GroupOf(c.name)
+		cands = c.dir.Candidates(group, c.cfg.Replicas)
+	})
+	return group, cands, err
 }
 
 // Query resolves a component query through the hierarchy: own group's
@@ -517,63 +313,18 @@ func (a *Agent) Query(ctx context.Context, portID, verReq string) ([]*node.Offer
 	if err != nil {
 		return nil, err
 	}
-
 	if a.cfg.Mode == Strong {
-		offers := a.viewQuery(portID, verReq)
-		offers = append(offers, a.localOffers(portID, verReq)...)
-		return dedupOffers(offers), nil
+		return a.knownOffers(portID, verReq), nil
 	}
-
-	// Level 0: own group MRM replicas in priority order.
-	var lastErr error
-	for _, cand := range cands {
-		var offers []*node.Offer
-		var err error
-		if cand == a.name {
-			offers = a.viewQuery(portID, verReq)
-		} else {
-			ref, ok := a.refOf(cand)
-			if !ok {
-				continue
-			}
-			a.queriesSent.Add(1)
-			err = ref.InvokeContext(ctx, "mrm_query",
-				func(e *cdr.Encoder) { e.WriteString(portID); e.WriteString(verReq) },
-				func(d *cdr.Decoder) error {
-					var e error
-					offers, e = node.UnmarshalOffers(d)
-					return e
-				})
-		}
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if len(offers) > 0 {
-			return offers, nil
-		}
-		break // MRM reachable but no local match: climb.
+	// Level 0: own group MRM replicas; one reachable but without a local
+	// match sends the query up.
+	offers, lastErr := a.askGroup(ctx, cands, portID, verReq)
+	if len(offers) > 0 {
+		return offers, nil
 	}
-
 	// Level 1: the root fans out to exporting groups.
-	var offers []*node.Offer
-	a.queriesSent.Add(1)
-	err = a.callRoot(ctx, "root_query",
-		func(e *cdr.Encoder) {
-			e.WriteString(portID)
-			e.WriteString(verReq)
-			e.WriteLong(int32(group))
-		},
-		func(d *cdr.Decoder) error {
-			var e error
-			offers, e = node.UnmarshalOffers(d)
-			return e
-		})
-	if err != nil {
-		if lastErr != nil {
-			return nil, lastErr
-		}
-		return nil, err
+	if offers, err = a.askRoot(ctx, portID, verReq, group); err != nil {
+		return nil, cmp.Or(lastErr, err)
 	}
 	return offers, nil
 }
@@ -586,51 +337,11 @@ func (a *Agent) QueryAll(ctx context.Context, portID, verReq string) ([]*node.Of
 	if err != nil {
 		return nil, err
 	}
-
 	if a.cfg.Mode == Strong {
-		offers := a.viewQuery(portID, verReq)
-		offers = append(offers, a.localOffers(portID, verReq)...)
-		return dedupOffers(offers), nil
+		return a.knownOffers(portID, verReq), nil
 	}
-
-	var out []*node.Offer
-	for _, cand := range cands {
-		var offers []*node.Offer
-		var err error
-		if cand == a.name {
-			offers = a.viewQuery(portID, verReq)
-		} else {
-			ref, ok := a.refOf(cand)
-			if !ok {
-				continue
-			}
-			a.queriesSent.Add(1)
-			err = ref.InvokeContext(ctx, "mrm_query",
-				func(e *cdr.Encoder) { e.WriteString(portID); e.WriteString(verReq) },
-				func(d *cdr.Decoder) error {
-					var e error
-					offers, e = node.UnmarshalOffers(d)
-					return e
-				})
-		}
-		if err == nil {
-			out = append(out, offers...)
-			break
-		}
-	}
-	var rootOffers []*node.Offer
-	a.queriesSent.Add(1)
-	err = a.callRoot(ctx, "root_query",
-		func(e *cdr.Encoder) {
-			e.WriteString(portID)
-			e.WriteString(verReq)
-			e.WriteLong(int32(group))
-		},
-		func(d *cdr.Decoder) error {
-			var e error
-			rootOffers, e = node.UnmarshalOffers(d)
-			return e
-		})
+	out, _ := a.askGroup(ctx, cands, portID, verReq)
+	rootOffers, err := a.askRoot(ctx, portID, verReq, group)
 	if err == nil {
 		out = append(out, rootOffers...)
 	} else if len(out) == 0 {
@@ -639,8 +350,14 @@ func (a *Agent) QueryAll(ctx context.Context, portID, verReq string) ([]*node.Of
 	return dedupOffers(out), nil
 }
 
-// localOffers lists this node's own matching offers (Strong-mode views
-// exclude self since agents do not flood to themselves).
+// knownOffers answers from this node alone, as Strong mode does: its
+// view plus its own offers (views exclude self, since agents do not
+// flood to themselves).
+func (a *Agent) knownOffers(portID, verReq string) []*node.Offer {
+	return dedupOffers(append(a.viewQuery(portID, verReq), a.localOffers(portID, verReq)...))
+}
+
+// localOffers lists this node's own matching offers.
 func (a *Agent) localOffers(portID, verReq string) []*node.Offer {
 	req, err := version.ParseRequirement(verReq)
 	if err != nil {
@@ -648,13 +365,9 @@ func (a *Agent) localOffers(portID, verReq string) []*node.Offer {
 	}
 	var out []*node.Offer
 	for _, of := range a.n.AllOffers() {
-		if of.PortRepoID != portID {
-			continue
+		if offerMatches(of, portID, req) {
+			out = append(out, of)
 		}
-		if id, err := component.ParseID(of.ComponentID); err == nil && !req.Matches(id.Version) {
-			continue
-		}
-		out = append(out, of)
 	}
 	return out
 }
@@ -662,9 +375,14 @@ func (a *Agent) localOffers(portID, verReq string) []*node.Offer {
 // QueryFlat is the non-hierarchical baseline: ask every node's Component
 // Registry directly (E4 compares its message count against Query's).
 func (a *Agent) QueryFlat(ctx context.Context, portID, verReq string) ([]*node.Offer, error) {
-	dir, err := a.dirClone()
-	if err != nil {
-		return nil, err
+	var dir *Directory
+	a.locked(func(c *core, _ time.Time) {
+		if c.joined {
+			dir = c.dir.Clone()
+		}
+	})
+	if dir == nil {
+		return nil, ErrNotJoined
 	}
 	var out []*node.Offer
 	for name, nd := range dir.Nodes {
@@ -672,16 +390,10 @@ func (a *Agent) QueryFlat(ctx context.Context, portID, verReq string) ([]*node.O
 			out = append(out, a.localOffers(portID, verReq)...)
 			continue
 		}
-		ref := a.o.NewRef(nd.Registry)
 		var offers []*node.Offer
-		a.queriesSent.Add(1)
-		err := ref.InvokeContext(ctx, "query",
-			func(e *cdr.Encoder) { e.WriteString(portID); e.WriteString(verReq) },
-			func(d *cdr.Decoder) error {
-				var e error
-				offers, e = node.UnmarshalOffers(d)
-				return e
-			})
+		a.locked(func(c *core, _ time.Time) { c.stats.QueriesSent++ })
+		err := a.o.NewRef(nd.Registry).InvokeContext(ctx, "query",
+			func(e *cdr.Encoder) { e.WriteString(portID); e.WriteString(verReq) }, intoOffers(&offers))
 		if err == nil {
 			out = append(out, offers...)
 		}

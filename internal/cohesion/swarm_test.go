@@ -151,10 +151,8 @@ func churnSwarm(t *testing.T, n int, tweak func(*Config)) float64 {
 func TestSwarmPartitionHeal(t *testing.T) {
 	leak.Check(t)
 	const n = 60
-	tc := newCluster(t, n, func(c *Config) {
-		c.GroupSize = 4
-		c.AntiEntropyTicks = 4
-	})
+	tc := newCluster(t, n, func(c *Config) { c.GroupSize = 4 })
+	setSyncEvery(tc.agents, 4)
 	waitFor(t, 60*time.Second, "initial swarm convergence", func() bool {
 		return swarmConverged(tc.agents, n)
 	})
