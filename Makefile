@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet vet-benchmark lint escapegate tools test race bench bench-compare fmt tidy loc clean
+.PHONY: check build vet vet-benchmark lint test race bench bench-compare fmt tidy loc clean
 
 ## check: the full tier-1 gate — what CI runs on every push/PR.
-check: fmt tidy build vet vet-benchmark lint escapegate race
+check: fmt tidy build vet vet-benchmark lint race
 
 build:
 	$(GO) build ./...
@@ -23,24 +23,11 @@ vet-benchmark:
 loc:
 	@git ls-files '*.go' ':!:*_test.go' ':!:benchmark/' ':!:*testdata/*' | xargs cat | wc -l
 
-## tools: build the repo's own gate binaries once into bin/ — repeated
-## `go run` invocations re-link on every call, which doubles the wall
-## time of `make check`.
-tools:
-	$(GO) build -o bin/ ./cmd/corbalc-lint ./cmd/corbalc-escapegate
-
-## lint: the CORBA-LC invariant suite (lockdiscipline, cdralign,
-## errpropagation, ctxtimeout, poolreturn, goroutinelifetime,
-## atomicfield, lockorder).
-lint: tools
-	./bin/corbalc-lint ./...
-
-## escapegate: compare the compiler's escape analysis of the invocation
-## hot path against the checked-in ESCAPES.json baseline; any new heap
-## escape fails the gate. Regenerate deliberately with
-## `go run ./cmd/corbalc-escapegate -update`.
-escapegate: tools
-	./bin/corbalc-escapegate
+## lint: the CORBA-LC invariant suite (locks, cdralign, errpropagation,
+## ctxtimeout, poolreturn, goroutinelifetime). Stock go vet passes are
+## the vet target's job.
+lint:
+	$(GO) run ./cmd/corbalc-lint ./...
 
 test:
 	$(GO) test ./...

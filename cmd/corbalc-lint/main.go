@@ -1,23 +1,20 @@
 // Command corbalc-lint is the multichecker driving the CORBA-LC
 // invariant analyzers over this repository:
 //
-//	lockdiscipline     deferred-unlock hygiene; no blocking calls under a lock
+//	locks              deferred-unlock hygiene; no blocking calls under a lock; no lock-order cycles
 //	cdralign           CDR primitives encode through internal/cdr helpers
 //	errpropagation     no silently dropped error results
 //	ctxtimeout         no network dials without deadline or context
 //	poolreturn         pooled buffers/encoders/messages reach a release point
 //	goroutinelifetime  every go statement in internal/ ties to a tracked lifetime
-//	atomicfield        no mixing sync/atomic and plain access; no typed-atomic copies
-//	lockorder          no cycles in the cross-package lock-acquisition graph
 //
 // Usage:
 //
-//	corbalc-lint [-vet] [-list] [packages...]
+//	corbalc-lint [-list] [packages...]
 //
 // Package patterns are directories, optionally /...-suffixed (default
-// ./...). With -vet, a curated set of stock `go vet` analyzers runs in
-// the same invocation, so CI needs a single gate. Exit status is 1 when
-// any diagnostic is reported.
+// ./...). Stock `go vet` passes are `make vet`'s job. Exit status is 1
+// when any diagnostic is reported.
 //
 // Findings are suppressed line-by-line with:
 //
@@ -28,40 +25,29 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"strings"
 
 	"corbalc/internal/analysis"
-	"corbalc/internal/analysis/atomicfield"
 	"corbalc/internal/analysis/cdralign"
 	"corbalc/internal/analysis/ctxtimeout"
 	"corbalc/internal/analysis/errpropagation"
 	"corbalc/internal/analysis/goroutinelifetime"
-	"corbalc/internal/analysis/lockdiscipline"
-	"corbalc/internal/analysis/lockorder"
+	"corbalc/internal/analysis/locks"
 	"corbalc/internal/analysis/poolreturn"
 )
 
 var analyzers = []*analysis.Analyzer{
-	lockdiscipline.Analyzer,
+	locks.Analyzer,
 	cdralign.Analyzer,
 	errpropagation.Analyzer,
 	ctxtimeout.Analyzer,
 	poolreturn.Analyzer,
 	goroutinelifetime.Analyzer,
-	atomicfield.Analyzer,
-	lockorder.Analyzer,
 }
 
-// vetAnalyzers is the stock go vet subset run with -vet: the checks most
-// relevant to a concurrent wire-protocol codebase.
-var vetAnalyzers = []string{"copylocks", "atomic", "lostcancel", "unreachable", "printf"}
-
 func main() {
-	vet := flag.Bool("vet", false, "also run selected stock go vet analyzers (copylocks, atomic, lostcancel, unreachable, printf)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: corbalc-lint [-vet] [-list] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: corbalc-lint [-list] [packages...]\n\nAnalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-16s %s\n", a.Name, a.Doc)
 		}
@@ -90,36 +76,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%v [typecheck]\n", terr)
 		}
 	}
-	diags := analysis.Run(analyzers, pkgs)
-	for _, d := range diags {
+	for _, d := range analysis.Run(analyzers, pkgs) {
 		failed = true
-		var fset = pkgs[0].Fset
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", fset.Position(d.Pos), d.Message, d.Analyzer)
-	}
-	if *vet && !runVet(patterns) {
-		failed = true
+		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", pkgs[0].Fset.Position(d.Pos), d.Message, d.Analyzer)
 	}
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// runVet shells out to the toolchain's vet with the curated analyzer
-// set, reporting whether it passed.
-func runVet(patterns []string) bool {
-	args := []string{"vet"}
-	for _, a := range vetAnalyzers {
-		args = append(args, "-"+a)
-	}
-	args = append(args, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		if _, ok := err.(*exec.ExitError); !ok {
-			fmt.Fprintf(os.Stderr, "corbalc-lint: go %s: %v\n", strings.Join(args, " "), err)
-		}
-		return false
-	}
-	return true
 }

@@ -84,23 +84,3 @@ func FuncOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	return nil
 }
-
-// IsPkgFunc reports whether call invokes the package-level function
-// pkgPath.name (e.g. "time".Sleep).
-func IsPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	f := FuncOf(info, call)
-	return f != nil && f.Pkg() != nil && f.Pkg().Path() == pkgPath && f.Name() == name && f.Type().(*types.Signature).Recv() == nil
-}
-
-// ReceiverPkg returns the defining package path of a method call's
-// receiver, or "" if call is not a resolvable method call.
-func ReceiverPkg(info *types.Info, call *ast.CallExpr) string {
-	f := FuncOf(info, call)
-	if f == nil || f.Pkg() == nil {
-		return ""
-	}
-	if f.Type().(*types.Signature).Recv() == nil {
-		return ""
-	}
-	return f.Pkg().Path()
-}

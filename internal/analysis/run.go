@@ -10,7 +10,7 @@ import (
 
 // Batch is one analyzer's view of a whole Run invocation: every package
 // in the batch flows through the analyzer's Run with the same Batch, so
-// a whole-program analyzer (e.g. lockorder's cross-package lock graph)
+// a whole-program analyzer (e.g. the locks analyzer's lock graph)
 // can accumulate State per package and conclude in Finish once all
 // packages have been seen.
 type Batch struct {

@@ -3,6 +3,8 @@ package bufpool
 import (
 	"sync"
 	"testing"
+
+	"corbalc/internal/race"
 )
 
 func TestClassFor(t *testing.T) {
@@ -89,6 +91,21 @@ func TestConcurrentGetPut(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestGetPutZeroAlloc pins a warm Get/Put cycle at zero allocations in
+// the smallest class, the 1 KiB class, and the 256 KiB class a 70 KB
+// bulk body lands in.
+func TestGetPutZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool randomly drops items under the race detector; alloc counts are not stable")
+	}
+	for _, n := range []int{16, 1 << 10, 70_000} {
+		Put(Get(n)) // warm the class
+		if allocs := testing.AllocsPerRun(100, func() { Put(Get(n)) }); allocs != 0 {
+			t.Errorf("Get(%d)+Put allocates %.1f times per cycle, want 0", n, allocs)
+		}
+	}
 }
 
 func BenchmarkGetPut(b *testing.B) {
