@@ -11,6 +11,7 @@ import (
 	"corbalc/internal/cdr"
 	"corbalc/internal/component"
 	"corbalc/internal/events"
+	"corbalc/internal/idl"
 	"corbalc/internal/ior"
 	"corbalc/internal/leak"
 	"corbalc/internal/node"
@@ -517,34 +518,68 @@ func TestStrongModePerfectKnowledge(t *testing.T) {
 	}
 }
 
-// onewayTrace is a server interceptor counting, per operation name, the
-// oneway requests the ORBs it is attached to receive.
+// onewayTrace counts, per operation name, the dispatches of the
+// operations idl/corbalc.idl declares oneway that the servants it wraps
+// receive.
 type onewayTrace struct {
-	mu  sync.Mutex
-	ops map[string]int
+	oneway map[string]bool // read-only once built
+	mu     sync.Mutex
+	ops    map[string]int
 }
 
-func (tr *onewayTrace) ReceiveRequest(_ context.Context, info *orb.RequestInfo) error {
-	if info.Oneway {
-		tr.mu.Lock()
-		tr.ops[info.Operation]++
-		tr.mu.Unlock()
+func newOnewayTrace(t *testing.T) *onewayTrace {
+	repo := idl.NewRepository()
+	if err := repo.ParseFile("../../idl/corbalc.idl"); err != nil {
+		t.Fatal(err)
 	}
-	return nil
+	tr := &onewayTrace{oneway: make(map[string]bool), ops: make(map[string]int)}
+	for _, iface := range repo.Interfaces() {
+		for _, op := range iface.AllOperations() {
+			if op.Oneway {
+				tr.oneway[op.Name] = true
+			}
+		}
+	}
+	if !tr.oneway["gossip_batch"] {
+		t.Fatalf("idl/corbalc.idl oneway operations %v lack gossip_batch", tr.oneway)
+	}
+	return tr
 }
 
-func (tr *onewayTrace) SendReply(context.Context, *orb.RequestInfo) {}
+// wrap re-activates every servant o serves behind the trace.
+func (tr *onewayTrace) wrap(o *orb.ORB) {
+	a := o.Adapter()
+	for _, key := range a.Keys() {
+		if s, ok := a.Resolve([]byte(key)); ok {
+			a.Activate(key, tracedServant{Servant: s, tr: tr})
+		}
+	}
+}
+
+type tracedServant struct {
+	orb.Servant
+	tr *onewayTrace
+}
+
+func (s tracedServant) InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+	if s.tr.oneway[op] {
+		s.tr.mu.Lock()
+		s.tr.ops[op]++
+		s.tr.mu.Unlock()
+	}
+	return s.Servant.InvokeContext(ctx, op, args, reply)
+}
 
 // Strong mode is a policy over the gossip plane, not a plane of its
 // own: a reflective change reaches every member's view, and the only
 // oneway operation any node ever receives is gossip_batch.
 func TestStrongFloodRidesGossipOnly(t *testing.T) {
 	leak.Check(t)
-	trace := &onewayTrace{ops: make(map[string]int)}
-	tc := newCluster(t, 5, func(c *Config) { // groups {0,1,2} {3,4}
-		c.Mode = Strong
-		c.Node.ORB().AddServerInterceptor(trace)
-	})
+	trace := newOnewayTrace(t)
+	tc := newCluster(t, 5, func(c *Config) { c.Mode = Strong }) // groups {0,1,2} {3,4}
+	for _, nd := range tc.nodes {
+		trace.wrap(nd.ORB())
+	}
 	c, err := adderSpec("adder", "1.0.0").Build()
 	if err != nil {
 		t.Fatal(err)

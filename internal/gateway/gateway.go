@@ -5,8 +5,8 @@
 // CDR through DII and invokes the backend over the ORB's striped IIOP
 // channel pool — no generated stubs, no per-interface handler code. The
 // client-facing deadline (X-Timeout-Ms) becomes the server-side IIOP
-// deadline and one correlation ID (X-Call-Id) travels end to end, so the
-// interceptor chain observes web calls exactly like native ones.
+// deadline and one correlation ID (X-Call-Id) travels end to end, so a
+// servant observes web calls exactly like native ones.
 //
 // The hot path is engineered like the rest of the stack: pooled
 // translation buffers (TransBuf over internal/bufpool), a sharded
@@ -259,7 +259,7 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 
 	// Deadline and correlation: the HTTP client's budget becomes the
 	// IIOP deadline (svcctx injects ctx's deadline as SvcDeadline), and
-	// one call ID spans browser → gateway → backend interceptors.
+	// one call ID spans browser → gateway → backend servant.
 	ctx := r.Context()
 	timeout := g.callTimeout
 	if h := r.Header.Get("X-Timeout-Ms"); h != "" {

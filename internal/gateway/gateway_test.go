@@ -18,6 +18,7 @@ import (
 	"corbalc/internal/iiop"
 	"corbalc/internal/leak"
 	"corbalc/internal/orb"
+	"corbalc/internal/svcctx"
 )
 
 // demoIDL is the interface the gateway tests publish. mul, dot and
@@ -319,29 +320,29 @@ func TestGatewayInvoke(t *testing.T) {
 	}
 }
 
-// callIDRecorder observes server-side dispatches: the correlation ID and
+// callIDRecorder wraps the backend servant and records what each
+// dispatch observed through its context: the correlation ID and the
 // deadline the gateway propagated over IIOP.
 type callIDRecorder struct {
+	orb.Servant
 	mu       sync.Mutex
 	callIDs  []string
 	deadline time.Time
 }
 
-func (r *callIDRecorder) ReceiveRequest(_ context.Context, info *orb.RequestInfo) error {
+func (r *callIDRecorder) InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.callIDs = append(r.callIDs, info.CallID)
-	r.deadline = info.Deadline
-	return nil
+	r.callIDs = append(r.callIDs, svcctx.CallID(ctx))
+	r.deadline, _ = ctx.Deadline()
+	r.mu.Unlock()
+	return r.Servant.InvokeContext(ctx, op, args, reply)
 }
-
-func (r *callIDRecorder) SendReply(context.Context, *orb.RequestInfo) {}
 
 func TestGatewayPropagatesCallIDAndDeadline(t *testing.T) {
 	leak.Check(t)
 	tg := startGateway(t, Options{})
-	rec := &callIDRecorder{}
-	tg.backend.AddServerInterceptor(rec)
+	rec := &callIDRecorder{Servant: tg.servant}
+	tg.backend.Activate("calc", rec)
 
 	status, hdr, _ := tg.call(t, "calc", "add", `[1, 2]`, map[string]string{
 		"X-Call-Id": "web-req-7",

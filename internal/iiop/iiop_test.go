@@ -13,6 +13,7 @@ import (
 	"corbalc/internal/giop"
 	"corbalc/internal/orb"
 	"corbalc/internal/race"
+	"corbalc/internal/svcctx"
 )
 
 type calcServant struct{ sleep time.Duration }
@@ -271,20 +272,29 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 // parallel callers at every core count from 1 to 8 (the seed took 37).
 const tcpRoundTripAllocBudget = 2
 
+// tcpBoundedRoundTripAllocBudget is the ceiling for the same round trip
+// when the caller's context carries a deadline and a call ID. Encoding
+// SvcDeadline and the server's context.WithDeadline account for what
+// it measures: 8 when recorded, 11 while the server derived that
+// context twice.
+const tcpBoundedRoundTripAllocBudget = 9
+
 // TestTCPRoundTripAllocBudget holds the TCP invocation path to its
 // budget with one caller and with 8 parallel callers: the sharded hot
-// path may not pay for its parallelism in allocations.
+// path may not pay for its parallelism in allocations. A caller with a
+// deadline and a call ID is held to its own budget.
 func TestTCPRoundTripAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool randomly drops items under the race detector; alloc counts are not stable")
 	}
 	serverORB, _ := startServer(t, "calc", calcServant{})
 	ref := newClient(t).NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
-	square := func() error {
-		return ref.InvokeContext(context.Background(), "square",
+	squareCtx := func(ctx context.Context) error {
+		return ref.InvokeContext(ctx, "square",
 			func(e *cdr.Encoder) { e.WriteLong(7) },
 			func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err })
 	}
+	square := func() error { return squareCtx(context.Background()) }
 	call := func() {
 		if err := square(); err != nil {
 			t.Fatal(err)
@@ -295,6 +305,17 @@ func TestTCPRoundTripAllocBudget(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, call); allocs > tcpRoundTripAllocBudget {
 		t.Errorf("one caller: %.1f allocs per round trip, budget %d", allocs, tcpRoundTripAllocBudget)
+	}
+
+	bctx, cancel := context.WithTimeout(svcctx.WithCallID(context.Background(), "alloc-budget-1"), time.Hour)
+	defer cancel()
+	bounded := func() {
+		if err := squareCtx(bctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, bounded); allocs > tcpBoundedRoundTripAllocBudget {
+		t.Errorf("deadline and call ID: %.1f allocs per round trip, budget %d", allocs, tcpBoundedRoundTripAllocBudget)
 	}
 
 	const callers = 8

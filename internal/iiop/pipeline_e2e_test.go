@@ -4,84 +4,49 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"corbalc/internal/cdr"
 	"corbalc/internal/orb"
+	"corbalc/internal/svcctx"
 )
 
-// recorder is a test interceptor that copies every RequestInfo it sees;
-// it serves as both a ClientInterceptor (recording at ReceiveReply, when
-// Elapsed/Err are final) and a ServerInterceptor (recording at
-// ReceiveRequest, before dispatch).
-type recorder struct {
-	mu     sync.Mutex
-	sent   []orb.RequestInfo
-	served []orb.RequestInfo
+// dispatchSeen is what a servant observed of one dispatch through its
+// context alone: the operation, the call ID and the deadline.
+type dispatchSeen struct {
+	op       string
+	callID   string
+	deadline time.Time
 }
 
-func (r *recorder) SendRequest(context.Context, *orb.RequestInfo) {}
-
-func (r *recorder) ReceiveReply(_ context.Context, info *orb.RequestInfo) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sent = append(r.sent, *info)
-}
-
-func (r *recorder) ReceiveRequest(_ context.Context, info *orb.RequestInfo) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.served = append(r.served, *info)
-	return nil
-}
-
-func (r *recorder) SendReply(context.Context, *orb.RequestInfo) {}
-
-// waitFor blocks until the server chain has seen n dispatches of op —
-// i.e. the nth such request is registered in-flight server-side.
-func (r *recorder) waitFor(t *testing.T, op string, n int) {
+// nextSeen returns the servant's next recorded dispatch.
+func nextSeen(t *testing.T, seen <-chan dispatchSeen) dispatchSeen {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		r.mu.Lock()
-		count := 0
-		for _, info := range r.served {
-			if info.Operation == op {
-				count++
-			}
-		}
-		r.mu.Unlock()
-		if count >= n {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case s := <-seen:
+		return s
+	case <-time.After(2 * time.Second):
+		t.Fatal("servant never saw the call")
+		return dispatchSeen{}
 	}
-	t.Fatalf("server never saw %d %q dispatches", n, op)
-}
-
-func (r *recorder) find(list func(*recorder) []orb.RequestInfo, op string) (orb.RequestInfo, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, info := range list(r) {
-		if info.Operation == op {
-			return info, true
-		}
-	}
-	return orb.RequestInfo{}, false
 }
 
 // The full invocation pipeline over real IIOP: the client's context
-// deadline and call ID travel in service contexts, both ORBs'
-// interceptor chains observe the same call, deadline expiry surfaces as
-// CORBA::TIMEOUT at the client, the CancelRequest emitted on the wire
-// reaches the in-flight servant as context cancellation.
+// deadline and call ID travel in service contexts and reach the servant
+// through its own context, deadline expiry surfaces as CORBA::TIMEOUT at
+// the client, and the CancelRequest emitted on the wire reaches the
+// in-flight servant as context cancellation.
 func TestE2EContextPipeline(t *testing.T) {
+	// Room for every dispatch the test makes, so the servant never
+	// blocks on a record the test has not read yet.
+	seen := make(chan dispatchSeen, 8)
 	observedCause := make(chan error, 1)
 	servant := orb.ServantFunc{
 		RepoID: "IDL:corbalc/test/Calc:1.0",
 		Fn: func(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+			dl, _ := ctx.Deadline()
+			seen <- dispatchSeen{op: op, callID: svcctx.CallID(ctx), deadline: dl}
 			switch op {
 			case "echo":
 				n, err := args.ReadLong()
@@ -105,47 +70,44 @@ func TestE2EContextPipeline(t *testing.T) {
 		},
 	}
 	serverORB, _ := startServer(t, "calc", servant)
-	srvRec := &recorder{}
-	serverORB.AddServerInterceptor(srvRec)
 
 	client := newClient(t)
-	cliRec := &recorder{}
-	client.AddClientInterceptor(cliRec)
 	ref, err := client.ResolveStr(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc").String())
 	if err != nil {
 		t.Fatal(err)
 	}
+	echo := func(e *cdr.Encoder) { e.WriteLong(7) }
+	readEcho := func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err }
 
-	// A successful bounded call: both chains see it, with one identity.
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	// A successful bounded call with an explicit call ID: the servant
+	// sees the caller's ID and deadline.
+	ctx, cancel := context.WithTimeout(svcctx.WithCallID(context.Background(), "e2e-explicit-1"), 3*time.Second)
 	defer cancel()
-	var echoed int32
-	err = ref.InvokeContext(ctx, "echo",
-		func(e *cdr.Encoder) { e.WriteLong(7) },
-		func(d *cdr.Decoder) error {
-			var err error
-			echoed, err = d.ReadLong()
-			return err
-		})
-	if err != nil || echoed != 7 {
-		t.Fatalf("echo = %d, %v; want 7, nil", echoed, err)
+	if err := ref.InvokeContext(ctx, "echo", echo, readEcho); err != nil {
+		t.Fatal(err)
 	}
-	cliInfo, ok := cliRec.find(func(r *recorder) []orb.RequestInfo { return r.sent }, "echo")
-	if !ok {
-		t.Fatal("client interceptor never observed the echo call")
+	got := nextSeen(t, seen)
+	if got.op != "echo" || got.callID != "e2e-explicit-1" {
+		t.Fatalf("servant saw %q with call ID %q, want echo with e2e-explicit-1", got.op, got.callID)
 	}
-	srvInfo, ok := srvRec.find(func(r *recorder) []orb.RequestInfo { return r.served }, "echo")
-	if !ok {
-		t.Fatal("server interceptor never observed the echo call")
+	// The deadline travels in microseconds.
+	if want, _ := ctx.Deadline(); got.deadline.IsZero() || want.Sub(got.deadline) < 0 || want.Sub(got.deadline) >= time.Microsecond {
+		t.Fatalf("servant saw deadline %v, want the client's %v", got.deadline, want)
 	}
-	if cliInfo.CallID == "" || cliInfo.CallID != srvInfo.CallID {
-		t.Fatalf("call IDs differ across the wire: client %q, server %q", cliInfo.CallID, srvInfo.CallID)
+
+	// Without an ID the client mints one; the future names it, and the
+	// servant sees the same one.
+	fu, err := ref.CallAsyncContext(context.Background(), "echo", echo, readEcho)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if srvInfo.Deadline.IsZero() {
-		t.Fatal("client deadline did not reach the server's interceptor")
+	if err := fu.Wait(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if cliInfo.Err != nil {
-		t.Fatalf("client interceptor recorded Err = %v for a successful call", cliInfo.Err)
+	if got := nextSeen(t, seen); fu.CallID() == "" || got.callID != fu.CallID() {
+		t.Fatalf("minted call IDs differ across the wire: future %q, servant %q", fu.CallID(), got.callID)
+	} else if !got.deadline.IsZero() {
+		t.Fatalf("unbounded call reached the servant with deadline %v", got.deadline)
 	}
 
 	// Deadline expiry mid-call: CORBA::TIMEOUT at the client (with the
@@ -161,6 +123,7 @@ func TestE2EContextPipeline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired call err = %v, want wrapped context.DeadlineExceeded", err)
 	}
+	nextSeen(t, seen)
 	select {
 	case cause := <-observedCause:
 		// Two correct cancellation paths race here: the propagated
@@ -173,11 +136,6 @@ func TestE2EContextPipeline(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("servant never observed cancellation")
 	}
-	if info, ok := cliRec.find(func(r *recorder) []orb.RequestInfo { return r.sent }, "block"); !ok {
-		t.Fatal("client interceptor never observed the failed call")
-	} else if info.Err == nil {
-		t.Fatal("client interceptor recorded Err = nil for the expired call")
-	}
 
 	// Explicit cancellation with no deadline: the only way the servant's
 	// context can end is the CancelRequest arriving on the wire, so the
@@ -187,7 +145,7 @@ func TestE2EContextPipeline(t *testing.T) {
 	go func() {
 		callErr <- ref.InvokeContext(ctx3, "block", nil, func(d *cdr.Decoder) error { return nil })
 	}()
-	srvRec.waitFor(t, "block", 2)
+	nextSeen(t, seen) // the call is in flight server-side
 	cancel3()
 	if err := <-callErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled call err = %v, want wrapped context.Canceled", err)
@@ -202,15 +160,14 @@ func TestE2EContextPipeline(t *testing.T) {
 	}
 
 	// The pipeline stays healthy after a cancelled in-flight call.
-	if err := ref.InvokeContext(context.Background(), "echo",
-		func(e *cdr.Encoder) { e.WriteLong(1) },
-		func(d *cdr.Decoder) error { _, err := d.ReadLong(); return err }); err != nil {
+	if err := ref.InvokeContext(context.Background(), "echo", echo, readEcho); err != nil {
 		t.Fatalf("follow-up call after cancellation: %v", err)
 	}
 }
 
-// The per-ORB Stats interceptor aggregates both directions of traffic.
-func TestE2EStatsInterceptor(t *testing.T) {
+// The per-ORB Stats counters aggregate both directions of traffic,
+// errors included.
+func TestE2EStatsCounters(t *testing.T) {
 	serverORB, _ := startServer(t, "calc", calcServant{})
 	client := newClient(t)
 	ref, err := client.ResolveStr(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc").String())
@@ -225,13 +182,19 @@ func TestE2EStatsInterceptor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := client.Stats().RequestsSent(); got != calls {
-		t.Fatalf("client RequestsSent = %d, want %d", got, calls)
+	if err := ref.InvokeContext(context.Background(), "boom", nil, nil); !orb.IsUserException(err, "IDL:corbalc/test/Overflow:1.0") {
+		t.Fatalf("boom err = %v, want the Overflow user exception", err)
 	}
-	if got := serverORB.Stats().RequestsServed(); got != calls {
-		t.Fatalf("server RequestsServed = %d, want %d", got, calls)
+	if got := client.Stats().RequestsSent(); got != calls+1 {
+		t.Fatalf("client RequestsSent = %d, want %d", got, calls+1)
 	}
-	if sent, _ := client.Stats().MeanLatency(); sent <= 0 {
-		t.Fatalf("client mean latency = %v, want > 0", sent)
+	if got := serverORB.Stats().RequestsServed(); got != calls+1 {
+		t.Fatalf("server RequestsServed = %d, want %d", got, calls+1)
+	}
+	if sent, _ := client.Stats().Errors(); sent != 1 {
+		t.Fatalf("client sent errors = %d, want 1", sent)
+	}
+	if _, served := serverORB.Stats().Errors(); served != 1 {
+		t.Fatalf("server served errors = %d, want 1", served)
 	}
 }

@@ -8,11 +8,12 @@ import (
 )
 
 // nullCallAllocBudget is the allocation ceiling for one collocated null
-// invocation (request build, dispatch, reply build, reply decode, both
-// interceptor chains). The pooled hot path measures 17 allocs/op; the
-// ceiling leaves a little headroom for toolchain drift while still
-// failing loudly if pooling regresses (the pre-pooling figure was 36).
-const nullCallAllocBudget = 20
+// invocation (request build, call-ID mint, dispatch, reply build, reply
+// decode). The pooled hot path measures 0 allocs/op; the ceiling leaves
+// a little headroom for toolchain drift while still failing if any
+// pooled stage starts allocating per call (the pre-pooling figure was
+// 36).
+const nullCallAllocBudget = 2
 
 // TestNullCallAllocBudget is the in-tree allocation gate: a collocated
 // null call must stay within nullCallAllocBudget allocations, in a plain

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"corbalc/internal/giop"
 	"corbalc/internal/svcctx"
@@ -97,10 +96,6 @@ type Future struct {
 	result Unmarshaller
 	pr     PendingReply // nil once resolved, or for collocated launches
 
-	chain []ClientInterceptor
-	info  *RequestInfo
-	start time.Time
-
 	mu        sync.Mutex
 	cond      sync.Cond
 	resolved  bool
@@ -150,7 +145,7 @@ func (f *Future) Ready() bool {
 	if !done {
 		return false
 	}
-	f.resolve(context.Background(), m, err)
+	f.resolve(m, err)
 	f.cond.Broadcast()
 	return true
 }
@@ -223,7 +218,7 @@ func (f *Future) settleWait(ctx context.Context, m *giop.Message, err error) err
 		// leave the call in flight.
 		return ctxError(ctx, err)
 	default:
-		f.resolve(ctx, m, err)
+		f.resolve(m, err)
 	}
 	return f.err
 }
@@ -260,14 +255,14 @@ func (f *Future) finishCancel() {
 	if f.pr != nil {
 		f.pr.Abandon()
 	}
-	f.complete(context.Background(), &wrappedException{SystemException: Timeout(), cause: ErrFutureCancelled})
+	f.complete(&wrappedException{SystemException: Timeout(), cause: ErrFutureCancelled})
 }
 
 // resolve maps a terminal PendingReply outcome to the call's result:
 // decoding the reply (and releasing its pooled buffer) on success,
 // wrapping transport failures in the CORBA exception model otherwise.
 // Caller holds f.mu.
-func (f *Future) resolve(ctx context.Context, m *giop.Message, err error) {
+func (f *Future) resolve(m *giop.Message, err error) {
 	var res error
 	switch {
 	case err != nil:
@@ -285,24 +280,16 @@ func (f *Future) resolve(ctx context.Context, m *giop.Message, err error) {
 		res = f.orb.decodeReply(sc, m, f.reqID, f.result)
 		clientScratchPool.Put(sc)
 	}
-	f.complete(ctx, res)
+	f.complete(res)
 }
 
-// complete records the resolution: outcome, stats, and the interceptor
-// reply point. Caller holds f.mu.
-func (f *Future) complete(ctx context.Context, res error) {
+// complete records the resolution: outcome and stats. Caller holds
+// f.mu.
+func (f *Future) complete(res error) {
 	f.resolved = true
 	f.pr = nil
 	f.err = res
-	elapsed := time.Since(f.start)
-	f.orb.stats.recordAsyncDone(elapsed, res)
-	if f.info != nil {
-		f.info.Elapsed = elapsed
-		f.info.Err = res
-		for _, ci := range f.chain {
-			ci.ReceiveReply(ctx, f.info)
-		}
-	}
+	f.orb.stats.recordAsyncDone(res)
 }
 
 // CallAsyncContext launches an asynchronous invocation (the AMI polling
@@ -319,14 +306,9 @@ func (r *ObjectRef) CallAsyncContext(ctx context.Context, op string, args Marsha
 	if err := ctx.Err(); err != nil {
 		return nil, ctxError(ctx, err)
 	}
-	chain := o.clientChain()
 	callID := svcctx.CallID(ctx)
 	if callID == "" {
-		if len(chain) > 0 {
-			ctx, callID = svcctx.EnsureCallID(ctx)
-		} else {
-			callID = svcctx.NewCallID()
-		}
+		callID = svcctx.NewCallID()
 	}
 
 	reqID := o.nextRequestID()
@@ -345,35 +327,18 @@ func (r *ObjectRef) CallAsyncContext(ctx context.Context, op string, args Marsha
 		return nil, err
 	}
 
-	fu := &Future{orb: o, op: op, callID: callID, reqID: reqID, result: result, start: time.Now()}
+	fu := &Future{orb: o, op: op, callID: callID, reqID: reqID, result: result}
 	fu.cond.L = &fu.mu
-	o.stats.recordAsyncLaunch()
-	if len(chain) > 0 {
-		fu.chain = chain
-		fu.info = &RequestInfo{
-			Operation: op,
-			ObjectKey: objectKey,
-			RequestID: reqID,
-			CallID:    callID,
-			Local:     local,
-			Async:     true,
-		}
-		if dl, ok := ctx.Deadline(); ok {
-			fu.info.Deadline = dl
-		}
-		for _, ci := range chain {
-			ci.SendRequest(ctx, fu.info)
-		}
-	}
+	o.stats.asyncLaunched.Add(1)
 
 	if local {
 		reply, herr := o.HandleMessage(ctx, msg)
 		msg.Release()
 		fu.mu.Lock()
 		if herr != nil {
-			fu.complete(ctx, herr)
+			fu.complete(herr)
 		} else {
-			fu.resolve(ctx, reply, nil)
+			fu.resolve(reply, nil)
 		}
 		fu.mu.Unlock()
 		return fu, nil
@@ -383,7 +348,7 @@ func (r *ObjectRef) CallAsyncContext(ctx context.Context, op string, args Marsha
 	if err != nil {
 		msg.Release()
 		fu.mu.Lock()
-		fu.complete(ctx, err)
+		fu.complete(err)
 		fu.mu.Unlock()
 		return nil, err
 	}

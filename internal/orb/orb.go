@@ -76,18 +76,16 @@ type ORB struct {
 
 	// The registry tables below are read on every invocation by every
 	// caller goroutine but mutated only by rare control-plane calls
-	// (RegisterTransport, AddInterceptor, channel adoption), so they are
+	// (RegisterTransport, AddIORDecorator, channel adoption), so they are
 	// copy-on-write: readers load an immutable snapshot through an
 	// atomic pointer — no shared lock, no cacheline bouncing between
 	// cores — while writers copy-and-publish under mu.
-	mu                 sync.Mutex // serialises COW writers and guards host/port
-	transports         atomic.Pointer[map[uint32]Transport]
-	channels           atomic.Pointer[map[string]Channel] // endpoint -> live channel
-	decorators         atomic.Pointer[[]IORDecorator]
-	clientInterceptors atomic.Pointer[[]ClientInterceptor]
-	serverInterceptors atomic.Pointer[[]ServerInterceptor]
-	host               string
-	port               uint16
+	mu         sync.Mutex // serialises COW writers and guards host/port
+	transports atomic.Pointer[map[uint32]Transport]
+	channels   atomic.Pointer[map[string]Channel] // endpoint -> live channel
+	decorators atomic.Pointer[[]IORDecorator]
+	host       string
+	port       uint16
 
 	reqID atomic.Uint32
 
@@ -95,8 +93,8 @@ type ORB struct {
 	// ObjectRef-level resolved-channel caches invalidate themselves.
 	chanGen atomic.Uint64
 
-	// stats is the always-registered stats/latency interceptor backing
-	// RequestsServed/RequestsSent (read by tests and by the benchmark).
+	// stats holds the request counters backing RequestsServed/RequestsSent
+	// (read by tests and by the benchmark).
 	stats *Stats
 }
 
@@ -138,10 +136,6 @@ func NewORB(opts ...Option) *ORB {
 	channels := make(map[string]Channel)
 	o.transports.Store(&transports)
 	o.channels.Store(&channels)
-	// Stats accounting and deadline enforcement are intrinsic to the
-	// dispatch loops (see invoke and handleRequest), not chain members:
-	// an empty chain lets the hot path skip building the RequestInfo
-	// nothing would observe.
 	for _, opt := range opts {
 		opt(o)
 	}
@@ -154,7 +148,7 @@ func (o *ORB) ID() string { return o.id }
 // Adapter returns the ORB's object adapter.
 func (o *ORB) Adapter() *Adapter { return o.adapter }
 
-// Stats returns the ORB's built-in stats/latency interceptor.
+// Stats returns the ORB's request counters.
 func (o *ORB) Stats() *Stats { return o.stats }
 
 // RequestsServed reports how many inbound requests this ORB dispatched.
@@ -270,16 +264,14 @@ func (o *ORB) HandleMessage(ctx context.Context, m *giop.Message) (*giop.Message
 // decoder, the request header (whose service-context slice keeps its
 // capacity across dispatches), and the operation-name intern cache
 // (dispatched operations draw from a small fixed vocabulary, so after
-// warm-up the per-request name string stops allocating). The RequestInfo
-// handed to interceptors is NOT pooled — interceptors may legitimately
-// retain it.
+// warm-up the per-request name string stops allocating).
 type serverScratch struct {
 	dec cdr.Decoder
 	req giop.RequestHeader
 	ops map[string]string
-	// cctx is the reusable call-ID context for the interceptor-free,
-	// deadline-free dispatch path; it is rebound per request, so (like
-	// every pooled request context) servants must not retain it.
+	// cctx is the reusable call-ID context a dispatch carrying a call ID
+	// binds; it is rebound per request, so (like every pooled request
+	// context) servants must not retain it.
 	cctx svcctx.CallCtx
 }
 
@@ -301,35 +293,19 @@ func (o *ORB) handleRequest(ctx context.Context, m *giop.Message) (*giop.Message
 		return nil, fmt.Errorf("orb: bad request body padding: %w", err)
 	}
 
-	// Derive the request context from the propagated service contexts:
-	// deadline applied, call ID attached. The common case — no deadline
-	// shipped, no interceptor registered — binds the scratch's reusable
-	// call-ID context instead of deriving real context nodes, so the
-	// dispatch itself allocates nothing; a deadline or a chain (whose
-	// RequestInfo needs a durable string) takes the full derivation.
+	// Derive the request context from the propagated service contexts.
+	// A shipped deadline is applied directly on the transport's context:
+	// context.WithDeadline links to a cancellable parent such as iiop's
+	// pooled request context without a propagation goroutine only when
+	// no value wrapper sits in between. The call ID is then bound on top
+	// through the scratch's reusable CallCtx, which allocates nothing.
 	scInfo := svcctx.ExtractBytes(req.ServiceContexts)
-	chain := o.serverChain()
-	var info *RequestInfo
-	if scInfo.HasDeadline || len(chain) > 0 {
-		full := scInfo.Materialise()
+	if scInfo.HasDeadline {
 		var cancel context.CancelFunc
-		ctx, cancel = svcctx.NewContextInfo(ctx, full)
+		ctx, cancel = context.WithDeadline(ctx, scInfo.Deadline)
 		defer cancel()
-		if len(chain) > 0 {
-			// Only interceptors observe the RequestInfo (and the clock
-			// reads feeding its Elapsed); with none registered, skip both.
-			info = &RequestInfo{
-				Operation: req.Operation,
-				ObjectKey: req.ObjectKey,
-				RequestID: req.RequestID,
-				CallID:    full.CallID,
-				Oneway:    !req.ResponseExpected,
-			}
-			if scInfo.HasDeadline {
-				info.Deadline = scInfo.Deadline
-			}
-		}
-	} else if len(scInfo.CallID) > 0 {
+	}
+	if len(scInfo.CallID) > 0 {
 		sc.cctx.Bind(ctx, scInfo.CallID)
 		ctx = &sc.cctx
 	}
@@ -352,53 +328,17 @@ func (o *ORB) handleRequest(ctx context.Context, m *giop.Message) (*giop.Message
 	giop.AlignBody(out, v)
 	bodyStart := out.Len()
 
-	// The chain path needs real timing for RequestInfo.Elapsed; the
-	// intrinsic path samples the latency clock 1-in-8. A oneway dispatch
-	// feeds no latency estimate at all (there is no reply whose clock it
-	// would close), so it skips the sampling clock read too.
-	var start time.Time
-	if info != nil {
-		start = time.Now()
-	} else if req.ResponseExpected {
-		start = o.stats.servedStart()
-	}
+	// The shipped deadline gate: work the client already gave up on is
+	// not dispatched.
 	var invokeErr error
-	// The shipped deadline gate, applied before any registered
-	// interceptor: work the client already gave up on is not dispatched.
 	if scInfo.HasDeadline && !time.Now().Before(scInfo.Deadline) {
 		invokeErr = Timeout()
-	}
-	for _, si := range chain {
-		if invokeErr != nil {
-			break
-		}
-		invokeErr = si.ReceiveRequest(ctx, info)
-	}
-	if invokeErr == nil {
-		servant, ok := o.adapter.Resolve(req.ObjectKey)
-		if !ok {
-			invokeErr = ObjectNotExist()
-		} else {
-			invokeErr = safeInvoke(ctx, servant, req.Operation, d, out)
-		}
-	}
-	if info != nil {
-		elapsed := time.Since(start)
-		if req.ResponseExpected {
-			o.stats.recordServedTimed(elapsed, invokeErr)
-		} else {
-			o.stats.recordOnewayServed(invokeErr)
-		}
-		info.Elapsed = elapsed
-		info.Err = invokeErr
-	} else if req.ResponseExpected {
-		o.stats.recordServed(start, invokeErr)
+	} else if servant, ok := o.adapter.Resolve(req.ObjectKey); !ok {
+		invokeErr = ObjectNotExist()
 	} else {
-		o.stats.recordOnewayServed(invokeErr)
+		invokeErr = safeInvoke(ctx, servant, req.Operation, d, out)
 	}
-	for _, si := range chain {
-		si.SendReply(ctx, info)
-	}
+	o.stats.served.record(!req.ResponseExpected, invokeErr)
 
 	if !req.ResponseExpected {
 		out.Release()

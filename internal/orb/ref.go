@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"corbalc/internal/cdr"
 	"corbalc/internal/giop"
@@ -327,17 +326,6 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args Marshaller, resu
 		// Expired before any wire activity: nothing to cancel.
 		return ctxError(ctx, err)
 	}
-	chain := o.clientChain()
-	callID := svcctx.CallID(ctx)
-	if callID == "" && len(chain) > 0 {
-		// Interceptors observe ctx, so the minted ID must be attached
-		// there, not just put on the wire. With no observer callID stays
-		// "" and buildRequest mints the ID straight into the scratch
-		// buffer: the ID then travels only in the request's service
-		// contexts, and the mint allocates nothing.
-		ctx, callID = svcctx.EnsureCallID(ctx)
-	}
-
 	// Build the request message once, independent of transport.
 	reqID := o.nextRequestID()
 	objectKey, local, err := r.targetKey()
@@ -348,7 +336,7 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args Marshaller, resu
 	sc := clientScratchPool.Get().(*clientScratch)
 	defer clientScratchPool.Put(sc)
 	sc.transferred = false
-	msg, err := o.buildRequest(ctx, sc, callID, reqID, objectKey, op, args, twoway)
+	msg, err := o.buildRequest(ctx, sc, svcctx.CallID(ctx), reqID, objectKey, op, args, twoway)
 	if err != nil {
 		return err
 	}
@@ -363,48 +351,8 @@ func (r *ObjectRef) invoke(ctx context.Context, op string, args Marshaller, resu
 		}
 	}()
 
-	if len(chain) == 0 {
-		if !twoway {
-			// No reply clock is meaningful for a oneway: count it in its
-			// own bucket and skip the latency sampling entirely.
-			err = r.dispatch(ctx, sc, msg, reqID, result, twoway, local, scope)
-			o.stats.recordOnewaySent(err)
-			return err
-		}
-		// No interceptor to notify: stats are fed directly, without the
-		// RequestInfo nothing would observe (latency sampled 1-in-8).
-		start := o.stats.sentStart()
-		err = r.dispatch(ctx, sc, msg, reqID, result, twoway, local, scope)
-		o.stats.recordSent(start, err)
-		return err
-	}
-
-	info := &RequestInfo{
-		Operation: op,
-		ObjectKey: objectKey,
-		RequestID: reqID,
-		CallID:    callID,
-		Oneway:    !twoway,
-		Local:     local,
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		info.Deadline = dl
-	}
-	start := time.Now()
-	for _, ci := range chain {
-		ci.SendRequest(ctx, info)
-	}
 	err = r.dispatch(ctx, sc, msg, reqID, result, twoway, local, scope)
-	info.Elapsed = time.Since(start)
-	info.Err = err
-	if twoway {
-		o.stats.recordSentTimed(info.Elapsed, err)
-	} else {
-		o.stats.recordOnewaySent(err)
-	}
-	for _, ci := range chain {
-		ci.ReceiveReply(ctx, info)
-	}
+	o.stats.sent.record(!twoway, err)
 	return err
 }
 
@@ -534,8 +482,8 @@ var clientScratchPool = sync.Pool{New: func() any { return new(clientScratch) }}
 func (o *ORB) buildRequest(ctx context.Context, sc *clientScratch, callID string, reqID uint32, objectKey []byte, op string, args Marshaller, twoway bool) (*giop.Message, error) {
 	e := giop.GetBodyEncoder(o.order)
 	if callID == "" {
-		// No interceptor observed the ID, so it was never materialised as
-		// a string: mint it directly into the reusable buffer.
+		// The caller carries no ID: mint one straight into the reusable
+		// buffer, so it travels only on the wire and allocates nothing.
 		sc.idbuf = svcctx.AppendNewCallID(sc.idbuf[:0])
 	} else {
 		sc.idbuf = append(sc.idbuf[:0], callID...)

@@ -2,8 +2,8 @@
 // service contexts CORBA-LC piggybacks on request headers: SvcDeadline
 // (the absolute call deadline, microseconds since the Unix epoch) and
 // SvcCallID (an end-to-end correlation ID minted once per logical call
-// and propagated to the server, where interceptors on both sides can
-// observe it).
+// and propagated to the server). A servant observes both through its
+// context: CallID(ctx) and ctx.Deadline().
 //
 // Only request headers carry these contexts. Replies stay service-
 // context-free on purpose: the ORB's reply-splice fast path relies on
@@ -77,16 +77,6 @@ func AppendNewCallID(b []byte) []byte {
 	return strconv.AppendUint(b, callIDSeq.Add(1), 16)
 }
 
-// EnsureCallID returns ctx guaranteed to carry a correlation ID, minting
-// one if absent, along with the ID.
-func EnsureCallID(ctx context.Context) (context.Context, string) {
-	if id := CallID(ctx); id != "" {
-		return ctx, id
-	}
-	id := NewCallID()
-	return WithCallID(ctx, id), id
-}
-
 // maxCallIDLen bounds accepted correlation IDs so a hostile peer cannot
 // make us retain arbitrarily large strings per request.
 const maxCallIDLen = 128
@@ -116,26 +106,13 @@ func decodeDeadline(data []byte) (time.Time, error) {
 // to scs and returns the extended list. A context with neither yields scs
 // unchanged.
 func Inject(ctx context.Context, scs []giop.ServiceContext) []giop.ServiceContext {
-	return InjectID(ctx, CallID(ctx), scs)
+	return InjectIDBytes(ctx, []byte(CallID(ctx)), scs)
 }
 
-// InjectID is Inject with the call ID supplied by the caller instead of
-// read from ctx. The invocation fast path uses it when no interceptor is
-// registered: the minted ID then travels only on the wire, and the
-// context.WithValue wrapping (two allocations nothing would observe) is
-// skipped.
-func InjectID(ctx context.Context, id string, scs []giop.ServiceContext) []giop.ServiceContext {
-	var b []byte
-	if id != "" {
-		b = []byte(id)
-	}
-	return InjectIDBytes(ctx, b, scs)
-}
-
-// InjectIDBytes is InjectID for a caller holding the ID in a reusable
-// byte buffer. The buffer is ALIASED by the returned list, not copied:
-// it must stay valid until the header carrying the contexts has been
-// encoded.
+// InjectIDBytes is Inject with the call ID supplied by a caller holding
+// it in a reusable byte buffer instead of read from ctx. The buffer is
+// ALIASED by the returned list, not copied: it must stay valid until the
+// header carrying the contexts has been encoded.
 func InjectIDBytes(ctx context.Context, id []byte, scs []giop.ServiceContext) []giop.ServiceContext {
 	if dl, ok := ctx.Deadline(); ok {
 		scs = append(scs, giop.ServiceContext{ID: giop.SvcDeadline, Data: encodeDeadline(dl)})
@@ -200,42 +177,9 @@ func ExtractBytes(scs []giop.ServiceContext) InfoBytes {
 	return info
 }
 
-// NewContext derives the per-request server-side context from parent and
-// the request's service contexts: the call ID is attached and the
-// deadline (if any) applied. The returned cancel func must be called when
-// request handling completes (it may be a no-op: without a deadline
-// there is nothing to arm — request cancellation is the transport's job,
-// via the parent context — so the deadline-free fast path skips the
-// context.WithCancel allocations entirely).
-func NewContext(parent context.Context, scs []giop.ServiceContext) (context.Context, context.CancelFunc) {
-	return NewContextInfo(parent, Extract(scs))
-}
-
-// NewContextInfo is NewContext for a caller that has already run Extract
-// (the ORB dispatch loop needs the Info itself and must not pay for a
-// second pass over the service contexts). The deadline is applied
-// directly to parent, with the call ID layered outside: transports hand
-// in custom cancellable contexts (e.g. iiop's pooled request context,
-// which exposes AfterFunc for exactly this), and context.WithDeadline
-// only links to such a parent without spawning a propagation goroutine
-// when no value wrapper sits in between.
-func NewContextInfo(parent context.Context, info Info) (context.Context, context.CancelFunc) {
-	cancel := context.CancelFunc(noopCancel)
-	ctx := parent
-	if info.HasDeadline {
-		ctx, cancel = context.WithDeadline(ctx, info.Deadline)
-	}
-	if info.CallID != "" {
-		ctx = WithCallID(ctx, info.CallID)
-	}
-	return ctx, cancel
-}
-
-func noopCancel() {}
-
 // CallCtx is a reusable context deriving a parent with a call ID held in
-// wire (byte) form: the dispatch loop's alternative to WithCallID when no
-// deadline and no interceptor forces a full context derivation. Bind
+// wire (byte) form: the dispatch loop's alternative to WithCallID, bound
+// over the transport's context or over the deadline derived from it. Bind
 // copies the ID into an internal buffer whose capacity survives reuse, so
 // a pooled CallCtx adds zero steady-state allocations per request; the
 // string a CallID lookup returns is copied out on each read instead.

@@ -2,6 +2,7 @@ package svcctx
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -47,30 +48,55 @@ func TestExtractIgnoresMalformed(t *testing.T) {
 	}
 }
 
-func TestNewContextAppliesDeadlineAndCallID(t *testing.T) {
-	dl := time.Now().Add(time.Hour).Truncate(time.Microsecond)
-	src, cancel := context.WithDeadline(context.Background(), dl)
+// The ORB's dispatch loop binds a pooled CallCtx over the deadline it
+// derives from the transport's context, and rebinds it per request: the
+// CallCtx must report the parent's deadline and cancellation as its own,
+// answer CallID from the bound bytes, and forget the old ID on rebind.
+func TestCallCtxBindsOverDeadline(t *testing.T) {
+	dl := time.Now().Add(20 * time.Millisecond)
+	parent, cancel := context.WithDeadline(context.Background(), dl)
 	defer cancel()
-	src = WithCallID(src, "xyz")
+	var c CallCtx
+	c.Bind(parent, []byte("xyz"))
+	ctx := context.Context(&c)
+	if got, ok := ctx.Deadline(); !ok || !got.Equal(dl) {
+		t.Fatalf("deadline %v (ok=%v), want %v", got, ok, dl)
+	}
+	if got := CallID(ctx); got != "xyz" {
+		t.Fatalf("call id %q, want xyz", got)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("Err before expiry = %v", ctx.Err())
+	}
+	select {
+	case <-ctx.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("Done never closed after the parent's deadline")
+	}
+	if !errors.Is(ctx.Err(), context.DeadlineExceeded) || !errors.Is(context.Cause(ctx), context.DeadlineExceeded) {
+		t.Fatalf("after expiry Err = %v, Cause = %v; want DeadlineExceeded", ctx.Err(), context.Cause(ctx))
+	}
 
-	ctx, cancel2 := NewContext(context.Background(), Inject(src, nil))
+	// Rebound to the next request: a new parent whose cancellation
+	// carries a cause, and a new ID.
+	peerCancel := errors.New("cancelled by peer")
+	transport, cancelTransport := context.WithCancelCause(context.Background())
+	parent2, cancel2 := context.WithDeadline(transport, time.Now().Add(time.Hour))
 	defer cancel2()
-	got, ok := ctx.Deadline()
-	if !ok || !got.Equal(dl) {
-		t.Errorf("derived deadline %v (ok=%v), want %v", got, ok, dl)
+	c.Bind(parent2, []byte("ab"))
+	if got := CallID(ctx); got != "ab" {
+		t.Fatalf("rebound call id %q, want ab", got)
 	}
-	if CallID(ctx) != "xyz" {
-		t.Errorf("derived call id %q, want %q", CallID(ctx), "xyz")
+	if ctx.Err() != nil {
+		t.Fatalf("rebound Err = %v, want nil", ctx.Err())
 	}
-}
-
-func TestEnsureCallID(t *testing.T) {
-	ctx, id := EnsureCallID(context.Background())
-	if id == "" || CallID(ctx) != id {
-		t.Fatalf("EnsureCallID minted %q, ctx carries %q", id, CallID(ctx))
+	cancelTransport(peerCancel)
+	<-ctx.Done()
+	if got := context.Cause(ctx); got != peerCancel {
+		t.Fatalf("Cause = %v, want the transport's cause", got)
 	}
-	ctx2, id2 := EnsureCallID(ctx)
-	if id2 != id || ctx2 != ctx {
-		t.Fatal("EnsureCallID re-minted on a context that already had an ID")
+	c.Bind(context.Background(), nil)
+	if got := CallID(ctx); got != "" {
+		t.Fatalf("call id after an ID-less rebind = %q, want none", got)
 	}
 }
