@@ -67,13 +67,6 @@ func NewEncoderAt(order ByteOrder, base int) *Encoder {
 	return &Encoder{order: order, base: base}
 }
 
-// NewEncoderSized returns an Encoder like NewEncoderAt whose buffer is
-// pre-sized to hold capacity bytes without reallocating — the capacity
-// hint for callers that know their message size distribution.
-func NewEncoderSized(order ByteOrder, base, capacity int) *Encoder {
-	return &Encoder{order: order, base: base, buf: make([]byte, 0, capacity)}
-}
-
 // Reset re-arms the encoder for a new stream in the given order and at
 // the given base, keeping the grown buffer capacity so steady-state
 // encoding stops allocating.

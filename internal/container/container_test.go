@@ -30,7 +30,7 @@ func newFakeHost(name string) *fakeHost {
 	return &fakeHost{
 		name:     name,
 		orb:      orb.NewORB(),
-		hub:      events.NewHub(64, events.Block),
+		hub:      events.NewHubConfig(events.Config{Depth: 64, Policy: events.Block}),
 		cpuFree:  1.0,
 		resolver: make(map[string]*ior.IOR),
 	}

@@ -65,6 +65,11 @@ var ErrClosed = errors.New("events: channel closed")
 // DefaultMaxBatch bounds one delivery-loop drain when Config.MaxBatch is 0.
 const DefaultMaxBatch = 64
 
+// initialRing is a new ring's length. Push doubles the ring, up to the
+// next power of two of Depth, only when the slowest cursor falls a whole
+// ring behind, so a channel pays for its backlog, not for its capacity.
+const initialRing = 8
+
 // Config tunes a channel (and, via the hub, every channel of a node).
 type Config struct {
 	// Depth is how many events a subscriber may fall behind before it
@@ -100,7 +105,7 @@ type Channel struct {
 	typeID  string
 	cfg     Config
 	depth   uint64
-	ring    []Event // allocated by the first Subscribe; length a power of two ≥ depth
+	ring    []Event // allocated by the first Subscribe; grown by Push up to nextPow2(depth)
 	closed  atomic.Bool
 	nsubs   atomic.Int64
 	waiting atomic.Int64 // publishers waiting in room
@@ -202,7 +207,7 @@ func (c *Channel) attach(s *subscriber) bool {
 		return false
 	}
 	if c.ring == nil {
-		c.ring = make([]Event, 1<<bits.Len(uint(c.cfg.Depth-1)))
+		c.ring = make([]Event, min(initialRing, 1<<bits.Len(uint(c.cfg.Depth-1))))
 	}
 	s.cursor.Store(c.head.Load())
 	c.subs = append(c.subs, s)
@@ -233,9 +238,10 @@ func (c *Channel) detach(s *subscriber) {
 func (c *Channel) SubscriberCount() int { return int(c.nsubs.Load()) }
 
 // Push publishes an event to every current subscriber, stamping its Seq
-// and TypeID and writing it once whatever the fan-out; it allocates
-// nothing. Under Block it waits while a subscriber is full, and returns
-// ErrClosed if the channel closes meanwhile.
+// and TypeID and writing it once whatever the fan-out; it allocates only
+// when the backlog outgrows the ring, which doubles it. Under Block it
+// waits while a subscriber is full, and returns ErrClosed if the channel
+// closes meanwhile.
 func (c *Channel) Push(ev Event) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -255,6 +261,12 @@ func (c *Channel) Push(ev Event) error {
 		return nil
 	}
 	head := c.head.Load()
+	if head-c.gate >= uint64(len(c.ring)) {
+		c.gate = c.slowest(head)
+		if head-c.gate >= uint64(len(c.ring)) {
+			c.grow(head)
+		}
+	}
 	c.ring[head&uint64(len(c.ring)-1)] = ev
 	c.head.Store(head + 1)
 	if c.parked.Load() > 0 {
@@ -297,6 +309,37 @@ func (c *Channel) admit() bool {
 		c.waiting.Add(-1)
 	}
 	return true
+}
+
+// slowest returns the lowest live cursor, head if there is none. Caller
+// holds mu.
+func (c *Channel) slowest(head uint64) uint64 {
+	low := head
+	for _, s := range c.subs {
+		low = min(low, s.cursor.Load())
+	}
+	return low
+}
+
+// grow doubles the ring when the slowest cursor is a whole ring behind
+// head. Every subscriber's mu is taken after mu, so no take is mid-copy
+// while the unread span [slowest, head) moves; the slots below it are
+// not copied, so the new ring pins nothing the old one had released.
+// admit keeps head-slowest below depth, so the ring never outgrows the
+// next power of two ≥ depth. Caller holds mu.
+func (c *Channel) grow(head uint64) {
+	for _, s := range c.subs {
+		s.mu.Lock()
+	}
+	low := c.slowest(head)
+	old, ring := c.ring, make([]Event, 2*len(c.ring))
+	for i := low; i < head; i++ {
+		ring[i&uint64(len(ring)-1)] = old[i&uint64(len(old)-1)]
+	}
+	c.ring, c.gate, c.cleared = ring, low, max(c.cleared, low)
+	for _, s := range c.subs {
+		s.mu.Unlock()
+	}
 }
 
 // evict advances a full subscriber past its oldest event, counting the
@@ -422,10 +465,12 @@ func (c *Channel) park(s *subscriber) {
 // deliverLoop copies up to MaxBatch events per pass into its private
 // batch and hands them to the consumer — whole runs to a BatchConsumer,
 // in-order single calls otherwise — then clears the batch, so it pins no
-// delivered payload.
+// delivered payload. The batch starts at one slot and doubles, up to
+// MaxBatch, after each pass that fills it, so it grows to the backlog the
+// loop drains and a trickle never pays for MaxBatch.
 func (c *Channel) deliverLoop(s *subscriber) {
 	defer c.wg.Done()
-	batch := make([]Event, c.cfg.MaxBatch)
+	batch := make([]Event, 1)
 	for {
 		from := s.cursor.Load() // only this loop moves it while a publisher waits
 		n, ok := c.take(s, batch)
@@ -452,6 +497,9 @@ func (c *Channel) deliverLoop(s *subscriber) {
 			}
 		}
 		clear(batch[:n])
+		if n == len(batch) && n < c.cfg.MaxBatch {
+			batch = make([]Event, min(2*n, c.cfg.MaxBatch))
+		}
 		if s.bfn != nil && c.cfg.BatchWindow > 0 && s.cursor.Load() == c.head.Load() && !c.closed.Load() {
 			// Let a trickle accumulate into the next batch instead of
 			// waking per event; teardown pays at most one window.
@@ -474,12 +522,6 @@ type Hub struct {
 	mu       sync.Mutex
 	channels map[string]*Channel
 	cfg      Config
-}
-
-// NewHub returns a hub creating channels with the given queue depth and
-// overflow policy.
-func NewHub(depth int, policy OverflowPolicy) *Hub {
-	return NewHubConfig(Config{Depth: depth, Policy: policy})
 }
 
 // NewHubConfig returns a hub creating channels with the full set of knobs.

@@ -220,7 +220,7 @@ func TestClosedChannelRejectsPush(t *testing.T) {
 
 func TestHubChannelPerKind(t *testing.T) {
 	leak.Check(t)
-	h := NewHub(8, Block)
+	h := NewHubConfig(Config{Depth: 8, Policy: Block})
 	defer h.Close()
 	a := h.Channel("IDL:a:1.0")
 	b := h.Channel("IDL:b:1.0")

@@ -59,21 +59,28 @@ func BenchmarkEventFanout(b *testing.B) {
 // batch subscribers at zero allocations: the shared ring, the cursors
 // and the batch slices are all reused, and a publisher waiting for room
 // parks on a condition variable. It measured 0 allocs/op at 100, 1000
-// and 10,000 subscribers when recorded.
+// and 10,000 subscribers when recorded. The warm-up holds every
+// subscriber in its first callback while a full depth is published, which
+// grows the ring to its full length; each loop then drains at least 255
+// events in passes that double its batch to MaxBatch. No growth can land
+// inside the measured window.
 func TestPushZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool randomly drops items under the race detector; alloc counts are not stable")
 	}
 	leak.Check(t)
-	const subs = 100
-	ch := NewChannelConfig("IDL:test/E:1.0", Config{Depth: 256, Policy: Block})
+	const subs, depth = 100, 256
+	ch := NewChannelConfig("IDL:test/E:1.0", Config{Depth: depth, Policy: Block})
 	defer ch.Close()
+	release, open := gate()
 	var delivered atomic.Int64
 	for i := 0; i < subs; i++ {
 		defer ch.SubscribeBatch("s", func(batch []Event) {
+			<-release
 			delivered.Add(int64(len(batch)))
 		})()
 	}
+	defer open()
 	ev := Event{Source: "alloc", Data: []byte("payload")}
 	var pushed int64
 	push := func() {
@@ -82,17 +89,25 @@ func TestPushZeroAlloc(t *testing.T) {
 		}
 		pushed++
 	}
-	for i := 0; i < 512; i++ { // fill and drain every ring at least once
+	drained := func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for delivered.Load() < pushed*subs {
+			if time.Now().After(deadline) {
+				t.Fatalf("delivered %d of %d events", delivered.Load(), pushed*subs)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	for i := 0; i < depth; i++ { // never blocks: no cursor is a full depth behind
 		push()
 	}
+	if ring := ringLen(ch); ring != depth {
+		t.Fatalf("warm-up left a %d-slot ring, want %d", ring, depth)
+	}
+	open()
+	drained()
 	if allocs := testing.AllocsPerRun(1000, push); allocs != 0 {
 		t.Errorf("Push to %d subscribers allocates %.1f times, want 0", subs, allocs)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for delivered.Load() < pushed*subs {
-		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d of %d events", delivered.Load(), pushed*subs)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	drained()
 }

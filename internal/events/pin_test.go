@@ -5,7 +5,6 @@ package events
 // The weak package arrived in Go 1.24, after this module's go line.
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -17,16 +16,52 @@ import (
 
 // TestDrainedChannelPinsNothing publishes fresh payloads through a
 // 1-subscriber and a 64-subscriber channel and, once every subscriber has
-// taken them, requires every payload to be collectable.
+// taken them, requires every payload to be collectable. The grown cases
+// first park every subscriber in its first callback (MaxBatch 1, so each
+// has taken one event) while the payloads pile up, which grows the ring
+// from 8 slots to 64: moving the backlog must not leave a payload pinned
+// by a slot of either ring.
 func TestDrainedChannelPinsNothing(t *testing.T) {
-	for _, subs := range []int{1, 64} {
-		t.Run(fmt.Sprintf("subs=%d", subs), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		subs  int
+		grown bool
+	}{
+		{"subs=1", 1, false},
+		{"subs=64", 64, false},
+		{"grown,subs=1", 1, true},
+		{"grown,subs=64", 64, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			leak.Check(t)
-			ch := NewChannel("e", 16, Block)
+			cfg := Config{Depth: 16, Policy: Block}
+			if tc.grown {
+				cfg = Config{Depth: 64, Policy: Block, MaxBatch: 1}
+			}
+			ch := NewChannelConfig("e", cfg)
 			defer ch.Close()
-			var got atomic.Int64
-			for i := 0; i < subs; i++ {
-				defer ch.Subscribe("s", func(Event) { got.Add(1) })()
+			release, open := gate()
+			if !tc.grown {
+				open()
+			}
+			var got, entered atomic.Int64
+			for i := 0; i < tc.subs; i++ {
+				defer ch.Subscribe("s", func(Event) {
+					entered.Add(1)
+					<-release
+					got.Add(1)
+				})()
+			}
+			defer open()
+			owed := int64(0)
+			if tc.grown {
+				if err := ch.Push(Event{}); err != nil {
+					t.Fatal(err)
+				}
+				owed = int64(tc.subs)
+				for entered.Load() < int64(tc.subs) {
+					time.Sleep(time.Millisecond)
+				}
 			}
 			const events = 40
 			var refs []weak.Pointer[[64]byte]
@@ -37,6 +72,11 @@ func TestDrainedChannelPinsNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if ring := ringLen(ch); tc.grown && ring < 4*initialRing {
+				t.Fatalf("the parked backlog grew the ring only to %d slots", ring)
+			}
+			open()
+			owed += events * int64(tc.subs)
 			deadline := time.Now().Add(5 * time.Second)
 			for {
 				runtime.GC()
@@ -46,11 +86,11 @@ func TestDrainedChannelPinsNothing(t *testing.T) {
 						live++
 					}
 				}
-				if live == 0 && got.Load() == events*int64(subs) {
+				if live == 0 && got.Load() == owed {
 					return
 				}
 				if time.Now().After(deadline) {
-					t.Fatalf("%d of %d payloads still reachable after %d of %d deliveries", live, events, got.Load(), events*subs)
+					t.Fatalf("%d of %d payloads still reachable after %d of %d deliveries", live, events, got.Load(), owed)
 				}
 				time.Sleep(time.Millisecond)
 			}

@@ -3,15 +3,18 @@ package events
 // Tests for the shared ring's edges: a publisher blocked on a stuck
 // consumer is released by cancel and by Close, concurrent publishers and
 // churning subscribers never read a slot mid-overwrite and keep the
-// delivered + dropped ledger, and a channel nobody subscribed to has no
-// ring.
+// delivered + dropped ledger, a channel nobody subscribed to has no
+// ring, and a ring grows only as far as its backlog asks, never losing,
+// reordering or copying a payload on the way.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -125,7 +128,7 @@ func (r *stressSub) see(block bool, ev Event) {
 func TestRingStress(t *testing.T) {
 	const publishers, perPublisher, subs, churns = 8, 400, 32, 6
 	for _, policy := range []OverflowPolicy{Block, DropOldest} {
-		t.Run(map[OverflowPolicy]string{Block: "Block", DropOldest: "DropOldest"}[policy], func(t *testing.T) {
+		t.Run(policyNames[policy], func(t *testing.T) {
 			leak.Check(t)
 			block := policy == Block
 			ch := NewChannelConfig("IDL:stress:1.0", Config{Depth: 8, Policy: policy, MaxBatch: 4})
@@ -244,7 +247,7 @@ func TestRingStress(t *testing.T) {
 // TestIdleChannelHasNoRing holds a channel nobody subscribed to at zero
 // cost: the hub's lookup and a Push write nothing, not even a ring.
 func TestIdleChannelHasNoRing(t *testing.T) {
-	h := NewHub(256, Block)
+	h := NewHubConfig(Config{Depth: 256, Policy: Block})
 	defer h.Close()
 	ch := h.Channel("IDL:idle:1.0")
 	if err := ch.Push(Event{Data: []byte("x")}); err != nil {
@@ -254,5 +257,212 @@ func TestIdleChannelHasNoRing(t *testing.T) {
 	defer ch.mu.Unlock()
 	if ch.ring != nil {
 		t.Fatalf("a channel with no subscriber allocated a %d-slot ring", len(ch.ring))
+	}
+}
+
+var policyNames = map[OverflowPolicy]string{Block: "Block", DropOldest: "DropOldest"}
+
+// gate returns a channel callbacks can park on and its opener. The opener
+// is idempotent, so a test also defers it: a failure before the test opens
+// the gate must not leave a loop parked in a callback that Close waits on.
+func gate() (<-chan struct{}, func()) {
+	c := make(chan struct{})
+	var once sync.Once
+	return c, func() { once.Do(func() { close(c) }) }
+}
+
+// ringLen reads ch's ring length under the publisher lock.
+func ringLen(ch *Channel) int {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	return len(ch.ring)
+}
+
+// TestRingGrowthCount holds a channel's ring to at most
+// log2(nextPow2(Depth)/8) growths over its life. A subscriber parked in
+// its first callback (MaxBatch 1, so its cursor stays at 1) lets a full
+// depth pile up, which drives the ring to its full length; a long
+// free-running tail after that grows it no further.
+func TestRingGrowthCount(t *testing.T) {
+	for _, depth := range []int{1, 5, 8, 9, 100, 128, 256} {
+		for _, policy := range []OverflowPolicy{Block, DropOldest} {
+			t.Run(fmt.Sprintf("depth=%d/%s", depth, policyNames[policy]), func(t *testing.T) {
+				leak.Check(t)
+				ch := NewChannelConfig("e", Config{Depth: depth, Policy: policy, MaxBatch: 1})
+				defer ch.Close()
+				release, open := gate()
+				entered := make(chan struct{}, 1)
+				defer ch.Subscribe("stuck", func(Event) {
+					select {
+					case entered <- struct{}{}:
+					default:
+					}
+					<-release
+				})()
+				defer open()
+				full := 1 << bits.Len(uint(depth-1))
+				want := bits.Len(uint(full)) - bits.Len(uint(min(initialRing, full)))
+				rings := map[*Event]bool{}
+				push := func() {
+					if err := ch.Push(Event{}); err != nil {
+						t.Fatal(err)
+					}
+					ch.mu.Lock()
+					rings[&ch.ring[0]] = true
+					ch.mu.Unlock()
+				}
+				push()
+				<-entered
+				for i := 0; i < depth; i++ { // the last lands depth-1 behind
+					push()
+				}
+				if got := ringLen(ch); got != full {
+					t.Fatalf("a full depth of backlog left a %d-slot ring, want %d", got, full)
+				}
+				open()
+				for i := 0; i < 20*depth; i++ {
+					push()
+					if i%8 == 0 {
+						runtime.Gosched()
+					}
+				}
+				if grew := len(rings) - 1; grew != want {
+					t.Fatalf("ring grew %d times, want %d (8 -> %d slots)", grew, want, full)
+				}
+			})
+		}
+	}
+}
+
+// growthSub checks that one subscriber sees every event once, in order,
+// as the very payload that was published.
+type growthSub struct {
+	next uint64
+	bad  string
+}
+
+func (g *growthSub) see(ev Event, payloads [][]byte) {
+	switch {
+	case g.bad != "":
+	case ev.Seq != g.next+1:
+		g.bad = fmt.Sprintf("seq %d after %d", ev.Seq, g.next)
+	case &ev.Data[0] != &payloads[ev.Seq-1][0]:
+		g.bad = fmt.Sprintf("seq %d carries a payload other than the one published", ev.Seq)
+	}
+	g.next = ev.Seq
+}
+
+// TestRingGrowsUnderConcurrentTake grows the ring while delivery loops
+// take from it, under both policies, with 1 and 64 subscribers (half per
+// event, half batch). Every subscriber parks inside its callback at event
+// parkAt until 300 more are queued, which grows the ring past 128 slots
+// while every loop is live; the rest of the storm grows it further as
+// the loops catch up. No cursor ever falls a full depth behind, so even
+// DropOldest loses nothing: every subscriber sees a gap-free sequence of
+// the very payloads that were published.
+func TestRingGrowsUnderConcurrentTake(t *testing.T) {
+	const depth, parkAt = 1024, 100
+	for _, policy := range []OverflowPolicy{Block, DropOldest} {
+		for _, subs := range []int{1, 64} {
+			t.Run(fmt.Sprintf("%s/subs=%d", policyNames[policy], subs), func(t *testing.T) {
+				leak.Check(t)
+				total := depth // DropOldest: never a full depth behind, so never a drop
+				if policy == Block {
+					total = 3 * depth
+				}
+				payloads := make([][]byte, total)
+				for i := range payloads {
+					payloads[i] = []byte{byte(i), byte(i >> 8)}
+				}
+				ch := NewChannelConfig("e", Config{Depth: depth, Policy: policy})
+				defer ch.Close()
+				release, open := gate()
+				seen := make([]*growthSub, subs)
+				for i := range seen {
+					g := &growthSub{}
+					seen[i] = g
+					if i%2 == 0 {
+						defer ch.Subscribe("s", func(ev Event) {
+							g.see(ev, payloads)
+							if ev.Seq == parkAt {
+								<-release
+							}
+						})()
+						continue
+					}
+					defer ch.SubscribeBatch("s", func(batch []Event) {
+						for _, ev := range batch {
+							g.see(ev, payloads)
+						}
+						if batch[0].Seq <= parkAt && parkAt <= batch[len(batch)-1].Seq {
+							<-release
+						}
+					})()
+				}
+				defer open()
+				for i := range payloads {
+					if err := ch.Push(Event{Data: payloads[i]}); err != nil {
+						t.Fatal(err)
+					}
+					if i == parkAt+300 {
+						if got := ringLen(ch); got < 256 {
+							t.Fatalf("300 events queued behind parked loops left a %d-slot ring", got)
+						}
+						open()
+					}
+				}
+				ch.Close()
+				for _, g := range seen {
+					if g.bad != "" {
+						t.Fatal(g.bad)
+					}
+					if g.next != uint64(total) {
+						t.Fatalf("a subscriber saw %d of %d events", g.next, total)
+					}
+				}
+				if pub, del, drop := ch.Stats(); pub != uint64(total) || del != uint64(total*subs) || drop != 0 {
+					t.Fatalf("stats = %d published, %d delivered, %d dropped; want %d, %d, 0", pub, del, drop, total, total*subs)
+				}
+			})
+		}
+	}
+}
+
+// TestGossipRingStaysSmall runs a gossip-plane-shaped channel — depth
+// 128, DropOldest, one prompt batch subscriber — through 10,000 pushes
+// in bursts of one to seven, each drained before the next: the backlog
+// never reaches eight, so neither the ring nor a batch outgrows it.
+func TestGossipRingStaysSmall(t *testing.T) {
+	leak.Check(t)
+	ch := NewChannelConfig("e", Config{Depth: 128, Policy: DropOldest})
+	defer ch.Close()
+	var delivered atomic.Int64
+	var largest atomic.Int64 // the delivery loop's batch capacity
+	defer ch.SubscribeBatch("gossip", func(batch []Event) {
+		if n := int64(cap(batch)); n > largest.Load() {
+			largest.Store(n)
+		}
+		delivered.Add(int64(len(batch)))
+	})()
+	for pushed := 0; pushed < 10000; {
+		for burst := 1 + pushed%7; burst > 0; burst-- {
+			if err := ch.Push(Event{Data: []byte("delta")}); err != nil {
+				t.Fatal(err)
+			}
+			pushed++
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for delivered.Load() < int64(pushed) {
+			if time.Now().After(deadline) {
+				t.Fatalf("delivered %d of %d", delivered.Load(), pushed)
+			}
+			runtime.Gosched()
+		}
+	}
+	if got := ringLen(ch); got != initialRing {
+		t.Fatalf("ring grew to %d slots under a backlog below %d", got, initialRing)
+	}
+	if largest.Load() > initialRing || ch.Dropped() != 0 {
+		t.Fatalf("a %d-slot batch, %d dropped", largest.Load(), ch.Dropped())
 	}
 }

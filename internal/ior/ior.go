@@ -13,6 +13,7 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"unique"
 
 	"corbalc/internal/cdr"
 )
@@ -153,11 +154,24 @@ func (r *IOR) Marshal(e *cdr.Encoder) {
 	}
 }
 
-// Unmarshal decodes an IOR body from d.
+// block is what Unmarshal allocates for one reference: the IOR, room for
+// the common two profile headers, and the handle that keeps the interned
+// type ID canonical for as long as the IOR lives.
+type block struct {
+	r      IOR
+	id     unique.Handle[string]
+	inline [2]TaggedProfile
+}
+
+// Unmarshal decodes an IOR body from d. The IOR and its profile headers
+// share one allocation and the profile bodies one private copy, so the
+// result never aliases d's buffer; each Data is capped at its own length,
+// so appending to one never writes into the next. The type ID is interned:
+// the handful every node exchanges are stored once, and a hostile one is
+// collected with the last IOR that carries it.
 func Unmarshal(d *cdr.Decoder) (*IOR, error) {
-	r := &IOR{}
-	var err error
-	if r.TypeID, err = d.ReadString(); err != nil {
+	typeID, err := d.ReadString()
+	if err != nil {
 		return nil, err
 	}
 	n, err := d.ReadULong()
@@ -167,16 +181,32 @@ func Unmarshal(d *cdr.Decoder) (*IOR, error) {
 	if uint32(d.Remaining())/8 < n {
 		return nil, cdr.ErrTooLong
 	}
-	r.Profiles = make([]TaggedProfile, n)
-	for i := range r.Profiles {
-		if r.Profiles[i].Tag, err = d.ReadULong(); err != nil {
-			return nil, err
-		}
-		if r.Profiles[i].Data, err = d.ReadOctetSeq(); err != nil {
-			return nil, err
-		}
+	b := &block{id: unique.Make(typeID)}
+	b.r.TypeID = b.id.Value()
+	if n <= uint32(len(b.inline)) {
+		b.r.Profiles = b.inline[:n:n]
+	} else {
+		b.r.Profiles = make([]TaggedProfile, n)
 	}
-	return r, nil
+	total := 0
+	for i := range b.r.Profiles {
+		p := &b.r.Profiles[i]
+		if p.Tag, err = d.ReadULong(); err != nil {
+			return nil, err
+		}
+		if p.Data, err = d.ReadOctetSeqAlias(); err != nil {
+			return nil, err
+		}
+		total += len(p.Data)
+	}
+	bodies := make([]byte, 0, total)
+	for i := range b.r.Profiles {
+		p := &b.r.Profiles[i]
+		start := len(bodies)
+		bodies = append(bodies, p.Data...)
+		p.Data = bodies[start:len(bodies):len(bodies)]
+	}
+	return &b.r, nil
 }
 
 // String renders the reference in the interoperable "IOR:<hex>" form: the

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"corbalc/internal/cdr"
+	"corbalc/internal/race"
 )
 
 func TestIIOPProfileRoundTrip(t *testing.T) {
@@ -159,6 +161,38 @@ func TestHostileProfileCount(t *testing.T) {
 	e.WriteULong(1 << 30)
 	if _, err := Unmarshal(cdr.NewDecoder(e.Bytes(), cdr.BigEndian)); !errors.Is(err, cdr.ErrTooLong) {
 		t.Errorf("hostile count err = %v", err)
+	}
+}
+
+// TestUnmarshalAllocs holds the decode of a two-profile reference, the
+// shape every directory entry carries four of, to three allocations: the
+// block holding the IOR and its profile headers, the one copy of the
+// profile bodies, and the type ID read before it is interned. Two live
+// decodes share one copy of the type ID.
+func TestUnmarshalAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	r := &IOR{TypeID: "IDL:corbalc/NetworkCohesion:1.0"}
+	r.AddProfile(TagCorbalcInProcess, []byte("orb-7\x00cohesion"))
+	r.AddProfile(TagCorbalcVirtual, []byte("n042\x00cohesion"))
+	e := cdr.NewEncoder(cdr.BigEndian)
+	r.Marshal(e)
+	var d cdr.Decoder
+	allocs := testing.AllocsPerRun(1000, func() {
+		d.Reset(e.Bytes(), cdr.BigEndian, 0)
+		got, err := Unmarshal(&d)
+		if err != nil || len(got.Profiles) != 2 {
+			t.Fatalf("Unmarshal = %+v, %v", got, err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("decoding a two-profile IOR allocates %.0f times, want at most 3", allocs)
+	}
+	a, errA := Unmarshal(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
+	b, errB := Unmarshal(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
+	if errA != nil || errB != nil || unsafe.StringData(a.TypeID) != unsafe.StringData(b.TypeID) {
+		t.Errorf("two live decodes of one type ID hold two copies of it (%v, %v)", errA, errB)
 	}
 }
 
