@@ -156,7 +156,7 @@ func (p *Peer) UseIIOP() {
 }
 
 // Cluster is a set of peers joined into one logical network over an
-// in-process virtual network — the harness experiments and examples
+// in-process virtual network — what the examples and the package tests
 // build on.
 type Cluster struct {
 	Net   *simnet.Network

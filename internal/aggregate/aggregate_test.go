@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -226,5 +227,37 @@ func TestAggregateErrors(t *testing.T) {
 	// Version filter that matches nothing.
 	if _, err := r.Run(context.Background(), "sumsquares", ">=9.0", putRange(0, 10)); !errors.Is(err, aggregate.ErrNoWorkers) {
 		t.Fatalf("version err = %v", err)
+	}
+}
+
+// TestE9GridSpeedup (§3.2): 32 chunks of 15ms simulated remote CPU each,
+// farmed by the Runner over W volunteers, speed up near-linearly; eight
+// volunteers must beat one by more than 3×. Churn during a run is
+// TestAggregateSurvivesMidRunChurn's subject.
+func TestE9GridSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	t.Parallel()
+	const chunks = 32
+	makespan := map[int]time.Duration{}
+	for _, w := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
+			c := aggCluster(t, w+1, 15*time.Millisecond)
+			r := &aggregate.Runner{ORB: c.Peers[0].Node.ORB(), Query: c.Peers[0].Agent, PartsPerWorker: chunks / w}
+			start := time.Now()
+			res, err := r.Run(context.Background(), "sumsquares", "*", putRange(0, 100*chunks))
+			makespan[w] = time.Since(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := binary.LittleEndian.Uint64(res.Output); got != sumSq(100*chunks) || res.Chunks != chunks {
+				t.Fatalf("sum %d over %d chunks, want %d over %d", got, res.Chunks, sumSq(100*chunks), chunks)
+			}
+			t.Logf("%d workers: makespan %v, speedup %.2f", w, makespan[w], float64(makespan[1])/float64(makespan[w]))
+		})
+	}
+	if sp := float64(makespan[1]) / float64(makespan[8]); sp < 3 {
+		t.Errorf("8-worker speedup = %.2f", sp)
 	}
 }

@@ -99,7 +99,7 @@ func (c *Config) failTimeout() time.Duration {
 	return c.UpdateInterval * time.Duration(c.FailMultiple)
 }
 
-// Stats are protocol-level counters for the consistency experiments
+// Stats are protocol-level counters for the update-suppression tests
 // and the corbalc-admin cohesion view.
 type Stats struct {
 	UpdatesSent   uint64

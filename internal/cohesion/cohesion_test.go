@@ -266,7 +266,7 @@ func TestFlatQueryBaseline(t *testing.T) {
 	if _, err := tc.nodes[4].InstallComponent(c); err != nil {
 		t.Fatal(err)
 	}
-	offers, err := tc.agents[1].QueryFlat(context.Background(), "IDL:test/Adder:1.0", "*")
+	offers, err := tc.agents[1].queryFlat(context.Background(), "IDL:test/Adder:1.0", "*")
 	if err != nil || len(offers) != 1 || offers[0].Node != "n04" {
 		t.Fatalf("flat query = %+v, %v", offers, err)
 	}
@@ -637,6 +637,55 @@ func TestDeadBandSendsFewerUpdatesThanPeriodic(t *testing.T) {
 	}
 }
 
+// TestE10PredictiveSuppression is E10's trending half (the stable half
+// is the test above): under a steadily rising load the linear predictor
+// extrapolates the ramp and sends no more updates than the dead band.
+func TestE10PredictiveSuppression(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	t.Parallel()
+	const window = time.Second
+	sent := map[SendPolicy]uint64{}
+	for _, policy := range []SendPolicy{DeadBand, Predictive} {
+		t.Run(map[SendPolicy]string{DeadBand: "deadband", Predictive: "predictive"}[policy], func(t *testing.T) {
+			tc := newCluster(t, 2, func(c *Config) {
+				c.Policy = policy
+				c.GroupSize = 2
+				c.FailMultiple = 20 // push the keep-alive floor out of the way
+			})
+			waitFor(t, 30*time.Second, "convergence", func() bool { return swarmConverged(tc.agents, 2) })
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() { // the trend: load rises 1.5 per second
+				defer close(done)
+				start := time.Now()
+				tick := time.NewTicker(20 * time.Millisecond)
+				defer tick.Stop()
+				for {
+					select {
+					case <-stop:
+						return
+					case <-tick.C:
+						tc.nodes[1].Resources().SetBackgroundLoad(time.Since(start).Seconds() * 1.5)
+					}
+				}
+			}()
+			time.Sleep(150 * time.Millisecond) // settle the trace
+			before := tc.agents[1].Stats()     // a non-leader member: a pure update sender
+			time.Sleep(window)
+			after := tc.agents[1].Stats()
+			close(stop)
+			<-done
+			sent[policy] = after.UpdatesSent - before.UpdatesSent
+			t.Logf("trending: %d updates, %d bytes", sent[policy], after.UpdateBytes-before.UpdateBytes)
+		})
+	}
+	if sent[Predictive] > sent[DeadBand] {
+		t.Errorf("predictive %d worse than deadband %d on trending load", sent[Predictive], sent[DeadBand])
+	}
+}
+
 func TestGracefulLeave(t *testing.T) {
 	leak.Check(t)
 	tc := newCluster(t, 4, nil)
@@ -657,7 +706,7 @@ func TestQueryBeforeJoinFails(t *testing.T) {
 	if _, err := ag.Query(context.Background(), "IDL:x:1.0", "*"); err != ErrNotJoined {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := ag.QueryFlat(context.Background(), "IDL:x:1.0", "*"); err != ErrNotJoined {
+	if _, err := ag.queryFlat(context.Background(), "IDL:x:1.0", "*"); err != ErrNotJoined {
 		t.Fatalf("flat err = %v", err)
 	}
 }

@@ -372,9 +372,9 @@ func (a *Agent) localOffers(portID, verReq string) []*node.Offer {
 	return out
 }
 
-// QueryFlat is the non-hierarchical baseline: ask every node's Component
+// queryFlat is the non-hierarchical baseline: ask every node's Component
 // Registry directly (E4 compares its message count against Query's).
-func (a *Agent) QueryFlat(ctx context.Context, portID, verReq string) ([]*node.Offer, error) {
+func (a *Agent) queryFlat(ctx context.Context, portID, verReq string) ([]*node.Offer, error) {
 	var dir *Directory
 	a.locked(func(c *core, _ time.Time) {
 		if c.joined {

@@ -32,6 +32,9 @@ func (pi *pingInstance) InvokePort(port, op string, args *cdr.Decoder, reply *cd
 		pi.calls.Add(1)
 		reply.WriteString(pi.Ctx().NodeName())
 		return nil
+	case "frame": // one decoded video frame: TestE7CrossoverToLocal's payload
+		reply.WriteOctetSeq(make([]byte, 64<<10))
+		return nil
 	}
 	return orb.BadOperation()
 }

@@ -3,9 +3,11 @@ package node
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"corbalc/internal/cdr"
 	"corbalc/internal/component"
@@ -527,5 +529,61 @@ func TestEventQueueDefaultsPinned(t *testing.T) {
 	want := events.Config{Depth: 256, Policy: events.Block, BatchWindow: 0}
 	if eventQueues != want {
 		t.Fatalf("eventQueues = %+v, want %+v", eventQueues, want)
+	}
+}
+
+// TestE2RegistryShape (Fig. 1, Req. 5): components installed through the
+// acceptor at run time are at once found by the registry, at every
+// repository size; install and query rates land in the -v log.
+func TestE2RegistryShape(t *testing.T) {
+	t.Parallel()
+	const queries = 500
+	for _, count := range []int{10, 100, 400} {
+		t.Run(fmt.Sprintf("installed=%d", count), func(t *testing.T) {
+			n := newTestNode(t, "e2", WorkstationProfile())
+			// Packages are built first, so the rate covers install only.
+			pkgs := make([][]byte, count)
+			for i := range pkgs {
+				s := adderSpec(fmt.Sprintf("comp%04d", i), "1.0.0")
+				s.Ports[0].RepoID = fmt.Sprintf("IDL:bench/Svc%04d:1.0", i)
+				c, err := s.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				pkgs[i] = c.Package().Bytes()
+			}
+			acc := n.ORB().NewRef(n.AcceptorIOR())
+			start := time.Now()
+			for _, pkg := range pkgs {
+				err := acc.InvokeContext(context.Background(), "install",
+					func(e *cdr.Encoder) { e.WriteOctetSeq(pkg) },
+					func(d *cdr.Decoder) error { _, err := d.ReadString(); return err })
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			installRate := float64(count) / time.Since(start).Seconds()
+
+			reg := n.ORB().NewRef(n.RegistryIOR())
+			found := 0
+			start = time.Now()
+			for i := 0; i < queries; i++ {
+				var offers []*Offer
+				err := reg.InvokeContext(context.Background(), "query",
+					func(e *cdr.Encoder) { e.WriteString(fmt.Sprintf("IDL:bench/Svc%04d:1.0", i%count)); e.WriteString("*") },
+					func(d *cdr.Decoder) error { var e error; offers, e = UnmarshalOffers(d); return e })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(offers) == 1 {
+					found++
+				}
+			}
+			t.Logf("%d installed: %.0f install/s, %.0f query/s, %d/%d found",
+				count, installRate, queries/time.Since(start).Seconds(), found, queries)
+			if found != queries {
+				t.Errorf("not all queries found a match: %d/%d", found, queries)
+			}
+		})
 	}
 }

@@ -171,7 +171,7 @@ type Resources struct {
 	cpuUsed   float64
 	memUsedMB int
 	instances int
-	// extraLoad lets experiments inject background load skew.
+	// extraCPU is synthetic background load (SetBackgroundLoad).
 	extraCPU float64
 }
 
@@ -226,8 +226,8 @@ func (rm *Resources) CanHost(q xmldesc.QoS) bool {
 		q.BandwidthMin <= rm.profile.BandwidthMbps
 }
 
-// SetBackgroundLoad injects synthetic CPU load (experiments use it to
-// skew nodes).
+// SetBackgroundLoad injects synthetic CPU load (tests use it to skew
+// nodes).
 func (rm *Resources) SetBackgroundLoad(cpu float64) {
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
