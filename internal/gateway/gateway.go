@@ -89,8 +89,10 @@ type Gateway struct {
 }
 
 // route is one published object: its typed DII handle plus the cache
-// generation (bumped on writes and explicit invalidation, so stale
-// cached reads stop matching) and per-operation counters.
+// generation (bumped on writes and explicit invalidation, so cached
+// reads filled before the bump stop being served) and per-operation
+// counters. A re-registered name gets a new route, so its cached reads
+// never answer for the route it replaced.
 type route struct {
 	name  string
 	obj   *dii.Object
@@ -290,7 +292,7 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 
 	status, respBody := g.invoke(ctx, rt, st, sig, opName, tb.args)
 	// A completed mutation invalidates the object's cached reads:
-	// bumping the generation makes every stored key stale at once.
+	// bumping the generation makes every stored entry stale at once.
 	if status < 400 && g.cache != nil {
 		rt.gen.Add(1)
 	}
@@ -299,8 +301,8 @@ func (g *Gateway) handleInvoke(w http.ResponseWriter, r *http.Request) {
 }
 
 // invokeCached serves an idempotent operation through the sharded
-// singleflight cache, keyed on (object, generation, operation,
-// CDR-canonical arguments).
+// singleflight cache, keyed on (object, operation, CDR-canonical
+// arguments) and valid for the route's current generation.
 func (g *Gateway) invokeCached(ctx context.Context, w http.ResponseWriter, rt *route, st *opStats, sig *dii.Signature, opName string, tb *TransBuf, start time.Time) {
 	key, err := cacheKey(rt, opName, sig, tb)
 	if err != nil {
@@ -308,7 +310,7 @@ func (g *Gateway) invokeCached(ctx context.Context, w http.ResponseWriter, rt *r
 		writeError(w, http.StatusBadRequest, err.Error(), "")
 		return
 	}
-	res, err := g.cache.do(ctx, key, func() (int, []byte) {
+	res, err := g.cache.do(ctx, key, &rt.gen, func() (int, []byte) {
 		return g.invoke(ctx, rt, st, sig, opName, tb.args)
 	})
 	if err != nil {
@@ -344,8 +346,6 @@ func cacheKey(rt *route, opName string, sig *dii.Signature, tb *TransBuf) (strin
 	k = append(k, rt.name...)
 	k = append(k, 0)
 	k = append(k, opName...)
-	k = append(k, 0)
-	k = strconv.AppendUint(k, rt.gen.Load(), 16)
 	k = append(k, 0)
 	k = append(k, e.Bytes()...)
 	tb.key = k

@@ -444,6 +444,56 @@ func TestGatewayCache(t *testing.T) {
 	}
 }
 
+// TestGatewayCacheReRegisterMisses pins that a cached read never answers
+// for a route that has been replaced: re-registering a name starts a new
+// route whose generation restarts, so a key that carried the generation
+// used to match the old route's entries.
+func TestGatewayCacheReRegisterMisses(t *testing.T) {
+	leak.Check(t)
+	tg := startGateway(t, Options{CacheTTL: time.Minute})
+
+	status, hdr, payload := tg.call(t, "calc", "_get_calls", "", nil)
+	wantResult(t, status, payload, 1)
+	if hdr.Get("X-Cache") != "miss" {
+		t.Fatalf("prime on A: X-Cache = %q, want miss", hdr.Get("X-Cache"))
+	}
+
+	b := &demoServant{}
+	b.total.Store(5)
+	tg.backend.Activate("calc-b", b)
+	ref := tg.gw.orb.NewRef(tg.backend.NewIOR("IDL:demo/Calc:1.0", "calc-b"))
+	if err := tg.gw.Register("calc", ref, "demo::Calc"); err != nil {
+		t.Fatal(err)
+	}
+	status, hdr, payload = tg.call(t, "calc", "_get_calls", "", nil)
+	if hdr.Get("X-Cache") != "miss" {
+		t.Fatalf("first read on B: X-Cache = %q, want miss (A's answer served)", hdr.Get("X-Cache"))
+	}
+	wantResult(t, status, payload, 6)
+}
+
+// TestGatewayCacheBoundedByKeys pins that writes do not grow the cache:
+// each write leaves the one key's entry stale, and the next read of that
+// key replaces it in place.
+func TestGatewayCacheBoundedByKeys(t *testing.T) {
+	leak.Check(t)
+	tg := startGateway(t, Options{CacheTTL: time.Minute})
+	const cycles = 1000
+	for i := 0; i < cycles; i++ {
+		tg.call(t, "calc", "add", `[1, 1]`, nil)
+		_, hdr, _ := tg.call(t, "calc", "mul", `[6, 7]`, nil)
+		if hdr.Get("X-Cache") != "miss" {
+			t.Fatalf("cycle %d: X-Cache = %q after a write, want miss", i, hdr.Get("X-Cache"))
+		}
+	}
+	if n := cacheEntries(tg.gw.cache); n != 1 {
+		t.Fatalf("after %d write-then-read cycles on one key: %d entries, want 1", cycles, n)
+	}
+	if g := tg.gw.Metrics().Routes["calc"].Generation; g != cycles {
+		t.Fatalf("generation = %d, want %d (one bump per write)", g, cycles)
+	}
+}
+
 func TestGatewayCacheDisabled(t *testing.T) {
 	leak.Check(t)
 	tg := startGateway(t, Options{CacheTTL: -1})

@@ -655,15 +655,6 @@ func EncodeCancelRequest(e *cdr.Encoder, h *CancelRequestHeader) {
 	e.WriteULong(h.RequestID)
 }
 
-// DecodeCancelRequest parses a CancelRequest header.
-func DecodeCancelRequest(d *cdr.Decoder) (*CancelRequestHeader, error) {
-	id, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	return &CancelRequestHeader{RequestID: id}, nil
-}
-
 // PeekRequestID extracts the request ID from a Request, Reply,
 // LocateRequest, LocateReply or CancelRequest without decoding the rest
 // of the header. In GIOP 1.2 every such header begins with the ID; 1.0
