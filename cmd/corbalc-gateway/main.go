@@ -54,7 +54,6 @@ func run() int {
 	flag.Var(&objs, "obj", "route as name=interface=ref; ref is IOR:…, corbaloc:… or @file (repeatable)")
 	maxInFlight := flag.Int("max-inflight", 0, "bound on concurrently-handled requests; overflow gets 503 (0 = default, negative = unbounded)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "idempotent-response cache TTL (0 = default, negative = disable)")
-	cacheShards := flag.Int("cache-shards", 0, "response-cache shard count (0 = default)")
 	maxBody := flag.Int("max-body", 0, "request-body byte limit (0 = default)")
 	callTimeout := flag.Duration("call-timeout", 0, "backend deadline when the client sends no X-Timeout-Ms (0 = default)")
 	poolSize := flag.Int("pool-size", 0, "IIOP channel-pool stripes per backend (0 = default min(8, GOMAXPROCS))")
@@ -82,7 +81,6 @@ func run() int {
 		Repo:        repo,
 		MaxInFlight: *maxInFlight,
 		CacheTTL:    *cacheTTL,
-		CacheShards: *cacheShards,
 		MaxBody:     *maxBody,
 		CallTimeout: *callTimeout,
 	})

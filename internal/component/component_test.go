@@ -32,7 +32,7 @@ func demoSpec() *Spec {
 
 func TestParseID(t *testing.T) {
 	id, err := ParseID("whiteboard-2.1.0")
-	if err != nil || id.Name != "whiteboard" || id.Version != version.MustParse("2.1.0") {
+	if err != nil || id.Name != "whiteboard" || id.Version != (version.V{Major: 2, Minor: 1}) {
 		t.Fatalf("id = %+v, %v", id, err)
 	}
 	// Hyphenated names parse by scanning for the last version-looking

@@ -275,7 +275,8 @@ func TestFactoryServantOverORB(t *testing.T) {
 
 	// duplicate create surfaces as a user exception
 	err = fref.InvokeContext(context.Background(), "create", func(e *cdr.Encoder) { e.WriteString("made-by-corba") }, func(d *cdr.Decoder) error { _, e := ior.Unmarshal(d); return e })
-	if !orb.IsUserException(err, "IDL:corbalc/ComponentFactory/CreateFailed:1.0") {
+	var ue *orb.UserException
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/ComponentFactory/CreateFailed:1.0" {
 		t.Fatalf("dup create err = %v", err)
 	}
 
@@ -284,7 +285,7 @@ func TestFactoryServantOverORB(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = fref.InvokeContext(context.Background(), "destroy", func(e *cdr.Encoder) { e.WriteString("made-by-corba") }, nil)
-	if !orb.IsUserException(err, "IDL:corbalc/ComponentFactory/NoSuchInstance:1.0") {
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/ComponentFactory/NoSuchInstance:1.0" {
 		t.Fatalf("destroy missing err = %v", err)
 	}
 }
@@ -378,7 +379,8 @@ func TestEquivalentInterfaceReflection(t *testing.T) {
 	}
 	// Removing a declared port fails with the NoSuchPort user exception.
 	err = eref.InvokeContext(context.Background(), "remove_port", func(e *cdr.Encoder) { e.WriteString("count") }, nil)
-	if !orb.IsUserException(err, "IDL:corbalc/ComponentInstance/NoSuchPort:1.0") {
+	var ue *orb.UserException
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/ComponentInstance/NoSuchPort:1.0" {
 		t.Fatalf("remove declared err = %v", err)
 	}
 }
@@ -798,7 +800,8 @@ func TestEquivalentServantEdgeCases(t *testing.T) {
 	// provide_port on a uses port is a NoSuchPort user exception.
 	err = eref.InvokeContext(context.Background(), "provide_port", func(e *cdr.Encoder) { e.WriteString("peer") },
 		func(d *cdr.Decoder) error { _, e := ior.Unmarshal(d); return e })
-	if !orb.IsUserException(err, "IDL:corbalc/ComponentInstance/NoSuchPort:1.0") {
+	var ue *orb.UserException
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/ComponentInstance/NoSuchPort:1.0" {
 		t.Fatalf("provide uses err = %v", err)
 	}
 	// connect with a bogus port.
@@ -806,7 +809,7 @@ func TestEquivalentServantEdgeCases(t *testing.T) {
 		e.WriteString("ghost")
 		ior.New("IDL:x:1.0", "h", 1, []byte("k")).Marshal(e)
 	}, nil)
-	if !orb.IsUserException(err, "IDL:corbalc/ComponentInstance/NoSuchPort:1.0") {
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/ComponentInstance/NoSuchPort:1.0" {
 		t.Fatalf("connect ghost err = %v", err)
 	}
 	// disconnect via CORBA works on a connected port.
@@ -825,7 +828,7 @@ func TestEquivalentServantEdgeCases(t *testing.T) {
 		e.WriteString("bogus-kind")
 		e.WriteString("IDL:x:1.0")
 	}, nil)
-	if !orb.IsUserException(err, "IDL:corbalc/ComponentInstance/PortError:1.0") {
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/ComponentInstance/PortError:1.0" {
 		t.Fatalf("bad kind err = %v", err)
 	}
 	// Unknown operation on the equivalent interface.

@@ -336,7 +336,13 @@ func TestBalancerMigratesFromOverloadedNode(t *testing.T) {
 	}
 }
 
-func mustV(s string) version.V { return version.MustParse(s) }
+func mustV(s string) version.V {
+	v, err := version.Parse(s)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
 
 func TestAlwaysFetchPolicy(t *testing.T) {
 	c := newCluster(t, 2, func(o *corbalc.Options) {

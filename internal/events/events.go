@@ -9,9 +9,10 @@
 // delivery goroutine, so a publish costs the same at any fan-out. A
 // subscriber Config.Depth events behind is full: the policy then holds
 // the publisher (Block) or skips that subscriber's oldest event
-// (DropOldest), counted in Dropped. A delivery loop copies up to MaxBatch
-// events per pass and can hand the run to a BatchConsumer, which is how
-// remote subscribers ride the transport's write coalescer.
+// (DropOldest), counted in Dropped. A delivery loop copies up to
+// DefaultMaxBatch events per pass and can hand the run to a
+// BatchConsumer, which is how remote subscribers ride the transport's
+// write coalescer.
 package events
 
 import (
@@ -43,7 +44,7 @@ type Event struct {
 type Consumer func(Event)
 
 // BatchConsumer receives a run of queued events in one call — whatever
-// the delivery loop drained in one pass, at most the channel's MaxBatch.
+// the delivery loop drained in one pass, at most DefaultMaxBatch.
 // The slice is reused between calls: a consumer that retains events past
 // its return must copy them.
 type BatchConsumer func([]Event)
@@ -62,7 +63,7 @@ const (
 // ErrClosed reports publication on a closed channel.
 var ErrClosed = errors.New("events: channel closed")
 
-// DefaultMaxBatch bounds one delivery-loop drain when Config.MaxBatch is 0.
+// DefaultMaxBatch bounds one delivery-loop drain.
 const DefaultMaxBatch = 64
 
 // initialRing is a new ring's length. Push doubles the ring, up to the
@@ -77,14 +78,15 @@ type Config struct {
 	Depth int
 	// Policy selects the overflow behaviour on a full subscriber.
 	Policy OverflowPolicy
-	// MaxBatch bounds how many events one delivery pass drains (and the
-	// largest slice a BatchConsumer sees). Zero means DefaultMaxBatch.
-	MaxBatch int
 	// BatchWindow makes a batch subscriber's delivery loop pause after
 	// draining the queue dry, so a trickle of events coalesces into
 	// window-sized batches instead of N single-event deliveries. Zero
 	// delivers immediately. Per-event consumers ignore it.
 	BatchWindow time.Duration
+	// maxBatch bounds how many events one delivery pass drains (and the
+	// largest slice a BatchConsumer sees). Zero means DefaultMaxBatch;
+	// the parking tests set 1.
+	maxBatch int
 }
 
 // withDefaults resolves the zero values.
@@ -92,8 +94,8 @@ func (c Config) withDefaults() Config {
 	if c.Depth < 1 {
 		c.Depth = 1
 	}
-	if c.MaxBatch < 1 {
-		c.MaxBatch = DefaultMaxBatch
+	if c.maxBatch < 1 {
+		c.maxBatch = DefaultMaxBatch
 	}
 	return c
 }
@@ -178,8 +180,8 @@ func (c *Channel) Subscribe(name string, fn Consumer) (cancel func()) {
 }
 
 // SubscribeBatch registers a batch consumer: the delivery loop hands it
-// whole drained runs (up to MaxBatch events), coalescing trickle into
-// batches when BatchWindow is set. Returns a cancel function.
+// whole drained runs (up to DefaultMaxBatch events), coalescing trickle
+// into batches when BatchWindow is set. Returns a cancel function.
 func (c *Channel) SubscribeBatch(name string, fn BatchConsumer) (cancel func()) {
 	return c.subscribe(&subscriber{bfn: fn})
 }
@@ -462,12 +464,12 @@ func (c *Channel) park(s *subscriber) {
 	}
 }
 
-// deliverLoop copies up to MaxBatch events per pass into its private
+// deliverLoop copies up to maxBatch events per pass into its private
 // batch and hands them to the consumer — whole runs to a BatchConsumer,
 // in-order single calls otherwise — then clears the batch, so it pins no
 // delivered payload. The batch starts at one slot and doubles, up to
-// MaxBatch, after each pass that fills it, so it grows to the backlog the
-// loop drains and a trickle never pays for MaxBatch.
+// maxBatch, after each pass that fills it, so it grows to the backlog the
+// loop drains and a trickle never pays for maxBatch.
 func (c *Channel) deliverLoop(s *subscriber) {
 	defer c.wg.Done()
 	batch := make([]Event, 1)
@@ -497,8 +499,8 @@ func (c *Channel) deliverLoop(s *subscriber) {
 			}
 		}
 		clear(batch[:n])
-		if n == len(batch) && n < c.cfg.MaxBatch {
-			batch = make([]Event, min(2*n, c.cfg.MaxBatch))
+		if n == len(batch) && n < c.cfg.maxBatch {
+			batch = make([]Event, min(2*n, c.cfg.maxBatch))
 		}
 		if s.bfn != nil && c.cfg.BatchWindow > 0 && s.cursor.Load() == c.head.Load() && !c.closed.Load() {
 			// Let a trickle accumulate into the next batch instead of

@@ -62,7 +62,7 @@ func BenchmarkEventFanout(b *testing.B) {
 // and 10,000 subscribers when recorded. The warm-up holds every
 // subscriber in its first callback while a full depth is published, which
 // grows the ring to its full length; each loop then drains at least 255
-// events in passes that double its batch to MaxBatch. No growth can land
+// events in passes that double its batch to DefaultMaxBatch. No growth can land
 // inside the measured window.
 func TestPushZeroAlloc(t *testing.T) {
 	if race.Enabled {

@@ -17,7 +17,7 @@ import (
 // TestDrainedChannelPinsNothing publishes fresh payloads through a
 // 1-subscriber and a 64-subscriber channel and, once every subscriber has
 // taken them, requires every payload to be collectable. The grown cases
-// first park every subscriber in its first callback (MaxBatch 1, so each
+// first park every subscriber in its first callback (maxBatch 1, so each
 // has taken one event) while the payloads pile up, which grows the ring
 // from 8 slots to 64: moving the backlog must not leave a payload pinned
 // by a slot of either ring.
@@ -36,7 +36,7 @@ func TestDrainedChannelPinsNothing(t *testing.T) {
 			leak.Check(t)
 			cfg := Config{Depth: 16, Policy: Block}
 			if tc.grown {
-				cfg = Config{Depth: 64, Policy: Block, MaxBatch: 1}
+				cfg = Config{Depth: 64, Policy: Block, maxBatch: 1}
 			}
 			ch := NewChannelConfig("e", cfg)
 			defer ch.Close()

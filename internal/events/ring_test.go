@@ -131,7 +131,7 @@ func TestRingStress(t *testing.T) {
 		t.Run(policyNames[policy], func(t *testing.T) {
 			leak.Check(t)
 			block := policy == Block
-			ch := NewChannelConfig("IDL:stress:1.0", Config{Depth: 8, Policy: policy, MaxBatch: 4})
+			ch := NewChannelConfig("IDL:stress:1.0", Config{Depth: 8, Policy: policy, maxBatch: 4})
 			// Publishers hold pause for reading across each Push; churn
 			// takes it for writing, so an attach or a cancel falls between
 			// publications and its share of the ledger is exact.
@@ -280,7 +280,7 @@ func ringLen(ch *Channel) int {
 
 // TestRingGrowthCount holds a channel's ring to at most
 // log2(nextPow2(Depth)/8) growths over its life. A subscriber parked in
-// its first callback (MaxBatch 1, so its cursor stays at 1) lets a full
+// its first callback (maxBatch 1, so its cursor stays at 1) lets a full
 // depth pile up, which drives the ring to its full length; a long
 // free-running tail after that grows it no further.
 func TestRingGrowthCount(t *testing.T) {
@@ -288,7 +288,7 @@ func TestRingGrowthCount(t *testing.T) {
 		for _, policy := range []OverflowPolicy{Block, DropOldest} {
 			t.Run(fmt.Sprintf("depth=%d/%s", depth, policyNames[policy]), func(t *testing.T) {
 				leak.Check(t)
-				ch := NewChannelConfig("e", Config{Depth: depth, Policy: policy, MaxBatch: 1})
+				ch := NewChannelConfig("e", Config{Depth: depth, Policy: policy, maxBatch: 1})
 				defer ch.Close()
 				release, open := gate()
 				entered := make(chan struct{}, 1)

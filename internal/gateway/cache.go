@@ -19,9 +19,13 @@ import (
 // per client.
 type cache struct {
 	ttl    time.Duration
-	shards []cacheShard
+	shards [cacheShards]cacheShard
 	seed   maphash.Seed
 }
+
+// cacheShards is the shard count: enough independent locks to spread
+// concurrent hits on a small host.
+const cacheShards = 16
 
 type cacheShard struct {
 	mu      sync.Mutex
@@ -62,11 +66,8 @@ type flight struct {
 // stream cannot grow the map without bound.
 const shardSweepLimit = 4096
 
-func newCache(shards int, ttl time.Duration) *cache {
-	if shards <= 0 {
-		shards = 16
-	}
-	c := &cache{ttl: ttl, shards: make([]cacheShard, shards), seed: maphash.MakeSeed()}
+func newCache(ttl time.Duration) *cache {
+	c := &cache{ttl: ttl, seed: maphash.MakeSeed()}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[string]cacheEntry)
 		c.shards[i].flights = make(map[string]*flight)
@@ -75,7 +76,7 @@ func newCache(shards int, ttl time.Duration) *cache {
 }
 
 func (c *cache) shard(key string) *cacheShard {
-	return &c.shards[maphash.String(c.seed, key)%uint64(len(c.shards))]
+	return &c.shards[maphash.String(c.seed, key)%cacheShards]
 }
 
 // cacheResult is what a lookup resolves to: the response and whether it

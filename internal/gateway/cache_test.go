@@ -66,7 +66,7 @@ func TestCacheReadRacingWrite(t *testing.T) {
 	}
 
 	t.Run("old read finishes after the write", func(t *testing.T) {
-		c := newCache(4, time.Minute)
+		c := newCache(time.Minute)
 		var gen atomic.Uint64
 		old := startRead(c, &gen, "old")
 		waitFill(old, "old read")
@@ -87,7 +87,7 @@ func TestCacheReadRacingWrite(t *testing.T) {
 	})
 
 	t.Run("new read overtakes the old one", func(t *testing.T) {
-		c := newCache(4, time.Minute)
+		c := newCache(time.Minute)
 		var gen atomic.Uint64
 		old := startRead(c, &gen, "old")
 		waitFill(old, "old read")

@@ -124,10 +124,10 @@ func TestGatewayBackendFailover(t *testing.T) {
 
 	// Resurrect it on the same address; the pool must redial.
 	goodBefore := good.Load()
-	srv2 := iiop.NewServer(backend)
+	var srv2 *iiop.Server
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if err = srv2.ListenActivate(backend, addr); err == nil {
+		if srv2, err = iiop.ListenAndActivate(backend, addr); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -38,7 +38,6 @@ import (
 const (
 	DefaultMaxInFlight = 256
 	DefaultCacheTTL    = 2 * time.Second
-	DefaultCacheShards = 16
 	DefaultMaxBody     = 1 << 20
 	DefaultCallTimeout = 10 * time.Second
 )
@@ -59,8 +58,6 @@ type Options struct {
 	// CacheTTL is how long idempotent responses stay servable from the
 	// cache (default 2s; negative disables caching).
 	CacheTTL time.Duration
-	// CacheShards is the response-cache shard count (default 16).
-	CacheShards int
 	// MaxBody bounds one request body in bytes (default 1 MiB).
 	MaxBody int
 	// CallTimeout is the backend deadline applied when the client sends
@@ -122,11 +119,7 @@ func New(opts Options) (*Gateway, error) {
 		ttl = DefaultCacheTTL
 	}
 	if ttl > 0 {
-		shards := opts.CacheShards
-		if shards == 0 {
-			shards = DefaultCacheShards
-		}
-		g.cache = newCache(shards, ttl)
+		g.cache = newCache(ttl)
 	}
 	g.maxBody = opts.MaxBody
 	if g.maxBody <= 0 {

@@ -193,7 +193,8 @@ func jsonToIDL(t *idl.Type, v any) (any, error) {
 // jsonInt extracts an integral number within [lo, hi]. JSON numbers
 // arrive as float64, so magnitudes beyond 2^53 are not exactly
 // representable; the gateway rejects the fractional and out-of-range
-// rather than silently truncating.
+// rather than silently truncating. float64(math.MaxInt64) rounds up to
+// 2^63, which int64 cannot hold, so 2^63 is rejected whatever hi says.
 func jsonInt(v any, lo, hi int64) (int64, error) {
 	f, ok := v.(float64)
 	if !ok {
@@ -202,7 +203,7 @@ func jsonInt(v any, lo, hi int64) (int64, error) {
 	if f != math.Trunc(f) {
 		return 0, badValue("expected integer, got fractional %v", f)
 	}
-	if f < float64(lo) || f > float64(hi) {
+	if f < float64(lo) || f > float64(hi) || f >= 1<<63 {
 		return 0, badValue("integer %v out of range [%d, %d]", f, lo, hi)
 	}
 	return int64(f), nil

@@ -72,8 +72,9 @@ func TestPeekRequestIDTruncated(t *testing.T) {
 
 // TestPeekRequestID pins where the ID sits: after the service context
 // list in GIOP 1.0 Request and Reply headers, first in 1.2, in both byte
-// orders. The encoders must write exactly the hand-assembled layout, and
-// PeekRequestID must read the ID back from it.
+// orders. The request encoder must write exactly the hand-assembled
+// layout, and PeekRequestID must read the ID back from it and from a
+// hand-assembled reply carrying a service context.
 func TestPeekRequestID(t *testing.T) {
 	scs := []ServiceContext{{ID: SvcTracing, Data: []byte{1, 2, 3}}}
 	for _, v := range []Version{V10, V12} {
@@ -85,22 +86,17 @@ func TestPeekRequestID(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			req := e.Bytes()
-			e = NewBodyEncoder(order)
-			if err := EncodeReply(e, v, &ReplyHeader{RequestID: 88, Status: ReplyNoException, ServiceContexts: scs}); err != nil {
-				t.Fatal(err)
+			if raw := rawRequest(v, order, 77); !bytes.Equal(e.Bytes(), raw) {
+				t.Fatalf("request v%v order %v: encoded % x, want % x", v, order, e.Bytes(), raw)
 			}
 			for _, c := range []struct {
-				typ       MsgType
-				body, raw []byte
-				want      uint32
+				typ  MsgType
+				body []byte
+				want uint32
 			}{
-				{MsgRequest, req, rawRequest(v, order, 77), 77},
-				{MsgReply, e.Bytes(), rawReply(v, order, 88), 88},
+				{MsgRequest, e.Bytes(), 77},
+				{MsgReply, rawReply(v, order, 88), 88},
 			} {
-				if !bytes.Equal(c.body, c.raw) {
-					t.Fatalf("%v v%v order %v: encoded % x, want % x", c.typ, v, order, c.body, c.raw)
-				}
 				m := &Message{Header: Header{Version: v, Order: order, Type: c.typ}, Body: c.body}
 				if id, ok := PeekRequestID(m); !ok || id != c.want {
 					t.Errorf("%v v%v order %v: peek = %d, %v; want %d", c.typ, v, order, id, ok, c.want)

@@ -3,7 +3,6 @@ package giop
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"corbalc/internal/bufpool"
 	"corbalc/internal/cdr"
@@ -46,14 +45,6 @@ func Fragmentable(t MsgType) bool {
 	return false
 }
 
-// WriteMessageFragmented writes a message, splitting bodies larger than
-// maxBody across Fragment messages. maxBody <= 0 disables splitting.
-// Cold-path convenience form; connection loops use (*Writer).
-func WriteMessageFragmented(w io.Writer, h Header, body []byte, maxBody int) error {
-	mw := NewWriter(w)
-	return mw.WriteMessageFragmented(h, body, maxBody)
-}
-
 // Reassembler accumulates fragmented messages. Feed every inbound
 // message through Add: it returns a complete message (possibly the same
 // one, when unfragmented) or nil while a reassembly is pending.
@@ -67,7 +58,9 @@ func NewReassembler() *Reassembler {
 }
 
 // Add consumes one wire message. The returned message, when non-nil, is
-// complete and has the Fragment flag cleared.
+// complete and has the Fragment flag cleared. A continuation that would
+// grow the body past MaxMessageSize fails with ErrMessageSize and drops
+// that reassembly.
 //
 // Ownership: Add never retains m or any slice of m.Body — fragment
 // content is copied into a pooled reassembly buffer — so the caller may
@@ -105,7 +98,13 @@ func (ra *Reassembler) Add(m *Message) (*Message, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: id %d", ErrOrphanFragment, reqID)
 		}
-		base.Body = appendPooled(base.Body, m.Body[fragmentIDLen:])
+		payload := m.Body[fragmentIDLen:]
+		if len(base.Body)+len(payload) > MaxMessageSize {
+			delete(ra.pending, reqID)
+			base.Release()
+			return nil, fmt.Errorf("%w: reassembling request %d", ErrMessageSize, reqID)
+		}
+		base.Body = appendPooled(base.Body, payload)
 		if m.Header.Fragment {
 			return nil, nil // more to come
 		}
@@ -130,9 +129,6 @@ func appendPooled(dst, src []byte) []byte {
 	bufpool.Put(dst)
 	return grown
 }
-
-// Pending reports how many reassemblies are in flight (diagnostics).
-func (ra *Reassembler) Pending() int { return len(ra.pending) }
 
 // Drop discards every in-flight reassembly, releasing their staging
 // buffers; connection teardown calls it so half-received transfers do

@@ -26,23 +26,30 @@ func buildRequest(t testing.TB, reqID uint32, payload []byte) ([]byte, Header) {
 }
 
 // reassembleStream reads messages from buf and runs them through a
-// reassembler, returning the completed messages.
+// reassembler the way a connection's read loop does, returning the
+// completed messages.
 func reassembleStream(t testing.TB, buf *bytes.Buffer) []*Message {
 	t.Helper()
 	ra := NewReassembler()
 	var out []*Message
 	for buf.Len() > 0 {
-		m, err := ReadMessage(buf)
+		raw, err := ReadMessagePooled(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		done, err := ra.Add(m)
+		done, err := ra.Add(raw)
+		if done != raw {
+			raw.Release()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		if done != nil {
 			out = append(out, done)
 		}
+	}
+	if len(ra.pending) != 0 {
+		t.Fatalf("%d reassemblies left pending", len(ra.pending))
 	}
 	return out
 }
@@ -52,7 +59,7 @@ func TestFragmentRoundTrip(t *testing.T) {
 	body, h := buildRequest(t, 77, payload)
 
 	var wire bytes.Buffer
-	if err := WriteMessageFragmented(&wire, h, body, 512); err != nil {
+	if err := NewWriter(&wire).WriteMessageFragmented(h, body, 512); err != nil {
 		t.Fatal(err)
 	}
 	// The wire must carry one Request plus several Fragment messages.
@@ -60,11 +67,12 @@ func TestFragmentRoundTrip(t *testing.T) {
 	var kinds []MsgType
 	probe := bytes.NewBuffer(snapshot)
 	for probe.Len() > 0 {
-		m, err := ReadMessage(probe)
+		m, err := ReadMessagePooled(probe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		kinds = append(kinds, m.Header.Type)
+		m.Release()
 	}
 	if len(kinds) < 3 || kinds[0] != MsgRequest || kinds[1] != MsgFragment {
 		t.Fatalf("wire kinds = %v", kinds)
@@ -83,8 +91,8 @@ func TestFragmentRoundTrip(t *testing.T) {
 	}
 	// The reassembled message decodes like the original.
 	d := m.BodyDecoder()
-	req, err := DecodeRequest(d, V12)
-	if err != nil || req.RequestID != 77 || req.Operation != "transfer" {
+	var req RequestHeader
+	if err := DecodeRequestInto(d, V12, &req); err != nil || req.RequestID != 77 || req.Operation != "transfer" {
 		t.Fatalf("decode: %+v, %v", req, err)
 	}
 	if err := AlignBodyDecode(d, V12); err != nil {
@@ -100,44 +108,36 @@ func TestFragmentInterleavedRequests(t *testing.T) {
 	bodyA, hA := buildRequest(t, 1, bytes.Repeat([]byte("A"), 3000))
 	bodyB, hB := buildRequest(t, 2, bytes.Repeat([]byte("B"), 3000))
 	var wireA, wireB bytes.Buffer
-	if err := WriteMessageFragmented(&wireA, hA, bodyA, 512); err != nil {
+	if err := NewWriter(&wireA).WriteMessageFragmented(hA, bodyA, 512); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMessageFragmented(&wireB, hB, bodyB, 512); err != nil {
+	if err := NewWriter(&wireB).WriteMessageFragmented(hB, bodyB, 512); err != nil {
 		t.Fatal(err)
 	}
 	// Interleave the two message streams fragment by fragment.
-	var msgs []*Message
+	var interleaved bytes.Buffer
 	for wireA.Len() > 0 || wireB.Len() > 0 {
 		for _, w := range []*bytes.Buffer{&wireA, &wireB} {
 			if w.Len() == 0 {
 				continue
 			}
-			m, err := ReadMessage(w)
+			m, err := ReadMessagePooled(w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			msgs = append(msgs, m)
+			if err := WriteMessage(&interleaved, m.Header, m.Body); err != nil {
+				t.Fatal(err)
+			}
+			m.Release()
 		}
 	}
-	ra := NewReassembler()
-	var done []*Message
-	for _, m := range msgs {
-		out, err := ra.Add(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out != nil {
-			done = append(done, out)
-		}
-	}
-	if len(done) != 2 || ra.Pending() != 0 {
-		t.Fatalf("done=%d pending=%d", len(done), ra.Pending())
+	done := reassembleStream(t, &interleaved)
+	if len(done) != 2 {
+		t.Fatalf("done=%d", len(done))
 	}
 	for _, m := range done {
-		d := m.BodyDecoder()
-		req, err := DecodeRequest(d, V12)
-		if err != nil {
+		var req RequestHeader
+		if err := DecodeRequestInto(m.BodyDecoder(), V12, &req); err != nil {
 			t.Fatal(err)
 		}
 		want := bodyA
@@ -156,18 +156,20 @@ func TestFragmentErrors(t *testing.T) {
 	h10 := h
 	h10.Version = V10
 	var buf bytes.Buffer
-	if err := WriteMessageFragmented(&buf, h10, body, 100); !errors.Is(err, ErrNotFragmentable) {
+	mw := NewWriter(&buf)
+	if err := mw.WriteMessageFragmented(h10, body, 100); !errors.Is(err, ErrNotFragmentable) {
 		t.Fatalf("1.0 fragment err = %v", err)
 	}
 	// Small bodies pass through unfragmented.
 	buf.Reset()
-	if err := WriteMessageFragmented(&buf, h, body, 1<<20); err != nil {
+	if err := mw.WriteMessageFragmented(h, body, 1<<20); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadMessage(&buf)
+	m, err := ReadMessagePooled(&buf)
 	if err != nil || m.Header.Fragment {
 		t.Fatalf("small body fragmented: %v %v", m.Header, err)
 	}
+	m.Release()
 	// Orphan fragment.
 	ra := NewReassembler()
 	e := NewBodyEncoder(cdr.BigEndian)
@@ -193,25 +195,11 @@ func TestQuickFragmentAnySplit(t *testing.T) {
 		max := int(maxRaw)%2048 + 16
 		body, h := buildRequest(t, 5, payload)
 		var wire bytes.Buffer
-		if err := WriteMessageFragmented(&wire, h, body, max); err != nil {
+		if err := NewWriter(&wire).WriteMessageFragmented(h, body, max); err != nil {
 			return false
 		}
-		ra := NewReassembler()
-		var done *Message
-		for wire.Len() > 0 {
-			m, err := ReadMessage(&wire)
-			if err != nil {
-				return false
-			}
-			out, err := ra.Add(m)
-			if err != nil {
-				return false
-			}
-			if out != nil {
-				done = out
-			}
-		}
-		return done != nil && bytes.Equal(done.Body, body) && ra.Pending() == 0
+		done := reassembleStream(t, &wire)
+		return len(done) == 1 && bytes.Equal(done[0].Body, body)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -1,12 +1,11 @@
 package giop
 
-// Fuzz PeekRequestID, the one header read the transport trusts before
-// any full decode: the server cancels and registers requests by the ID
-// it returns, and the client routes every reply to its waiter by it.
-// Seeds are assembled byte by byte from the CORBA layout of each header,
-// not by this package's encoders.
+// Fuzz targets for the header reads the transport and the ORB run on
+// untrusted input. Seeds are assembled byte by byte from the CORBA
+// layout of each header, not by this package's encoders.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -83,6 +82,10 @@ func rawReply(v Version, order cdr.ByteOrder, id uint32) []byte {
 	return w.b
 }
 
+// FuzzPeekRequestID fuzzes the one header read the transport trusts
+// before any full decode: the server cancels and registers requests by
+// the ID it returns, and the client routes every reply to its waiter by
+// it.
 func FuzzPeekRequestID(f *testing.F) {
 	for _, v := range []Version{V10, V12} {
 		for _, order := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
@@ -117,6 +120,132 @@ func FuzzPeekRequestID(f *testing.F) {
 		}
 		if err == nil && (!ok || id != want) {
 			t.Fatalf("v%v %v: peek = %d, %v; full decode read ID %d", m.Header.Version, m.Header.Type, id, ok, want)
+		}
+	})
+}
+
+// sameRequest reports whether two decoded Request headers carry the
+// same fields; an empty context list equals a nil one.
+func sameRequest(a, b *RequestHeader) bool {
+	if a.RequestID != b.RequestID || a.ResponseExpected != b.ResponseExpected ||
+		!bytes.Equal(a.ObjectKey, b.ObjectKey) || a.Operation != b.Operation ||
+		len(a.ServiceContexts) != len(b.ServiceContexts) {
+		return false
+	}
+	for i, sc := range a.ServiceContexts {
+		if sc.ID != b.ServiceContexts[i].ID || !bytes.Equal(sc.Data, b.ServiceContexts[i].Data) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzDecodeRequestInto fuzzes the Request decode the ORB dispatch loop
+// runs on every inbound call. A header reused across decodes must not
+// leak state from the earlier message, the interned form must agree with
+// the plain one, and whatever decodes must survive a re-encode.
+func FuzzDecodeRequestInto(f *testing.F) {
+	for _, v := range []Version{V10, V12} {
+		for _, order := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
+			f.Add(v.Minor, byte(order), rawRequest(v, order, 77))
+		}
+	}
+	f.Fuzz(func(t *testing.T, minor, orderBit byte, body []byte) {
+		v := [2]Version{V10, V12}[minor&1]
+		order := cdr.ByteOrder(orderBit & 1)
+		decode := func(h *RequestHeader, ops map[string]string) error {
+			return DecodeRequestIntoInterned(cdr.NewDecoderAt(body, order, HeaderLen), v, h, ops)
+		}
+		var fresh RequestHeader
+		err := decode(&fresh, nil)
+
+		var reused RequestHeader
+		prior := rawRequest(v, order, 1)
+		ops := map[string]string{}
+		if perr := DecodeRequestIntoInterned(cdr.NewDecoderAt(prior, order, HeaderLen), v, &reused, ops); perr != nil {
+			t.Fatalf("seed request does not decode: %v", perr)
+		}
+		rerr := decode(&reused, nil)
+		if (err == nil) != (rerr == nil) || err == nil && !sameRequest(&fresh, &reused) {
+			t.Fatalf("reused header: %+v, %v; fresh: %+v, %v", reused, rerr, fresh, err)
+		}
+		var interned RequestHeader
+		ierr := decode(&interned, ops)
+		if (err == nil) != (ierr == nil) || err == nil && !sameRequest(&fresh, &interned) {
+			t.Fatalf("interned: %+v, %v; plain: %+v, %v", interned, ierr, fresh, err)
+		}
+		if err != nil {
+			return
+		}
+
+		e := NewBodyEncoder(order)
+		if err := EncodeRequest(e, v, &fresh); err != nil {
+			t.Fatal(err)
+		}
+		var again RequestHeader
+		if err := DecodeRequestInto(cdr.NewDecoderAt(e.Bytes(), order, HeaderLen), v, &again); err != nil || !sameRequest(&fresh, &again) {
+			t.Fatalf("re-encoded %+v decodes as %+v, %v", fresh, again, err)
+		}
+	})
+}
+
+// FuzzReassembler splits its input into GIOP frames and feeds them to a
+// Reassembler, as a connection's read loop does, stopping at the first
+// frame the loop would reject. A completed message must be exactly the
+// first fragment's body followed by each continuation's payload, and
+// never larger than MaxMessageSize.
+func FuzzReassembler(f *testing.F) {
+	var stream bytes.Buffer
+	mw := NewWriter(&stream)
+	for id := uint32(1); id <= 2; id++ {
+		e := NewBodyEncoder(cdr.BigEndian)
+		e.WriteULong(id)
+		e.WriteOctetSeq(bytes.Repeat([]byte{byte(id)}, 100))
+		if err := mw.WriteMessageFragmented(Header{Version: V12, Order: cdr.BigEndian, Type: MsgReply}, e.Bytes(), 40); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(stream.Bytes())
+	if err := mw.WriteMessage(Header{Version: V12, Type: MsgFragment}, newRawBody(cdr.BigEndian).ulong(3).b); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stream.Bytes())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ra := NewReassembler()
+		defer ra.Drop()
+		want := map[uint32][]byte{} // request ID -> body so far
+		for len(data) >= HeaderLen {
+			h, err := DecodeHeader(data)
+			if err != nil || int(h.Size) > len(data)-HeaderLen {
+				return
+			}
+			m := &Message{Header: h, Body: data[HeaderLen : HeaderLen+int(h.Size)]}
+			data = data[HeaderLen+int(h.Size):]
+
+			// Add fails on a fragment whose request ID does not decode.
+			id, _ := m.BodyDecoder().ReadULong()
+			done, err := ra.Add(m)
+			if err != nil {
+				return
+			}
+			switch {
+			case h.Type == MsgFragment:
+				want[id] = append(want[id], m.Body[fragmentIDLen:]...)
+			case Fragmentable(h.Type) && h.Fragment:
+				want[id] = append([]byte(nil), m.Body...)
+			}
+			if done == nil || done == m {
+				continue
+			}
+			if len(done.Body) > MaxMessageSize {
+				t.Fatalf("reassembled %d bytes, over the %d cap", len(done.Body), MaxMessageSize)
+			}
+			if !bytes.Equal(done.Body, want[id]) || done.Header.Fragment {
+				t.Fatalf("request %d reassembled as % x (fragment %v), want % x", id, done.Body, done.Header.Fragment, want[id])
+			}
+			delete(want, id)
+			done.Release()
 		}
 	})
 }

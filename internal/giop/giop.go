@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"corbalc/internal/bufpool"
 	"corbalc/internal/cdr"
@@ -105,30 +104,13 @@ var (
 	ErrShortMessage = errors.New("giop: truncated message")
 )
 
-// DefaultMaxMessageSize is the default cap on accepted message bodies
-// (64 MiB). Component package transfers chunk below this.
-const DefaultMaxMessageSize = 64 << 20
-
-// maxMessageSize is the live cap; see SetMaxMessageSize.
-var maxMessageSize atomic.Uint32
-
-func init() { maxMessageSize.Store(DefaultMaxMessageSize) }
-
-// SetMaxMessageSize changes the process-wide cap on accepted message
-// body sizes. The size field of an inbound header is attacker-chosen, so
-// the cap is enforced before any body allocation: an oversized frame
-// fails with ErrMessageSize instead of OOMing the node. n = 0 restores
-// the default. Constrained deployments (the paper's E8 tiny devices)
-// should lower it to their real memory budget.
-func SetMaxMessageSize(n uint32) {
-	if n == 0 {
-		n = DefaultMaxMessageSize
-	}
-	maxMessageSize.Store(n)
-}
-
-// MaxMessageSize reports the current cap on accepted message bodies.
-func MaxMessageSize() uint32 { return maxMessageSize.Load() }
+// MaxMessageSize caps an accepted message body (64 MiB), whether it
+// arrives in one frame or is reassembled from fragments. The size field
+// of an inbound header is attacker-chosen, so the cap is enforced before
+// any body allocation: an oversized message fails with ErrMessageSize
+// instead of exhausting the node's memory. Component package transfers
+// chunk below it.
+const MaxMessageSize = 64 << 20
 
 // Header is the decoded fixed GIOP header.
 type Header struct {
@@ -259,8 +241,8 @@ func DecodeHeader(raw []byte) (Header, error) {
 	h.Fragment = raw[6]&2 != 0
 	h.Type = MsgType(raw[7])
 	h.Size = cdr.ULongAt(raw, 8, h.Order)
-	if h.Size > maxMessageSize.Load() {
-		return h, fmt.Errorf("%w: %d bytes (cap %d)", ErrMessageSize, h.Size, maxMessageSize.Load())
+	if h.Size > MaxMessageSize {
+		return h, fmt.Errorf("%w: %d bytes (cap %d)", ErrMessageSize, h.Size, MaxMessageSize)
 	}
 	return h, nil
 }
@@ -271,25 +253,6 @@ func DecodeHeader(raw []byte) (Header, error) {
 func WriteMessage(w io.Writer, h Header, body []byte) error {
 	mw := NewWriter(w)
 	return mw.WriteMessage(h, body)
-}
-
-// ReadMessage reads one framed message, blocking until complete. The
-// message body is freshly allocated and unpooled; receive loops should
-// prefer ReadMessagePooled.
-func ReadMessage(r io.Reader) (*Message, error) {
-	var hraw [HeaderLen]byte
-	if _, err := io.ReadFull(r, hraw[:]); err != nil {
-		return nil, err
-	}
-	h, err := DecodeHeader(hraw[:])
-	if err != nil {
-		return nil, err
-	}
-	body := make([]byte, h.Size)
-	if err := readBody(r, body); err != nil {
-		return nil, err
-	}
-	return &Message{Header: h, Body: body}, nil
 }
 
 // ReadMessagePooled reads one framed message into a pooled body buffer
@@ -312,24 +275,16 @@ func ReadMessagePooled(r io.Reader) (*Message, error) {
 		return nil, err
 	}
 	body := bufpool.Get(int(h.Size))
-	if err := readBody(r, body); err != nil {
+	if _, err := io.ReadFull(r, body); err != nil {
 		bufpool.Put(body)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, ErrShortMessage
+		}
 		return nil, err
 	}
 	m := NewMessage(h, body)
 	m.pooled = true
 	return m, nil
-}
-
-// readBody fills body from r, mapping EOF to ErrShortMessage.
-func readBody(r io.Reader, body []byte) error {
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return ErrShortMessage
-		}
-		return err
-	}
-	return nil
 }
 
 // ServiceContext is one entry of a GIOP service context list; CORBA-LC
@@ -353,17 +308,6 @@ func encodeServiceContexts(e *cdr.Encoder, scs []ServiceContext) {
 		e.WriteULong(sc.ID)
 		e.WriteOctetSeq(sc.Data)
 	}
-}
-
-func decodeServiceContexts(d *cdr.Decoder) ([]ServiceContext, error) {
-	var out []ServiceContext
-	if err := decodeServiceContextsInto(d, &out); err != nil {
-		return nil, err
-	}
-	for i := range out {
-		out[i].Data = append([]byte(nil), out[i].Data...)
-	}
-	return out, nil
 }
 
 // decodeServiceContextsInto decodes a service context list into *scs,
@@ -430,21 +374,6 @@ func EncodeRequest(e *cdr.Encoder, v Version, h *RequestHeader) error {
 		return nil
 	}
 	return fmt.Errorf("%w: %v", ErrBadVersion, v)
-}
-
-// DecodeRequest parses a Request header for the given version. All
-// decoded fields are copies, independent of the decoder's buffer.
-func DecodeRequest(d *cdr.Decoder, v Version) (*RequestHeader, error) {
-	h := &RequestHeader{}
-	if err := DecodeRequestInto(d, v, h); err != nil {
-		return nil, err
-	}
-	// Detach the buffer aliases the Into form hands out.
-	h.ObjectKey = append([]byte(nil), h.ObjectKey...)
-	for i := range h.ServiceContexts {
-		h.ServiceContexts[i].Data = append([]byte(nil), h.ServiceContexts[i].Data...)
-	}
-	return h, nil
 }
 
 // DecodeRequestInto parses a Request header into h, reusing h's service
@@ -527,23 +456,6 @@ type ReplyHeader struct {
 	ServiceContexts []ServiceContext
 }
 
-// EncodeReply encodes a Reply header for the given version.
-func EncodeReply(e *cdr.Encoder, v Version, h *ReplyHeader) error {
-	switch v {
-	case V10:
-		encodeServiceContexts(e, h.ServiceContexts)
-		e.WriteULong(h.RequestID)
-		e.WriteULong(uint32(h.Status))
-		return nil
-	case V12:
-		e.WriteULong(h.RequestID)
-		e.WriteULong(uint32(h.Status))
-		encodeServiceContexts(e, h.ServiceContexts)
-		return nil
-	}
-	return fmt.Errorf("%w: %v", ErrBadVersion, v)
-}
-
 // EncodeReplyPrelude encodes a Reply header carrying no service
 // contexts and the given (typically optimistic) status, returning the
 // offset of the status word within the encoder's Bytes. The reply fast
@@ -569,18 +481,6 @@ func EncodeReplyPrelude(e *cdr.Encoder, v Version, reqID uint32, status ReplySta
 		return statusOff, nil
 	}
 	return 0, fmt.Errorf("%w: %v", ErrBadVersion, v)
-}
-
-// DecodeReply parses a Reply header for the given version.
-func DecodeReply(d *cdr.Decoder, v Version) (*ReplyHeader, error) {
-	h := &ReplyHeader{}
-	if err := DecodeReplyInto(d, v, h); err != nil {
-		return nil, err
-	}
-	for i := range h.ServiceContexts {
-		h.ServiceContexts[i].Data = append([]byte(nil), h.ServiceContexts[i].Data...)
-	}
-	return h, nil
 }
 
 // DecodeReplyInto parses a Reply header into h, reusing h's service
@@ -663,7 +563,8 @@ func EncodeCancelRequest(e *cdr.Encoder, h *CancelRequestHeader) {
 func PeekRequestID(m *Message) (uint32, bool) {
 	d := m.BodyDecoder()
 	if m.Header.Version == V10 && (m.Header.Type == MsgRequest || m.Header.Type == MsgReply) {
-		if _, err := decodeServiceContexts(d); err != nil {
+		var scs []ServiceContext
+		if err := decodeServiceContextsInto(d, &scs); err != nil {
 			return 0, false
 		}
 	}

@@ -46,7 +46,7 @@ func TestHeaderErrors(t *testing.T) {
 	if _, err := DecodeHeader(bad[:]); !errors.Is(err, ErrBadVersion) {
 		t.Errorf("version err = %v", err)
 	}
-	huge := EncodeHeader(Header{Version: V12, Order: cdr.BigEndian, Type: MsgRequest}, int(MaxMessageSize())+1)
+	huge := EncodeHeader(Header{Version: V12, Order: cdr.BigEndian, Type: MsgRequest}, MaxMessageSize+1)
 	if _, err := DecodeHeader(huge[:]); !errors.Is(err, ErrMessageSize) {
 		t.Errorf("size err = %v", err)
 	}
@@ -62,10 +62,11 @@ func TestMessageIO(t *testing.T) {
 	if err := WriteMessage(&buf, h, body); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadMessage(&buf)
+	m, err := ReadMessagePooled(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer m.Release()
 	if m.Header.Type != MsgReply || !bytes.Equal(m.Body, body) {
 		t.Fatalf("got %+v body %q", m.Header, m.Body)
 	}
@@ -77,10 +78,10 @@ func TestReadMessageTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadMessage(bytes.NewReader(trunc)); !errors.Is(err, ErrShortMessage) {
+	if _, err := ReadMessagePooled(bytes.NewReader(trunc)); !errors.Is(err, ErrShortMessage) {
 		t.Errorf("truncated err = %v", err)
 	}
-	if _, err := ReadMessage(bytes.NewReader(nil)); err != io.EOF {
+	if _, err := ReadMessagePooled(bytes.NewReader(nil)); err != io.EOF {
 		t.Errorf("empty err = %v", err)
 	}
 }
@@ -107,8 +108,8 @@ func requestRoundTrip(t *testing.T, v Version) {
 
 		m := &Message{Header: Header{Version: v, Order: order, Type: MsgRequest, Size: uint32(e.Len())}, Body: e.Bytes()}
 		d := m.BodyDecoder()
-		out, err := DecodeRequest(d, v)
-		if err != nil {
+		var out RequestHeader
+		if err := DecodeRequestInto(d, v, &out); err != nil {
 			t.Fatalf("%v/%v: %v", v, order, err)
 		}
 		if out.RequestID != in.RequestID || !out.ResponseExpected ||
@@ -133,9 +134,8 @@ func TestRequestRoundTrip12(t *testing.T) { requestRoundTrip(t, V12) }
 
 func replyRoundTrip(t *testing.T, v Version) {
 	t.Helper()
-	in := &ReplyHeader{RequestID: 99, Status: ReplyUserException}
 	e := NewBodyEncoder(cdr.LittleEndian)
-	if err := EncodeReply(e, v, in); err != nil {
+	if _, err := EncodeReplyPrelude(e, v, 99, ReplyUserException); err != nil {
 		t.Fatal(err)
 	}
 	AlignBody(e, v)
@@ -143,8 +143,8 @@ func replyRoundTrip(t *testing.T, v Version) {
 
 	m := &Message{Header: Header{Version: v, Order: cdr.LittleEndian, Type: MsgReply}, Body: e.Bytes()}
 	d := m.BodyDecoder()
-	out, err := DecodeReply(d, v)
-	if err != nil {
+	var out ReplyHeader
+	if err := DecodeReplyInto(d, v, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.RequestID != 99 || out.Status != ReplyUserException {
@@ -191,8 +191,8 @@ func TestResponseExpectedFlagV12(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := cdr.NewDecoderAt(e.Bytes(), cdr.BigEndian, HeaderLen)
-	h, err := DecodeRequest(d, V12)
-	if err != nil {
+	var h RequestHeader
+	if err := DecodeRequestInto(d, V12, &h); err != nil {
 		t.Fatal(err)
 	}
 	if h.ResponseExpected {
@@ -206,19 +206,22 @@ func TestHostileServiceContextCount(t *testing.T) {
 	e := NewBodyEncoder(cdr.BigEndian)
 	e.WriteULong(1 << 31)
 	d := cdr.NewDecoderAt(e.Bytes(), cdr.BigEndian, HeaderLen)
-	if _, err := decodeServiceContexts(d); !errors.Is(err, cdr.ErrTooLong) {
+	var scs []ServiceContext
+	if err := decodeServiceContextsInto(d, &scs); !errors.Is(err, cdr.ErrTooLong) {
 		t.Errorf("hostile count err = %v", err)
 	}
 }
 
 // Property: decoding arbitrary bytes as each header type never panics.
 func TestQuickDecodeGarbage(t *testing.T) {
+	var req RequestHeader
+	var rep ReplyHeader
 	f := func(raw []byte) bool {
 		for _, v := range []Version{V10, V12} {
 			d := cdr.NewDecoderAt(raw, cdr.BigEndian, HeaderLen)
-			_, _ = DecodeRequest(d, v)
+			_ = DecodeRequestInto(d, v, &req)
 			d = cdr.NewDecoderAt(raw, cdr.LittleEndian, HeaderLen)
-			_, _ = DecodeReply(d, v)
+			_ = DecodeReplyInto(d, v, &rep)
 			d = cdr.NewDecoderAt(raw, cdr.BigEndian, HeaderLen)
 			_, _ = DecodeLocateRequest(d, v)
 		}
@@ -248,11 +251,12 @@ func BenchmarkDecodeRequestV12(b *testing.B) {
 		b.Fatal(err)
 	}
 	raw := e.Bytes()
+	var out RequestHeader
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := cdr.NewDecoderAt(raw, cdr.LittleEndian, HeaderLen)
-		if _, err := DecodeRequest(d, V12); err != nil {
+		if err := DecodeRequestInto(d, V12, &out); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -139,32 +139,53 @@ func TestReadMessagePooledSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestMaxMessageSizeConfigurable exercises the configurable inbound
-// frame cap: frames whose header claims more than the cap are rejected
-// with ErrMessageSize before any body allocation happens.
-func TestMaxMessageSizeConfigurable(t *testing.T) {
-	defer SetMaxMessageSize(0) // restore the default
-	SetMaxMessageSize(1024)
-	if got := MaxMessageSize(); got != 1024 {
-		t.Fatalf("MaxMessageSize() = %d after SetMaxMessageSize(1024)", got)
+// TestMaxMessageSizeCap exercises the inbound frame cap: a header
+// claiming exactly MaxMessageSize is accepted, and one claiming a byte
+// more is rejected with ErrMessageSize before any body is allocated or
+// read (the reader holds the header alone, so a body read would fail
+// with ErrShortMessage instead).
+func TestMaxMessageSizeCap(t *testing.T) {
+	h := Header{Version: V12, Order: cdr.LittleEndian, Type: MsgRequest}
+	at := EncodeHeader(h, MaxMessageSize)
+	if _, err := DecodeHeader(at[:]); err != nil {
+		t.Fatalf("frame of exactly the cap rejected: %v", err)
 	}
-
-	under := EncodeHeader(Header{Version: V12, Order: cdr.LittleEndian, Type: MsgRequest}, 1024)
-	if _, err := DecodeHeader(under[:]); err != nil {
-		t.Fatalf("1024-byte frame rejected under a 1024 cap: %v", err)
-	}
-	over := EncodeHeader(Header{Version: V12, Order: cdr.LittleEndian, Type: MsgRequest}, 1025)
-	if _, err := DecodeHeader(over[:]); !errors.Is(err, ErrMessageSize) {
+	over := EncodeHeader(h, MaxMessageSize+1)
+	if _, err := ReadMessagePooled(bytes.NewReader(over[:])); !errors.Is(err, ErrMessageSize) {
 		t.Fatalf("oversized frame: err = %v, want ErrMessageSize", err)
 	}
+}
 
-	// Restoring the default re-admits large frames.
-	SetMaxMessageSize(0)
-	if got := MaxMessageSize(); got != DefaultMaxMessageSize {
-		t.Fatalf("MaxMessageSize() = %d after reset, want %d", got, uint32(DefaultMaxMessageSize))
+// TestReassemblyHonoursMaxMessageSize holds fragment reassembly to the
+// same cap as a single frame: a continuation that would grow the body
+// past MaxMessageSize fails with ErrMessageSize and drops the pending
+// reassembly, so its next fragment is an orphan. Every frame here is
+// under the cap on its own; one continuation body is reused, so peak
+// memory stays near twice its size.
+func TestReassemblyHonoursMaxMessageSize(t *testing.T) {
+	const id = 9
+	first := cdr.NewEncoderAt(cdr.LittleEndian, HeaderLen)
+	first.WriteULong(id)
+	cont := make([]byte, fragmentIDLen+MaxMessageSize/2)
+	cdr.PutULongAt(cont, 0, cdr.LittleEndian, id)
+	frag := &Message{Header: Header{Version: V12, Order: cdr.LittleEndian, Type: MsgFragment, Fragment: true}, Body: cont}
+
+	ra := NewReassembler()
+	defer ra.Drop()
+	if m, err := ra.Add(&Message{Header: Header{Version: V12, Order: cdr.LittleEndian, Type: MsgRequest, Fragment: true}, Body: first.Bytes()}); m != nil || err != nil {
+		t.Fatalf("first fragment: %v, %v", m, err)
 	}
-	if _, err := DecodeHeader(over[:]); err != nil {
-		t.Fatalf("1025-byte frame rejected under the default cap: %v", err)
+	if m, err := ra.Add(frag); m != nil || err != nil {
+		t.Fatalf("continuation within the cap: %v, %v", m, err)
+	}
+	if m, err := ra.Add(frag); m != nil || !errors.Is(err, ErrMessageSize) {
+		t.Fatalf("continuation past the cap: %v, err = %v, want ErrMessageSize", m, err)
+	}
+	if len(ra.pending) != 0 {
+		t.Fatalf("%d reassemblies still pending after the cap was hit", len(ra.pending))
+	}
+	if _, err := ra.Add(frag); !errors.Is(err, ErrOrphanFragment) {
+		t.Fatalf("fragment after the drop: err = %v, want ErrOrphanFragment", err)
 	}
 }
 
@@ -182,7 +203,7 @@ func TestLocateReplyFragmentation(t *testing.T) {
 		h := Header{Version: V12, Order: cdr.LittleEndian, Type: mt}
 
 		var wire bytes.Buffer
-		if err := WriteMessageFragmented(&wire, h, e.Bytes(), 1024); err != nil {
+		if err := NewWriter(&wire).WriteMessageFragmented(h, e.Bytes(), 1024); err != nil {
 			t.Fatalf("%v: %v", mt, err)
 		}
 
@@ -233,7 +254,7 @@ func TestReassemblyNeverAliasesRecycledBuffers(t *testing.T) {
 	h := Header{Version: V12, Order: cdr.LittleEndian, Type: MsgReply}
 
 	var wire bytes.Buffer
-	if err := WriteMessageFragmented(&wire, h, e.Bytes(), 512); err != nil {
+	if err := NewWriter(&wire).WriteMessageFragmented(h, e.Bytes(), 512); err != nil {
 		t.Fatal(err)
 	}
 

@@ -43,7 +43,7 @@ func (c *clientConn) SendOwned(ctx context.Context, req *giop.Message) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return c.co.writeOwned(req, c.maxFragment)
+	return c.co.writeOwned(req)
 }
 
 // pendingReply is one registered reply slot on a multiplexed connection:

@@ -381,7 +381,8 @@ func TestCallAsyncUserException(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = fu.Wait(context.Background())
-	if !orb.IsUserException(err, "IDL:corbalc/test/Overflow:1.0") {
+	var ue *orb.UserException
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/test/Overflow:1.0" {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -38,14 +38,15 @@ import (
 	"corbalc/internal/giop"
 )
 
-// DefaultCoalesceWindow is the group-commit window applied (only under
-// detected fan-in) when a Transport or Server leaves CoalesceWindow
-// zero.
-const DefaultCoalesceWindow = 50 * time.Microsecond
+// coalesceWindow is the group-commit window every connection applies,
+// only under detected fan-in (DESIGN.md §10 has the ablation that keeps
+// it).
+const coalesceWindow = 50 * time.Microsecond
 
 // coalesceBypass is the body size beyond which a frame skips batching:
 // past this point the writev already carries a full TCP segment and
-// batching only adds memory pressure from pinned bodies.
+// batching only adds memory pressure from pinned bodies. It is below
+// maxFragment, so every frame that needs fragmenting bypasses too.
 const coalesceBypass = 32 << 10
 
 // wbatch accumulates encoded frames for one vectored write. Headers
@@ -136,12 +137,10 @@ func newCoalescer(conn io.Writer, window time.Duration) *coalescer {
 }
 
 // write queues one GIOP frame and blocks until it has reached the
-// socket (or the connection failed). maxFrag bounds fragmentation as in
-// writeMaybeFragmented; zero disables it.
-func (co *coalescer) write(h giop.Header, body []byte, maxFrag int) error {
-	if len(body) >= coalesceBypass ||
-		(maxFrag > 0 && len(body) > maxFrag && h.Version == giop.V12 && giop.Fragmentable(h.Type)) {
-		return co.writeBig(h, body, maxFrag)
+// socket (or the connection failed).
+func (co *coalescer) write(h giop.Header, body []byte) error {
+	if len(body) >= coalesceBypass {
+		return co.writeBig(h, body)
 	}
 	leader, seq, err := co.enqueue(h, body)
 	if err != nil {
@@ -167,13 +166,11 @@ func (co *coalescer) write(h giop.Header, body []byte, maxFrag int) error {
 // leader still performs the write it now owes the batch. On error —
 // sticky connection failure before acceptance, or a big-frame write
 // failure — ownership stays with the caller, who may retry elsewhere.
-func (co *coalescer) writeOwned(m *giop.Message, maxFrag int) error {
-	h, body := m.Header, m.Body
-	if len(body) >= coalesceBypass ||
-		(maxFrag > 0 && len(body) > maxFrag && h.Version == giop.V12 && giop.Fragmentable(h.Type)) {
+func (co *coalescer) writeOwned(m *giop.Message) error {
+	if len(m.Body) >= coalesceBypass {
 		// The exclusive big-frame path writes synchronously anyway, so
 		// there is no flush to decouple from: write, then release.
-		if err := co.writeBig(h, body, maxFrag); err != nil {
+		if err := co.writeBig(m.Header, m.Body); err != nil {
 			return err
 		}
 		m.Release()
@@ -391,14 +388,14 @@ func (co *coalescer) poison(err error) {
 // batching path: it takes the flush token, drains small frames queued
 // ahead so ordering is preserved per caller, streams the frame through
 // the fragmenting writer, then drains stragglers and steps down.
-func (co *coalescer) writeBig(h giop.Header, body []byte, maxFrag int) error {
+func (co *coalescer) writeBig(h giop.Header, body []byte) error {
 	if err := co.acquireExclusive(); err != nil {
 		return err
 	}
 	co.flush()
 	err := co.stickyErr()
 	if err == nil {
-		err = writeMaybeFragmented(co.mw, h, body, maxFrag)
+		err = writeMaybeFragmented(co.mw, h, body)
 		if err != nil {
 			co.poison(err)
 		}

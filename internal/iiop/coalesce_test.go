@@ -74,7 +74,7 @@ func TestCoalescerCloseReleasesFollowers(t *testing.T) {
 	h := giop.Header{Version: giop.V12, Type: giop.MsgRequest}
 
 	leaderErr := make(chan error, 1)
-	go func() { leaderErr <- co.write(h, []byte("leader"), 0) }()
+	go func() { leaderErr <- co.write(h, []byte("leader")) }()
 	waitUntil(t, "leader to block in the socket write", func() bool {
 		return conn.writes.Load() == 1
 	})
@@ -86,7 +86,7 @@ func TestCoalescerCloseReleasesFollowers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			errs[i] = co.write(h, []byte("follower"), 0)
+			errs[i] = co.write(h, []byte("follower"))
 		}(i)
 	}
 	waitUntil(t, "followers to enqueue into the next batch", func() bool {
@@ -107,7 +107,7 @@ func TestCoalescerCloseReleasesFollowers(t *testing.T) {
 	}
 	// The poisoned coalescer fails fast; a late writer must not become a
 	// leader with an un-flushable batch.
-	if err := co.write(h, []byte("late"), 0); !errors.Is(err, io.ErrClosedPipe) {
+	if err := co.write(h, []byte("late")); !errors.Is(err, io.ErrClosedPipe) {
 		t.Errorf("post-close write: err = %v, want the sticky close error", err)
 	}
 }
@@ -130,7 +130,7 @@ func TestCoalescerLeaderHandoffRacingClose(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 16; i++ {
-					if err := co.write(h, []byte("frame"), 0); err != nil {
+					if err := co.write(h, []byte("frame")); err != nil {
 						failed.Add(1)
 					}
 				}

@@ -54,19 +54,18 @@ type Handler interface {
 	HandleMessage(ctx context.Context, m *giop.Message) (*giop.Message, error)
 }
 
-// DefaultMaxFragment is the body size beyond which GIOP 1.2 messages
-// are fragmented, bounding head-of-line blocking on multiplexed
-// connections (package transfers can be megabytes).
-const DefaultMaxFragment = 256 << 10
+// maxFragment is the body size beyond which GIOP 1.2 messages are
+// fragmented, bounding head-of-line blocking on multiplexed connections
+// (package transfers can be megabytes).
+const maxFragment = 256 << 10
 
-// DefaultDispatchQueue bounds queued-but-not-dispatched requests when
-// Server.DispatchQueue is zero.
+// DefaultDispatchQueue bounds queued-but-not-dispatched requests.
 const DefaultDispatchQueue = 1024
 
-// DefaultMaxDispatch is the dispatch worker-pool size used when
-// Server.MaxDispatch is zero: enough to keep every core busy with
-// headroom for servants that block briefly, while keeping the server's
-// goroutine count a small constant instead of O(in-flight requests).
+// DefaultMaxDispatch is the dispatch worker-pool size: enough to keep
+// every core busy with headroom for servants that block briefly, while
+// keeping the server's goroutine count a small constant instead of
+// O(in-flight requests).
 func DefaultMaxDispatch() int {
 	return max(32, 4*runtime.GOMAXPROCS(0))
 }
@@ -76,25 +75,17 @@ func DefaultMaxDispatch() int {
 type Server struct {
 	handler Handler
 	ln      net.Listener
-	// MaxFragment bounds outgoing GIOP 1.2 bodies; larger replies are
-	// fragmented. Zero disables fragmentation.
-	MaxFragment int
-	// MaxDispatch bounds concurrently-dispatched requests (the worker
+	// maxDispatch bounds concurrently-dispatched requests (the worker
 	// pool size). Zero means DefaultMaxDispatch(); values below 1 mean a
-	// single worker. Set before Listen.
-	MaxDispatch int
-	// DispatchQueue bounds requests accepted from connections but not
+	// single worker.
+	maxDispatch int
+	// dispatchQueue bounds requests accepted from connections but not
 	// yet picked up by a worker. Zero means DefaultDispatchQueue;
 	// negative means no queue (a request either reaches an idle worker
 	// immediately or is refused). Overflow is answered with a CORBA
 	// TRANSIENT system exception when a response is expected, else
-	// dropped. Set before Listen.
-	DispatchQueue int
-	// CoalesceWindow tunes reply write coalescing, with the same
-	// convention as Transport.CoalesceWindow: zero means
-	// DefaultCoalesceWindow, negative disables the timed window. Set
-	// before Listen.
-	CoalesceWindow time.Duration
+	// dropped. Tests shrink both before Listen.
+	dispatchQueue int
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -107,7 +98,7 @@ type Server struct {
 
 // NewServer returns a server dispatching to h.
 func NewServer(h Handler) *Server {
-	return &Server{handler: h, conns: make(map[net.Conn]struct{}), MaxFragment: DefaultMaxFragment}
+	return &Server{handler: h, conns: make(map[net.Conn]struct{})}
 }
 
 // writeMaybeFragmented writes a message through the connection's
@@ -115,9 +106,9 @@ func NewServer(h Handler) *Server {
 // (Request, Reply, LocateRequest, LocateReply — see giop.Fragmentable).
 // The caller holds the connection coalescer's flush token, which also
 // serialises the writer's scratch state.
-func writeMaybeFragmented(mw *giop.Writer, h giop.Header, body []byte, max int) error {
-	if max > 0 && len(body) > max && h.Version == giop.V12 && giop.Fragmentable(h.Type) {
-		return mw.WriteMessageFragmented(h, body, max)
+func writeMaybeFragmented(mw *giop.Writer, h giop.Header, body []byte) error {
+	if len(body) > maxFragment && h.Version == giop.V12 && giop.Fragmentable(h.Type) {
+		return mw.WriteMessageFragmented(h, body, maxFragment)
 	}
 	return mw.WriteMessage(h, body)
 }
@@ -139,19 +130,19 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 }
 
 // startWorkers builds the dispatch queue and worker pool once, sized
-// from the MaxDispatch/DispatchQueue knobs. Caller holds s.mu.
+// from maxDispatch and dispatchQueue. Caller holds s.mu.
 func (s *Server) startWorkers() {
 	if s.tasks != nil {
 		return
 	}
-	n := s.MaxDispatch
+	n := s.maxDispatch
 	if n == 0 {
 		n = DefaultMaxDispatch()
 	}
 	if n < 1 {
 		n = 1
 	}
-	q := s.DispatchQueue
+	q := s.dispatchQueue
 	if q == 0 {
 		q = DefaultDispatchQueue
 	}
@@ -169,30 +160,20 @@ func (s *Server) startWorkers() {
 // on o so subsequently minted IORs point at this server.
 func ListenAndActivate(o *orb.ORB, addr string) (*Server, error) {
 	s := NewServer(o)
-	if err := s.ListenActivate(o, addr); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// ListenActivate binds an already-constructed (and possibly tuned)
-// server and records the resulting endpoint on o. Set the concurrency
-// knobs (MaxDispatch, DispatchQueue, CoalesceWindow) before calling.
-func (s *Server) ListenActivate(o *orb.ORB, addr string) error {
 	bound, err := s.Listen(addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	host, portStr, err := net.SplitHostPort(bound.String())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	port, err := strconv.ParseUint(portStr, 10, 16)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	o.SetEndpoint(host, uint16(port))
-	return nil
+	return s, nil
 }
 
 // track registers a live connection, or reports that the server is
@@ -315,7 +296,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	sc := &serverConn{
 		srv:      s,
 		conn:     conn,
-		co:       newCoalescer(conn, resolveWindow(s.CoalesceWindow)),
+		co:       newCoalescer(conn, coalesceWindow),
 		inflight: make(map[uint32]*reqCtx),
 	}
 	defer sc.reqWG.Wait()
@@ -336,11 +317,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	for {
 		raw, err := giop.ReadMessagePooled(br)
 		if err != nil {
-			if errors.Is(err, giop.ErrMessageSize) {
-				// Oversized frame: the header decoded fine, so tell the
-				// peer why it is being dropped before closing.
-				_ = sc.co.write(giop.Header{Version: giop.V12, Type: giop.MsgMessageError}, nil, 0)
-			}
+			sc.reportOversized(err)
 			return
 		}
 		if raw.Header.Type == giop.MsgCloseConnection {
@@ -355,7 +332,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			raw.Release()
 		}
 		if err != nil {
-			return // corrupt fragment stream: drop the connection
+			sc.reportOversized(err)
+			return // corrupt or oversized fragment stream: drop the connection
 		}
 		if m == nil {
 			continue // waiting for more fragments
@@ -368,6 +346,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			continue
 		}
 		s.enqueue(sc, m)
+	}
+}
+
+// reportOversized answers a read-loop failure that is an oversized
+// frame or reassembly with MessageError before the connection drops:
+// the headers decoded fine, so the peer can be told why.
+func (sc *serverConn) reportOversized(err error) {
+	if errors.Is(err, giop.ErrMessageSize) {
+		_ = sc.co.write(giop.Header{Version: giop.V12, Type: giop.MsgMessageError}, nil)
 	}
 }
 
@@ -439,7 +426,7 @@ func (s *Server) refuse(t dispatchTask) {
 	if err != nil {
 		return
 	}
-	_ = t.sc.co.write(reply.Header, reply.Body, s.MaxFragment)
+	_ = t.sc.co.write(reply.Header, reply.Body)
 	reply.Release()
 }
 
@@ -491,7 +478,7 @@ func (t *dispatchTask) run() {
 			// Protocol-level failure: tell the peer and drop.
 			_ = sc.co.write(giop.Header{
 				Version: t.m.Header.Version, Order: t.m.Header.Order, Type: giop.MsgMessageError,
-			}, nil, 0)
+			}, nil)
 		}
 		return
 	}
@@ -501,7 +488,7 @@ func (t *dispatchTask) run() {
 		// reply, so writing it would only burn bandwidth.
 		return
 	}
-	_ = sc.co.write(reply.Header, reply.Body, sc.srv.MaxFragment)
+	_ = sc.co.write(reply.Header, reply.Body)
 }
 
 // shutdown marks the server closed and hands back the listener and live
@@ -557,21 +544,12 @@ const DefaultCallTimeout = 30 * time.Second
 // serve TagInternetIOP profiles.
 type Transport struct {
 	// CallTimeout bounds a single two-way request (default
-	// DefaultCallTimeout; negative disables the limit, mirroring
-	// MaxFragment).
+	// DefaultCallTimeout; negative disables the limit).
 	CallTimeout time.Duration
-	// MaxFragment bounds outgoing GIOP 1.2 bodies (default
-	// DefaultMaxFragment; negative disables fragmentation).
-	MaxFragment int
 	// PoolSize is the number of striped connections the ORB keeps per
 	// endpoint (see orb.PoolSizer). Zero means DefaultPoolSize();
 	// negative means a single connection.
 	PoolSize int
-	// CoalesceWindow is the group-commit window for write coalescing
-	// under caller fan-in. Zero means DefaultCoalesceWindow; negative
-	// disables the timed window (concurrent frames still piggyback on
-	// in-flight flushes).
-	CoalesceWindow time.Duration
 }
 
 // DefaultPoolSize is the per-endpoint connection-pool size when
@@ -593,18 +571,6 @@ func (t *Transport) ChannelPoolSize() int {
 		return 1
 	}
 	return DefaultPoolSize()
-}
-
-// resolveWindow maps the CoalesceWindow knob convention (zero means
-// default, negative means disabled) onto a concrete duration.
-func resolveWindow(w time.Duration) time.Duration {
-	switch {
-	case w == 0:
-		return DefaultCoalesceWindow
-	case w < 0:
-		return 0
-	}
-	return w
 }
 
 // effectiveCallTimeout resolves the CallTimeout knob: zero means the
@@ -651,19 +617,11 @@ func (t *Transport) Dial(ctx context.Context, profile []byte) (orb.Channel, erro
 		// uncontrolled delay on top of the commit window.
 		_ = tc.SetNoDelay(true)
 	}
-	maxFrag := t.MaxFragment
-	if maxFrag == 0 {
-		maxFrag = DefaultMaxFragment
-	}
-	if maxFrag < 0 {
-		maxFrag = 0
-	}
 	c := &clientConn{
 		conn:        conn,
-		co:          newCoalescer(conn, resolveWindow(t.CoalesceWindow)),
+		co:          newCoalescer(conn, coalesceWindow),
 		pending:     make(map[uint32]pendingCall),
 		callTimeout: t.effectiveCallTimeout(),
-		maxFragment: maxFrag,
 		reapStop:    make(chan struct{}),
 	}
 	//lint:ignore goroutinelifetime readLoop's lifetime IS the socket: it exits when conn.Read fails, and Close closes conn
@@ -692,7 +650,6 @@ type clientConn struct {
 	conn        net.Conn
 	co          *coalescer
 	callTimeout time.Duration
-	maxFragment int
 
 	mu      sync.Mutex
 	pending map[uint32]pendingCall
@@ -981,7 +938,7 @@ func (c *clientConn) Send(ctx context.Context, req *giop.Message) error {
 }
 
 func (c *clientConn) write(m *giop.Message) error {
-	return c.co.write(m.Header, m.Body, c.maxFragment)
+	return c.co.write(m.Header, m.Body)
 }
 
 // Unusable reports whether the connection has failed, letting the ORB's

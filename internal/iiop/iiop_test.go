@@ -115,7 +115,8 @@ func TestUserExceptionOverTCP(t *testing.T) {
 	client := newClient(t)
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Calc:1.0", "calc"))
 	err := ref.InvokeContext(context.Background(), "boom", nil, nil)
-	if !orb.IsUserException(err, "IDL:corbalc/test/Overflow:1.0") {
+	var ue *orb.UserException
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/test/Overflow:1.0" {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -409,17 +410,16 @@ func TestFragmentedTransfersOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.MaxFragment = 1024 // force reply fragmentation
 	serverORB.Activate("blob", blobServant{})
 
 	client := orb.NewORB()
-	client.RegisterTransport(&Transport{MaxFragment: 1024, CallTimeout: 10 * time.Second})
+	client.RegisterTransport(&Transport{CallTimeout: 10 * time.Second})
 	defer client.Shutdown()
 	ref := client.NewRef(serverORB.NewIOR("IDL:corbalc/test/Blob:1.0", "blob"))
 
-	// Large request body (fragmented on the way out) echoed back
-	// (fragmented on the way home).
-	payload := make([]byte, 100<<10)
+	// A request body of three fragments echoed back, fragmented on the
+	// way out and on the way home.
+	payload := make([]byte, 2*maxFragment+100)
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
@@ -439,7 +439,8 @@ func TestFragmentedTransfersOverTCP(t *testing.T) {
 		}
 	}
 
-	// Concurrent large transfers interleave fragments on one connection.
+	// Concurrent replies of two fragments each interleave on one
+	// connection.
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -464,7 +465,7 @@ func TestFragmentedTransfersOverTCP(t *testing.T) {
 					return
 				}
 			}
-		}(int32(8<<10 + g*4096))
+		}(int32(maxFragment + 8<<10 + g*4096))
 	}
 	wg.Wait()
 	close(errs)

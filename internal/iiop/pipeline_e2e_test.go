@@ -182,7 +182,8 @@ func TestE2EStatsCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := ref.InvokeContext(context.Background(), "boom", nil, nil); !orb.IsUserException(err, "IDL:corbalc/test/Overflow:1.0") {
+	var ue *orb.UserException
+	if err := ref.InvokeContext(context.Background(), "boom", nil, nil); !errors.As(err, &ue) || ue.ID != "IDL:corbalc/test/Overflow:1.0" {
 		t.Fatalf("boom err = %v, want the Overflow user exception", err)
 	}
 	if got := client.Stats().RequestsSent(); got != calls+1 {

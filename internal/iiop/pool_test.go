@@ -47,7 +47,7 @@ func TestOversizedFrameRejectedWithMessageError(t *testing.T) {
 	// server must reject on the header alone, before buffering anything).
 	hdr := giop.EncodeHeader(giop.Header{
 		Version: giop.V12, Order: cdr.LittleEndian, Type: giop.MsgRequest,
-	}, int(giop.MaxMessageSize())+1)
+	}, giop.MaxMessageSize+1)
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}

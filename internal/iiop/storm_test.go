@@ -10,7 +10,9 @@ package iiop
 import (
 	"context"
 	"errors"
+	"net"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,14 +23,14 @@ import (
 	"corbalc/internal/orb"
 )
 
-// startTunedServer is startServer with dispatch knobs, which must be
-// set before Listen.
+// startTunedServer is startServer with a smaller dispatch pool and
+// queue, which must be set before Listen.
 func startTunedServer(t testing.TB, key string, servant orb.Servant, maxDispatch, queue int) (*orb.ORB, *Server) {
 	t.Helper()
 	serverORB := orb.NewORB()
 	srv := NewServer(serverORB)
-	srv.MaxDispatch = maxDispatch
-	srv.DispatchQueue = queue
+	srv.maxDispatch = maxDispatch
+	srv.dispatchQueue = queue
 	bound, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -185,4 +187,19 @@ func TestDispatchOverflowAnswersTransient(t *testing.T) {
 	if sq != 25 {
 		t.Fatalf("square(5) = %d after overflow recovery", sq)
 	}
+}
+
+// activate mirrors ListenAndActivate's endpoint registration for a
+// server tuned before Listen.
+func activate(o *orb.ORB, bound net.Addr) error {
+	host, portStr, err := net.SplitHostPort(bound.String())
+	if err != nil {
+		return err
+	}
+	port, err := strconv.ParseUint(portStr, 10, 16)
+	if err != nil {
+		return err
+	}
+	o.SetEndpoint(host, uint16(port))
+	return nil
 }

@@ -3,8 +3,6 @@ package iiop
 import (
 	"context"
 	"fmt"
-	"net"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -15,23 +13,7 @@ import (
 )
 
 func benchThroughput(b *testing.B, callers int, tr *Transport) {
-	benchThroughputSrv(b, callers, tr, 0)
-}
-
-func benchThroughputSrv(b *testing.B, callers int, tr *Transport, srvWindow time.Duration) {
-	serverORB := orb.NewORB()
-	srv := NewServer(serverORB)
-	srv.CoalesceWindow = srvWindow
-	bound, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := activate(serverORB, bound); err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	serverORB.Activate("calc", calcServant{})
-
+	serverORB, _ := startServer(b, "calc", calcServant{})
 	client := orb.NewORB()
 	client.RegisterTransport(tr)
 	defer client.Shutdown()
@@ -141,12 +123,11 @@ func BenchmarkConcurrentTCPThroughput(b *testing.B) {
 			benchThroughput(b, c, &Transport{})
 		})
 	}
-	// The pre-pool architecture, as the baseline for the fan-in speedup:
-	// one connection per endpoint, no write coalescing on either side.
-	// C=1/single is the seed-equivalent configuration.
+	// The baseline for the pool's share of the fan-in speedup: one
+	// multiplexed connection per endpoint, coalescing window on.
 	for _, c := range []int{1, 64} {
 		b.Run(fmt.Sprintf("C=%d-single", c), func(b *testing.B) {
-			benchThroughputSrv(b, c, &Transport{PoolSize: -1, CoalesceWindow: -1}, -1)
+			benchThroughput(b, c, &Transport{PoolSize: -1})
 		})
 	}
 }
@@ -159,17 +140,7 @@ func BenchmarkConcurrentTCPThroughput(b *testing.B) {
 // least 4 cores (ROADMAP 1b). TestTCPRoundTripAllocBudget holds its
 // allocations.
 func BenchmarkParallelDispatch(b *testing.B) {
-	serverORB := orb.NewORB()
-	srv := NewServer(serverORB)
-	bound, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := activate(serverORB, bound); err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	serverORB.Activate("calc", calcServant{})
+	serverORB, _ := startServer(b, "calc", calcServant{})
 
 	client := orb.NewORB()
 	client.RegisterTransport(&Transport{})
@@ -213,19 +184,4 @@ func BenchmarkParallelDispatch(b *testing.B) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(b.N)/sec, "calls/s")
 	}
-}
-
-// activate mirrors ListenAndActivate's endpoint registration for a
-// server whose knobs were set before Listen.
-func activate(o *orb.ORB, bound net.Addr) error {
-	host, portStr, err := net.SplitHostPort(bound.String())
-	if err != nil {
-		return err
-	}
-	port, err := strconv.ParseUint(portStr, 10, 16)
-	if err != nil {
-		return err
-	}
-	o.SetEndpoint(host, uint16(port))
-	return nil
 }

@@ -6,6 +6,7 @@ package node
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -61,7 +62,8 @@ func TestEventServiceSubscribeForwardsBatches(t *testing.T) {
 		t.Fatalf("events after unsubscribe = %d, want %d", got.Load(), n)
 	}
 	err := evA.InvokeContext(context.Background(), "unsubscribe", func(e *cdr.Encoder) { e.WriteString("sub-999") }, nil)
-	if !orb.IsUserException(err, "IDL:corbalc/EventService/NoSuchSubscription:1.0") {
+	var ue *orb.UserException
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/EventService/NoSuchSubscription:1.0" {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -191,7 +191,7 @@ func TestLocalQueryAndVersions(t *testing.T) {
 	// Repository Best picks the newest matching.
 	req, _ := version.ParseRequirement("1.*")
 	best, ok := n.Repo().Best("adder", req)
-	if !ok || best.Version() != version.MustParse("1.5.0") {
+	if !ok || best.Version() != (version.V{Major: 1, Minor: 5}) {
 		t.Fatalf("best = %v, %v", best.ID(), ok)
 	}
 }
@@ -387,7 +387,8 @@ func TestPackageFetchBetweenNodes(t *testing.T) {
 	// Unknown package is a user exception.
 	err = reg.InvokeContext(context.Background(), "get_package",
 		func(e *cdr.Encoder) { e.WriteString("ghost-1.0.0") }, nil)
-	if !orb.IsUserException(err, "IDL:corbalc/ComponentRegistry/NoSuchComponent:1.0") {
+	var ue *orb.UserException
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/ComponentRegistry/NoSuchComponent:1.0" {
 		t.Fatalf("err = %v", err)
 	}
 }

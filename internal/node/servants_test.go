@@ -171,7 +171,8 @@ func TestRegistryServantDigestFactoryAndInstances(t *testing.T) {
 	// Unknown instance is a user exception.
 	err = reg.InvokeContext(context.Background(), "instance_ports",
 		func(e *cdr.Encoder) { e.WriteString(id.String()); e.WriteString("ghost") }, nil)
-	if !orb.IsUserException(err, "IDL:corbalc/ComponentRegistry/NoSuchComponent:1.0") {
+	var ue *orb.UserException
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/ComponentRegistry/NoSuchComponent:1.0" {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -202,7 +203,8 @@ func TestAcceptorUninstallAndEventServiceOps(t *testing.T) {
 		t.Fatal("uninstall did not empty the repo")
 	}
 	err = acc.InvokeContext(context.Background(), "uninstall", func(e *cdr.Encoder) { e.WriteString(id.String()) }, nil)
-	if !orb.IsUserException(err, "IDL:corbalc/ComponentRegistry/NoSuchComponent:1.0") {
+	var ue *orb.UserException
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/ComponentRegistry/NoSuchComponent:1.0" {
 		t.Fatalf("double uninstall err = %v", err)
 	}
 }
@@ -259,7 +261,8 @@ func TestEventServicePushAndBridge(t *testing.T) {
 		t.Fatalf("events after unbridge = %d", got.Load())
 	}
 	err := evA.InvokeContext(context.Background(), "unbridge", func(e *cdr.Encoder) { e.WriteString("bridge-999") }, nil)
-	if !orb.IsUserException(err, "IDL:corbalc/EventService/NoSuchBridge:1.0") {
+	var ue *orb.UserException
+	if !errors.As(err, &ue) || ue.ID != "IDL:corbalc/EventService/NoSuchBridge:1.0" {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package orb
 
 import (
-	"errors"
 	"fmt"
 
 	"corbalc/internal/cdr"
@@ -116,13 +115,6 @@ type UserException struct {
 }
 
 func (e *UserException) Error() string { return "user exception " + e.ID }
-
-// IsUserException reports whether err is (or wraps) a UserException with
-// the given repository ID.
-func IsUserException(err error, repoID string) bool {
-	var ue *UserException
-	return errors.As(err, &ue) && ue.ID == repoID
-}
 
 // SystemExceptionReply builds a complete GIOP Reply carrying se, for
 // transports that must answer a request they will not dispatch (e.g. a

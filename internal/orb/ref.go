@@ -112,8 +112,8 @@ type (
 // (may be nil) unmarshals the reply body. The context's deadline is
 // propagated to the server in a SvcDeadline service context; expiry or
 // cancellation aborts the call with CORBA::TIMEOUT and (on IIOP) emits a
-// GIOP CancelRequest. User and system exceptions surface as errors (see
-// IsUserException and *SystemException).
+// GIOP CancelRequest. User and system exceptions surface as errors
+// (*UserException and *SystemException; match them with errors.As).
 func (r *ObjectRef) InvokeContext(ctx context.Context, op string, args Marshaller, result Unmarshaller) error {
 	return r.invoke(ctx, op, args, result, true, SyncWithTransport)
 }

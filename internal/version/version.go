@@ -40,15 +40,6 @@ func Parse(s string) (V, error) {
 	return V{nums[0], nums[1], nums[2]}, nil
 }
 
-// MustParse parses or panics; for literals in tests and examples.
-func MustParse(s string) V {
-	v, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 func (v V) String() string {
 	return fmt.Sprintf("%d.%d.%d", v.Major, v.Minor, v.Patch)
 }

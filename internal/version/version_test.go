@@ -31,7 +31,7 @@ func TestCompare(t *testing.T) {
 	order := []string{"0.9.9", "1.0.0", "1.0.1", "1.1.0", "2.0.0", "10.0.0"}
 	for i := range order {
 		for j := range order {
-			vi, vj := MustParse(order[i]), MustParse(order[j])
+			vi, vj := mustParse(order[i]), mustParse(order[j])
 			want := 0
 			if i < j {
 				want = -1
@@ -71,12 +71,12 @@ func TestRequirements(t *testing.T) {
 			t.Fatalf("ParseRequirement(%q): %v", tc.req, err)
 		}
 		for _, y := range tc.yes {
-			if !r.Matches(MustParse(y)) {
+			if !r.Matches(mustParse(y)) {
 				t.Errorf("%q should match %s", tc.req, y)
 			}
 		}
 		for _, n := range tc.no {
-			if r.Matches(MustParse(n)) {
+			if r.Matches(mustParse(n)) {
 				t.Errorf("%q should not match %s", tc.req, n)
 			}
 		}
@@ -99,7 +99,7 @@ func TestRequirementString(t *testing.T) {
 			t.Fatalf("re-parse %q: %v", r.String(), err)
 		}
 		for _, probe := range []string{"0.1.0", "1.0.0", "1.2.0", "1.2.3", "1.9.0", "2.0.0", "3.1.4"} {
-			v := MustParse(probe)
+			v := mustParse(probe)
 			if r.Matches(v) != r2.Matches(v) {
 				t.Errorf("%q round-trip differs on %s", s, probe)
 			}
@@ -108,7 +108,7 @@ func TestRequirementString(t *testing.T) {
 }
 
 func TestBest(t *testing.T) {
-	vs := []V{MustParse("1.0.0"), MustParse("1.5.0"), MustParse("2.0.0"), MustParse("1.4.9")}
+	vs := []V{mustParse("1.0.0"), mustParse("1.5.0"), mustParse("2.0.0"), mustParse("1.4.9")}
 	r, _ := ParseRequirement("1.*")
 	if got := r.Best(vs); got != 1 {
 		t.Fatalf("Best = %d", got)
@@ -159,4 +159,13 @@ func TestQuickOrderAndRoundTrip(t *testing.T) {
 	if err := quick.Check(g, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mustParse parses a version literal, panicking on a typo in the test.
+func mustParse(s string) V {
+	v, err := Parse(s)
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
