@@ -7,9 +7,12 @@
 package ior
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"iter"
+	"math/bits"
 	"net"
 	"strconv"
 	"strings"
@@ -33,15 +36,18 @@ type TaggedProfile struct {
 }
 
 // IOR is an interoperable object reference: a repository type ID plus one
-// or more transport profiles.
+// or more transport profiles. The profiles are held packed in one block,
+// each as a 4-byte tag, a uvarint body length and the body; Profiles and
+// Profile read them in place.
 type IOR struct {
-	TypeID   string
-	Profiles []TaggedProfile
+	TypeID string
+	id     unique.Handle[string] // keeps an interned TypeID canonical (set by Unmarshal)
+	packed []byte
 }
 
 // IsNil reports whether the reference is the CORBA nil object reference
 // (empty type ID and no profiles).
-func (r *IOR) IsNil() bool { return r == nil || (r.TypeID == "" && len(r.Profiles) == 0) }
+func (r *IOR) IsNil() bool { return r == nil || (r.TypeID == "" && len(r.packed) == 0) }
 
 // IIOPProfile is the decoded body of a TAG_INTERNET_IOP profile.
 type IIOPProfile struct {
@@ -64,8 +70,8 @@ var (
 
 // New builds an IOR with a single IIOP profile.
 func New(typeID, host string, port uint16, objectKey []byte) *IOR {
-	p := &IIOPProfile{Major: 1, Minor: 2, Host: host, Port: port, ObjectKey: objectKey}
-	return &IOR{TypeID: typeID, Profiles: []TaggedProfile{p.Encode()}}
+	p := (&IIOPProfile{Major: 1, Minor: 2, Host: host, Port: port, ObjectKey: objectKey}).Encode()
+	return &IOR{TypeID: typeID, packed: appendProfile(nil, p.Tag, p.Data)}
 }
 
 // Encode renders the IIOP profile as a tagged profile whose data is a CDR
@@ -120,55 +126,84 @@ func DecodeIIOPProfile(data []byte) (*IIOPProfile, error) {
 
 // IIOP returns the first IIOP profile of the reference.
 func (r *IOR) IIOP() (*IIOPProfile, error) {
-	for _, tp := range r.Profiles {
-		if tp.Tag == TagInternetIOP {
-			return DecodeIIOPProfile(tp.Data)
-		}
+	if p := r.Profile(TagInternetIOP); p != nil {
+		return DecodeIIOPProfile(p)
 	}
 	return nil, ErrNoIIOP
+}
+
+// appendProfile packs one profile onto b.
+func appendProfile(b []byte, tag uint32, body []byte) []byte {
+	//lint:ignore cdralign a packed block is this package's in-memory layout, never CDR
+	return append(binary.AppendUvarint(binary.LittleEndian.AppendUint32(b, tag), uint64(len(body))), body...)
+}
+
+// profileAt unpacks the profile at offset i of a packed block: its tag,
+// its body capped at its own length (so appending to it never writes
+// into the next profile's header) and the offset of the next profile.
+func profileAt(b []byte, i int) (tag uint32, body []byte, next int) {
+	//lint:ignore cdralign a packed block is this package's in-memory layout, never CDR
+	tag = binary.LittleEndian.Uint32(b[i:])
+	//lint:ignore cdralign as above
+	n, k := binary.Uvarint(b[i+4:])
+	start := i + 4 + k
+	next = start + int(n)
+	return tag, b[start:next:next], next
+}
+
+// Profiles yields each profile's tag and body in order. A body is a
+// sub-slice of the reference's packed block, capped at its own length:
+// writing into it changes that profile alone, and appending to it copies.
+func (r *IOR) Profiles() iter.Seq2[uint32, []byte] {
+	return func(yield func(uint32, []byte) bool) {
+		for i := 0; i < len(r.packed); {
+			tag, body, next := profileAt(r.packed, i)
+			if !yield(tag, body) {
+				return
+			}
+			i = next
+		}
+	}
 }
 
 // Profile returns the raw data of the first profile with the given tag,
 // or nil if absent.
 func (r *IOR) Profile(tag uint32) []byte {
-	for _, tp := range r.Profiles {
-		if tp.Tag == tag {
-			return tp.Data
+	for t, body := range r.Profiles() {
+		if t == tag {
+			return body
 		}
 	}
 	return nil
 }
 
-// AddProfile appends a tagged profile.
+// AddProfile appends a tagged profile, copying data. The block is
+// reallocated every time, so an IOR never shares spare capacity with a
+// copy of itself.
 func (r *IOR) AddProfile(tag uint32, data []byte) {
-	r.Profiles = append(r.Profiles, TaggedProfile{Tag: tag, Data: data})
+	r.packed = appendProfile(r.packed[:len(r.packed):len(r.packed)], tag, data)
 }
 
 // Marshal encodes the IOR body (type ID + profiles) into e.
 func (r *IOR) Marshal(e *cdr.Encoder) {
 	e.WriteString(r.TypeID)
-	e.WriteULong(uint32(len(r.Profiles)))
-	for _, p := range r.Profiles {
-		e.WriteULong(p.Tag)
-		e.WriteOctetSeq(p.Data)
+	n := uint32(0)
+	for range r.Profiles() {
+		n++
+	}
+	e.WriteULong(n)
+	for tag, body := range r.Profiles() {
+		e.WriteULong(tag)
+		e.WriteOctetSeq(body)
 	}
 }
 
-// block is what Unmarshal allocates for one reference: the IOR, room for
-// the common two profile headers, and the handle that keeps the interned
-// type ID canonical for as long as the IOR lives.
-type block struct {
-	r      IOR
-	id     unique.Handle[string]
-	inline [2]TaggedProfile
-}
-
-// Unmarshal decodes an IOR body from d. The IOR and its profile headers
-// share one allocation and the profile bodies one private copy, so the
-// result never aliases d's buffer; each Data is capped at its own length,
-// so appending to one never writes into the next. The type ID is interned:
-// the handful every node exchanges are stored once, and a hostile one is
-// collected with the last IOR that carries it.
+// Unmarshal decodes an IOR body from d. It allocates the IOR and one
+// exact-size packed block, so the result never aliases d's buffer. The
+// profiles are read twice: once to check every tag and body and to size
+// the block, once to fill it. The type ID is interned: the handful every
+// node exchanges are stored once, and a hostile one is collected with the
+// last IOR that carries it.
 func Unmarshal(d *cdr.Decoder) (*IOR, error) {
 	typeID, err := d.ReadString()
 	if err != nil {
@@ -181,32 +216,33 @@ func Unmarshal(d *cdr.Decoder) (*IOR, error) {
 	if uint32(d.Remaining())/8 < n {
 		return nil, cdr.ErrTooLong
 	}
-	b := &block{id: unique.Make(typeID)}
-	b.r.TypeID = b.id.Value()
-	if n <= uint32(len(b.inline)) {
-		b.r.Profiles = b.inline[:n:n]
-	} else {
-		b.r.Profiles = make([]TaggedProfile, n)
-	}
-	total := 0
-	for i := range b.r.Profiles {
-		p := &b.r.Profiles[i]
-		if p.Tag, err = d.ReadULong(); err != nil {
+	profiles := *d
+	size := 0
+	for range n {
+		if _, err := d.ReadULong(); err != nil {
 			return nil, err
 		}
-		if p.Data, err = d.ReadOctetSeqAlias(); err != nil {
+		body, err := d.ReadOctetSeqAlias()
+		if err != nil {
 			return nil, err
 		}
-		total += len(p.Data)
+		size += 4 + (bits.Len(uint(len(body))|1)+6)/7 + len(body) // tag, uvarint length, body
 	}
-	bodies := make([]byte, 0, total)
-	for i := range b.r.Profiles {
-		p := &b.r.Profiles[i]
-		start := len(bodies)
-		bodies = append(bodies, p.Data...)
-		p.Data = bodies[start:len(bodies):len(bodies)]
+	r := &IOR{id: unique.Make(typeID)}
+	r.TypeID = r.id.Value()
+	r.packed = make([]byte, 0, size)
+	for range n {
+		tag, err := profiles.ReadULong()
+		if err != nil {
+			return nil, err
+		}
+		body, err := profiles.ReadOctetSeqAlias()
+		if err != nil {
+			return nil, err
+		}
+		r.packed = appendProfile(r.packed, tag, body)
 	}
-	return &b.r, nil
+	return r, nil
 }
 
 // String renders the reference in the interoperable "IOR:<hex>" form: the
@@ -221,7 +257,8 @@ func (r *IOR) String() string {
 }
 
 // Parse decodes a stringified reference. Accepted forms are "IOR:<hex>"
-// and "corbaloc::host:port/key".
+// and the IIOP corbaloc URL, "corbaloc::host:port/key" or
+// "corbaloc:iiop:host:port/key".
 func Parse(s string) (*IOR, error) {
 	switch {
 	case strings.HasPrefix(s, "IOR:"):
@@ -245,14 +282,19 @@ func parseHex(h string) (*IOR, error) {
 	return Unmarshal(d)
 }
 
-// parseCorbaloc handles the subset ":host:port/key" (the common
-// "corbaloc::" IIOP form, defaulting GIOP 1.2). The object key is kept
-// verbatim apart from %XX unescaping.
+// parseCorbaloc handles one IIOP address, "[1.2@]host[:port]/key" after
+// the protocol token ":" or its synonym "iiop:" (defaulting GIOP 1.2 and,
+// per CORBA 3.0 §13.6.10.3, port 2809). The object key is kept verbatim
+// apart from %XX unescaping.
 func parseCorbaloc(rest string) (*IOR, error) {
-	if !strings.HasPrefix(rest, ":") {
-		return nil, fmt.Errorf("%w: only iiop (corbaloc::) addresses supported", ErrBadCorbaloc)
+	switch {
+	case strings.HasPrefix(rest, "iiop:"):
+		rest = rest[len("iiop:"):]
+	case strings.HasPrefix(rest, ":"):
+		rest = rest[1:]
+	default:
+		return nil, fmt.Errorf("%w: only iiop (corbaloc:: or corbaloc:iiop:) addresses supported", ErrBadCorbaloc)
 	}
-	rest = rest[1:]
 	slash := strings.IndexByte(rest, '/')
 	if slash < 0 {
 		return nil, fmt.Errorf("%w: missing /key", ErrBadCorbaloc)
@@ -265,9 +307,12 @@ func parseCorbaloc(rest string) (*IOR, error) {
 	if at := strings.IndexByte(addr, '@'); at >= 0 {
 		addr = addr[at+1:]
 	}
-	host, portStr, err := net.SplitHostPort(addr)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCorbaloc, err)
+	host, portStr := strings.TrimSuffix(strings.TrimPrefix(addr, "["), "]"), "2809"
+	if strings.LastIndexByte(addr, ':') > strings.LastIndexByte(addr, ']') {
+		var err error
+		if host, portStr, err = net.SplitHostPort(addr); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadCorbaloc, err)
+		}
 	}
 	port, err := strconv.ParseUint(portStr, 10, 16)
 	if err != nil {
@@ -298,22 +343,4 @@ func unescapeKey(k string) ([]byte, error) {
 		i += 2
 	}
 	return out, nil
-}
-
-// Corbaloc renders the reference as a corbaloc URL if it has an IIOP
-// profile and a printable key.
-func (r *IOR) Corbaloc() (string, error) {
-	p, err := r.IIOP()
-	if err != nil {
-		return "", err
-	}
-	var key strings.Builder
-	for _, b := range p.ObjectKey {
-		if b >= 0x21 && b <= 0x7E && b != '%' && b != '/' {
-			key.WriteByte(b)
-		} else {
-			fmt.Fprintf(&key, "%%%02x", b)
-		}
-	}
-	return fmt.Sprintf("corbaloc::%s/%s", p.Addr(), key.String()), nil
 }

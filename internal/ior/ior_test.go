@@ -3,6 +3,7 @@ package ior
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -60,7 +61,7 @@ func TestParseErrors(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"corbaloc:rir:/NameService", // unsupported scheme
-		"corbaloc::hostonly/key",    // missing port
+		"corbaloc:iiopx:h:1/k",      // unsupported scheme
 		"corbaloc::h:1",             // missing key
 		"corbaloc::h:1/",            // empty key
 		"corbaloc::h:99999/k",       // port overflow
@@ -73,30 +74,24 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestCorbalocRoundTrip parses a key carrying an escaped '/', in
+// either hex case, back to its bytes.
 func TestCorbalocRoundTrip(t *testing.T) {
-	r := New("", "192.168.1.5", 2809, []byte("Node/ResourceManager"))
-	u, err := r.Corbaloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u != "corbaloc::192.168.1.5:2809/Node%2fResourceManager" &&
-		u != "corbaloc::192.168.1.5:2809/Node%2FResourceManager" {
-		// '/' must be escaped inside the key
-		t.Logf("corbaloc = %q", u)
-	}
-	got, err := Parse(u)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := got.IIOP()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(p.ObjectKey) != "Node/ResourceManager" {
-		t.Fatalf("key = %q", p.ObjectKey)
-	}
-	if p.Port != 2809 || p.Host != "192.168.1.5" {
-		t.Fatalf("profile = %+v", p)
+	for _, u := range []string{
+		"corbaloc::192.168.1.5:2809/Node%2fResourceManager",
+		"corbaloc::192.168.1.5:2809/Node%2FResourceManager",
+	} {
+		got, err := Parse(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := got.IIOP()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(p.ObjectKey) != "Node/ResourceManager" || p.Port != 2809 || p.Host != "192.168.1.5" {
+			t.Fatalf("Parse(%q) = %+v", u, p)
+		}
 	}
 }
 
@@ -111,6 +106,35 @@ func TestCorbalocVersionPrefix(t *testing.T) {
 	}
 	if p.Host != "somehost" || p.Port != 900 || string(p.ObjectKey) != "TheKey" {
 		t.Fatalf("profile = %+v", p)
+	}
+}
+
+// TestCorbalocIIOPForms parses the IIOP address forms of the corbaloc
+// grammar (CORBA 3.0 §13.6.10): "iiop:" is a synonym of ":", the version
+// prefix is optional, and a missing port means 2809.
+func TestCorbalocIIOPForms(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		host string
+		port uint16
+	}{
+		{"corbaloc::h:1234/k", "h", 1234},
+		{"corbaloc:iiop:h:1234/k", "h", 1234},
+		{"corbaloc:iiop:1.2@h:1234/k", "h", 1234},
+		{"corbaloc::h/k", "h", 2809},
+		{"corbaloc:iiop:1.0@h/k", "h", 2809},
+		{"corbaloc::[::1]:900/k", "::1", 900},
+		{"corbaloc::[::1]/k", "::1", 2809},
+	} {
+		r, err := Parse(c.in)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.in, err)
+			continue
+		}
+		p, err := r.IIOP()
+		if err != nil || p.Host != c.host || p.Port != c.port || string(p.ObjectKey) != "k" {
+			t.Errorf("Parse(%q) = %+v, %v; want %s port %d key k", c.in, p, err, c.host, c.port)
+		}
 	}
 }
 
@@ -150,7 +174,7 @@ func TestMarshalUnmarshalViaCDR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.TypeID != r.TypeID || len(got.Profiles) != 1 {
+	if got.TypeID != r.TypeID || !bytes.Equal(got.Profile(TagInternetIOP), r.Profile(TagInternetIOP)) {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -166,9 +190,8 @@ func TestHostileProfileCount(t *testing.T) {
 
 // TestUnmarshalAllocs holds the decode of a two-profile reference, the
 // shape every directory entry carries four of, to three allocations: the
-// block holding the IOR and its profile headers, the one copy of the
-// profile bodies, and the type ID read before it is interned. Two live
-// decodes share one copy of the type ID.
+// IOR, its packed profile block, and the type ID read before it is
+// interned. Two live decodes share one copy of the type ID.
 func TestUnmarshalAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -182,7 +205,7 @@ func TestUnmarshalAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		d.Reset(e.Bytes(), cdr.BigEndian, 0)
 		got, err := Unmarshal(&d)
-		if err != nil || len(got.Profiles) != 2 {
+		if err != nil || got.Profile(TagCorbalcVirtual) == nil {
 			t.Fatalf("Unmarshal = %+v, %v", got, err)
 		}
 	})
@@ -193,6 +216,76 @@ func TestUnmarshalAllocs(t *testing.T) {
 	b, errB := Unmarshal(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
 	if errA != nil || errB != nil || unsafe.StringData(a.TypeID) != unsafe.StringData(b.TypeID) {
 		t.Errorf("two live decodes of one type ID hold two copies of it (%v, %v)", errA, errB)
+	}
+}
+
+// entryIOR is the shape of a directory entry's reference: a 32-byte
+// in-process profile and an 18-byte virtual one, marshalled.
+func entryIOR() []byte {
+	r := &IOR{TypeID: "IDL:corbalc/NetworkCohesion:1.0"}
+	r.AddProfile(TagCorbalcInProcess, []byte("orb-0123456789abcdef\x00cohesion/12"))
+	r.AddProfile(TagCorbalcVirtual, []byte("node-0042\x00cohesion"))
+	e := cdr.NewEncoder(cdr.BigEndian)
+	r.Marshal(e)
+	return e.Bytes()
+}
+
+// TestUnmarshalLiveBytes holds what a decoded entry-shaped reference
+// keeps alive: the IOR and one packed block (48 + 64 B), against 176 B
+// for a header block with inline profile headers plus a body copy.
+func TestUnmarshalLiveBytes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	const n = 10000
+	raw := entryIOR()
+	keep := make([]*IOR, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		r, err := Unmarshal(cdr.NewDecoder(raw, cdr.BigEndian))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep[i] = r
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(keep)
+	if per > 120 {
+		t.Errorf("a decoded entry-shaped IOR holds %d B live, want at most 120", per)
+	}
+}
+
+// TestProfileLookupAllocs holds the per-call profile reads (localKey
+// scans for the in-process profile on every invoke) to no allocation.
+func TestProfileLookupAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	r, err := Unmarshal(cdr.NewDecoder(entryIOR(), cdr.BigEndian))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		if r.Profile(TagCorbalcVirtual) == nil {
+			t.Fatal("virtual profile missing")
+		}
+	}); a != 0 {
+		t.Errorf("Profile allocates %.0f times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		n := 0
+		for _, body := range r.Profiles() {
+			n += len(body)
+		}
+		if n != 50 {
+			t.Fatalf("profile bodies hold %d bytes, want 50", n)
+		}
+	}); a != 0 {
+		t.Errorf("ranging over Profiles allocates %.0f times, want 0", a)
 	}
 }
 

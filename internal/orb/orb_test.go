@@ -303,12 +303,12 @@ func (c *memChannel) Send(ctx context.Context, req *giop.Message) error {
 func (c *memChannel) Close() error { return nil }
 
 func remoteRef(server *ORB, key string) *ior.IOR {
-	r := &ior.IOR{TypeID: "IDL:corbalc/test/Echo:1.0"}
-	r.AddProfile(memTag, []byte("server-endpoint"))
 	// The mem transport addresses objects by the key carried in the
-	// request, which requires an IIOP-style key; encode one.
-	p := &ior.IIOPProfile{Major: 1, Minor: 2, Host: "mem", Port: 1, ObjectKey: []byte(key)}
-	r.Profiles = append([]ior.TaggedProfile{p.Encode()}, r.Profiles...)
+	// request, which requires an IIOP-style key; encode one, first.
+	p := (&ior.IIOPProfile{Major: 1, Minor: 2, Host: "mem", Port: 1, ObjectKey: []byte(key)}).Encode()
+	r := &ior.IOR{TypeID: "IDL:corbalc/test/Echo:1.0"}
+	r.AddProfile(p.Tag, p.Data)
+	r.AddProfile(memTag, []byte("server-endpoint"))
 	return r
 }
 

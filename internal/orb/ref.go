@@ -299,14 +299,14 @@ func (r *ObjectRef) targetKey() (objectKey []byte, local bool, err error) {
 	// Fall back to any profile whose transport is registered and can
 	// extract the object key (vendor profiles embed it).
 	found := false
-	for _, tp := range r.ior.Profiles {
-		tr, ok := o.transportFor(tp.Tag)
+	for tag, data := range r.ior.Profiles() {
+		tr, ok := o.transportFor(tag)
 		if !ok {
 			continue
 		}
 		found = true
 		if ke, ok := tr.(KeyExtractor); ok {
-			if k, kerr := ke.ObjectKey(tp.Data); kerr == nil {
+			if k, kerr := ke.ObjectKey(data); kerr == nil {
 				return k, false, nil
 			}
 		}
@@ -445,15 +445,19 @@ func (r *ObjectRef) dispatch(ctx context.Context, sc *clientScratch, msg *giop.M
 // orderedProfiles lists the reference's profiles with IIOP first and the
 // in-process profile excluded (it is handled before dialing).
 func orderedProfiles(r *ior.IOR) []ior.TaggedProfile {
-	out := make([]ior.TaggedProfile, 0, len(r.Profiles))
-	for _, p := range r.Profiles {
-		if p.Tag == ior.TagInternetIOP {
-			out = append(out, p)
+	n := 0
+	for range r.Profiles() {
+		n++
+	}
+	out := make([]ior.TaggedProfile, 0, n)
+	for tag, data := range r.Profiles() {
+		if tag == ior.TagInternetIOP {
+			out = append(out, ior.TaggedProfile{Tag: tag, Data: data})
 		}
 	}
-	for _, p := range r.Profiles {
-		if p.Tag != ior.TagInternetIOP && p.Tag != ior.TagCorbalcInProcess {
-			out = append(out, p)
+	for tag, data := range r.Profiles() {
+		if tag != ior.TagInternetIOP && tag != ior.TagCorbalcInProcess {
+			out = append(out, ior.TaggedProfile{Tag: tag, Data: data})
 		}
 	}
 	return out
