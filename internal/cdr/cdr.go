@@ -513,9 +513,10 @@ func (d *Decoder) ReadStringSeq() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Each string costs at least 5 bytes (length + NUL); guard against a
-	// hostile length that would make us allocate unboundedly.
-	if uint32(d.Remaining())/5 < n {
+	// Each string costs at least 4 bytes (a zero length, which ReadString
+	// accepts as empty); guard against a hostile length that would make
+	// us allocate unboundedly.
+	if uint32(d.Remaining())/4 < n {
 		return nil, ErrTooLong
 	}
 	out := make([]string, n)

@@ -208,6 +208,38 @@ func TestStringSeqRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadStringSeqZeroLengthStrings: ReadString accepts a zero length
+// as the empty string, so the element-count bound must allow 4 bytes a
+// string, not 5.
+func TestReadStringSeqZeroLengthStrings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wire []byte
+		want []string
+		err  error
+	}{
+		{"one empty", []byte{0, 0, 0, 1, 0, 0, 0, 0}, []string{""}, nil},
+		{"two empty", []byte{0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0}, []string{"", ""}, nil},
+		{"empty then a", []byte{0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 2, 'a', 0}, []string{"", "a"}, nil},
+		{"count past the bytes", []byte{0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0}, nil, ErrTooLong},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := NewDecoder(tc.wire, BigEndian).ReadStringSeq()
+			if err != tc.err {
+				t.Fatalf("err = %v, want %v", err, tc.err)
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("got %q, want %q", got, tc.want)
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Fatalf("got %q, want %q", got, tc.want)
+				}
+			}
+		})
+	}
+}
+
 func TestEncapsulationRoundTrip(t *testing.T) {
 	e := NewEncoder(BigEndian)
 	e.WriteOctet(0xFF) // shift alignment so the encapsulation is unaligned outside

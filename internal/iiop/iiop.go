@@ -9,6 +9,7 @@ package iiop
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -25,14 +26,15 @@ import (
 	"corbalc/internal/orb"
 )
 
-// connReadBufSize is the buffered-reader size for IIOP connections: big
-// enough that a header read plus a typical body arrive in one syscall,
-// so the old two-reads-per-message pattern stops hitting the socket
-// twice.
-const connReadBufSize = 32 << 10
+// connReadBufSize is the read-ahead of an IIOP connection: a header
+// and a small body arrive in one syscall, and a full 64-event
+// push_batch of small events (about 4.7 KB) fits with the next header.
+// A frame at least this large is read straight into its pooled body,
+// so a larger buffer would only hold more idle bytes per connection.
+const connReadBufSize = 8 << 10
 
 // readerPool recycles connection read buffers; connections come and go
-// (per-test servers, churning peers) but their 32 KiB buffers need not.
+// (per-test servers, churning peers) but their read-ahead need not.
 var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, connReadBufSize) }}
 
 func getReader(r io.Reader) *bufio.Reader {
@@ -62,10 +64,11 @@ const maxFragment = 256 << 10
 // DefaultDispatchQueue bounds queued-but-not-dispatched requests.
 const DefaultDispatchQueue = 1024
 
-// DefaultMaxDispatch is the dispatch worker-pool size: enough to keep
-// every core busy with headroom for servants that block briefly, while
+// DefaultMaxDispatch bounds the dispatch workers: enough to keep every
+// core busy with headroom for servants that block briefly, while
 // keeping the server's goroutine count a small constant instead of
-// O(in-flight requests).
+// O(in-flight requests). Workers start on demand, so an idle server
+// runs none and a busy one runs as many as its peak concurrency.
 func DefaultMaxDispatch() int {
 	return max(32, 4*runtime.GOMAXPROCS(0))
 }
@@ -76,15 +79,15 @@ type Server struct {
 	handler Handler
 	ln      net.Listener
 	// maxDispatch bounds concurrently-dispatched requests (the worker
-	// pool size). Zero means DefaultMaxDispatch(); values below 1 mean a
+	// count). Zero means DefaultMaxDispatch(); values below 1 mean a
 	// single worker.
 	maxDispatch int
-	// dispatchQueue bounds requests accepted from connections but not
-	// yet picked up by a worker. Zero means DefaultDispatchQueue;
-	// negative means no queue (a request either reaches an idle worker
-	// immediately or is refused). Overflow is answered with a CORBA
-	// TRANSIENT system exception when a response is expected, else
-	// dropped. Tests shrink both before Listen.
+	// dispatchQueue bounds requests accepted from connections beyond
+	// what the workers can take at once. Zero means
+	// DefaultDispatchQueue; negative means no queue (a request either
+	// reaches a free worker immediately or is refused). Overflow is
+	// answered with a CORBA TRANSIENT system exception when a response
+	// is expected, else dropped. Tests shrink both before Listen.
 	dispatchQueue int
 
 	mu     sync.Mutex
@@ -92,13 +95,14 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
-	tasks    chan dispatchTask
-	workerWG sync.WaitGroup
+	pool dispatchPool
 }
 
 // NewServer returns a server dispatching to h.
 func NewServer(h Handler) *Server {
-	return &Server{handler: h, conns: make(map[net.Conn]struct{})}
+	s := &Server{handler: h, conns: make(map[net.Conn]struct{})}
+	s.pool.cond.L = &s.pool.mu
+	return s
 }
 
 // writeMaybeFragmented writes a message through the connection's
@@ -122,38 +126,12 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	}
 	s.mu.Lock()
 	s.ln = ln
-	s.startWorkers()
+	s.pool.max = max(cmp.Or(s.maxDispatch, DefaultMaxDispatch()), 1)
+	s.pool.bound = s.pool.max + max(cmp.Or(s.dispatchQueue, DefaultDispatchQueue), 0)
 	s.mu.Unlock()
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
 	return ln.Addr(), nil
-}
-
-// startWorkers builds the dispatch queue and worker pool once, sized
-// from maxDispatch and dispatchQueue. Caller holds s.mu.
-func (s *Server) startWorkers() {
-	if s.tasks != nil {
-		return
-	}
-	n := s.maxDispatch
-	if n == 0 {
-		n = DefaultMaxDispatch()
-	}
-	if n < 1 {
-		n = 1
-	}
-	q := s.dispatchQueue
-	if q == 0 {
-		q = DefaultDispatchQueue
-	}
-	if q < 0 {
-		q = 0
-	}
-	s.tasks = make(chan dispatchTask, q)
-	for i := 0; i < n; i++ {
-		s.workerWG.Add(1)
-		go s.worker(s.tasks)
-	}
 }
 
 // ListenAndActivate binds the server and records the resulting endpoint
@@ -233,8 +211,9 @@ type serverConn struct {
 }
 
 // dispatchTask is one inbound message handed to the worker pool. It is
-// passed by value through the dispatch channel, so queueing a request
-// costs no allocation (its cancel context is pooled).
+// stored by value in the dispatch queue, so queueing a request costs no
+// allocation once the queue has grown to its backlog (its cancel
+// context is pooled).
 type dispatchTask struct {
 	sc  *serverConn
 	m   *giop.Message
@@ -383,7 +362,7 @@ func (sc *serverConn) cancelAllInflight() {
 }
 
 // enqueue registers cancellation state for m and hands it to the worker
-// pool. A full queue refuses the request instead of growing goroutines
+// pool. A full pool refuses the request instead of growing goroutines
 // or memory without bound.
 func (s *Server) enqueue(sc *serverConn, m *giop.Message) {
 	t := dispatchTask{sc: sc, m: m, ctx: sc.connCtx}
@@ -399,9 +378,7 @@ func (s *Server) enqueue(sc *serverConn, m *giop.Message) {
 		}
 	}
 	sc.reqWG.Add(1)
-	select {
-	case s.tasks <- t:
-	default:
+	if !s.pool.push(t) {
 		s.refuse(t)
 	}
 }
@@ -430,14 +407,92 @@ func (s *Server) refuse(t dispatchTask) {
 	reply.Release()
 }
 
-// worker drains the dispatch queue. The channel is a parameter rather
-// than a field read so Close may nil out s.tasks without racing the
-// loop's range expression.
-func (s *Server) worker(tasks chan dispatchTask) {
-	defer s.workerWG.Done()
-	for t := range tasks {
+// dispatchPool runs dispatch tasks on workers it starts on demand. The
+// queue is a FIFO slice that grows to the backlog and reuses the slots
+// workers have taken. push starts a worker only when no idle one is
+// waiting for the task, up to max, and started workers persist until
+// close, so the pool holds as many goroutines as its peak concurrency.
+type dispatchPool struct {
+	mu      sync.Mutex
+	cond    sync.Cond // L is &mu; signalled by push, broadcast by close
+	queue   []dispatchTask
+	head    int // queue[head:] waits for a worker
+	max     int // worker bound, set by Listen
+	bound   int // admitted-but-unfinished bound: max plus the queue depth
+	pending int // admitted and not yet finished
+	workers int // started
+	idle    int // waiting on cond
+	closed  bool
+	wg      sync.WaitGroup
+}
+
+// push admits t unless the pool is closed or full. Full means as many
+// tasks in flight as every worker and the whole queue hold: max busy
+// workers and queue depth tasks waiting beyond them.
+func (p *dispatchPool) push(t dispatchTask) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed || p.pending >= p.bound {
+		return false
+	}
+	p.pending++
+	if p.head > 0 && len(p.queue) == cap(p.queue) {
+		// Reuse the taken slots rather than grow the slice with all the
+		// traffic that has passed through it.
+		n := copy(p.queue, p.queue[p.head:])
+		clear(p.queue[n:])
+		p.queue, p.head = p.queue[:n], 0
+	}
+	p.queue = append(p.queue, t)
+	switch {
+	case len(p.queue)-p.head <= p.idle:
+		p.cond.Signal()
+	case p.workers < p.max:
+		p.workers++
+		p.wg.Add(1)
+		go p.work()
+	}
+	return true
+}
+
+// work runs tasks until the pool closes with its queue drained.
+func (p *dispatchPool) work() {
+	defer p.wg.Done()
+	for t, ok := p.take(false); ok; t, ok = p.take(true) {
 		t.run()
 	}
+}
+
+// take ends the worker's previous task, if finished, and waits for the
+// next one; ok is false once the pool is closed and drained.
+func (p *dispatchPool) take(finished bool) (t dispatchTask, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if finished {
+		p.pending--
+	}
+	for p.head == len(p.queue) {
+		if p.closed {
+			return t, false
+		}
+		p.idle++
+		p.cond.Wait()
+		p.idle--
+	}
+	t = p.queue[p.head]
+	p.queue[p.head] = dispatchTask{} // drop the message and conn references
+	p.head++
+	return t, true
+}
+
+// close releases the workers once the queue is drained and waits for
+// them.
+func (p *dispatchPool) close() {
+	p.mu.Lock()
+	p.closed = true
+	p.cond.Broadcast()
+	p.mu.Unlock()
+	p.wg.Wait()
 }
 
 // finish unregisters the task's inflight slot and recycles its context.
@@ -524,14 +579,7 @@ func (s *Server) Close() error {
 	// Every read loop has drained its own in-flight tasks (serveConn
 	// waits on its reqWG before returning), so the queue is empty and
 	// the workers can be released.
-	s.mu.Lock()
-	tasks := s.tasks
-	s.tasks = nil
-	s.mu.Unlock()
-	if tasks != nil {
-		close(tasks)
-		s.workerWG.Wait()
-	}
+	s.pool.close()
 	return err
 }
 
