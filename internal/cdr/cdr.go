@@ -399,24 +399,31 @@ func (d *Decoder) ReadDouble() (float64, error) {
 
 // ReadString reads a CDR string, checking the terminating NUL.
 func (d *Decoder) ReadString() (string, error) {
+	b, err := d.ReadStringAlias()
+	return string(b), err
+}
+
+// ReadStringAlias is ReadString without the copy: the string's bytes,
+// without the NUL, alias the decoder's buffer as ReadOctetSeqAlias's do.
+func (d *Decoder) ReadStringAlias() ([]byte, error) {
 	n, err := d.ReadULong()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n == 0 {
 		// Tolerated on the wire by some ORBs: a zero length means an
 		// empty string with no NUL.
-		return "", nil
+		return nil, nil
 	}
 	if uint32(d.Remaining()) < n {
-		return "", ErrTooLong
+		return nil, ErrTooLong
 	}
 	b := d.buf[d.pos : d.pos+int(n)]
 	d.pos += int(n)
 	if b[n-1] != 0 {
-		return "", ErrBadString
+		return nil, ErrBadString
 	}
-	return string(b[:n-1]), nil
+	return b[: n-1 : n-1], nil
 }
 
 // maxInternedStrings bounds an intern cache so a peer cycling through
@@ -429,25 +436,14 @@ const maxInternedStrings = 256
 // use it for operation names, which draw from a small fixed vocabulary,
 // so the per-request string allocation disappears after warm-up.
 func (d *Decoder) ReadStringInterned(cache map[string]string) (string, error) {
-	n, err := d.ReadULong()
+	b, err := d.ReadStringAlias()
 	if err != nil {
 		return "", err
 	}
-	if n == 0 {
-		return "", nil
-	}
-	if uint32(d.Remaining()) < n {
-		return "", ErrTooLong
-	}
-	b := d.buf[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	if b[n-1] != 0 {
-		return "", ErrBadString
-	}
-	if s, ok := cache[string(b[:n-1])]; ok { // keyed lookup: no conversion alloc
+	if s, ok := cache[string(b)]; ok { // keyed lookup: no conversion alloc
 		return s, nil
 	}
-	s := string(b[:n-1])
+	s := string(b)
 	if len(cache) < maxInternedStrings {
 		cache[s] = s
 	}

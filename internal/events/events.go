@@ -9,8 +9,9 @@
 // delivery goroutine, so a publish costs the same at any fan-out. A
 // subscriber Config.Depth events behind is full: the policy then holds
 // the publisher (Block) or skips that subscriber's oldest event
-// (DropOldest), counted in Dropped. A delivery loop copies up to
-// DefaultMaxBatch events per pass and can hand the run to a
+// (DropOldest), counted in Dropped. A delivery loop takes up to
+// DefaultMaxBatch events per pass as a read-only view of the ring, valid
+// only during the consumer call, and can hand the run to a
 // BatchConsumer, which is how remote subscribers ride the transport's
 // write coalescer.
 package events
@@ -44,8 +45,9 @@ type Event struct {
 type Consumer func(Event)
 
 // BatchConsumer receives a run of queued events in one call — whatever
-// the delivery loop drained in one pass, at most DefaultMaxBatch.
-// The slice is reused between calls: a consumer that retains events past
+// the delivery loop drained in one pass, at most DefaultMaxBatch. The
+// slice is a read-only view of the channel's ring, valid only during the
+// call: a consumer must not write it, and one that retains events past
 // its return must copy them.
 type BatchConsumer func([]Event)
 
@@ -67,8 +69,9 @@ var ErrClosed = errors.New("events: channel closed")
 const DefaultMaxBatch = 64
 
 // initialRing is a new ring's length. Push doubles the ring, up to the
-// next power of two of Depth, only when the slowest cursor falls a whole
-// ring behind, so a channel pays for its backlog, not for its capacity.
+// next power of two of Depth+maxBatch, only when the slowest held index
+// falls a whole ring behind, so a channel pays for its backlog, not for
+// its capacity.
 const initialRing = 8
 
 // Config tunes a channel (and, via the hub, every channel of a node).
@@ -83,7 +86,7 @@ type Config struct {
 	// window-sized batches instead of N single-event deliveries. Zero
 	// delivers immediately. Per-event consumers ignore it.
 	BatchWindow time.Duration
-	// maxBatch bounds how many events one delivery pass drains (and the
+	// maxBatch bounds how many events one delivery pass takes (and the
 	// largest slice a BatchConsumer sees). Zero means DefaultMaxBatch;
 	// the parking tests set 1.
 	maxBatch int
@@ -107,7 +110,8 @@ type Channel struct {
 	typeID  string
 	cfg     Config
 	depth   uint64
-	ring    []Event // allocated by the first Subscribe; grown by Push up to nextPow2(depth)
+	full    int     // the ring's largest length: nextPow2 of a depth of backlog plus a view
+	ring    []Event // allocated by the first Subscribe; re-homed by Push
 	closed  atomic.Bool
 	nsubs   atomic.Int64
 	waiting atomic.Int64 // publishers waiting in room
@@ -119,6 +123,7 @@ type Channel struct {
 	room      sync.Cond
 	subs      []*subscriber
 	gate      uint64         // cached slowest cursor, never ahead of the true one
+	hold      uint64         // cached slowest held, never ahead of the true one
 	cleared   uint64         // ring indexes below this hold no payload
 	wg        sync.WaitGroup // one count per live deliverLoop
 	head      atomic.Uint64  // ring index of the next event; stored under mu
@@ -135,16 +140,17 @@ type subscriber struct {
 	bfn  BatchConsumer // and bfn is set
 	wake chan struct{} // capacity 1: a parked loop's doorbell
 
-	// mu is held only while the loop copies from the ring and advances
-	// its cursor, so an eviction or a cancel never lands mid-copy and
-	// never waits on a consumer callback.
+	// mu is held only while the loop takes a view and advances its
+	// cursor, so an eviction, a cancel or a re-home never lands mid-take
+	// and never waits on a consumer callback.
 	mu      sync.Mutex
 	stopped bool
 
 	_      [64]byte
 	cursor atomic.Uint64 // ring index of the next event this subscriber takes
+	held   atomic.Uint64 // first ring index its loop may still be reading; at most cursor
 	parked atomic.Bool
-	_      [55]byte
+	_      [44]byte
 }
 
 // NewChannel creates a channel for one event kind (see Config.Depth).
@@ -156,6 +162,7 @@ func NewChannel(typeID string, depth int, policy OverflowPolicy) *Channel {
 func NewChannelConfig(typeID string, cfg Config) *Channel {
 	c := &Channel{typeID: typeID, cfg: cfg.withDefaults()}
 	c.depth = uint64(c.cfg.Depth)
+	c.full = 1 << bits.Len(uint(c.cfg.Depth+c.cfg.maxBatch-1))
 	c.room.L = &c.mu
 	return c
 }
@@ -180,8 +187,9 @@ func (c *Channel) Subscribe(name string, fn Consumer) (cancel func()) {
 }
 
 // SubscribeBatch registers a batch consumer: the delivery loop hands it
-// whole drained runs (up to DefaultMaxBatch events), coalescing trickle
-// into batches when BatchWindow is set. Returns a cancel function.
+// whole runs as views of the ring (up to DefaultMaxBatch events),
+// coalescing trickle into batches when BatchWindow is set. Returns a
+// cancel function.
 func (c *Channel) SubscribeBatch(name string, fn BatchConsumer) (cancel func()) {
 	return c.subscribe(&subscriber{bfn: fn})
 }
@@ -209,23 +217,26 @@ func (c *Channel) attach(s *subscriber) bool {
 		return false
 	}
 	if c.ring == nil {
-		c.ring = make([]Event, min(initialRing, 1<<bits.Len(uint(c.cfg.Depth-1))))
+		c.ring = make([]Event, min(initialRing, c.full))
 	}
 	s.cursor.Store(c.head.Load())
+	s.held.Store(c.head.Load())
 	c.subs = append(c.subs, s)
 	c.nsubs.Add(1)
 	c.wg.Add(1)
 	return true
 }
 
-// detach stops s before unlisting it, so a loop that then sees itself the
-// sole subscriber never clears a slot s is still copying.
+// detach stops s and unlists it. A loop still reading a view when it
+// is unlisted would go unseen by Push and release, so the ring it may be
+// reading is re-homed and left to it.
 func (c *Channel) detach(s *subscriber) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s.mu.Lock()
 	s.stopped = true
 	c.dropped.Add(c.head.Load() - s.cursor.Load())
+	reading := s.held.Load() < s.cursor.Load()
 	s.mu.Unlock()
 	s.signal()
 	if i := slices.Index(c.subs, s); i >= 0 {
@@ -233,6 +244,9 @@ func (c *Channel) detach(s *subscriber) {
 		c.nsubs.Add(-1)
 	}
 	c.room.Broadcast()
+	if reading && c.ring != nil {
+		c.rehome(c.head.Load(), len(c.ring))
+	}
 	c.release()
 }
 
@@ -241,7 +255,7 @@ func (c *Channel) SubscriberCount() int { return int(c.nsubs.Load()) }
 
 // Push publishes an event to every current subscriber, stamping its Seq
 // and TypeID and writing it once whatever the fan-out; it allocates only
-// when the backlog outgrows the ring, which doubles it. Under Block it
+// when the next slot is still held, which re-homes the ring. Under Block it
 // waits while a subscriber is full, and returns ErrClosed if the channel
 // closes meanwhile.
 func (c *Channel) Push(ev Event) error {
@@ -263,10 +277,10 @@ func (c *Channel) Push(ev Event) error {
 		return nil
 	}
 	head := c.head.Load()
-	if head-c.gate >= uint64(len(c.ring)) {
-		c.gate = c.slowest(head)
-		if head-c.gate >= uint64(len(c.ring)) {
-			c.grow(head)
+	if head-c.hold >= uint64(len(c.ring)) {
+		c.hold = c.slowest(head)
+		if head-c.hold >= uint64(len(c.ring)) {
+			c.rehome(head, min(2*len(c.ring), c.full))
 		}
 	}
 	c.ring[head&uint64(len(c.ring)-1)] = ev
@@ -313,62 +327,65 @@ func (c *Channel) admit() bool {
 	return true
 }
 
-// slowest returns the lowest live cursor, head if there is none. Caller
-// holds mu.
+// slowest returns the lowest held index, head if there is none: no
+// slot at or above it may be written. Caller holds mu.
 func (c *Channel) slowest(head uint64) uint64 {
 	low := head
 	for _, s := range c.subs {
-		low = min(low, s.cursor.Load())
+		low = min(low, s.held.Load())
 	}
 	return low
 }
 
-// grow doubles the ring when the slowest cursor is a whole ring behind
-// head. Every subscriber's mu is taken after mu, so no take is mid-copy
-// while the unread span [slowest, head) moves; the slots below it are
-// not copied, so the new ring pins nothing the old one had released.
-// admit keeps head-slowest below depth, so the ring never outgrows the
-// next power of two ≥ depth. Caller holds mu.
-func (c *Channel) grow(head uint64) {
+// rehome moves the untaken span [slowest cursor, head) into a new ring of
+// n slots, with every subscriber's mu taken after mu so no take is
+// mid-flight, and resets each held to its cursor. The old ring is left to
+// the loops finishing their views of it and nobody writes it again; the
+// new one pins nothing below the span. Caller holds mu.
+func (c *Channel) rehome(head uint64, n int) {
+	low := head
 	for _, s := range c.subs {
 		s.mu.Lock()
+		low = min(low, s.cursor.Load())
 	}
-	low := c.slowest(head)
-	old, ring := c.ring, make([]Event, 2*len(c.ring))
+	old, ring := c.ring, make([]Event, n)
 	for i := low; i < head; i++ {
-		ring[i&uint64(len(ring)-1)] = old[i&uint64(len(old)-1)]
+		ring[i&uint64(n-1)] = old[i&uint64(len(old)-1)]
 	}
-	c.ring, c.gate, c.cleared = ring, low, max(c.cleared, low)
+	c.ring, c.gate, c.hold, c.cleared = ring, low, low, max(c.cleared, low)
 	for _, s := range c.subs {
+		s.held.Store(s.cursor.Load())
 		s.mu.Unlock()
 	}
 }
 
 // evict advances a full subscriber past its oldest event, counting the
-// drop. Caller holds mu.
+// drop. held moves with the cursor unless the loop is reading a view of
+// this ring, so a loop stalled on a view of an old one holds nothing.
+// Caller holds mu.
 func (c *Channel) evict(s *subscriber, head uint64) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.cursor.Load()
 	if floor := head + 1 - c.depth; cur < floor {
 		c.dropped.Add(floor - cur)
+		if s.held.Load() == cur {
+			s.held.Store(floor)
+		}
 		cur = floor
 		s.cursor.Store(cur)
 	}
 	return cur
 }
 
-// release drops the payloads every live cursor has passed; the publisher
+// release drops the payloads below every held index; the publisher
 // overwrites the rest as it laps the ring. Caller holds mu.
 func (c *Channel) release() {
 	if c.ring == nil {
 		return
 	}
 	head, n := c.head.Load(), uint64(len(c.ring))
-	low := head
-	for _, s := range c.subs {
-		low = min(low, s.cursor.Load())
-	}
+	low := c.slowest(head)
 	from := c.cleared
 	if head > n {
 		from = max(from, head-n)
@@ -420,38 +437,33 @@ func (s *subscriber) signal() {
 	}
 }
 
-// take copies up to len(dst) events from [cursor, head) into dst and
-// advances the cursor. A sole subscriber clears the slots it takes: no
-// other cursor will read them. ok is false once s is stopped, or the
+// take returns the run [cursor, cursor+n) as a capacity-capped view of
+// the ring, n at most maxBatch and stopping at the ring's wrap, and
+// advances the cursor past it. held stays at the run's start until the
+// loop has finished with the view. ok is false once s is stopped, or the
 // channel is closed and s has taken everything.
-func (c *Channel) take(s *subscriber, dst []Event) (n int, ok bool) {
+func (c *Channel) take(s *subscriber) (view []Event, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	closed := c.closed.Load() // before head: a closed channel's head is final
 	cur, head := s.cursor.Load(), c.head.Load()
 	if s.stopped || cur == head {
-		return 0, !s.stopped && !closed
+		return nil, !s.stopped && !closed
 	}
-	n = int(min(head-cur, uint64(len(dst))))
-	mask, sole := uint64(len(c.ring)-1), c.nsubs.Load() == 1
-	for i := range dst[:n] {
-		slot := &c.ring[(cur+uint64(i))&mask]
-		dst[i] = *slot
-		if sole {
-			*slot = Event{}
-		}
-	}
+	i := int(cur & uint64(len(c.ring)-1))
+	n := min(int(head-cur), c.cfg.maxBatch, len(c.ring)-i)
+	s.held.Store(cur)
 	s.cursor.Store(cur + uint64(n))
-	return n, true
+	return c.ring[i : i+n : i+n], true
 }
 
 // park sleeps a caught-up delivery loop until Push, cancel or Close rings
 // its doorbell. The loop raises its flag before rechecking head and Push
 // stores head before reading the flags, so one of them sees the other.
-// The last of several loops to park drops what every cursor has passed.
+// The last loop to park drops what every loop has finished with.
 func (c *Channel) park(s *subscriber) {
 	s.parked.Store(true)
-	if subs := c.nsubs.Load(); c.parked.Add(1) >= subs && subs > 1 {
+	if c.parked.Add(1) >= c.nsubs.Load() {
 		c.mu.Lock()
 		c.release()
 		c.mu.Unlock()
@@ -464,22 +476,19 @@ func (c *Channel) park(s *subscriber) {
 	}
 }
 
-// deliverLoop copies up to maxBatch events per pass into its private
-// batch and hands them to the consumer — whole runs to a BatchConsumer,
-// in-order single calls otherwise — then clears the batch, so it pins no
-// delivered payload. The batch starts at one slot and doubles, up to
-// maxBatch, after each pass that fills it, so it grows to the backlog the
-// loop drains and a trickle never pays for maxBatch.
+// deliverLoop takes up to maxBatch events per pass as a view of the ring
+// and hands it to the consumer — whole to a BatchConsumer, in-order
+// single calls otherwise — then raises held to the cursor, which frees
+// the view's slots for the publisher.
 func (c *Channel) deliverLoop(s *subscriber) {
 	defer c.wg.Done()
-	batch := make([]Event, 1)
 	for {
 		from := s.cursor.Load() // only this loop moves it while a publisher waits
-		n, ok := c.take(s, batch)
+		view, ok := c.take(s)
 		if !ok {
 			return
 		}
-		if n == 0 {
+		if len(view) == 0 {
 			c.park(s)
 			continue
 		}
@@ -490,18 +499,15 @@ func (c *Channel) deliverLoop(s *subscriber) {
 			c.room.Broadcast()
 			c.mu.Unlock()
 		}
-		c.delivered.Add(uint64(n))
+		c.delivered.Add(uint64(len(view)))
 		if s.bfn != nil {
-			s.bfn(batch[:n])
+			s.bfn(view)
 		} else {
-			for _, ev := range batch[:n] {
+			for _, ev := range view {
 				s.fn(ev)
 			}
 		}
-		clear(batch[:n])
-		if n == len(batch) && n < c.cfg.maxBatch {
-			batch = make([]Event, min(2*n, c.cfg.maxBatch))
-		}
+		s.held.Store(s.cursor.Load())
 		if s.bfn != nil && c.cfg.BatchWindow > 0 && s.cursor.Load() == c.head.Load() && !c.closed.Load() {
 			// Let a trickle accumulate into the next batch instead of
 			// waking per event; teardown pays at most one window.

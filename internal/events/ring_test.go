@@ -4,8 +4,9 @@ package events
 // consumer is released by cancel and by Close, concurrent publishers and
 // churning subscribers never read a slot mid-overwrite and keep the
 // delivered + dropped ledger, a channel nobody subscribed to has no
-// ring, and a ring grows only as far as its backlog asks, never losing,
-// reordering or copying a payload on the way.
+// ring, a ring grows only as far as its backlog and the views in hand
+// ask, never losing, reordering or copying a payload on the way, and a
+// view a loop stalls on survives the publisher lapping the ring.
 
 import (
 	"encoding/binary"
@@ -279,10 +280,14 @@ func ringLen(ch *Channel) int {
 }
 
 // TestRingGrowthCount holds a channel's ring to at most
-// log2(nextPow2(Depth)/8) growths over its life. A subscriber parked in
-// its first callback (maxBatch 1, so its cursor stays at 1) lets a full
-// depth pile up, which drives the ring to its full length; a long
-// free-running tail after that grows it no further.
+// nextPow2(Depth+maxBatch) slots: the batch a loop has in hand lives in
+// the ring, so the ring holds a full depth behind the slowest cursor plus
+// the view a loop may still be reading. A subscriber parked in its first
+// callback (maxBatch 1, so it holds event 0 and its cursor is 1) lets a
+// full depth pile up, which drives the ring to at least Depth slots, and
+// a long free-running tail follows. Under Block every re-home is a
+// doubling, log2(len/8) of them, as a ring at the bound is never
+// re-homed; under DropOldest the tail may re-home it at its length.
 func TestRingGrowthCount(t *testing.T) {
 	for _, depth := range []int{1, 5, 8, 9, 100, 128, 256} {
 		for _, policy := range []OverflowPolicy{Block, DropOldest} {
@@ -300,8 +305,7 @@ func TestRingGrowthCount(t *testing.T) {
 					<-release
 				})()
 				defer open()
-				full := 1 << bits.Len(uint(depth-1))
-				want := bits.Len(uint(full)) - bits.Len(uint(min(initialRing, full)))
+				full := 1 << bits.Len(uint(depth)) // nextPow2(depth+1)
 				rings := map[*Event]bool{}
 				push := func() {
 					if err := ch.Push(Event{}); err != nil {
@@ -309,15 +313,20 @@ func TestRingGrowthCount(t *testing.T) {
 					}
 					ch.mu.Lock()
 					rings[&ch.ring[0]] = true
+					n := len(ch.ring)
 					ch.mu.Unlock()
+					if n > full {
+						t.Fatalf("a %d-slot ring, want at most %d", n, full)
+					}
 				}
 				push()
 				<-entered
 				for i := 0; i < depth; i++ { // the last lands depth-1 behind
 					push()
 				}
-				if got := ringLen(ch); got != full {
-					t.Fatalf("a full depth of backlog left a %d-slot ring, want %d", got, full)
+				backlogged := ringLen(ch)
+				if backlogged < depth {
+					t.Fatalf("a full depth of backlog left a %d-slot ring", backlogged)
 				}
 				open()
 				for i := 0; i < 20*depth; i++ {
@@ -326,11 +335,126 @@ func TestRingGrowthCount(t *testing.T) {
 						runtime.Gosched()
 					}
 				}
+				if policy != Block {
+					return
+				}
+				final := ringLen(ch)
+				want := bits.Len(uint(final)) - bits.Len(uint(min(initialRing, full)))
 				if grew := len(rings) - 1; grew != want {
-					t.Fatalf("ring grew %d times, want %d (8 -> %d slots)", grew, want, full)
+					t.Fatalf("ring re-homed %d times on its way to %d slots, want %d doublings", grew, final, want)
 				}
 			})
 		}
+	}
+}
+
+// TestStalledViewSurvivesLapping stalls a DropOldest batch consumer in
+// the middle of a three-event view while the publisher laps the ring ten
+// times, once as it is and once cancelled while stalled, with a second
+// subscriber keeping the ring in use. The publisher never blocks, the
+// stalled loop still reads every event of its view intact, the ring never
+// exceeds nextPow2(Depth+maxBatch) slots, and it is re-homed at most once
+// per ring length of pushes: the first re-home (or the cancel's) leaves
+// the stalled view in the old ring, and the loop holds nothing in the new
+// one.
+func TestStalledViewSurvivesLapping(t *testing.T) {
+	for _, cancelled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cancelled=%v", cancelled), func(t *testing.T) {
+			leak.Check(t)
+			const depth, maxBatch = 4, 8
+			full := 1 << bits.Len(uint(depth+maxBatch-1))
+			ch := NewChannelConfig("IDL:stress:1.0", Config{Depth: depth, Policy: DropOldest, maxBatch: maxBatch})
+			defer ch.Close()
+			first, openFirst := gate()
+			stall, openStall := gate()
+			defer openFirst()
+			defer openStall()
+			entered := make(chan int, 2)
+			var calls int
+			var stalled stressSub
+			cancel := ch.SubscribeBatch("stalled", func(view []Event) {
+				calls++
+				switch calls {
+				case 1:
+					entered <- len(view)
+					<-first
+				case 2:
+					entered <- len(view)
+					<-stall
+					for _, ev := range view { // read only once the publisher has lapped the ring
+						stalled.see(false, ev)
+					}
+				}
+			})
+			defer cancel()
+			if cancelled {
+				defer ch.Subscribe("free", func(Event) {})()
+			}
+			var pushed int
+			rings := map[*Event]bool{}
+			largest := 0
+			push := func() error {
+				err := ch.Push(Event{Source: stressSources[0], Data: stressPayload(0, pushed)})
+				pushed++
+				ch.mu.Lock()
+				rings[&ch.ring[0]] = true
+				largest = max(largest, len(ch.ring))
+				ch.mu.Unlock()
+				return err
+			}
+			if err := push(); err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+			for range depth - 1 { // queued behind the first view, none dropped
+				if err := push(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			openFirst()
+			if n := <-entered; n != depth-1 {
+				t.Fatalf("the second view holds %d events, want %d", n, depth-1)
+			}
+			var cancelledOwed uint64
+			if cancelled {
+				cancel()
+				cancelledOwed, _, _ = ch.Stats() // what the stalled subscriber was owed
+			}
+			lapped := make(chan error, 1)
+			go func() {
+				for range 10 * full {
+					if err := push(); err != nil {
+						lapped <- err
+						return
+					}
+				}
+				lapped <- nil
+			}()
+			select {
+			case err := <-lapped:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the publisher blocked behind a stalled DropOldest consumer")
+			}
+			openStall()
+			ch.Close()
+			if stalled.bad != "" || stalled.n != depth-1 || stalled.last != depth {
+				t.Fatalf("the stalled view read %d events up to seq %d (%s), want seqs 2-%d intact", stalled.n, stalled.last, stalled.bad, depth)
+			}
+			if largest > full {
+				t.Fatalf("a %d-slot ring, want at most %d", largest, full)
+			}
+			if rehomed := len(rings) - 1; rehomed > pushed/full {
+				t.Fatalf("%d re-homes over %d pushes, want at most one per %d", rehomed, pushed, full)
+			}
+			pub, del, drop := ch.Stats()
+			owed := pub + cancelledOwed // the whole run to one subscriber, plus the cancelled one's share
+			if del+drop != owed {
+				t.Fatalf("ledger: %d delivered + %d dropped != %d owed", del, drop, owed)
+			}
+		})
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"unique"
+	"unsafe"
 
 	"corbalc/internal/cdr"
 )
@@ -205,7 +206,7 @@ func (r *IOR) Marshal(e *cdr.Encoder) {
 // node exchanges are stored once, and a hostile one is collected with the
 // last IOR that carries it.
 func Unmarshal(d *cdr.Decoder) (*IOR, error) {
-	typeID, err := d.ReadString()
+	typeID, err := d.ReadStringAlias()
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +229,9 @@ func Unmarshal(d *cdr.Decoder) (*IOR, error) {
 		}
 		size += 4 + (bits.Len(uint(len(body))|1)+6)/7 + len(body) // tag, uvarint length, body
 	}
-	r := &IOR{id: unique.Make(typeID)}
+	// unique.Make clones a string on first insert, so interning the
+	// decoder's bytes in place keeps none of its buffer.
+	r := &IOR{id: unique.Make(unsafe.String(unsafe.SliceData(typeID), len(typeID)))}
 	r.TypeID = r.id.Value()
 	r.packed = make([]byte, 0, size)
 	for range n {

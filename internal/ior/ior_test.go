@@ -189,9 +189,9 @@ func TestHostileProfileCount(t *testing.T) {
 }
 
 // TestUnmarshalAllocs holds the decode of a two-profile reference, the
-// shape every directory entry carries four of, to three allocations: the
-// IOR, its packed profile block, and the type ID read before it is
-// interned. Two live decodes share one copy of the type ID.
+// shape every directory entry carries four of, to two allocations: the
+// IOR and its packed profile block. The type ID is interned from the
+// decoder's bytes, and two live decodes share one copy of it.
 func TestUnmarshalAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -209,8 +209,8 @@ func TestUnmarshalAllocs(t *testing.T) {
 			t.Fatalf("Unmarshal = %+v, %v", got, err)
 		}
 	})
-	if allocs > 3 {
-		t.Errorf("decoding a two-profile IOR allocates %.0f times, want at most 3", allocs)
+	if allocs > 2 {
+		t.Errorf("decoding a two-profile IOR allocates %.0f times, want at most 2", allocs)
 	}
 	a, errA := Unmarshal(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))
 	b, errB := Unmarshal(cdr.NewDecoder(e.Bytes(), cdr.BigEndian))

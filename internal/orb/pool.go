@@ -59,7 +59,14 @@ type channelPool struct {
 
 	mu      sync.RWMutex
 	stripes []Channel
+	dialing []*dialCall // per stripe: its one dial in flight, if any
 	closed  bool
+}
+
+// dialCall is a stripe's dial in flight; err is set before done closes.
+type dialCall struct {
+	done chan struct{}
+	err  error
 }
 
 // stripeHint is a per-P affinity token: the stripe index this core's
@@ -81,36 +88,49 @@ func newChannelPool(t Transport, profile []byte) *channelPool {
 		profile:   append([]byte(nil), profile...),
 		size:      size,
 		stripes:   make([]Channel, size),
+		dialing:   make([]*dialCall, size),
 	}
 }
 
 // stripe returns the live channel at index i, dialing lazily and
 // evicting a channel that reports itself unusable (its replacement is
-// dialed immediately). Dials happen outside the pool lock; a lost dial
-// race closes the loser.
+// dialed immediately). Dials happen outside the pool lock, one per stripe
+// at a time: a caller that finds one in flight waits for it while its
+// context allows, and shares its failure unless that was the dialer's
+// own context giving up.
 func (p *channelPool) stripe(ctx context.Context, i int) (Channel, error) {
-	ch, closed := p.peek(i)
-	if closed {
-		return nil, errPoolClosed
-	}
-	if ch != nil {
-		if u, ok := ch.(unusable); !ok || !u.Unusable() {
-			return ch, nil
-		}
-		p.evict(i, ch)
-	}
-	nc, err := p.transport.Dial(ctx, p.profile)
-	if err != nil {
-		return nil, err
-	}
-	winner, adopted := p.adopt(i, nc)
-	if !adopted {
-		_ = nc.Close()
-		if winner == nil {
+	for {
+		ch, closed := p.peek(i)
+		if closed {
 			return nil, errPoolClosed
 		}
+		if ch != nil {
+			if u, ok := ch.(unusable); !ok || !u.Unusable() {
+				return ch, nil
+			}
+			p.evict(i, ch)
+		}
+		p.mu.Lock()
+		d, mine := p.dialing[i], false
+		if d == nil && p.stripes[i] == nil && !p.closed {
+			d, mine = &dialCall{done: make(chan struct{})}, true
+			p.dialing[i] = d
+		}
+		p.mu.Unlock()
+		if mine {
+			return p.dial(ctx, i, d)
+		}
+		if d != nil { // else the stripe filled or the pool closed meanwhile
+			select {
+			case <-d.done:
+				if d.err != nil {
+					return nil, d.err
+				}
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
 	}
-	return winner, nil
 }
 
 // peek reads slot i and the closed flag.
@@ -120,20 +140,26 @@ func (p *channelPool) peek(i int) (ch Channel, closed bool) {
 	return p.stripes[i], p.closed
 }
 
-// adopt installs nc in slot i unless a concurrent dial won the race (the
-// racing winner is returned) or the pool closed (nil winner); adopted
-// reports whether nc was installed.
-func (p *channelPool) adopt(i int, nc Channel) (winner Channel, adopted bool) {
+// dial runs the dial stripe made the caller own, installs its channel unless
+// the pool closed meanwhile, and releases the callers waiting on d.
+func (p *channelPool) dial(ctx context.Context, i int, d *dialCall) (Channel, error) {
+	nc, err := p.transport.Dial(ctx, p.profile)
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return nil, false
+	p.dialing[i] = nil
+	closed := p.closed
+	if err == nil && !closed {
+		p.stripes[i] = nc
 	}
-	if cur := p.stripes[i]; cur != nil {
-		return cur, false
+	p.mu.Unlock()
+	switch {
+	case err != nil && !ctxDone(ctx, err):
+		d.err = err
+	case err == nil && closed:
+		_ = nc.Close()
+		nc, err = nil, errPoolClosed
 	}
-	p.stripes[i] = nc
-	return nc, true
+	close(d.done)
+	return nc, err
 }
 
 // evict forgets ch if it still occupies slot i and closes it. Identity

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"corbalc/internal/giop"
 	"corbalc/internal/leak"
@@ -66,10 +67,12 @@ func (f *fakeChannel) Unusable() bool { return f.dead.Load() }
 type fakeTransport struct {
 	poolSize int
 	dialErr  error
+	gate     chan struct{} // when set, a Dial waits for it to close (or its context)
 
-	mu      sync.Mutex
-	dialed  []*fakeChannel
-	nextErr error // fail exactly the next Dial
+	mu       sync.Mutex
+	attempts int
+	dialed   []*fakeChannel
+	nextErr  error // fail exactly the next Dial
 }
 
 func (t *fakeTransport) Tag() uint32                             { return 0xFA4E }
@@ -77,6 +80,16 @@ func (t *fakeTransport) Endpoint(profile []byte) (string, error) { return string
 func (t *fakeTransport) ChannelPoolSize() int                    { return t.poolSize }
 
 func (t *fakeTransport) Dial(ctx context.Context, profile []byte) (Channel, error) {
+	t.mu.Lock()
+	t.attempts++
+	t.mu.Unlock()
+	if t.gate != nil {
+		select {
+		case <-t.gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.nextErr != nil {
@@ -96,6 +109,12 @@ func (t *fakeTransport) dials() []*fakeChannel {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]*fakeChannel(nil), t.dialed...)
+}
+
+func (t *fakeTransport) dialAttempts() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.attempts
 }
 
 func TestPoolLazyDialAndStripeAffinity(t *testing.T) {
@@ -258,6 +277,78 @@ func TestPoolContextErrorDoesNotEvict(t *testing.T) {
 	}
 	if n := len(tr.dials()); n != 1 {
 		t.Fatalf("dials = %d, want 1 (no eviction, no redial)", n)
+	}
+}
+
+// TestPoolColdBurstDialsOncePerStripe sends 16 concurrent first calls
+// onto a cold pool of 2 stripes whose dials take 20ms: at most one
+// connection per stripe is dialed, none is closed as a lost race, and
+// every call is served.
+func TestPoolColdBurstDialsOncePerStripe(t *testing.T) {
+	leak.Check(t)
+	const stripes, callers = 2, 16
+	tr := &fakeTransport{poolSize: stripes, gate: make(chan struct{})}
+	p := newChannelPool(tr, []byte("ep"))
+	defer p.Close()
+	time.AfterFunc(20*time.Millisecond, func() { close(tr.gate) })
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := p.Call(context.Background(), nil, uint32(i+1)); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := tr.dialAttempts(); n > stripes {
+		t.Fatalf("%d concurrent first calls dialed %d connections onto %d stripes", callers, n, stripes)
+	}
+	for _, ch := range tr.dials() {
+		if ch.closed.Load() {
+			t.Fatalf("stripe %d was dialed only to be closed", ch.id)
+		}
+	}
+}
+
+// TestPoolDialWaitHonoursContext parks a second caller behind the first
+// caller's dial in flight on a one-stripe pool: its deadline returns it
+// without a dial of its own, and the first dial still lands.
+func TestPoolDialWaitHonoursContext(t *testing.T) {
+	leak.Check(t)
+	tr := &fakeTransport{poolSize: 1, gate: make(chan struct{})}
+	p := newChannelPool(tr, []byte("ep"))
+	defer p.Close()
+	open := sync.OnceFunc(func() { close(tr.gate) })
+	defer open() // a failure before the gate opens must not strand the first caller
+	first := make(chan error, 1)
+	go func() {
+		_, err := p.Call(context.Background(), nil, 1)
+		first <- err
+	}()
+	for tr.dialAttempts() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := p.Call(ctx, nil, 2); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiting caller's err = %v, want its deadline", err)
+	}
+	if n := tr.dialAttempts(); n != 1 {
+		t.Fatalf("dial attempts = %d, want 1 (the waiter dials nothing)", n)
+	}
+	open()
+	if err := <-first; err != nil {
+		t.Fatalf("first caller: %v", err)
+	}
+	if n := len(tr.dials()); n != 1 {
+		t.Fatalf("dials = %d, want 1", n)
 	}
 }
 
