@@ -346,7 +346,7 @@ func checkBlocking(pass *analysis.Pass, body *ast.BlockStmt, op *lockOp, start, 
 // the ObjectRef invocation forms and the Channel primitives under them.
 var orbBlocking = map[string]bool{
 	"InvokeContext": true, "InvokeOnewayContext": true, "InvokeOnewayScoped": true,
-	"ExistsContext": true, "CallAsyncContext": true, "Call": true, "Send": true,
+	"Call": true, "Send": true,
 }
 
 // blockingCall classifies call as a known-blocking operation, returning

@@ -64,12 +64,6 @@ func (r *registry) badInvokeUnderDefer(ctx context.Context, ref *orb.ObjectRef) 
 	if err := ref.InvokeOnewayScoped(ctx, "push", nil, orb.SyncNone); err != nil { // want `ORB invocation InvokeOnewayScoped while holding`
 		return err
 	}
-	if _, err := ref.ExistsContext(ctx); err != nil { // want `ORB invocation ExistsContext while holding`
-		return err
-	}
-	if _, err := ref.CallAsyncContext(ctx, "ping", nil, nil); err != nil { // want `ORB invocation CallAsyncContext while holding`
-		return err
-	}
 	return ref.InvokeContext(ctx, "ping", nil, nil) // want `ORB invocation InvokeContext while holding r\.mu\.Lock\(\)`
 }
 

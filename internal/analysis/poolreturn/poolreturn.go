@@ -3,10 +3,8 @@
 //
 // Buffers from internal/bufpool, encoders from cdr.GetEncoder /
 // giop.GetBodyEncoder, messages from giop.NewMessage /
-// giop.MessageFromEncoder / giop.ReadMessagePooled, and async futures
-// from ObjectRef.CallAsyncContext (which own a registered reply slot
-// until settled by Wait or abandoned by Cancel) have exactly
-// one owner, and that owner must either release the resource or hand
+// giop.MessageFromEncoder / giop.ReadMessagePooled have exactly one
+// owner, and that owner must either release the resource or hand
 // ownership to someone who will. A function that acquires one and does
 // neither leaks pool capacity silently: the program stays correct (the
 // GC collects the buffer) but every such call site erodes the
@@ -44,46 +42,27 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// obligation describes what discharges one acquirer's result: the
-// diagnostic text and the set of method names on the result whose call
-// counts as a release. Most pooled values release through Release;
-// async futures release through settling (Wait) or cancelling.
-type obligation struct {
-	msg      string
-	releases map[string]bool
-}
-
-var releaseMethod = map[string]bool{"Release": true}
-
-// futures hold a registered reply slot (and, once the reply lands, a
-// pooled message): an abandoned future pins both until Wait collects or
-// Cancel abandons the call.
-var futureMethods = map[string]bool{"Wait": true, "Cancel": true}
-
 // acquirers maps {package-path suffix, function name} of each pooled
-// acquire function to its release obligation. Methods are keyed as
-// "Recv.Name" (e.g. "ObjectRef.CallAsyncContext"). Matching is by path
-// suffix so fixture stand-ins loaded as "internal/giop" hit the same code
-// path as corbalc/internal/giop.
-var acquirers = map[[2]string]obligation{
-	{"internal/bufpool", "Get"}:             {"return it with bufpool.Put", releaseMethod},
-	{"internal/cdr", "GetEncoder"}:          {"call its Release method", releaseMethod},
-	{"internal/giop", "GetBodyEncoder"}:     {"call Release, or hand it to giop.MessageFromEncoder", releaseMethod},
-	{"internal/giop", "NewMessage"}:         {"call its Release method", releaseMethod},
-	{"internal/giop", "MessageFromEncoder"}: {"call its Release method", releaseMethod},
-	{"internal/giop", "ReadMessagePooled"}:  {"call its Release method", releaseMethod},
+// acquire function to what its caller must do with the result; every
+// pooled value releases through its Release method (bufpool.Put is a
+// call argument, so an ownership transfer). Matching is by path suffix
+// so fixture stand-ins loaded as "internal/giop" hit the same code path
+// as corbalc/internal/giop.
+var acquirers = map[[2]string]string{
+	{"internal/bufpool", "Get"}:             "return it with bufpool.Put",
+	{"internal/cdr", "GetEncoder"}:          "call its Release method",
+	{"internal/giop", "GetBodyEncoder"}:     "call Release, or hand it to giop.MessageFromEncoder",
+	{"internal/giop", "NewMessage"}:         "call its Release method",
+	{"internal/giop", "MessageFromEncoder"}: "call its Release method",
+	{"internal/giop", "ReadMessagePooled"}:  "call its Release method",
 	// The bounded-dispatch refusal path builds a pooled TRANSIENT reply
 	// and hands its Header/Body to the write coalescer; field reads are
 	// not a transfer, so the caller keeps the release obligation.
-	{"internal/orb", "SystemExceptionReply"}: {"call its Release method", releaseMethod},
-	// An async future owns its pending-reply slot: the launcher must
-	// settle it (Wait) or abandon it (Cancel), or hand it to someone
-	// who will.
-	{"internal/orb", "ObjectRef.CallAsyncContext"}: {"settle it with Wait or abandon it with Cancel", futureMethods},
+	{"internal/orb", "SystemExceptionReply"}: "call its Release method",
 	// The web gateway's translation buffer wraps a pooled body buffer
 	// and the decoded-argument scratch: one per HTTP request, released
 	// when the response is written.
-	{"internal/gateway", "GetTransBuf"}: {"call its Release method", releaseMethod},
+	{"internal/gateway", "GetTransBuf"}: "call its Release method",
 }
 
 func run(pass *analysis.Pass) error {
@@ -110,7 +89,7 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		suffix, name, ob, ok := acquirerOf(pass.TypesInfo, call)
+		suffix, name, obligation, ok := acquirerOf(pass.TypesInfo, call)
 		if !ok {
 			return true
 		}
@@ -121,13 +100,13 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 			vars, dropped := boundVars(pass, p, call)
 			if dropped {
 				pass.Reportf(call.Pos(),
-					"result of %s is discarded; %s or hand ownership off explicitly", qualified, ob.msg)
+					"result of %s is discarded; %s or hand ownership off explicitly", qualified, obligation)
 				return true
 			}
 			for _, v := range vars {
-				if !hasReleaseOrTransfer(pass, fn, parents, v, ob.releases) {
+				if !hasReleaseOrTransfer(pass, fn, parents, v) {
 					pass.Reportf(call.Pos(),
-						"result of %s is neither released nor transferred in this function; %s on every path, or move ownership out (return/store/pass it)", qualified, ob.msg)
+						"result of %s is neither released nor transferred in this function; %s on every path, or move ownership out (return/store/pass it)", qualified, obligation)
 				}
 			}
 		case *ast.ValueSpec:
@@ -136,14 +115,14 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 				if v == nil {
 					continue
 				}
-				if !hasReleaseOrTransfer(pass, fn, parents, v, ob.releases) {
+				if !hasReleaseOrTransfer(pass, fn, parents, v) {
 					pass.Reportf(call.Pos(),
-						"result of %s is neither released nor transferred in this function; %s on every path, or move ownership out (return/store/pass it)", qualified, ob.msg)
+						"result of %s is neither released nor transferred in this function; %s on every path, or move ownership out (return/store/pass it)", qualified, obligation)
 				}
 			}
 		case *ast.ExprStmt:
 			pass.Reportf(call.Pos(),
-				"result of %s is discarded; %s or hand ownership off explicitly", qualified, ob.msg)
+				"result of %s is discarded; %s or hand ownership off explicitly", qualified, obligation)
 		default:
 			// The acquire feeds straight into a return, call argument,
 			// composite literal, or channel send: ownership transfers
@@ -154,28 +133,15 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 }
 
 // acquirerOf reports whether call invokes one of the tracked pooled
-// acquire functions or methods. Methods match under their receiver
-// type's name: "ObjectRef.CallAsyncContext".
-func acquirerOf(info *types.Info, call *ast.CallExpr) (suffix, name string, ob obligation, ok bool) {
+// acquire functions (never a method).
+func acquirerOf(info *types.Info, call *ast.CallExpr) (suffix, name, obligation string, ok bool) {
 	f := analysis.FuncOf(info, call)
-	if f == nil || f.Pkg() == nil {
-		return "", "", obligation{}, false
+	if f == nil || f.Pkg() == nil || f.Type().(*types.Signature).Recv() != nil {
+		return "", "", "", false
 	}
-	suffix = pathSuffix(f.Pkg().Path())
-	name = f.Name()
-	if recv := f.Type().(*types.Signature).Recv(); recv != nil {
-		rt := recv.Type()
-		if p, isPtr := rt.(*types.Pointer); isPtr {
-			rt = p.Elem()
-		}
-		named, isNamed := rt.(*types.Named)
-		if !isNamed {
-			return "", "", obligation{}, false
-		}
-		name = named.Obj().Name() + "." + name
-	}
-	ob, ok = acquirers[[2]string{suffix, name}]
-	return suffix, name, ob, ok
+	suffix, name = pathSuffix(f.Pkg().Path()), f.Name()
+	obligation, ok = acquirers[[2]string{suffix, name}]
+	return suffix, name, obligation, ok
 }
 
 // boundVars resolves the variables an assignment binds the acquire call
@@ -242,10 +208,9 @@ func isErrorType(t types.Type) bool {
 }
 
 // hasReleaseOrTransfer scans every use of v in fn (closures included)
-// and reports whether any of them releases the value (calls one of the
-// acquirer's releasing methods) or moves its ownership out of the
-// function.
-func hasReleaseOrTransfer(pass *analysis.Pass, fn *ast.FuncDecl, parents map[ast.Node]ast.Node, v *types.Var, releases map[string]bool) bool {
+// and reports whether any of them releases the value (calls its Release
+// method) or moves its ownership out of the function.
+func hasReleaseOrTransfer(pass *analysis.Pass, fn *ast.FuncDecl, parents map[ast.Node]ast.Node, v *types.Var) bool {
 	found := false
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if found {
@@ -255,7 +220,7 @@ func hasReleaseOrTransfer(pass *analysis.Pass, fn *ast.FuncDecl, parents map[ast
 		if !ok || pass.TypesInfo.Uses[id] != v {
 			return true
 		}
-		if releasesOrTransfers(pass, parents, id, releases) {
+		if releasesOrTransfers(pass, parents, id) {
 			found = true
 		}
 		return true
@@ -265,14 +230,13 @@ func hasReleaseOrTransfer(pass *analysis.Pass, fn *ast.FuncDecl, parents map[ast
 
 // releasesOrTransfers classifies one use of a tracked variable by its
 // syntactic position.
-func releasesOrTransfers(pass *analysis.Pass, parents map[ast.Node]ast.Node, id *ast.Ident, releases map[string]bool) bool {
+func releasesOrTransfers(pass *analysis.Pass, parents map[ast.Node]ast.Node, id *ast.Ident) bool {
 	switch p := parentSkippingParens(parents, id).(type) {
 	case *ast.SelectorExpr:
-		// x.Release() (or, per acquirer, x.Wait()/x.Cancel()) is a
-		// release; x.Field and other x.Method() calls are reads that
-		// neither release nor move the value.
+		// x.Release() is a release; x.Field and other x.Method() calls
+		// are reads that neither release nor move the value.
 		if call, ok := parentSkippingParens(parents, p).(*ast.CallExpr); ok &&
-			ast.Unparen(call.Fun) == p && releases[p.Sel.Name] {
+			ast.Unparen(call.Fun) == p && p.Sel.Name == "Release" {
 			return true
 		}
 		return false

@@ -4,7 +4,6 @@
 package a
 
 import (
-	"context"
 	"io"
 
 	"corbalc/internal/bufpool"
@@ -155,41 +154,6 @@ func goodRefusalReplyReleased(write func(giop.Header, []byte) error, v giop.Vers
 	}
 	_ = write(reply.Header, reply.Body)
 	reply.Release()
-}
-
-// Bad: a launched future that is only ever polled — nothing settles or
-// abandons it, so its reply slot (and eventually a pooled reply) stays
-// pinned.
-func badLeakFuture(ctx context.Context, r *orb.ObjectRef) bool {
-	fu, err := r.CallAsyncContext(ctx, "op", nil, nil) // want `result of orb\.ObjectRef\.CallAsyncContext is neither released nor transferred`
-	if err != nil {
-		return false
-	}
-	return fu.Done()
-}
-
-// Good: Wait settles the future (collecting or abandoning the reply).
-func goodWaitFuture(ctx context.Context, r *orb.ObjectRef) error {
-	fu, err := r.CallAsyncContext(ctx, "op", nil, nil)
-	if err != nil {
-		return err
-	}
-	return fu.Wait(ctx)
-}
-
-// Good: Cancel abandons the call, releasing the slot.
-func goodCancelFuture(ctx context.Context, r *orb.ObjectRef) {
-	fu, err := r.CallAsyncContext(ctx, "op", nil, nil)
-	if err != nil {
-		return
-	}
-	fu.Cancel()
-}
-
-// Good: returning the future hands the settle-or-cancel obligation to
-// the caller.
-func goodReturnFuture(ctx context.Context, r *orb.ObjectRef) (*orb.Future, error) {
-	return r.CallAsyncContext(ctx, "op", nil, nil)
 }
 
 // Suppressed: an acknowledged leak-to-GC stays silent.

@@ -71,19 +71,6 @@ func Parse(r io.Reader) (*Assembly, error) {
 	return &a, nil
 }
 
-// Encode serialises the assembly as indented XML.
-func (a *Assembly) Encode(w io.Writer) error {
-	if _, err := io.WriteString(w, xml.Header); err != nil {
-		return err
-	}
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(a); err != nil {
-		return err
-	}
-	return enc.Close()
-}
-
 // Validate checks structural consistency.
 func (a *Assembly) Validate() error {
 	if a.Name == "" {
@@ -133,14 +120,4 @@ func (a *Assembly) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Instance returns the declaration with the given name.
-func (a *Assembly) Instance(name string) (InstanceDecl, bool) {
-	for _, inst := range a.Instances {
-		if inst.Name == name {
-			return inst, true
-		}
-	}
-	return InstanceDecl{}, false
 }

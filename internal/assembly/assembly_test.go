@@ -3,6 +3,7 @@ package assembly_test
 import (
 	"bytes"
 	"context"
+	"encoding/xml"
 	"errors"
 	"strings"
 	"sync/atomic"
@@ -35,16 +36,16 @@ func TestParseValidateEncode(t *testing.T) {
 		len(a.Connections) != 1 || len(a.EventLinks) != 1 {
 		t.Fatalf("assembly = %+v", a)
 	}
-	if d, ok := a.Instance("prod"); !ok || d.Component != "producer" || d.Version != "1.*" {
-		t.Fatalf("prod decl = %+v, %v", d, ok)
+	if d := a.Instances[0]; d.Name != "prod" || d.Component != "producer" || d.Version != "1.*" {
+		t.Fatalf("prod decl = %+v", d)
 	}
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
+	out, err := xml.Marshal(a)
+	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := assembly.Parse(&buf)
+	a2, err := assembly.Parse(bytes.NewReader(out))
 	if err != nil {
-		t.Fatalf("re-parse: %v\n%s", err, buf.String())
+		t.Fatalf("re-parse: %v\n%s", err, out)
 	}
 	if a2.Connections[0] != a.Connections[0] || a2.EventLinks[0] != a.EventLinks[0] {
 		t.Fatal("round trip mismatch")
@@ -209,8 +210,8 @@ func TestDeployAcrossNodes(t *testing.T) {
 		t.Fatalf("placements: prod=%s cons=%s",
 			dep.Placements["prod"].Node, dep.Placements["cons"].Node)
 	}
-	if id, ok := dep.ComponentIDOf("prod"); !ok || id.Name != "producer" {
-		t.Fatalf("component of prod = %v, %v", id, ok)
+	if id, err := component.ParseID(dep.Placements["prod"].ComponentID); err != nil || id.Name != "producer" {
+		t.Fatalf("component of prod = %v, %v", id, err)
 	}
 
 	// Drive the app from host0: send strokes through the producer's ctl
@@ -255,7 +256,7 @@ func TestTeardownDestroysInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prodID, _ := dep.ComponentIDOf("prod")
+	prodID, _ := component.ParseID(dep.Placements["prod"].ComponentID)
 	ct, err := c.Peers[1].Node.ContainerFor(prodID)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"corbalc/internal/cdr"
-	"corbalc/internal/component"
 	"corbalc/internal/deploy"
 	"corbalc/internal/ior"
 	"corbalc/internal/orb"
@@ -196,15 +195,4 @@ func (dep *Deployed) TeardownContext(ctx context.Context) {
 		_ = fref.InvokeContext(ctx, "destroy",
 			func(e *cdr.Encoder) { e.WriteString(dep.Assembly.Name + "." + declName) }, nil)
 	}
-}
-
-// ComponentIDOf returns the concrete component chosen for a declared
-// instance.
-func (dep *Deployed) ComponentIDOf(decl string) (component.ID, bool) {
-	pl, ok := dep.Placements[decl]
-	if !ok {
-		return component.ID{}, false
-	}
-	id, err := component.ParseID(pl.ComponentID)
-	return id, err == nil
 }

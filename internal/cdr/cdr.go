@@ -94,12 +94,6 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) }
 
-// Cap returns the encoder's current buffer capacity.
-func (e *Encoder) Cap() int { return cap(e.buf) }
-
-// Order reports the encoder's byte order.
-func (e *Encoder) Order() ByteOrder { return e.order }
-
 // Align pads the stream with zero octets until the next write position is
 // a multiple of n (n must be a power of two: 1, 2, 4 or 8).
 func (e *Encoder) Align(n int) {
@@ -204,9 +198,6 @@ func (e *Encoder) WriteString(s string) {
 	e.buf = append(e.buf, 0)
 }
 
-// WriteOctets appends raw bytes with no alignment or length prefix.
-func (e *Encoder) WriteOctets(b []byte) { e.buf = append(e.buf, b...) }
-
 // WriteOctetSeq appends a sequence<octet>: ulong length then the bytes.
 func (e *Encoder) WriteOctetSeq(b []byte) {
 	e.WriteULong(uint32(len(b)))
@@ -267,9 +258,6 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
 
 // Pos returns the current offset within the buffer.
 func (d *Decoder) Pos() int { return d.pos }
-
-// Order reports the decoder's byte order.
-func (d *Decoder) Order() ByteOrder { return d.order }
 
 func (d *Decoder) align(n int) error {
 	pos := d.base + d.pos

@@ -255,8 +255,8 @@ func TestEncapsulationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inner.Order() != LittleEndian {
-		t.Errorf("inner order = %v", inner.Order())
+	if inner.order != LittleEndian {
+		t.Errorf("inner order = %v", inner.order)
 	}
 	if v, _ := inner.ReadULong(); v != 42 {
 		t.Errorf("inner ulong = %d", v)
@@ -282,7 +282,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			bo = LittleEndian
 		}
 		e := NewEncoder(bo)
-		e.WriteOctets(prefix)
+		e.buf = append(e.buf, prefix...)
 		e.WriteShort(a)
 		e.WriteULong(b)
 		e.WriteLongLong(c)

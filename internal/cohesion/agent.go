@@ -378,21 +378,6 @@ func (a *Agent) Stamp() (epoch uint64, n int, xor uint64) {
 	return epoch, n, xor
 }
 
-// MemberView is one member's state as known to an MRM: its directory
-// entry plus the latest soft-consistency report and offers.
-type MemberView struct {
-	Desc   *NodeDesc
-	Report *node.Report
-	Offers []*node.Offer
-}
-
-// GroupView snapshots this MRM's live member states (fresh within the
-// failure timeout). The network-level load balancer consumes it.
-func (a *Agent) GroupView() (view []MemberView) {
-	a.locked(func(c *core, now time.Time) { view = c.groupView(now) })
-	return view
-}
-
 // Directory snapshots the agent's current view of membership.
 func (a *Agent) Directory() (dir *Directory) {
 	a.locked(func(c *core, _ time.Time) { dir = c.dir.Clone() })
@@ -426,24 +411,36 @@ func (a *Agent) Join(contact *ior.IOR) error {
 }
 
 // Leave departs gracefully: the root removes this node and broadcasts
-// the new directory.
+// the new directory. The workers stop first, so no pull or rejoin of
+// theirs is in flight when the leave reaches the root, and the delta
+// that removes this node finds it no longer joined.
 func (a *Agent) Leave() {
 	var joined bool
 	a.locked(func(c *core, _ time.Time) { joined, c.joined = c.joined, false })
+	a.halt()
 	if joined {
-		_ = a.rootRPC("leave", func(e *cdr.Encoder) { e.WriteString(a.name) }, nil)
+		// The agent's lifetime context is cancelled by now.
+		ctx, cancel := context.WithTimeout(context.Background(), a.rpcTimeout())
+		_ = a.callRoot(ctx, "leave", func(e *cdr.Encoder) { e.WriteString(a.name) }, nil)
+		cancel()
 	}
-	a.Stop()
+	a.locked(func(c *core, _ time.Time) { c.reset() })
 }
 
 // Stop halts the protocol loop without notifying anyone (crash
 // simulation pairs this with simnet.SetDown) and releases the protocol
 // state: a stopped agent reads as never joined.
 func (a *Agent) Stop() {
-	a.cancel()       // ends the workers and aborts in-flight protocol RPCs
-	a.gossip.close() // drains per-destination forwarders
-	a.wg.Wait()
+	a.halt()
 	a.locked(func(c *core, _ time.Time) { c.reset() })
+}
+
+// halt ends the workers, aborts their in-flight protocol RPCs and drains
+// the gossip plane.
+func (a *Agent) halt() {
+	a.cancel()
+	a.gossip.close()
+	a.wg.Wait()
 }
 
 func (a *Agent) start() {

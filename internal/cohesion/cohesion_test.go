@@ -533,7 +533,10 @@ func newOnewayTrace(t *testing.T) *onewayTrace {
 		t.Fatal(err)
 	}
 	tr := &onewayTrace{oneway: make(map[string]bool), ops: make(map[string]int)}
-	for _, iface := range repo.Interfaces() {
+	for _, iface := range repo.Types() {
+		if iface.Kind != idl.KindInterface {
+			continue
+		}
 		for _, op := range iface.AllOperations() {
 			if op.Oneway {
 				tr.oneway[op.Name] = true
@@ -812,39 +815,6 @@ func TestQuickDirectoryMarshalRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGroupViewSnapshot(t *testing.T) {
-	leak.Check(t)
-	tc := newCluster(t, 3, nil)
-	comp, err := adderSpec("adder", "1.0.0").Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tc.nodes[1].InstallComponent(comp); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 3*time.Second, "MRM view to fill", func() bool {
-		view := tc.agents[0].GroupView()
-		if len(view) != 3 {
-			return false
-		}
-		for _, m := range view {
-			if m.Report.Node == "n01" && len(m.Offers) >= 1 {
-				return true
-			}
-		}
-		return false
-	})
-	for _, m := range tc.agents[0].GroupView() {
-		if m.Desc == nil || m.Report == nil {
-			t.Fatalf("incomplete member view: %+v", m)
-		}
-	}
-	// A non-MRM member has an empty view.
-	if got := tc.agents[2].GroupView(); len(got) != 0 {
-		t.Fatalf("non-candidate view = %d members", len(got))
 	}
 }
 

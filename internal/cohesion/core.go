@@ -459,7 +459,7 @@ func (c *core) observePeerEpoch(peer string, peerEpoch uint64, mayHint bool) []a
 // most once per stuck episode.
 func (c *core) hint(epoch uint64) []action {
 	c.stats.RepairHintsRecv++
-	if epoch <= c.dir.Epoch || c.dir.Epoch == c.hintPulled {
+	if !c.joined || epoch <= c.dir.Epoch || c.dir.Epoch == c.hintPulled {
 		return nil
 	}
 	c.hintPulled = c.dir.Epoch
@@ -506,7 +506,12 @@ func (c *core) delta(now time.Time, d *DirectoryDelta, raw []byte) []action {
 	case deltaSelfGone, deltaGap:
 		// Behind the stream, or expelled by it: reconcile with the root —
 		// anti-entropy pulls exactly the missing entries, and rejoins if
-		// the root confirms the expulsion.
+		// the root confirms the expulsion. A node that left (or never
+		// joined) does neither: the delta removing a leaver must not
+		// bring it back.
+		if !c.joined {
+			return nil
+		}
 		return []action{{kind: actPull}}
 	case deltaApplied:
 		acts := c.relay(now, raw)
@@ -684,9 +689,9 @@ func (c *core) reap(now time.Time) []action {
 // nothing to do. Otherwise pull a patch against this node's version
 // vector — an expelled node (it applied the delta that removed it) can
 // carry the root's exact epoch, and matching digests must not stop the
-// pull that leads to its rejoin.
+// pull that leads to its rejoin. A node that is not joined never pulls.
 func (c *core) pinged(rootEpoch uint64) []action {
-	if rootEpoch == c.dir.Epoch && c.dir.GroupOf(c.name) >= 0 {
+	if !c.joined || rootEpoch == c.dir.Epoch && c.dir.GroupOf(c.name) >= 0 {
 		return nil
 	}
 	c.stats.AntiEntropyPulls++
@@ -696,8 +701,12 @@ func (c *core) pinged(rootEpoch uint64) []action {
 // patched takes a sync_pull's patch: rejoin if it leaves this node out
 // (falsely expelled, or the root lost it), adopt it if it is newer, and
 // fall back to the full snapshot when it did not cover a member this
-// node never saw (e.g. its state predates the root's log entirely).
+// node never saw (e.g. its state predates the root's log entirely). A
+// node that is not joined takes nothing from it.
 func (c *core) patched(p *DirectoryPatch) []action {
+	if !c.joined {
+		return nil
+	}
 	if !slices.ContainsFunc(p.Groups, func(g []string) bool { return slices.Contains(g, c.name) }) {
 		return []action{{kind: actRejoin}}
 	}
@@ -713,7 +722,11 @@ func (c *core) patched(p *DirectoryPatch) []action {
 
 // rejoined adopts the directory a rejoin returned and puts this node's
 // first full update on the wire at once, as at Join, not a tick later.
+// A rejoin that lands after Leave is dropped.
 func (c *core) rejoined(now time.Time, fresh *Directory, r node.Report, offers []*node.Offer) []action {
+	if !c.joined {
+		return nil
+	}
 	c.adopt(fresh)
 	c.forceSend = true
 	cands := c.dir.Candidates(c.dir.GroupOf(c.name), c.cfg.Replicas)
@@ -741,17 +754,6 @@ func (c *core) prune() []action {
 		}
 	}
 	return []action{{kind: actPrune, members: maps.Clone(c.dir.Nodes)}}
-}
-
-// groupView is this MRM's live member states.
-func (c *core) groupView(now time.Time) []MemberView {
-	out := make([]MemberView, 0, len(c.view))
-	for name, st := range c.view {
-		if desc, ok := c.dir.Nodes[name]; ok && st.report != nil && c.heard(st, now) {
-			out = append(out, MemberView{Desc: desc, Report: st.report, Offers: st.offers})
-		}
-	}
-	return out
 }
 
 // viewQuery answers a component query from this MRM's (or, in Strong

@@ -193,6 +193,33 @@ func TestCoreSyncDecisions(t *testing.T) {
 	}
 }
 
+// A leaver that receives its own removal never rejoins: once Leave has
+// cleared joined, the delta that expels it, a digest ping, a patch
+// without it and a rejoin reply that raced the leave all leave it out.
+func TestCoreLeaverNeverRejoins(t *testing.T) {
+	c := testCore("n02", "n00", "n01", "n02")
+	c.joined = false // Leave's first step, before its leave RPC
+	now := time.Unix(1000, 0)
+	root := c.dir.Clone()
+	root.Remove("n02")
+	removal := &DirectoryDelta{From: c.dir.Epoch, To: root.Epoch, Removes: []string{"n02"}}
+	expectActs(t, "own removal", c.delta(now, removal, nil), "")
+	expectActs(t, "gap", c.delta(now, &DirectoryDelta{From: root.Epoch + 1, To: root.Epoch + 2}, nil), "")
+	expectActs(t, "repair hint", c.hint(root.Epoch+5), "")
+	expectActs(t, "digest ping", c.pinged(root.Epoch), "")
+	expectActs(t, "digest ping ahead", c.pinged(root.Epoch+1), "")
+	expectActs(t, "patch without self", c.patched(root.BuildPatch(c.dir.Versions)), "")
+	rejoined := root.Clone()
+	rejoined.Assign(deltaDesc("n02"), 3)
+	expectActs(t, "late rejoin", c.rejoined(now, rejoined, node.Report{Node: "n02"}, nil), "")
+	if c.dir == rejoined || c.dir.GroupOf("n02") >= 0 {
+		t.Fatal("a leaver adopted the directory of a rejoin")
+	}
+	if c.stats.AntiEntropyPulls != 0 {
+		t.Fatalf("a leaver pulled %d times", c.stats.AntiEntropyPulls)
+	}
+}
+
 // A root replica whose leader's update is late believes it leads the
 // root: its failure duty probes the leader before any reap, and once the
 // probe answers it reaps nothing — the reap belongs to the one root

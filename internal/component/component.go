@@ -89,9 +89,6 @@ func (c *Component) ID() ID {
 // Name returns the component's package name.
 func (c *Component) Name() string { return c.sp.Name }
 
-// Version returns the component's version.
-func (c *Component) Version() version.V { return c.sp.ParsedVersion() }
-
 // Package returns the underlying archive.
 func (c *Component) Package() *cpkg.Package { return c.pkg }
 
@@ -104,14 +101,5 @@ func (c *Component) Type() *xmldesc.ComponentType { return c.ct }
 // IDL returns the component's parsed interface repository.
 func (c *Component) IDL() *idl.Repository { return c.idlRepo }
 
-// DependsOn returns the component dependencies (name + version
-// requirement) that the network must satisfy before instances run.
-func (c *Component) DependsOn() []xmldesc.Dependency {
-	return c.sp.ComponentDeps()
-}
-
 // Movable reports whether the binary may be fetched to another host.
 func (c *Component) Movable() bool { return c.sp.Movable() }
-
-// Splittable reports data-parallel aggregation support (§2.1.1).
-func (c *Component) Splittable() bool { return c.sp.Aggregation.Splittable }

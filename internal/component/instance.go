@@ -40,8 +40,6 @@ type Instance interface {
 // instances ask the container for the required services and it in turn
 // informs the instance of its environment").
 type Context interface {
-	// InstanceName returns the framework-assigned instance name.
-	InstanceName() string
 	// NodeName returns the hosting node's name.
 	NodeName() string
 	// UsePort resolves a connected uses port to an invocable reference.
@@ -53,8 +51,6 @@ type Context interface {
 	AddPort(p xmldesc.Port) error
 	// RemovePort retracts a dynamically added port.
 	RemovePort(name string) error
-	// Ports snapshots the instance's current port states.
-	Ports() []PortState
 }
 
 // Errors shared by instance plumbing.
@@ -100,14 +96,6 @@ func (r *Registry) New(entrypoint string) (Instance, error) {
 		return nil, fmt.Errorf("component: entrypoint %q not registered", entrypoint)
 	}
 	return ctor(), nil
-}
-
-// Has reports whether an entry point is registered.
-func (r *Registry) Has(entrypoint string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.ctors[entrypoint]
-	return ok
 }
 
 // DefaultRegistry is the process-wide registry examples and cmd binaries

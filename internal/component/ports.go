@@ -21,48 +21,15 @@ type PortState struct {
 	Target *ior.IOR
 }
 
-// ChangeKind classifies PortSet mutations, for reflection observers.
-type ChangeKind int
-
-// Port change kinds.
-const (
-	PortAdded ChangeKind = iota
-	PortRemoved
-	PortConnected
-	PortDisconnected
-)
-
-func (k ChangeKind) String() string {
-	switch k {
-	case PortAdded:
-		return "added"
-	case PortRemoved:
-		return "removed"
-	case PortConnected:
-		return "connected"
-	case PortDisconnected:
-		return "disconnected"
-	}
-	return fmt.Sprintf("ChangeKind(%d)", int(k))
-}
-
-// Change is one PortSet mutation event.
-type Change struct {
-	Kind ChangeKind
-	Port xmldesc.Port
-}
-
 // PortSet is the runtime-mutable set of ports of a component instance —
 // the mechanism behind §2.4.2: "component instances can adapt to the
 // changing environment requesting new services or offering new ones.
 // CORBA-LC offers operations which allow modifying the set of ports a
-// component exposes." The Component Registry observes changes to keep
-// the reflection meta-data current.
+// component exposes."
 type PortSet struct {
-	mu        sync.RWMutex
-	ports     map[string]*PortState
-	order     []string
-	observers []func(Change)
+	mu    sync.RWMutex
+	ports map[string]*PortState
+	order []string
 }
 
 // NewPortSet seeds a set with the component type's declared ports.
@@ -75,24 +42,6 @@ func NewPortSet(declared []xmldesc.Port) *PortSet {
 	return ps
 }
 
-// Observe registers a callback invoked (synchronously, without the lock
-// held) after every mutation.
-func (ps *PortSet) Observe(fn func(Change)) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	ps.observers = append(ps.observers, fn)
-}
-
-func (ps *PortSet) notify(c Change) {
-	ps.mu.RLock()
-	obs := make([]func(Change), len(ps.observers))
-	copy(obs, ps.observers)
-	ps.mu.RUnlock()
-	for _, fn := range obs {
-		fn(c)
-	}
-}
-
 // Add extends the set with a new (dynamic) port.
 func (ps *PortSet) Add(p xmldesc.Port) error {
 	switch p.Kind {
@@ -103,15 +52,6 @@ func (ps *PortSet) Add(p xmldesc.Port) error {
 	if p.Name == "" {
 		return fmt.Errorf("component: unnamed port")
 	}
-	if err := ps.add(p); err != nil {
-		return err
-	}
-	ps.notify(Change{Kind: PortAdded, Port: p})
-	return nil
-}
-
-// add inserts the port under the lock; notification happens outside it.
-func (ps *PortSet) add(p xmldesc.Port) error {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if _, dup := ps.ports[p.Name]; dup {
@@ -125,25 +65,14 @@ func (ps *PortSet) add(p xmldesc.Port) error {
 // Remove retracts a dynamically added port (declared ports are the
 // component's contractual minimum and cannot be removed).
 func (ps *PortSet) Remove(name string) error {
-	desc, err := ps.remove(name)
-	if err != nil {
-		return err
-	}
-	ps.notify(Change{Kind: PortRemoved, Port: desc})
-	return nil
-}
-
-// remove deletes the port under the lock and returns its descriptor for
-// the change notification.
-func (ps *PortSet) remove(name string) (xmldesc.Port, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	st, ok := ps.ports[name]
 	if !ok {
-		return xmldesc.Port{}, fmt.Errorf("%w: %s", ErrNoSuchPort, name)
+		return fmt.Errorf("%w: %s", ErrNoSuchPort, name)
 	}
 	if st.Declared {
-		return xmldesc.Port{}, fmt.Errorf("%w: %s", ErrPortDeclared, name)
+		return fmt.Errorf("%w: %s", ErrPortDeclared, name)
 	}
 	delete(ps.ports, name)
 	for i, n := range ps.order {
@@ -152,58 +81,36 @@ func (ps *PortSet) remove(name string) (xmldesc.Port, error) {
 			break
 		}
 	}
-	return st.Desc, nil
+	return nil
 }
 
 // Connect binds a uses/consumes port to a provider reference.
 func (ps *PortSet) Connect(name string, target *ior.IOR) error {
-	desc, err := ps.connect(name, target)
-	if err != nil {
-		return err
-	}
-	ps.notify(Change{Kind: PortConnected, Port: desc})
-	return nil
-}
-
-// connect binds the port under the lock and returns its descriptor for
-// the change notification.
-func (ps *PortSet) connect(name string, target *ior.IOR) (xmldesc.Port, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	st, ok := ps.ports[name]
 	if !ok {
-		return xmldesc.Port{}, fmt.Errorf("%w: %s", ErrNoSuchPort, name)
+		return fmt.Errorf("%w: %s", ErrNoSuchPort, name)
 	}
 	if st.Desc.Kind != xmldesc.PortUses && st.Desc.Kind != xmldesc.PortConsumes {
-		return xmldesc.Port{}, fmt.Errorf("component: port %s is %s; only uses/consumes ports connect", name, st.Desc.Kind)
+		return fmt.Errorf("component: port %s is %s; only uses/consumes ports connect", name, st.Desc.Kind)
 	}
 	st.Connected = true
 	st.Target = target
-	return st.Desc, nil
+	return nil
 }
 
 // Disconnect unbinds a port.
 func (ps *PortSet) Disconnect(name string) error {
-	desc, err := ps.disconnect(name)
-	if err != nil {
-		return err
-	}
-	ps.notify(Change{Kind: PortDisconnected, Port: desc})
-	return nil
-}
-
-// disconnect unbinds the port under the lock and returns its descriptor
-// for the change notification.
-func (ps *PortSet) disconnect(name string) (xmldesc.Port, error) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	st, ok := ps.ports[name]
 	if !ok {
-		return xmldesc.Port{}, fmt.Errorf("%w: %s", ErrNoSuchPort, name)
+		return fmt.Errorf("%w: %s", ErrNoSuchPort, name)
 	}
 	st.Connected = false
 	st.Target = nil
-	return st.Desc, nil
+	return nil
 }
 
 // Get returns the state of one port.

@@ -102,9 +102,6 @@ func New(host Host, comp *component.Component, reg *component.Registry) (*Contai
 	return c, nil
 }
 
-// Component returns the component this container hosts.
-func (c *Container) Component() *component.Component { return c.comp }
-
 // FactoryIOR returns the reference of the component's factory — the
 // CORBA interface clients use to create instances (§2.1.2: "clients can
 // search for a factory of the required component and ask it for the

@@ -485,7 +485,7 @@ func TestEventFlowBetweenInstances(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	li := listener.Impl().(*counterInstance)
+	li := listener.inst.(*counterInstance)
 	deadline := time.Now().Add(2 * time.Second)
 	// Both instances consume the tick (emitter also has a consumes
 	// port), so listener must see exactly 3.
@@ -681,41 +681,6 @@ func TestCapsuleRoundTripWithPortsAndConnections(t *testing.T) {
 	}
 }
 
-func TestSnapshotKeepsInstanceRunning(t *testing.T) {
-	host := newFakeHost("n")
-	c := newCounterContainer(t, host)
-	mi, err := c.Create("snap")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := host.orb.NewRef(mustPortIOR(t, mi, "count"))
-	if err := ref.InvokeContext(context.Background(), "incr", func(e *cdr.Encoder) { e.WriteLong(3) },
-		func(d *cdr.Decoder) error { _, e := d.ReadLong(); return e }); err != nil {
-		t.Fatal(err)
-	}
-	capsule, err := mi.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capsule.InstanceName != "snap" || len(capsule.State) == 0 {
-		t.Fatalf("capsule = %+v", capsule)
-	}
-	// The instance still serves after the snapshot quiesce.
-	var v int32
-	if err := ref.InvokeContext(context.Background(), "incr", func(e *cdr.Encoder) { e.WriteLong(1) },
-		func(d *cdr.Decoder) error { var e error; v, e = d.ReadLong(); return e }); err != nil {
-		t.Fatal(err)
-	}
-	if v != 4 {
-		t.Fatalf("value after snapshot = %d", v)
-	}
-	// The capsule froze the pre-snapshot state.
-	st, err := cdr.NewDecoder(capsule.State, cdr.LittleEndian).ReadLongLong()
-	if err != nil || st != 3 {
-		t.Fatalf("capsule state = %d, %v", st, err)
-	}
-}
-
 func mustPortIOR(t *testing.T, mi *ManagedInstance, port string) *ior.IOR {
 	t.Helper()
 	ref, err := mi.PortIOR(port)
@@ -728,8 +693,8 @@ func mustPortIOR(t *testing.T, mi *ManagedInstance, port string) *ior.IOR {
 func TestInstanceContextIdentityAndDisconnect(t *testing.T) {
 	host := newFakeHost("ctx-node")
 	c := newCounterContainer(t, host)
-	if c.Component().Name() != "counter" {
-		t.Fatal("Component accessor")
+	if c.comp.Name() != "counter" {
+		t.Fatal("hosted component")
 	}
 	mi, err := c.Create("idn")
 	if err != nil {
@@ -739,10 +704,10 @@ func TestInstanceContextIdentityAndDisconnect(t *testing.T) {
 		t.Fatal("Instance accessor")
 	}
 	ctx := &instanceContext{mi: mi}
-	if ctx.InstanceName() != "idn" || ctx.NodeName() != "ctx-node" {
-		t.Fatalf("identity = %s@%s", ctx.InstanceName(), ctx.NodeName())
+	if mi.Name() != "idn" || ctx.NodeName() != "ctx-node" {
+		t.Fatalf("identity = %s@%s", mi.Name(), ctx.NodeName())
 	}
-	if got := ctx.Ports(); len(got) != 4 {
+	if got := mi.Ports().List(); len(got) != 4 {
 		t.Fatalf("ports = %d", len(got))
 	}
 	// Connect/Disconnect through the instance API.

@@ -53,10 +53,6 @@ func (mi *ManagedInstance) Name() string { return mi.name }
 // Ports returns the instance's runtime port set.
 func (mi *ManagedInstance) Ports() *component.PortSet { return mi.ports }
 
-// Impl exposes the underlying implementation object (examples use it for
-// local assertions; network clients go through the CORBA servants).
-func (mi *ManagedInstance) Impl() component.Instance { return mi.inst }
-
 // objectKey builds the adapter key for this instance (optionally a port).
 func (mi *ManagedInstance) objectKey(port string) string {
 	k := "inst/" + mi.c.comp.ID().String() + "/" + mi.name
@@ -177,36 +173,6 @@ func (mi *ManagedInstance) buildCapsule() (*Capsule, error) {
 	return capsule, nil
 }
 
-// Snapshot captures the instance's state and connections without
-// removing it: the instance is briefly passivated (so the state is
-// quiescent), captured, and reactivated. Replication uses this to seed
-// replicas from a live primary; implementations must therefore tolerate
-// passivate/activate cycles.
-func (mi *ManagedInstance) Snapshot() (*Capsule, error) {
-	mi.mu.Lock()
-	wasActive := mi.active
-	mi.active = false
-	mi.mu.Unlock()
-	if wasActive {
-		if err := mi.inst.Passivate(); err != nil {
-			mi.mu.Lock()
-			mi.active = wasActive
-			mi.mu.Unlock()
-			return nil, err
-		}
-	}
-	capsule, err := mi.buildCapsule()
-	mi.mu.Lock()
-	mi.active = wasActive
-	mi.mu.Unlock()
-	if wasActive {
-		if aerr := mi.inst.Activate(&instanceContext{mi: mi}); aerr != nil && err == nil {
-			err = aerr
-		}
-	}
-	return capsule, err
-}
-
 // EquivalentIOR returns the instance's reflective "equivalent interface"
 // reference.
 func (mi *ManagedInstance) EquivalentIOR() *ior.IOR { return mi.equivalent }
@@ -256,8 +222,7 @@ func (mi *ManagedInstance) ResolveDependencies(ctx context.Context) error {
 // instanceContext implements component.Context for one instance.
 type instanceContext struct{ mi *ManagedInstance }
 
-func (ic *instanceContext) InstanceName() string { return ic.mi.name }
-func (ic *instanceContext) NodeName() string     { return ic.mi.c.host.NodeName() }
+func (ic *instanceContext) NodeName() string { return ic.mi.c.host.NodeName() }
 
 func (ic *instanceContext) UsePort(name string) (*orb.ObjectRef, error) {
 	st, ok := ic.mi.ports.Get(name)
@@ -318,8 +283,6 @@ func (ic *instanceContext) RemovePort(name string) error {
 	}
 	return nil
 }
-
-func (ic *instanceContext) Ports() []component.PortState { return ic.mi.ports.List() }
 
 // portServant adapts a provided port to the ORB servant interface.
 type portServant struct {

@@ -3,7 +3,6 @@ package deploy_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -285,54 +284,42 @@ func TestPlaceNoOffer(t *testing.T) {
 	}
 }
 
-func TestBalancerMigratesFromOverloadedNode(t *testing.T) {
-	reg := component.NewRegistry()
-	registerPing(reg)
-	mk := func(name string) *node.Node {
-		return node.New(node.Config{Name: name, Impls: reg, Profile: node.WorkstationProfile()})
-	}
-	a, b := mk("heavy"), mk("light")
-	t.Cleanup(func() { a.Close(); b.Close() })
-	spec := pingSpec("worker", 0)
-	spec.QoS = xmldesc.QoS{CPUMin: 0.6}
-	comp, err := spec.Build()
+func TestYieldInstanceOp(t *testing.T) {
+	c := newCluster(t, 2, nil)
+	comp, err := pingSpec("worker", 0).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.InstallComponent(comp); err != nil {
+	if _, err := c.Peers[0].Node.InstallComponent(comp); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		if _, err := a.Instantiate(context.Background(), comp.ID(), fmt.Sprintf("w%d", i)); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := c.Peers[0].Node.Instantiate(context.Background(), comp.ID(), "y1"); err != nil {
+		t.Fatal(err)
 	}
-	// a: 2.4/4 = 0.6 load; b: 0. Mean 0.3, threshold 0.25 -> migrate.
-	bal := &deploy.Balancer{Threshold: 0.25, MaxPerStep: 2}
-	moves, err := bal.Step([]*node.Node{a, b})
+	acc := c.Peers[1].Node.ORB().NewRef(c.Peers[0].Node.AcceptorIOR())
+	var capsule []byte
+	err = acc.InvokeContext(context.Background(), "yield_instance",
+		func(e *cdr.Encoder) { e.WriteString(comp.ID().String()); e.WriteString("y1") },
+		func(d *cdr.Decoder) error { var e error; capsule, e = d.ReadOctetSeq(); return e })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(moves) == 0 {
-		t.Fatal("no migrations")
+	if len(capsule) == 0 {
+		t.Fatal("empty capsule")
 	}
-	for _, m := range moves {
-		if m.From != "heavy" || m.To != "light" {
-			t.Fatalf("unexpected move %+v", m)
-		}
-	}
-	// The moved instances actually run on b.
-	if got := len(b.Instances()[comp.ID()]); got != len(moves) {
-		t.Fatalf("instances on light = %d, want %d", got, len(moves))
-	}
-	// Balanced enough now: another step with high threshold does nothing.
-	bal2 := &deploy.Balancer{Threshold: 0.5}
-	moves2, err := bal2.Step([]*node.Node{a, b})
+	// The instance is gone from the source.
+	ct, err := c.Peers[0].Node.ContainerFor(component.ID{Name: "worker", Version: mustV("1.0.0")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(moves2) != 0 {
-		t.Fatalf("unexpected moves %+v", moves2)
+	if _, ok := ct.Instance("y1"); ok {
+		t.Fatal("instance still on source after yield")
+	}
+	// Yielding a ghost is a user exception, not a crash.
+	err = acc.InvokeContext(context.Background(), "yield_instance",
+		func(e *cdr.Encoder) { e.WriteString(comp.ID().String()); e.WriteString("ghost") }, nil)
+	if err == nil {
+		t.Fatal("ghost yield succeeded")
 	}
 }
 

@@ -219,18 +219,3 @@ func (o *Object) mapException(op *idl.Operation, err error) error {
 	}
 	return err
 }
-
-// GetContext reads an attribute under ctx.
-func (o *Object) GetContext(ctx context.Context, attr string) (any, error) {
-	res, err := o.CallContext(ctx, "_get_"+attr)
-	if err != nil {
-		return nil, err
-	}
-	return res.Return, nil
-}
-
-// SetContext writes an attribute under ctx.
-func (o *Object) SetContext(ctx context.Context, attr string, value any) error {
-	_, err := o.CallContext(ctx, "_set_"+attr, value)
-	return err
-}

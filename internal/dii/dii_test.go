@@ -184,18 +184,19 @@ func TestTypedException(t *testing.T) {
 
 func TestAttributes(t *testing.T) {
 	obj, _ := bind(t)
-	if err := obj.SetContext(context.Background(), "label", "mine"); err != nil {
+	// Attributes are the _get_/_set_ operations of their interface.
+	if _, err := obj.CallContext(context.Background(), "_set_label", "mine"); err != nil {
 		t.Fatal(err)
 	}
-	v, err := obj.GetContext(context.Background(), "label")
-	if err != nil || v != "mine" {
-		t.Fatalf("label = %v, %v", v, err)
+	res, err := obj.CallContext(context.Background(), "_get_label")
+	if err != nil || res.Return != "mine" {
+		t.Fatalf("label = %v, %v", res, err)
 	}
 	// Readonly attribute has a getter but no setter.
-	if _, err := obj.GetContext(context.Background(), "call_count"); err != nil {
+	if _, err := obj.CallContext(context.Background(), "_get_call_count"); err != nil {
 		t.Fatal(err)
 	}
-	if err := obj.SetContext(context.Background(), "call_count", int64(0)); !errors.Is(err, ErrNoOperation) {
+	if _, err := obj.CallContext(context.Background(), "_set_call_count", int64(0)); !errors.Is(err, ErrNoOperation) {
 		t.Fatalf("setting readonly attr: %v", err)
 	}
 }

@@ -176,11 +176,6 @@ func (c *Channel) Stats() (published, delivered, dropped uint64) {
 	return c.published.Load(), c.delivered.Load(), c.dropped.Load()
 }
 
-// Dropped reports how many deliveries the channel discarded: events
-// DropOldest skipped, plus events a cancelled subscriber had not taken.
-// A non-zero value is the observable cost of the configured drop policy.
-func (c *Channel) Dropped() uint64 { return c.dropped.Load() }
-
 // Subscribe registers a per-event consumer and returns a cancel function.
 func (c *Channel) Subscribe(name string, fn Consumer) (cancel func()) {
 	return c.subscribe(&subscriber{fn: fn})

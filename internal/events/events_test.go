@@ -151,7 +151,7 @@ func TestDropOldestOverflow(t *testing.T) {
 			if string(got) != string(tc.want) {
 				t.Fatalf("got = %v, want %v", got, tc.want)
 			}
-			if got := ch.Dropped(); got != 2 {
+			if got := ch.dropped.Load(); got != 2 {
 				t.Fatalf("dropped = %d, want 2", got)
 			}
 			const subscribers = 1

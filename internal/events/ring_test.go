@@ -586,7 +586,7 @@ func TestGossipRingStaysSmall(t *testing.T) {
 	if got := ringLen(ch); got != initialRing {
 		t.Fatalf("ring grew to %d slots under a backlog below %d", got, initialRing)
 	}
-	if largest.Load() > initialRing || ch.Dropped() != 0 {
-		t.Fatalf("a %d-slot batch, %d dropped", largest.Load(), ch.Dropped())
+	if largest.Load() > initialRing || ch.dropped.Load() != 0 {
+		t.Fatalf("a %d-slot batch, %d dropped", largest.Load(), ch.dropped.Load())
 	}
 }

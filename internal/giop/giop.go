@@ -582,22 +582,6 @@ type LocateRequestHeader struct {
 	ObjectKey []byte
 }
 
-// EncodeLocateRequest encodes a LocateRequest header.
-func EncodeLocateRequest(e *cdr.Encoder, v Version, h *LocateRequestHeader) error {
-	switch v {
-	case V10:
-		e.WriteULong(h.RequestID)
-		e.WriteOctetSeq(h.ObjectKey)
-		return nil
-	case V12:
-		e.WriteULong(h.RequestID)
-		e.WriteShort(0) // KeyAddr
-		e.WriteOctetSeq(h.ObjectKey)
-		return nil
-	}
-	return fmt.Errorf("%w: %v", ErrBadVersion, v)
-}
-
 // DecodeLocateRequest parses a LocateRequest header.
 func DecodeLocateRequest(d *cdr.Decoder, v Version) (*LocateRequestHeader, error) {
 	h := &LocateRequestHeader{}
@@ -630,19 +614,4 @@ type LocateReplyHeader struct {
 func EncodeLocateReply(e *cdr.Encoder, h *LocateReplyHeader) {
 	e.WriteULong(h.RequestID)
 	e.WriteULong(uint32(h.Status))
-}
-
-// DecodeLocateReply parses a LocateReply header.
-func DecodeLocateReply(d *cdr.Decoder) (*LocateReplyHeader, error) {
-	h := &LocateReplyHeader{}
-	var err error
-	if h.RequestID, err = d.ReadULong(); err != nil {
-		return nil, err
-	}
-	s, err := d.ReadULong()
-	if err != nil {
-		return nil, err
-	}
-	h.Status = LocateStatus(s)
-	return h, nil
 }

@@ -163,10 +163,14 @@ func TestReplyRoundTrip12(t *testing.T) { replyRoundTrip(t, V12) }
 
 func TestLocateRoundTrip(t *testing.T) {
 	for _, v := range []Version{V10, V12} {
+		// A LocateRequest as a peer ORB sends it: request ID, then the
+		// object key (in 1.2 behind a KeyAddr target address).
 		e := NewBodyEncoder(cdr.BigEndian)
-		if err := EncodeLocateRequest(e, v, &LocateRequestHeader{RequestID: 5, ObjectKey: []byte("k")}); err != nil {
-			t.Fatal(err)
+		e.WriteULong(5)
+		if v == V12 {
+			e.WriteShort(0)
 		}
+		e.WriteOctetSeq([]byte("k"))
 		d := cdr.NewDecoderAt(e.Bytes(), cdr.BigEndian, HeaderLen)
 		h, err := DecodeLocateRequest(d, v)
 		if err != nil {
@@ -179,9 +183,10 @@ func TestLocateRoundTrip(t *testing.T) {
 	e := NewBodyEncoder(cdr.BigEndian)
 	EncodeLocateReply(e, &LocateReplyHeader{RequestID: 5, Status: LocateObjectHere})
 	d := cdr.NewDecoderAt(e.Bytes(), cdr.BigEndian, HeaderLen)
-	lr, err := DecodeLocateReply(d)
-	if err != nil || lr.Status != LocateObjectHere {
-		t.Fatalf("locate reply %+v, %v", lr, err)
+	id, _ := d.ReadULong()
+	status, err := d.ReadULong()
+	if err != nil || id != 5 || LocateStatus(status) != LocateObjectHere {
+		t.Fatalf("locate reply %d %v, %v", id, LocateStatus(status), err)
 	}
 }
 

@@ -38,9 +38,6 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: w}
 }
 
-// Reset re-points the writer at a new stream, for Writer pooling.
-func (mw *Writer) Reset(w io.Writer) { mw.w = w }
-
 // writeVecs performs one vectored write of the currently filled arr
 // prefix, then drops the references so pooled buffers are not pinned.
 func (mw *Writer) writeVecs(n int) error {

@@ -37,28 +37,11 @@ func (r *Repository) LookupByRepoID(id string) (*Type, bool) {
 	return t, ok
 }
 
-// LookupConst finds a constant by its fully-qualified name.
-func (r *Repository) LookupConst(scoped string) (*Const, bool) {
-	c, ok := r.consts[scoped]
-	return c, ok
-}
-
 // Types returns all constructed types in declaration order.
 func (r *Repository) Types() []*Type {
 	out := make([]*Type, 0, len(r.order))
 	for _, n := range r.order {
 		if t, ok := r.types[n]; ok {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Interfaces returns all interface types in declaration order.
-func (r *Repository) Interfaces() []*Type {
-	var out []*Type
-	for _, t := range r.Types() {
-		if t.Kind == KindInterface {
 			out = append(out, t)
 		}
 	}

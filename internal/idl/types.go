@@ -252,24 +252,6 @@ func (t *Type) LookupOperation(name string) (*Operation, bool) {
 	return nil, false
 }
 
-// IsA reports whether the interface equals or inherits (transitively)
-// from the interface with the given repository ID.
-func (t *Type) IsA(repoID string) bool {
-	t = t.Resolve()
-	if t.Kind != KindInterface {
-		return false
-	}
-	if t.RepoID() == repoID {
-		return true
-	}
-	for _, b := range t.Iface.Bases {
-		if b.Resolve().IsA(repoID) {
-			return true
-		}
-	}
-	return false
-}
-
 // Const is a named constant declaration.
 type Const struct {
 	Name  string

@@ -131,7 +131,7 @@ func TestCallTimeoutFreesPendingSlot(t *testing.T) {
 func TestServerHonorsCancelRequest(t *testing.T) {
 	started := make(chan struct{}, 1)
 	observed := make(chan error, 1)
-	servant := orb.ServantFunc{
+	servant := servantFunc{
 		RepoID: "IDL:corbalc/test/Calc:1.0",
 		Fn: func(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 			started <- struct{}{}
@@ -172,7 +172,7 @@ func TestServerHonorsCancelRequest(t *testing.T) {
 
 	// The server must have skipped the reply: a follow-up call gets its
 	// own answer, not a stale error reply for request 7.
-	fast := orb.ServantFunc{
+	fast := servantFunc{
 		RepoID: "IDL:corbalc/test/Calc:1.0",
 		Fn: func(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 			reply.WriteLong(42)

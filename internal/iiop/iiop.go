@@ -985,6 +985,17 @@ func (c *clientConn) Send(ctx context.Context, req *giop.Message) error {
 	return c.write(req)
 }
 
+// SendOwned implements orb.OnewayChannel (SyncNone oneways): ownership
+// of req moves to the write coalescer on success, which releases it
+// after the batch carrying it flushes; on error the caller retains the
+// message and may retry another profile.
+func (c *clientConn) SendOwned(ctx context.Context, req *giop.Message) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return c.co.writeOwned(req)
+}
+
 func (c *clientConn) write(m *giop.Message) error {
 	return c.co.write(m.Header, m.Body)
 }

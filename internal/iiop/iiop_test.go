@@ -16,6 +16,19 @@ import (
 	"corbalc/internal/svcctx"
 )
 
+// servantFunc adapts a function (plus repository ID) to the Servant
+// interface, for small single-purpose test servants.
+type servantFunc struct {
+	RepoID string
+	Fn     func(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error
+}
+
+func (s servantFunc) RepositoryID() string { return s.RepoID }
+
+func (s servantFunc) InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+	return s.Fn(ctx, op, args, reply)
+}
+
 type calcServant struct{ sleep time.Duration }
 
 func (calcServant) RepositoryID() string { return "IDL:corbalc/test/Calc:1.0" }

@@ -65,7 +65,6 @@ func (p *IIOPProfile) Addr() string { return net.JoinHostPort(p.Host, strconv.It
 var (
 	ErrNotIOR      = errors.New("ior: string does not begin with IOR:")
 	ErrBadHex      = errors.New("ior: invalid hex in stringified IOR")
-	ErrNoIIOP      = errors.New("ior: reference carries no IIOP profile")
 	ErrBadCorbaloc = errors.New("ior: malformed corbaloc URL")
 )
 
@@ -123,14 +122,6 @@ func DecodeIIOPProfile(data []byte) (*IIOPProfile, error) {
 	}
 	// Tagged components (1.1+) are ignored if present.
 	return p, nil
-}
-
-// IIOP returns the first IIOP profile of the reference.
-func (r *IOR) IIOP() (*IIOPProfile, error) {
-	if p := r.Profile(TagInternetIOP); p != nil {
-		return DecodeIIOPProfile(p)
-	}
-	return nil, ErrNoIIOP
 }
 
 // appendProfile packs one profile onto b.

@@ -15,7 +15,7 @@ import (
 
 func TestIIOPProfileRoundTrip(t *testing.T) {
 	r := New("IDL:corbalc/Node:1.0", "10.0.0.7", 2809, []byte("node/main"))
-	p, err := r.IIOP()
+	p, err := DecodeIIOPProfile(r.Profile(TagInternetIOP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestStringifyParse(t *testing.T) {
 	if got.TypeID != r.TypeID {
 		t.Errorf("type id = %q", got.TypeID)
 	}
-	p, err := got.IIOP()
+	p, err := DecodeIIOPProfile(got.Profile(TagInternetIOP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestCorbalocRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := got.IIOP()
+		p, err := DecodeIIOPProfile(got.Profile(TagInternetIOP))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestCorbalocVersionPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := r.IIOP()
+	p, err := DecodeIIOPProfile(r.Profile(TagInternetIOP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestCorbalocIIOPForms(t *testing.T) {
 			t.Errorf("Parse(%q): %v", c.in, err)
 			continue
 		}
-		p, err := r.IIOP()
+		p, err := DecodeIIOPProfile(r.Profile(TagInternetIOP))
 		if err != nil || p.Host != c.host || p.Port != c.port || string(p.ObjectKey) != "k" {
 			t.Errorf("Parse(%q) = %+v, %v; want %s port %d key k", c.in, p, err, c.host, c.port)
 		}
@@ -301,7 +301,7 @@ func TestQuickStringifyRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		p, err := got.IIOP()
+		p, err := DecodeIIOPProfile(got.Profile(TagInternetIOP))
 		if err != nil {
 			return false
 		}

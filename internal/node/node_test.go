@@ -17,7 +17,6 @@ import (
 	"corbalc/internal/leak"
 	"corbalc/internal/orb"
 	"corbalc/internal/simnet"
-	"corbalc/internal/version"
 	"corbalc/internal/xmldesc"
 )
 
@@ -187,12 +186,6 @@ func TestLocalQueryAndVersions(t *testing.T) {
 	}
 	if _, err := n.LocalQuery("IDL:test/Adder:1.0", ">>bad"); err == nil {
 		t.Fatal("bad version requirement accepted")
-	}
-	// Repository Best picks the newest matching.
-	req, _ := version.ParseRequirement("1.*")
-	best, ok := n.Repo().Best("adder", req)
-	if !ok || best.Version() != (version.V{Major: 1, Minor: 5}) {
-		t.Fatalf("best = %v, %v", best.ID(), ok)
 	}
 }
 

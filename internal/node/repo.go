@@ -119,23 +119,6 @@ func (r *Repository) Len() int {
 	return len(r.comps)
 }
 
-// Best returns the newest installed version of a component satisfying
-// the requirement.
-func (r *Repository) Best(name string, req version.Requirement) (*component.Component, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var best *component.Component
-	for id, c := range r.comps {
-		if id.Name != name || !req.Matches(id.Version) {
-			continue
-		}
-		if best == nil || best.Version().Less(id.Version) {
-			best = c
-		}
-	}
-	return best, best != nil
-}
-
 // Providers returns the installed components matching an export key — a
 // provided-port interface repository ID or a "component:<name>" key —
 // honouring a version requirement on the component. The export index

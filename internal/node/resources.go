@@ -86,14 +86,6 @@ type Report struct {
 // CPUFree returns the unreserved CPU capacity.
 func (r *Report) CPUFree() float64 { return r.CPUCores - r.CPUUsed }
 
-// MemoryFreeMB returns the unreserved memory.
-func (r *Report) MemoryFreeMB() uint32 {
-	if r.MemoryUsedMB > r.MemoryMB {
-		return 0
-	}
-	return r.MemoryMB - r.MemoryUsedMB
-}
-
 // LoadFraction is used CPU as a fraction of capacity, in [0,1].
 func (r *Report) LoadFraction() float64 {
 	if r.CPUCores <= 0 {

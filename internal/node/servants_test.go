@@ -35,8 +35,8 @@ func TestResourceServantOverCORBA(t *testing.T) {
 	if r.Node != "rs" || r.Capability != CapServer {
 		t.Fatalf("report = %+v", r)
 	}
-	if r.MemoryFreeMB() != r.MemoryMB {
-		t.Fatalf("free memory = %d", r.MemoryFreeMB())
+	if r.MemoryUsedMB != 0 || r.MemoryMB == 0 {
+		t.Fatalf("memory = %d used of %d MB", r.MemoryUsedMB, r.MemoryMB)
 	}
 
 	canHost := func(cpu float64, mem uint32, bw float64) bool {

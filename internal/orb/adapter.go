@@ -78,11 +78,6 @@ func (a *Adapter) Resolve(key []byte) (Servant, bool) {
 	return s, ok
 }
 
-// Len reports the number of active servants.
-func (a *Adapter) Len() int {
-	return len(*a.servants.Load())
-}
-
 // Keys returns a snapshot of the active object keys.
 func (a *Adapter) Keys() []string {
 	m := *a.servants.Load()
@@ -91,19 +86,4 @@ func (a *Adapter) Keys() []string {
 		out = append(out, k)
 	}
 	return out
-}
-
-// ServantFunc adapts a function (plus repository ID) to the Servant
-// interface, for small single-purpose objects.
-type ServantFunc struct {
-	RepoID string
-	Fn     func(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error
-}
-
-// RepositoryID implements Servant.
-func (s ServantFunc) RepositoryID() string { return s.RepoID }
-
-// InvokeContext implements Servant.
-func (s ServantFunc) InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
-	return s.Fn(ctx, op, args, reply)
 }

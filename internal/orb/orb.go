@@ -93,8 +93,8 @@ type ORB struct {
 	// ObjectRef-level resolved-channel caches invalidate themselves.
 	chanGen atomic.Uint64
 
-	// stats holds the request counters backing RequestsServed/RequestsSent
-	// (read by tests and by the benchmark).
+	// stats holds the request counters backing RequestsServed (read by
+	// tests and by the benchmark).
 	stats *Stats
 }
 
@@ -142,9 +142,6 @@ func NewORB(opts ...Option) *ORB {
 	return o
 }
 
-// ID returns the ORB's process-unique identity.
-func (o *ORB) ID() string { return o.id }
-
 // Adapter returns the ORB's object adapter.
 func (o *ORB) Adapter() *Adapter { return o.adapter }
 
@@ -153,9 +150,6 @@ func (o *ORB) Stats() *Stats { return o.stats }
 
 // RequestsServed reports how many inbound requests this ORB dispatched.
 func (o *ORB) RequestsServed() uint64 { return o.stats.RequestsServed() }
-
-// RequestsSent reports how many outbound requests this ORB issued.
-func (o *ORB) RequestsSent() uint64 { return o.stats.RequestsSent() }
 
 // RegisterTransport makes a transport available for outbound calls.
 func (o *ORB) RegisterTransport(t Transport) {

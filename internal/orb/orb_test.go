@@ -14,6 +14,19 @@ import (
 )
 
 // echoServant implements a small test interface with several operations.
+// servantFunc adapts a function (plus repository ID) to the Servant
+// interface, for small single-purpose test objects.
+type servantFunc struct {
+	RepoID string
+	Fn     func(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error
+}
+
+func (s servantFunc) RepositoryID() string { return s.RepoID }
+
+func (s servantFunc) InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
+	return s.Fn(ctx, op, args, reply)
+}
+
 type echoServant struct{}
 
 func (echoServant) RepositoryID() string { return "IDL:corbalc/test/Echo:1.0" }
@@ -223,9 +236,9 @@ func TestLocateRequestHandling(t *testing.T) {
 		{"missing", giop.LocateUnknownObject},
 	} {
 		e := giop.NewBodyEncoder(cdr.BigEndian)
-		if err := giop.EncodeLocateRequest(e, giop.V12, &giop.LocateRequestHeader{RequestID: 9, ObjectKey: []byte(tc.key)}); err != nil {
-			t.Fatal(err)
-		}
+		e.WriteULong(9) // request ID
+		e.WriteShort(0) // KeyAddr target address
+		e.WriteOctetSeq([]byte(tc.key))
 		reply, err := o.HandleMessage(context.Background(), &giop.Message{
 			Header: giop.Header{Version: giop.V12, Order: cdr.BigEndian, Type: giop.MsgLocateRequest},
 			Body:   e.Bytes(),
@@ -233,12 +246,14 @@ func TestLocateRequestHandling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lr, err := giop.DecodeLocateReply(reply.BodyDecoder())
-		if err != nil {
-			t.Fatal(err)
+		d := reply.BodyDecoder()
+		id, _ := d.ReadULong()
+		status, err := d.ReadULong()
+		if err != nil || id != 9 {
+			t.Fatalf("locate reply %d, %v", id, err)
 		}
-		if lr.Status != tc.want {
-			t.Errorf("locate %q = %v, want %v", tc.key, lr.Status, tc.want)
+		if giop.LocateStatus(status) != tc.want {
+			t.Errorf("locate %q = %v, want %v", tc.key, giop.LocateStatus(status), tc.want)
 		}
 	}
 }
@@ -336,8 +351,8 @@ func TestRemoteInvokeViaTransport(t *testing.T) {
 	if got != "remote" {
 		t.Fatalf("echo = %q", got)
 	}
-	if server.RequestsServed() != 1 || client.RequestsSent() != 1 {
-		t.Fatalf("served=%d sent=%d", server.RequestsServed(), client.RequestsSent())
+	if server.RequestsServed() != 1 || client.stats.sent.total.Load() != 1 {
+		t.Fatalf("served=%d sent=%d", server.RequestsServed(), client.stats.sent.total.Load())
 	}
 
 	// Channel caching: 10 more calls, still one dial.
@@ -421,15 +436,15 @@ func TestConcurrentLocalInvokes(t *testing.T) {
 
 func TestServantFunc(t *testing.T) {
 	o := NewORB()
-	ref := o.NewRef(o.Activate("fn", ServantFunc{
+	ref := o.NewRef(o.Activate("fn", servantFunc{
 		RepoID: "IDL:corbalc/test/Fn:1.0",
 		Fn: func(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 			reply.WriteString(op)
 			return nil
 		},
 	}))
-	if ref.TypeID() != "IDL:corbalc/test/Fn:1.0" {
-		t.Fatalf("type id = %q", ref.TypeID())
+	if ref.ior.TypeID != "IDL:corbalc/test/Fn:1.0" {
+		t.Fatalf("type id = %q", ref.ior.TypeID)
 	}
 	var got string
 	if err := ref.InvokeContext(context.Background(), "whoami", nil, func(d *cdr.Decoder) error {
@@ -469,46 +484,13 @@ func BenchmarkLocalEchoString(b *testing.B) {
 	}
 }
 
-func TestExistsLocalAndRemote(t *testing.T) {
-	// Local (collocated) probe.
-	o, ref := newLocalPair(t)
-	ok, err := ref.ExistsContext(context.Background())
-	if err != nil || !ok {
-		t.Fatalf("local exists = %v, %v", ok, err)
-	}
-	o.Adapter().Deactivate("test/echo")
-	ok, err = ref.ExistsContext(context.Background())
-	if err != nil || ok {
-		t.Fatalf("after deactivate = %v, %v", ok, err)
-	}
-	// Nil reference.
-	nilRef := o.NewRef(&ior.IOR{})
-	if ok, err := nilRef.ExistsContext(context.Background()); err != nil || ok {
-		t.Fatalf("nil exists = %v, %v", ok, err)
-	}
-
-	// Remote probe through a transport.
-	server := NewORB()
-	server.Activate("test/echo", echoServant{})
-	client := NewORB()
-	client.RegisterTransport(&memTransport{target: server})
-	remote := client.NewRef(remoteRef(server, "test/echo"))
-	if ok, err := remote.ExistsContext(context.Background()); err != nil || !ok {
-		t.Fatalf("remote exists = %v, %v", ok, err)
-	}
-	ghost := client.NewRef(remoteRef(server, "no/such/object"))
-	if ok, err := ghost.ExistsContext(context.Background()); err != nil || ok {
-		t.Fatalf("remote ghost = %v, %v", ok, err)
-	}
-}
-
 func TestORBMiscAccessors(t *testing.T) {
 	o := NewORB()
-	if o.ID() == "" {
+	if o.id == "" {
 		t.Fatal("empty ORB id")
 	}
 	o2 := NewORB()
-	if o.ID() == o2.ID() {
+	if o.id == o2.id {
 		t.Fatal("ORB ids collide within a process")
 	}
 	o.SetEndpoint("example", 2809)
@@ -518,7 +500,7 @@ func TestORBMiscAccessors(t *testing.T) {
 	}
 	// Endpoint-bearing IORs now carry an IIOP profile.
 	r := o.NewIOR("IDL:x:1.0", "k")
-	prof, err := r.IIOP()
+	prof, err := ior.DecodeIIOPProfile(r.Profile(ior.TagInternetIOP))
 	if err != nil || prof.Host != "example" {
 		t.Fatalf("iiop profile = %+v, %v", prof, err)
 	}
@@ -533,8 +515,8 @@ func TestORBMiscAccessors(t *testing.T) {
 	// Adapter introspection.
 	o.Activate("a", echoServant{})
 	o.Activate("b", echoServant{})
-	if o.Adapter().Len() != 2 || len(o.Adapter().Keys()) != 2 {
-		t.Fatalf("adapter len=%d keys=%v", o.Adapter().Len(), o.Adapter().Keys())
+	if keys := o.Adapter().Keys(); len(keys) != 2 {
+		t.Fatalf("adapter keys=%v", keys)
 	}
 	// ResolveStr round trip.
 	ref, err := o.ResolveStr(r.String())
@@ -591,7 +573,7 @@ func TestSystemExceptionWireRoundTrip(t *testing.T) {
 // client's own timer produces; without a deadline it stays bare.
 func TestTimeoutReplyAttributedToDeadline(t *testing.T) {
 	o := NewORB()
-	o.Activate("slow", ServantFunc{
+	o.Activate("slow", servantFunc{
 		RepoID: "IDL:test/Slow:1.0",
 		Fn:     func(context.Context, string, *cdr.Decoder, *cdr.Encoder) error { return Timeout() },
 	})

@@ -229,26 +229,6 @@ func (p *channelPool) Call(ctx context.Context, req *giop.Message, requestID uin
 	return reply, err
 }
 
-// CallAsync implements AsyncChannel by delegating to a stripe that
-// supports it, with Call's eviction discipline. A stripe without async
-// support reports errNoAsync, and the ObjectRef falls back to the
-// synchronous adapter.
-func (p *channelPool) CallAsync(ctx context.Context, req *giop.Message, requestID uint32) (PendingReply, error) {
-	ch, i, err := p.pick(ctx)
-	if err != nil {
-		return nil, err
-	}
-	ac, ok := ch.(AsyncChannel)
-	if !ok {
-		return nil, errNoAsync
-	}
-	pr, err := ac.CallAsync(ctx, req, requestID)
-	if err != nil && !ctxDone(ctx, err) && !errors.Is(err, errNoAsync) {
-		p.evict(i, ch)
-	}
-	return pr, err
-}
-
 // SendOwned implements OnewayChannel (SyncNone oneways) by delegating to
 // a stripe that supports it, with Call's eviction discipline. Ownership
 // of req transfers only on success.
@@ -259,10 +239,10 @@ func (p *channelPool) SendOwned(ctx context.Context, req *giop.Message) error {
 	}
 	oc, ok := ch.(OnewayChannel)
 	if !ok {
-		return errNoAsync
+		return errNoSendOwned
 	}
 	if err := oc.SendOwned(ctx, req); err != nil {
-		if !ctxDone(ctx, err) && !errors.Is(err, errNoAsync) {
+		if !ctxDone(ctx, err) && !errors.Is(err, errNoSendOwned) {
 			p.evict(i, ch)
 		}
 		return err

@@ -98,9 +98,6 @@ func (o *ORB) ResolveStr(s string) (*ObjectRef, error) {
 // IOR returns the reference's underlying IOR.
 func (r *ObjectRef) IOR() *ior.IOR { return r.ior }
 
-// TypeID returns the repository ID the reference claims to implement.
-func (r *ObjectRef) TypeID() string { return r.ior.TypeID }
-
 // Marshaller writes request arguments; Unmarshaller reads reply results.
 type (
 	Marshaller   func(*cdr.Encoder)
@@ -131,91 +128,6 @@ func (r *ObjectRef) InvokeOnewayContext(ctx context.Context, op string, args Mar
 // buffer moves to the transport's write path).
 func (r *ObjectRef) InvokeOnewayScoped(ctx context.Context, op string, args Marshaller, scope SyncScope) error {
 	return r.invoke(ctx, op, args, nil, false, scope)
-}
-
-// ExistsContext probes the reference with a GIOP LocateRequest under ctx:
-// it reports whether the target object is currently reachable and active,
-// without invoking any operation on it.
-func (r *ObjectRef) ExistsContext(ctx context.Context) (bool, error) {
-	if r.ior.IsNil() {
-		return false, nil
-	}
-	o := r.orb
-	reqID := o.nextRequestID()
-
-	var objectKey []byte
-	if k, ok := r.localKey(); ok {
-		_, found := o.adapter.Resolve(k)
-		return found, nil
-	}
-	if k, err := r.iiopObjectKey(); err != nil {
-		return false, err
-	} else if k != nil {
-		objectKey = k
-	}
-
-	e := giop.NewBodyEncoder(o.order)
-	if err := giop.EncodeLocateRequest(e, o.version, &giop.LocateRequestHeader{
-		RequestID: reqID, ObjectKey: objectKey,
-	}); err != nil {
-		return false, err
-	}
-	msg := &giop.Message{
-		Header: giop.Header{Version: o.version, Order: o.order, Type: giop.MsgLocateRequest},
-		Body:   e.Bytes(),
-	}
-	var lastErr error
-	rc := r.resolved(ctx)
-	for i, tp := range rc.profiles {
-		if objectKey == nil {
-			tr, ok := o.transportFor(tp.Tag)
-			if ok {
-				if ke, ok := tr.(KeyExtractor); ok {
-					if k, err := ke.ObjectKey(tp.Data); err == nil {
-						e2 := giop.NewBodyEncoder(o.order)
-						_ = giop.EncodeLocateRequest(e2, o.version, &giop.LocateRequestHeader{
-							RequestID: reqID, ObjectKey: k,
-						})
-						msg.Body = e2.Bytes()
-					}
-				}
-			}
-		}
-		ch := rc.chans[i]
-		if ch == nil {
-			var err error
-			if ch, err = o.channelFor(ctx, tp.Tag, tp.Data); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		reply, err := ch.Call(ctx, msg, reqID)
-		if err != nil {
-			if ctxDone(ctx, err) {
-				return false, ctxError(ctx, err)
-			}
-			// The pool already evicted the failed stripe; survivors
-			// keep serving, so the endpoint stays cached.
-			lastErr = err
-			continue
-		}
-		if reply == nil || reply.Header.Type != giop.MsgLocateReply {
-			lastErr = fmt.Errorf("orb: unexpected locate reply %v", reply)
-			reply.Release()
-			continue
-		}
-		lr, err := giop.DecodeLocateReply(reply.BodyDecoder())
-		reply.Release()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return lr.Status == giop.LocateObjectHere, nil
-	}
-	if lastErr == nil {
-		lastErr = NoImplement()
-	}
-	return false, lastErr
 }
 
 // localKey extracts the object key from the in-process profile if the
@@ -401,7 +313,7 @@ func (r *ObjectRef) dispatch(ctx context.Context, sc *clientScratch, msg *giop.M
 						sc.transferred = true
 						return nil
 					}
-					if !errors.Is(err, errNoAsync) {
+					if !errors.Is(err, errNoSendOwned) {
 						if ctxDone(ctx, err) {
 							return ctxError(ctx, err)
 						}

@@ -3,17 +3,11 @@ package orb
 import "sync/atomic"
 
 // Stats counts the requests that crossed this ORB on both sides. Every
-// ORB owns one (reachable via ORB.Stats; it backs
-// ORB.RequestsServed/RequestsSent), fed directly by the dispatch loops:
-// a call costs a few atomic adds and no clock read.
+// ORB owns one (reachable via ORB.Stats; it backs ORB.RequestsServed),
+// fed directly by the dispatch loops: a call costs a few atomic adds and
+// no clock read.
 type Stats struct {
 	sent, served counts
-
-	// Async launches are counted apart; a settled async call also counts
-	// in sent, so the totals remain "requests that left/entered this
-	// ORB".
-	asyncLaunched atomic.Uint64
-	asyncSettled  atomic.Uint64
 }
 
 // counts tallies one side's completed requests; oneways and failures
@@ -32,9 +26,6 @@ func (c *counts) record(oneway bool, err error) {
 	}
 }
 
-// RequestsSent reports completed outbound invocations.
-func (s *Stats) RequestsSent() uint64 { return s.sent.total.Load() }
-
 // RequestsServed reports dispatched inbound requests.
 func (s *Stats) RequestsServed() uint64 { return s.served.total.Load() }
 
@@ -42,22 +33,7 @@ func (s *Stats) RequestsServed() uint64 { return s.served.total.Load() }
 func (s *Stats) Errors() (sent, served uint64) { return s.sent.errs.Load(), s.served.errs.Load() }
 
 // Oneways reports the oneway requests sent and served (already included
-// in RequestsSent/RequestsServed).
+// in the totals).
 func (s *Stats) Oneways() (sent, served uint64) {
 	return s.sent.oneways.Load(), s.served.oneways.Load()
-}
-
-// Async reports the asynchronous invocations launched through
-// CallAsyncContext and those settled (resolved by reply, failure or
-// cancellation). A settled call counts in RequestsSent;
-// launched-but-unsettled calls are the in-flight futures.
-func (s *Stats) Async() (launched, settled uint64) {
-	return s.asyncLaunched.Load(), s.asyncSettled.Load()
-}
-
-// recordAsyncDone settles one async invocation launched under
-// asyncLaunched.
-func (s *Stats) recordAsyncDone(err error) {
-	s.asyncSettled.Add(1)
-	s.sent.record(false, err)
 }

@@ -155,19 +155,3 @@ func (r Requirement) String() string {
 		return r.op + r.v.String()
 	}
 }
-
-// Best returns the index of the highest version in vs that satisfies r,
-// or -1 when none does. Dependency resolution uses it to prefer the
-// newest matching component.
-func (r Requirement) Best(vs []V) int {
-	best := -1
-	for i, v := range vs {
-		if !r.Matches(v) {
-			continue
-		}
-		if best < 0 || vs[best].Less(v) {
-			best = i
-		}
-	}
-	return best
-}

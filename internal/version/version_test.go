@@ -107,25 +107,6 @@ func TestRequirementString(t *testing.T) {
 	}
 }
 
-func TestBest(t *testing.T) {
-	vs := []V{mustParse("1.0.0"), mustParse("1.5.0"), mustParse("2.0.0"), mustParse("1.4.9")}
-	r, _ := ParseRequirement("1.*")
-	if got := r.Best(vs); got != 1 {
-		t.Fatalf("Best = %d", got)
-	}
-	r, _ = ParseRequirement(">=3")
-	if got := r.Best(vs); got != -1 {
-		t.Fatalf("Best(no match) = %d", got)
-	}
-	r, _ = ParseRequirement("*")
-	if got := r.Best(vs); got != 2 {
-		t.Fatalf("Best(any) = %d", got)
-	}
-	if got := r.Best(nil); got != -1 {
-		t.Fatalf("Best(empty) = %d", got)
-	}
-}
-
 // Property: Compare is a total order consistent with sorting, and
 // String/Parse round-trips.
 func TestQuickOrderAndRoundTrip(t *testing.T) {

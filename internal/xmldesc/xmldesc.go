@@ -257,17 +257,6 @@ func (sp *SoftPkg) ParsedVersion() version.V {
 	return v
 }
 
-// ComponentDeps returns the component-type dependencies only.
-func (sp *SoftPkg) ComponentDeps() []Dependency {
-	var out []Dependency
-	for _, d := range sp.Dependencies {
-		if d.Type == "Component" {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // FindImplementation returns the first implementation matching the
 // platform tuple.
 func (sp *SoftPkg) FindImplementation(os, processor, orb string) (*Implementation, bool) {
@@ -373,27 +362,6 @@ func (ct *ComponentType) PortsOf(kind PortKind) []Port {
 		}
 	}
 	return out
-}
-
-// Port returns the named port.
-func (ct *ComponentType) Port(name string) (Port, bool) {
-	for _, p := range ct.Ports {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Port{}, false
-}
-
-// RequiresService reports whether the type asks its container for the
-// named framework service.
-func (ct *ComponentType) RequiresService(name string) bool {
-	for _, s := range ct.Framework {
-		if s.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Encode serialises the descriptor as indented XML.

@@ -68,9 +68,9 @@ func TestParseSoftPkg(t *testing.T) {
 	if !sp.License.PayPerUse {
 		t.Error("pay-per-use flag lost")
 	}
-	deps := sp.ComponentDeps()
-	if len(deps) != 1 || deps[0].Name != "codec-core" || deps[0].Version != "2.*" {
-		t.Fatalf("component deps = %+v", deps)
+	if deps := sp.Dependencies; len(deps) != 2 || deps[1].Type != "Component" ||
+		deps[1].Name != "codec-core" || deps[1].Version != "2.*" {
+		t.Fatalf("dependencies = %+v", deps)
 	}
 	if !sp.Movable() {
 		t.Error("movable")
@@ -165,9 +165,14 @@ func TestParseComponentType(t *testing.T) {
 	if got := len(ct.PortsOf(PortUses)); got != 2 {
 		t.Fatalf("uses ports = %d", got)
 	}
-	p, ok := ct.Port("stats")
-	if !ok || !p.Optional {
-		t.Fatalf("stats port = %+v, %v", p, ok)
+	var stats *Port
+	for i := range ct.Ports {
+		if ct.Ports[i].Name == "stats" {
+			stats = &ct.Ports[i]
+		}
+	}
+	if stats == nil || !stats.Optional {
+		t.Fatalf("stats port = %+v", stats)
 	}
 	if ct.Factory.Lifecycle != "session" || ct.Factory.MaxInstances != 8 {
 		t.Fatalf("factory = %+v", ct.Factory)
@@ -175,8 +180,8 @@ func TestParseComponentType(t *testing.T) {
 	if ct.QoS.CPUMax != 0.9 || ct.QoS.MemoryMinMB != 16 || ct.QoS.BandwidthMin != 2.5 {
 		t.Fatalf("qos = %+v", ct.QoS)
 	}
-	if !ct.RequiresService("migration") || ct.RequiresService("transactions") {
-		t.Error("framework services wrong")
+	if len(ct.Framework) != 2 || ct.Framework[1].Name != "migration" {
+		t.Errorf("framework services = %+v", ct.Framework)
 	}
 }
 
