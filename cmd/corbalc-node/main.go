@@ -100,7 +100,9 @@ func main() {
 	}
 
 	if *join == "" {
-		peer.Bootstrap()
+		if err := peer.Bootstrap(); err != nil {
+			fatal(err)
+		}
 		fmt.Println("bootstrapped a new logical network")
 	} else {
 		ref, err := peer.Node.ORB().ResolveStr(resolveContact(*join))

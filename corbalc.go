@@ -18,7 +18,7 @@
 //	net := simnet.New(simnet.Link{})
 //	_ = net.Attach("alpha", a.Node.ORB())
 //	_ = net.Attach("beta", b.Node.ORB())
-//	a.Bootstrap()
+//	_ = a.Bootstrap()
 //	_ = b.Join(a.Contact())
 //	// install a component anywhere, use it from everywhere
 //	id, _ := a.Node.Install(pkgBytes)
@@ -121,7 +121,7 @@ func NewPeer(name string, opts Options) *Peer {
 
 // Bootstrap starts a new logical network with this peer as its first
 // member.
-func (p *Peer) Bootstrap() { p.Agent.Bootstrap() }
+func (p *Peer) Bootstrap() error { return p.Agent.Bootstrap() }
 
 // Contact returns the reference other peers pass to Join.
 func (p *Peer) Contact() *ior.IOR { return p.Agent.CohesionIOR() }
@@ -183,7 +183,10 @@ func NewCluster(n int, nameFmt string, link simnet.Link, opts Options) (*Cluster
 		}
 		c.Peers = append(c.Peers, p)
 	}
-	c.Peers[0].Bootstrap()
+	if err := c.Peers[0].Bootstrap(); err != nil {
+		c.Close()
+		return nil, err
+	}
 	for i := 1; i < n; i++ {
 		// A join is idempotent at the root (a known name is re-placed in
 		// its existing group), so a timeout against a momentarily

@@ -235,7 +235,7 @@ func main() {
 	must(net.Attach("server", server.Node.ORB()))
 	must(net.Attach("workstation", ws.Node.ORB()))
 	must(net.Attach("pda", pda.Node.ORB()))
-	server.Bootstrap()
+	must(server.Bootstrap())
 	must(ws.Join(server.Contact()))
 	must(pda.Join(server.Contact()))
 

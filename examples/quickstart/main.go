@@ -79,7 +79,7 @@ func main() {
 	net := simnet.New(simnet.Link{Latency: time.Millisecond})
 	must(net.Attach("alpha", alpha.Node.ORB()))
 	must(net.Attach("beta", beta.Node.ORB()))
-	alpha.Bootstrap()
+	must(alpha.Bootstrap())
 	must(beta.Join(alpha.Contact()))
 	fmt.Println("alpha bootstrapped, beta joined")
 

@@ -35,7 +35,9 @@ func TestServiceIDLConformance(t *testing.T) {
 	reg.Register("conf/x.New", func() component.Instance { return &component.Base{} })
 	p := corbalc.NewPeer("conformance", corbalc.Options{Impls: reg})
 	defer p.Close()
-	p.Bootstrap()
+	if err := p.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
 
 	spec := &component.Spec{Name: "confcomp", Version: "1.0.0", Entrypoint: "conf/x.New"}
 	spec.Provide("svc", "IDL:conf/Svc:1.0")
@@ -152,7 +154,9 @@ func TestNetworkCohesionOpsMatchIDL(t *testing.T) {
 
 	p := corbalc.NewPeer("ops", corbalc.Options{})
 	defer p.Close()
-	p.Bootstrap()
+	if err := p.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
 	ref := p.Node.ORB().NewRef(p.Contact())
 	for _, op := range []string{"directory_push", "update", "summary"} {
 		err := ref.InvokeContext(context.Background(), op, nil, nil)

@@ -316,7 +316,9 @@ func (a *Agent) run(acts []action) {
 			}
 		case actRejoin:
 			var fresh *Directory
-			if a.rootRPC("join", a.Desc().Marshal, intoDirectory(&fresh)) == nil {
+			// The entry cut when this node joined cuts again, unless a
+			// transport attached since mints a profile ior.Cut refuses.
+			if en, err := a.entry(); err == nil && a.rootRPC("join", en.Marshal, intoDirectory(&fresh)) == nil {
 				r, offers := a.n.Report(), a.n.AllOffers()
 				a.step(func(c *core, now time.Time) []action { return c.rejoined(now, fresh, r, offers) })
 			}
@@ -341,9 +343,9 @@ func (a *Agent) run(acts []action) {
 	}
 }
 
-// Desc mints this agent's directory entry. IORs are minted lazily so
-// they carry the profiles of every transport attached by the time the
-// agent joins a network.
+// Desc mints this agent's descriptor. IORs are minted lazily so they
+// carry the profiles of every transport attached by the time the agent
+// joins a network.
 func (a *Agent) Desc() *NodeDesc {
 	return &NodeDesc{
 		Name:       a.name,
@@ -354,6 +356,9 @@ func (a *Agent) Desc() *NodeDesc {
 		Resources:  a.n.ResourcesIOR(),
 	}
 }
+
+// entry folds this agent's descriptor into its directory entry.
+func (a *Agent) entry() (*Entry, error) { return newEntry(a.Desc()) }
 
 // CohesionIOR returns the agent's own servant reference, used as a join
 // contact by other nodes.
@@ -385,21 +390,29 @@ func (a *Agent) Directory() (dir *Directory) {
 }
 
 // Bootstrap makes this agent the first node of a new logical network and
-// starts its protocol loop.
-func (a *Agent) Bootstrap() {
+// starts its protocol loop. It fails, starting nothing, when the node's
+// service references have no one endpoint to enter in the directory.
+func (a *Agent) Bootstrap() error {
 	dir := NewDirectory()
-	dir.Assign(a.Desc(), a.cfg.GroupSize)
+	if _, err := dir.Assign(a.Desc(), a.cfg.GroupSize); err != nil {
+		return fmt.Errorf("cohesion: bootstrap: %w", err)
+	}
 	a.locked(func(c *core, _ time.Time) { c.enter(dir) })
 	a.start()
+	return nil
 }
 
 // Join enters an existing network through any member's cohesion
 // reference and starts the protocol loop.
 func (a *Agent) Join(contact *ior.IOR) error {
+	en, err := a.entry()
+	if err != nil {
+		return fmt.Errorf("cohesion: join: %w", err)
+	}
 	var dir *Directory
 	ctx, cancel := a.rpcCtx()
 	defer cancel()
-	if err := a.o.NewRef(contact).InvokeContext(ctx, "join", a.Desc().Marshal, intoDirectory(&dir)); err != nil {
+	if err := a.o.NewRef(contact).InvokeContext(ctx, "join", en.Marshal, intoDirectory(&dir)); err != nil {
 		return fmt.Errorf("cohesion: join: %w", err)
 	}
 	a.locked(func(c *core, _ time.Time) { c.enter(dir) })
@@ -517,14 +530,15 @@ func (a *Agent) floodReport() {
 	a.step(func(c *core, _ time.Time) []action { return c.flood(r, offers) })
 }
 
-// refOf builds an invocable ref to another agent's cohesion servant.
+// refOf builds an invocable ref to another agent's cohesion servant,
+// derived from its directory entry.
 func (a *Agent) refOf(name string) (*orb.ObjectRef, bool) {
-	var nd *NodeDesc
-	a.locked(func(c *core, _ time.Time) { nd = c.dir.Nodes[name] })
-	if nd == nil {
+	var en *Entry
+	a.locked(func(c *core, _ time.Time) { en = c.dir.Nodes[name] })
+	if en == nil {
 		return nil, false
 	}
-	return a.o.NewRef(nd.Cohesion), true
+	return a.o.NewRef(en.Ref(NetworkCohesion)), true
 }
 
 // rpcTimeout bounds one protocol RPC: generous against the failure

@@ -71,7 +71,9 @@ func newCluster(t testing.TB, n int, tweak func(*Config)) *testCluster {
 		tc.nodes = append(tc.nodes, nd)
 		tc.agents = append(tc.agents, ag)
 	}
-	tc.agents[0].Bootstrap()
+	if err := tc.agents[0].Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i < n; i++ {
 		// A join is idempotent at the root (Assign re-places a known
 		// name), so a timeout under load — swarm-sized clusters on a
@@ -119,7 +121,10 @@ func TestDirectoryAssignRemove(t *testing.T) {
 		return &NodeDesc{Name: name, Cohesion: ref, Registry: ref, Acceptor: ref, Resources: ref}
 	}
 	for i := 0; i < 7; i++ {
-		g := dir.Assign(mk(fmt.Sprintf("m%d", i)), 3)
+		g, err := dir.Assign(mk(fmt.Sprintf("m%d", i)), 3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if want := i / 3; g != want {
 			t.Fatalf("member %d assigned to group %d, want %d", i, g, want)
 		}
@@ -160,10 +165,12 @@ func TestDirectoryMarshalRoundTrip(t *testing.T) {
 	dir := NewDirectory()
 	ref := ior.New("IDL:x:1.0", "h", 1, []byte("k"))
 	for i := 0; i < 5; i++ {
-		dir.Assign(&NodeDesc{
+		if _, err := dir.Assign(&NodeDesc{
 			Name: fmt.Sprintf("m%d", i), Capability: "workstation",
 			Cohesion: ref, Registry: ref, Acceptor: ref, Resources: ref,
-		}, 2)
+		}, 2); err != nil {
+			t.Fatal(err)
+		}
 	}
 	e := cdr.NewEncoder(cdr.BigEndian)
 	dir.Marshal(e)
@@ -732,7 +739,9 @@ func TestQuickDirectoryInvariants(t *testing.T) {
 			if i%3 == 2 {
 				dir.Remove(name)
 			} else {
-				dir.Assign(mk(name), g)
+				if _, err := dir.Assign(mk(name), g); err != nil {
+					return false
+				}
 			}
 			if dir.Epoch < lastEpoch {
 				return false
@@ -795,7 +804,9 @@ func TestQuickDirectoryMarshalRoundTrip(t *testing.T) {
 		g := int(gRaw)%5 + 1
 		dir := NewDirectory()
 		for _, n := range names {
-			dir.Assign(mk(fmt.Sprintf("n%d", n)), g)
+			if _, err := dir.Assign(mk(fmt.Sprintf("n%d", n)), g); err != nil {
+				return false
+			}
 		}
 		e := cdr.NewEncoder(cdr.LittleEndian)
 		dir.Marshal(e)

@@ -46,10 +46,10 @@ const (
 type action struct {
 	kind    actKind
 	peer    string
-	msg     byte                 // gossip kind (actSend, actFlood)
-	body    []byte               // gossip body, never mutated once returned
-	vv      map[string]uint64    // actSyncPull's version vector
-	members map[string]*NodeDesc // actPrune's surviving destinations
+	msg     byte              // gossip kind (actSend, actFlood)
+	body    []byte            // gossip body, never mutated once returned
+	vv      map[string]uint64 // actSyncPull's version vector
+	members map[string]*Entry // actPrune's surviving destinations
 }
 
 // memberState is an MRM's knowledge of one node. Until the member's
@@ -91,6 +91,10 @@ type core struct {
 	name string
 	// syncEvery is the anti-entropy period in ticks, 4·(FailMultiple+1).
 	syncEvery uint64
+	// syncPhase offsets this node's digest pings within the period by a
+	// hash of its name, so nodes that joined within one period do not
+	// ping the root, and pull, in the same ticks.
+	syncPhase uint64
 
 	joined    bool
 	dir       *Directory
@@ -128,7 +132,7 @@ type core struct {
 
 func newCore(cfg Config, name string) core {
 	cfg.Node = nil
-	c := core{cfg: cfg, name: name, syncEvery: uint64(4 * (cfg.FailMultiple + 1)), hintPulled: ^uint64(0)}
+	c := core{cfg: cfg, name: name, syncEvery: uint64(4 * (cfg.FailMultiple + 1)), syncPhase: nameHash(name), hintPulled: ^uint64(0)}
 	c.reset()
 	return c
 }
@@ -200,7 +204,7 @@ func (c *core) tick(now time.Time, r node.Report, offers []*node.Offer) []action
 	// for free, while a node that merely *believes* it leads (a stale
 	// directory after a healed partition) reaches the actual root through
 	// its own candidate list and repairs itself.
-	if c.ticks%c.syncEvery == 0 {
+	if (c.ticks+c.syncPhase)%c.syncEvery == 0 {
 		acts = append(acts, action{kind: actPull})
 	}
 	return acts
@@ -549,14 +553,14 @@ func (c *core) sendTail(members []string, body []byte, acts []action) []action {
 
 // join admits a node as the root leader; forward is true when this node
 // is not the root leader and the join must go to the root instead.
-func (c *core) join(now time.Time, desc *NodeDesc) (dir *Directory, acts []action, forward bool) {
+func (c *core) join(now time.Time, en *Entry) (dir *Directory, acts []action, forward bool) {
 	if !c.actingRootLeader(now) {
 		return nil, nil, true
 	}
 	from := c.dir.Epoch
-	group := c.dir.Assign(desc, c.cfg.GroupSize)
+	group := c.dir.assign(en, c.cfg.GroupSize)
 	acts = c.disseminate(&DirectoryDelta{From: from, To: c.dir.Epoch, Upserts: []DirUpsert{{
-		Group: int32(group), Version: c.dir.Versions[desc.Name], Desc: desc,
+		Group: int32(group), Version: c.dir.Versions[en.Name], Desc: en,
 	}}})
 	return c.dir.Clone(), acts, false
 }

@@ -1,6 +1,7 @@
 package cohesion
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ func testCore(self string, names ...string) *core {
 	c := newCore(cfg, self)
 	dir := NewDirectory()
 	for _, name := range names {
-		dir.Assign(deltaDesc(name), cfg.GroupSize)
+		dir.assign(testEntry(name), cfg.GroupSize)
 	}
 	c.enter(dir)
 	return &c
@@ -170,7 +171,7 @@ func TestCoreSyncDecisions(t *testing.T) {
 	expectActs(t, "expelled at the root's epoch", acts, "sync_pull")
 	expectActs(t, "patch without self", c.patched(root.BuildPatch(acts[0].vv)), "rejoin")
 	rejoined := root.Clone()
-	rejoined.Assign(deltaDesc("n02"), 3)
+	rejoined.assign(testEntry("n02"), 3)
 	now := time.Unix(1000, 0)
 	expectActs(t, "rejoined", c.rejoined(now, rejoined, node.Report{Node: "n02"}, nil), "prune, send n00, send n01")
 	if c.dir != rejoined {
@@ -178,10 +179,10 @@ func TestCoreSyncDecisions(t *testing.T) {
 	}
 
 	// A newer patch that names a member this node never saw, without its
-	// descriptor, cannot be rebuilt: fall back to the snapshot.
+	// entry, cannot be rebuilt: fall back to the snapshot.
 	newer := c.dir.Clone()
-	newer.Assign(deltaDesc("n03"), 3)
-	vv := newer.Versions // claims n03 is known: the patch ships no descriptor for it
+	newer.assign(testEntry("n03"), 3)
+	vv := newer.Versions // claims n03 is known: the patch ships no entry for it
 	expectActs(t, "patch that cannot be rebuilt", c.patched(newer.BuildPatch(vv)), "snapshot")
 	expectActs(t, "patch not newer", c.patched(c.dir.BuildPatch(c.dir.Versions)), "")
 	expectActs(t, "patch that rebuilds", c.patched(newer.BuildPatch(c.dir.Versions)), "prune")
@@ -210,7 +211,7 @@ func TestCoreLeaverNeverRejoins(t *testing.T) {
 	expectActs(t, "digest ping ahead", c.pinged(root.Epoch+1), "")
 	expectActs(t, "patch without self", c.patched(root.BuildPatch(c.dir.Versions)), "")
 	rejoined := root.Clone()
-	rejoined.Assign(deltaDesc("n02"), 3)
+	rejoined.assign(testEntry("n02"), 3)
 	expectActs(t, "late rejoin", c.rejoined(now, rejoined, node.Report{Node: "n02"}, nil), "")
 	if c.dir == rejoined || c.dir.GroupOf("n02") >= 0 {
 		t.Fatal("a leaver adopted the directory of a rejoin")
@@ -250,4 +251,33 @@ func TestCoreProbesLeaderBeforeReap(t *testing.T) {
 	expectActs(t, "reap after the silence", acts, "reap_probe n03, reap_probe n04")
 	expectActs(t, "a candidate answers", c.probed(late, acts[0], true), "")
 	expectActs(t, "a candidate is silent", c.probed(late, acts[1], false), "remove n04")
+}
+
+// Nodes that joined in the same tick send their digest pings spread over
+// the anti-entropy period, each once per period at a phase of its own,
+// not all in the same tick.
+func TestCoreDigestPhaseSpread(t *testing.T) {
+	names := make([]string, 16)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%03d", i)
+	}
+	now := time.Unix(1000, 0)
+	phases := map[uint64]bool{}
+	for _, name := range names {
+		c := testCore(name, names...)
+		var pulls []uint64
+		for tick := uint64(1); tick <= 2*c.syncEvery; tick++ {
+			acts := c.tick(now, node.Report{Node: name}, nil)
+			if slices.ContainsFunc(acts, func(a action) bool { return a.kind == actPull }) {
+				pulls = append(pulls, tick)
+			}
+		}
+		if len(pulls) != 2 || pulls[1]-pulls[0] != c.syncEvery {
+			t.Fatalf("%s pinged at ticks %v over two periods of %d, want once a period", name, pulls, c.syncEvery)
+		}
+		phases[pulls[0]] = true
+	}
+	if len(phases) < 8 {
+		t.Errorf("16 nodes that joined together ping in %d distinct ticks of the period, want at least 8", len(phases))
+	}
 }

@@ -24,7 +24,7 @@ type DirUpsert struct {
 	// it last changed).
 	Version uint64
 	// Desc is the node's directory entry.
-	Desc *NodeDesc
+	Desc *Entry
 }
 
 // DirectoryDelta is one root mutation: the epoch transition plus the
@@ -77,7 +77,7 @@ func UnmarshalDelta(d *cdr.Decoder) (*DirectoryDelta, error) {
 		if up.Version, err = d.ReadULongLong(); err != nil {
 			return nil, err
 		}
-		if up.Desc, err = UnmarshalNodeDesc(d); err != nil {
+		if up.Desc, err = unmarshalEntry(d); err != nil {
 			return nil, fmt.Errorf("cohesion: delta upsert %d: %w", i, err)
 		}
 		dd.Upserts = append(dd.Upserts, up)
@@ -125,7 +125,7 @@ func (dir *Directory) place(up DirUpsert) {
 }
 
 // DirectoryPatch is an anti-entropy pull's answer: the full (cheap)
-// group table and version vector at the root's epoch, plus descriptors
+// group table and version vector at the root's epoch, plus entries
 // only for the entries the puller's version vector lacked. Removals are
 // implicit — the puller drops every node absent from Groups.
 type DirectoryPatch struct {
@@ -159,17 +159,17 @@ func (dir *Directory) BuildPatch(vv map[string]uint64) *DirectoryPatch {
 }
 
 // Rebuild reconstructs a full directory from the patch, reusing the
-// puller's previous descriptors for entries the patch did not need to
+// puller's previous entries for the members the patch did not need to
 // ship. ok is false when a group member has neither an upsert nor a
-// prior descriptor — the puller must fall back to a full pull.
-func (p *DirectoryPatch) Rebuild(prev map[string]*NodeDesc) (*Directory, bool) {
+// prior entry — the puller must fall back to a full pull.
+func (p *DirectoryPatch) Rebuild(prev map[string]*Entry) (*Directory, bool) {
 	dir := &Directory{
 		Epoch:    p.Epoch,
 		Groups:   p.Groups,
-		Nodes:    make(map[string]*NodeDesc, len(p.Versions)),
+		Nodes:    make(map[string]*Entry, len(p.Versions)),
 		Versions: p.Versions,
 	}
-	fresh := make(map[string]*NodeDesc, len(p.Upserts))
+	fresh := make(map[string]*Entry, len(p.Upserts))
 	for _, up := range p.Upserts {
 		fresh[up.Desc.Name] = up.Desc
 	}
@@ -247,7 +247,7 @@ func UnmarshalPatch(d *cdr.Decoder) (*DirectoryPatch, error) {
 		if up.Version, err = d.ReadULongLong(); err != nil {
 			return nil, err
 		}
-		if up.Desc, err = UnmarshalNodeDesc(d); err != nil {
+		if up.Desc, err = unmarshalEntry(d); err != nil {
 			return nil, fmt.Errorf("cohesion: patch upsert %d: %w", i, err)
 		}
 		p.Upserts = append(p.Upserts, up)

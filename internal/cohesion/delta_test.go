@@ -15,11 +15,23 @@ import (
 	"corbalc/internal/simnet"
 )
 
-// deltaDesc mints a descriptor whose IORs are distinguishable per name.
-func deltaDesc(name string) *NodeDesc {
-	ref := ior.New("IDL:corbalc/NetworkCohesion:1.0", "h-"+name, 7, []byte(name))
-	return &NodeDesc{Name: name, Capability: "workstation",
-		Cohesion: ref, Registry: ref, Acceptor: ref, Resources: ref}
+// testEntry mints an entry whose endpoint is distinguishable per name.
+func testEntry(name string) *Entry {
+	ep, err := ior.Cut(ior.New(CohesionRepoID, "h-"+name, 7, []byte(KeyCohesion)))
+	if err != nil {
+		panic(err)
+	}
+	return &Entry{Name: name, Capability: "workstation", endpoint: ep}
+}
+
+// selfEntry is the entry ag enters in a directory.
+func selfEntry(t *testing.T, ag *Agent) *Entry {
+	t.Helper()
+	en, err := ag.entry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return en
 }
 
 func encode(m func(e *cdr.Encoder)) []byte {
@@ -33,8 +45,8 @@ func TestDeltaMarshalRoundTrip(t *testing.T) {
 	dd := &DirectoryDelta{
 		From: 41, To: 42,
 		Upserts: []DirUpsert{
-			{Group: 0, Version: 42, Desc: deltaDesc("a")},
-			{Group: 3, Version: 42, Desc: deltaDesc("b")},
+			{Group: 0, Version: 42, Desc: testEntry("a")},
+			{Group: 3, Version: 42, Desc: testEntry("b")},
 		},
 		Removes: []string{"gone", "also-gone"},
 	}
@@ -60,7 +72,7 @@ func TestPatchMarshalRoundTrip(t *testing.T) {
 		Epoch:    9,
 		Groups:   [][]string{{"a", "b"}, nil, {"c"}},
 		Versions: map[string]uint64{"a": 1, "b": 5, "c": 9},
-		Upserts:  []DirUpsert{{Group: 2, Version: 9, Desc: deltaDesc("c")}},
+		Upserts:  []DirUpsert{{Group: 2, Version: 9, Desc: testEntry("c")}},
 	}
 	buf := encode(p.Marshal)
 	got, err := UnmarshalPatch(cdr.NewDecoder(buf, cdr.LittleEndian))
@@ -81,14 +93,14 @@ func TestPatchMarshalRoundTrip(t *testing.T) {
 func TestDeltaTruncation(t *testing.T) {
 	leak.Check(t)
 	dd := &DirectoryDelta{From: 1, To: 2,
-		Upserts: []DirUpsert{{Group: 1, Version: 2, Desc: deltaDesc("x")}},
+		Upserts: []DirUpsert{{Group: 1, Version: 2, Desc: testEntry("x")}},
 		Removes: []string{"y"}}
 	p := &DirectoryPatch{Epoch: 3, Groups: [][]string{{"x"}},
 		Versions: map[string]uint64{"x": 3},
-		Upserts:  []DirUpsert{{Group: 0, Version: 3, Desc: deltaDesc("x")}}}
+		Upserts:  []DirUpsert{{Group: 0, Version: 3, Desc: testEntry("x")}}}
 	dir := NewDirectory()
-	dir.Assign(deltaDesc("x"), 3)
-	dir.Assign(deltaDesc("y"), 3)
+	dir.assign(testEntry("x"), 3)
+	dir.assign(testEntry("y"), 3)
 
 	cases := []struct {
 		name   string
@@ -155,7 +167,7 @@ func TestDeltaExtensionTolerance(t *testing.T) {
 
 	p := &DirectoryPatch{Epoch: 7, Groups: [][]string{{"z"}},
 		Versions: map[string]uint64{"z": 7},
-		Upserts:  []DirUpsert{{Group: 0, Version: 7, Desc: deltaDesc("z")}}}
+		Upserts:  []DirUpsert{{Group: 0, Version: 7, Desc: testEntry("z")}}}
 	buf = encode(func(e *cdr.Encoder) { p.marshalExt(e, junk) })
 	gp, err := UnmarshalPatch(cdr.NewDecoder(buf, cdr.LittleEndian))
 	if err != nil || gp.Epoch != 7 || gp.Upserts[0].Desc.Name != "z" {
@@ -163,7 +175,7 @@ func TestDeltaExtensionTolerance(t *testing.T) {
 	}
 
 	dir := NewDirectory()
-	dir.Assign(deltaDesc("z"), 2)
+	dir.assign(testEntry("z"), 2)
 	buf = encode(func(e *cdr.Encoder) { dir.marshalExt(e, junk) })
 	gd, err := UnmarshalDirectory(cdr.NewDecoder(buf, cdr.LittleEndian))
 	if err != nil || gd.Epoch != dir.Epoch || gd.Len() != 1 {
@@ -194,8 +206,8 @@ func TestQuickDeltaReplay(t *testing.T) {
 			if op%3 != 0 || len(present) == 0 {
 				name := fmt.Sprintf("m%03d", next)
 				next++
-				desc := deltaDesc(name)
-				g := root.Assign(desc, 4)
+				desc := testEntry(name)
+				g := root.assign(desc, 4)
 				present = append(present, name)
 				delta = &DirectoryDelta{From: from, To: root.Epoch,
 					Upserts: []DirUpsert{{Group: int32(g), Version: root.Versions[name], Desc: desc}}}
@@ -293,8 +305,8 @@ func TestVersionSkewTriggersPull(t *testing.T) {
 	// the root, or it could not even ping).
 	victim := tc.agents[5]
 	old := NewDirectory()
-	old.Assign(root.Desc(), 3)
-	old.Assign(victim.Desc(), 3)
+	old.assign(selfEntry(t, root), 3)
+	old.assign(selfEntry(t, victim), 3)
 	victim.mu.Lock()
 	victim.c.dir = old
 	victim.mu.Unlock()
@@ -430,7 +442,7 @@ func TestRootQueryRacesDeltaStream(t *testing.T) {
 	})
 	const port = "IDL:test/Adder:1.0"
 	root.mu.Lock()
-	root.c.dir.Assign(root.Desc(), root.cfg.GroupSize)
+	root.c.dir.assign(selfEntry(t, root), root.cfg.GroupSize)
 	root.c.summaries[0] = &groupSummary{exports: map[string]bool{port: true}}
 	root.mu.Unlock()
 
@@ -438,7 +450,7 @@ func TestRootQueryRacesDeltaStream(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		x := deltaDesc("x")
+		x := testEntry("x")
 		for {
 			select {
 			case <-stop:

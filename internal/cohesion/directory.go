@@ -17,6 +17,7 @@
 package cohesion
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -24,10 +25,12 @@ import (
 
 	"corbalc/internal/cdr"
 	"corbalc/internal/ior"
+	"corbalc/internal/node"
 )
 
-// NodeDesc is one node's entry in the directory: identity plus the
-// references of its externally visible services.
+// NodeDesc is the descriptor a node mints for itself: its name, its
+// capability and the references of its four services (Fig. 1). A
+// directory holds it folded into an Entry.
 type NodeDesc struct {
 	Name       string
 	Capability string
@@ -37,39 +40,87 @@ type NodeDesc struct {
 	Resources  *ior.IOR
 }
 
-// Marshal encodes the descriptor.
-func (nd *NodeDesc) Marshal(e *cdr.Encoder) {
-	e.WriteString(nd.Name)
-	e.WriteString(nd.Capability)
-	nd.Cohesion.Marshal(e)
-	nd.Registry.Marshal(e)
-	nd.Acceptor.Marshal(e)
-	nd.Resources.Marshal(e)
+// Service names one of the four services every node runs (Fig. 1).
+type Service uint8
+
+// The four node services.
+const (
+	NetworkCohesion Service = iota
+	ComponentRegistry
+	ComponentAcceptor
+	ResourceManager
+)
+
+// services holds each service's repository ID and well-known object key.
+var services = [...]struct{ repoID, key string }{
+	NetworkCohesion:   {CohesionRepoID, KeyCohesion},
+	ComponentRegistry: {node.ComponentRegistryRepoID, node.KeyRegistry},
+	ComponentAcceptor: {node.ComponentAcceptorRepoID, node.KeyAcceptor},
+	ResourceManager:   {node.ResourceManagerRepoID, node.KeyResources},
 }
 
-// UnmarshalNodeDesc decodes a descriptor.
-func UnmarshalNodeDesc(d *cdr.Decoder) (*NodeDesc, error) {
-	nd := &NodeDesc{}
+// Entry is one node's directory entry: its name, its capability and the
+// one endpoint (ior.Cut) its four services share. A service's reference
+// is derived from it where one is invoked (Ref); deltas, patches and
+// joins carry and apply entries without deriving any.
+type Entry struct {
+	Name       string
+	Capability string
+	endpoint   []byte
+}
+
+// newEntry folds a descriptor into an entry. It refuses a descriptor
+// whose four references do not cut to one endpoint.
+func newEntry(desc *NodeDesc) (*Entry, error) {
+	en := &Entry{Name: desc.Name, Capability: desc.Capability}
+	for i, ref := range [...]*ior.IOR{desc.Cohesion, desc.Registry, desc.Acceptor, desc.Resources} {
+		if ref == nil {
+			return nil, fmt.Errorf("cohesion: node %q: a service reference is missing", desc.Name)
+		}
+		ep, err := ior.Cut(ref)
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("cohesion: node %q: %w", desc.Name, err)
+		case i == 0:
+			en.endpoint = ep
+		case !bytes.Equal(ep, en.endpoint):
+			return nil, fmt.Errorf("cohesion: node %q: its service references name more than one endpoint", desc.Name)
+		}
+	}
+	return en, nil
+}
+
+// Ref derives the reference of one of the entry's services.
+func (en *Entry) Ref(svc Service) *ior.IOR {
+	s := services[svc]
+	return ior.Derive(en.endpoint, s.repoID, s.key)
+}
+
+// Marshal encodes the entry: name, capability, endpoint.
+func (en *Entry) Marshal(e *cdr.Encoder) {
+	e.WriteString(en.Name)
+	e.WriteString(en.Capability)
+	e.WriteOctetSeq(en.endpoint)
+}
+
+// unmarshalEntry decodes an entry (a delta's, a patch's, a directory's or
+// a join's) and refuses an endpoint ior.CheckEndpoint refuses.
+func unmarshalEntry(d *cdr.Decoder) (*Entry, error) {
+	en := &Entry{}
 	var err error
-	if nd.Name, err = d.ReadString(); err != nil {
+	if en.Name, err = d.ReadString(); err != nil {
 		return nil, err
 	}
-	if nd.Capability, err = d.ReadString(); err != nil {
+	if en.Capability, err = d.ReadString(); err != nil {
 		return nil, err
 	}
-	if nd.Cohesion, err = ior.Unmarshal(d); err != nil {
+	if en.endpoint, err = d.ReadOctetSeq(); err != nil {
 		return nil, err
 	}
-	if nd.Registry, err = ior.Unmarshal(d); err != nil {
+	if err := ior.CheckEndpoint(en.endpoint); err != nil {
 		return nil, err
 	}
-	if nd.Acceptor, err = ior.Unmarshal(d); err != nil {
-		return nil, err
-	}
-	if nd.Resources, err = ior.Unmarshal(d); err != nil {
-		return nil, err
-	}
-	return nd, nil
+	return en, nil
 }
 
 // Directory is the replicated membership state: the set of nodes, their
@@ -79,7 +130,7 @@ func UnmarshalNodeDesc(d *cdr.Decoder) (*NodeDesc, error) {
 type Directory struct {
 	Epoch  uint64
 	Groups [][]string // group index -> member names, join order preserved
-	Nodes  map[string]*NodeDesc
+	Nodes  map[string]*Entry
 	// Versions is the per-entry version vector: for each member, the
 	// epoch at which its entry last changed. Anti-entropy pulls ship it
 	// so the root can answer with only the entries the puller lacks.
@@ -93,7 +144,7 @@ type Directory struct {
 
 // NewDirectory returns an empty directory at epoch 0.
 func NewDirectory() *Directory {
-	return &Directory{Nodes: make(map[string]*NodeDesc), Versions: make(map[string]uint64)}
+	return &Directory{Nodes: make(map[string]*Entry), Versions: make(map[string]uint64)}
 }
 
 func nameHash(name string) uint64 {
@@ -108,12 +159,12 @@ func (dir *Directory) Stamp() (epoch uint64, n int, xor uint64) {
 	return dir.Epoch, len(dir.Nodes), dir.memberXor
 }
 
-// Clone deep-copies the directory (descriptors are shared, they are
+// Clone deep-copies the directory (entries are shared, they are
 // immutable once published).
 func (dir *Directory) Clone() *Directory {
 	out := &Directory{
 		Epoch:     dir.Epoch,
-		Nodes:     make(map[string]*NodeDesc, len(dir.Nodes)),
+		Nodes:     make(map[string]*Entry, len(dir.Nodes)),
 		Versions:  make(map[string]uint64, len(dir.Versions)),
 		memberXor: dir.memberXor,
 	}
@@ -150,31 +201,42 @@ func (dir *Directory) Members(group int) []string {
 	return dir.Groups[group]
 }
 
-// Assign places a node into the first group with room (group size
-// limit g), creating a new group when all are full. It mutates the
-// directory and bumps the epoch. Assigning an existing member is
-// idempotent (refreshes its descriptor, keeps its group) so duplicate
-// or racing joins cannot corrupt the grouping.
-func (dir *Directory) Assign(desc *NodeDesc, g int) int {
-	if existing := dir.GroupOf(desc.Name); existing >= 0 {
-		dir.Nodes[desc.Name] = desc
+// Assign folds a node's descriptor into its entry (refusing one whose
+// references name more than one endpoint) and places the entry with
+// assign.
+func (dir *Directory) Assign(desc *NodeDesc, g int) (int, error) {
+	en, err := newEntry(desc)
+	if err != nil {
+		return -1, err
+	}
+	return dir.assign(en, g), nil
+}
+
+// assign places a node into the first group with room (group size limit
+// g), creating a new group when all are full. It mutates the directory
+// and bumps the epoch. Assigning an existing member is idempotent
+// (refreshes its entry, keeps its group) so duplicate or racing joins
+// cannot corrupt the grouping.
+func (dir *Directory) assign(en *Entry, g int) int {
+	if existing := dir.GroupOf(en.Name); existing >= 0 {
+		dir.Nodes[en.Name] = en
 		dir.Epoch++
-		dir.setVersion(desc.Name)
+		dir.setVersion(en.Name)
 		return existing
 	}
-	dir.Nodes[desc.Name] = desc
-	dir.memberXor ^= nameHash(desc.Name)
+	dir.Nodes[en.Name] = en
+	dir.memberXor ^= nameHash(en.Name)
 	for i := range dir.Groups {
 		if len(dir.Groups[i]) < g {
-			dir.Groups[i] = append(dir.Groups[i], desc.Name)
+			dir.Groups[i] = append(dir.Groups[i], en.Name)
 			dir.Epoch++
-			dir.setVersion(desc.Name)
+			dir.setVersion(en.Name)
 			return i
 		}
 	}
-	dir.Groups = append(dir.Groups, []string{desc.Name})
+	dir.Groups = append(dir.Groups, []string{en.Name})
 	dir.Epoch++
-	dir.setVersion(desc.Name)
+	dir.setVersion(en.Name)
 	return len(dir.Groups) - 1
 }
 
@@ -258,8 +320,8 @@ func (dir *Directory) RootCandidates(r int) []string {
 	return dir.Candidates(rg, r)
 }
 
-// Marshal encodes the directory: epoch, groups, per-entry descriptors
-// with their version-vector entries, and a trailing extension blob that
+// Marshal encodes the directory: epoch, groups, entries with their
+// version-vector values, and a trailing extension blob that
 // decoders skip — future fields land there without breaking older
 // readers.
 func (dir *Directory) Marshal(e *cdr.Encoder) { dir.marshalExt(e, nil) }
@@ -307,7 +369,7 @@ func UnmarshalDirectory(d *cdr.Decoder) (*Directory, error) {
 		return nil, cdr.ErrTooLong
 	}
 	for i := uint32(0); i < nn; i++ {
-		nd, err := UnmarshalNodeDesc(d)
+		nd, err := unmarshalEntry(d)
 		if err != nil {
 			return nil, fmt.Errorf("cohesion: node %d: %w", i, err)
 		}

@@ -1,7 +1,9 @@
 package cohesion
 
 // Fuzz the directory delta decoder: every delta a member applies arrives
-// from a peer, and every upsert in it carries a NodeDesc of four IORs.
+// from a peer, and every upsert in it carries an entry whose endpoint the
+// member derives references from. A join's argument is an entry decoded
+// by the same function.
 
 import (
 	"bytes"
@@ -14,20 +16,25 @@ import (
 // FuzzUnmarshalDelta decodes arbitrary bytes in either byte order. A
 // decode never panics; an accepted delta re-marshals to bytes that
 // decode and re-marshal byte-identically, and it owns its bytes
-// (overwriting the input changes nothing in it).
+// (overwriting the input changes nothing in it). Every reference derived
+// from an accepted upsert marshals, decodes and re-marshals
+// byte-identically.
 func FuzzUnmarshalDelta(f *testing.F) {
-	desc := func(name string) *NodeDesc {
-		ref := ior.New("IDL:corbalc/NetworkCohesion:1.0", "10.0.0.7", 2809, []byte(name+"/cohesion"))
-		ref.AddProfile(ior.TagCorbalcInProcess, []byte("orb-7\x00"+name))
-		ref.AddProfile(ior.TagCorbalcVirtual, []byte(name+"\x00cohesion"))
-		return &NodeDesc{Name: name, Capability: "workstation",
-			Cohesion: ref, Registry: ref, Acceptor: ref, Resources: ref}
+	entry := func(name string) *Entry {
+		ref := ior.New(CohesionRepoID, "10.0.0.7", 2809, []byte(KeyCohesion))
+		ref.AddProfile(ior.TagCorbalcInProcess, []byte("orb-7\x00"+KeyCohesion))
+		ref.AddProfile(ior.TagCorbalcVirtual, []byte(name+"\x00"+KeyCohesion))
+		ep, err := ior.Cut(ref)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return &Entry{Name: name, Capability: "workstation", endpoint: ep}
 	}
 	dd := &DirectoryDelta{
 		From: 41, To: 42,
 		Upserts: []DirUpsert{
-			{Group: 0, Version: 42, Desc: desc("n001")},
-			{Group: 3, Version: 42, Desc: desc("n002")},
+			{Group: 0, Version: 42, Desc: entry("n001")},
+			{Group: 3, Version: 42, Desc: entry("n002")},
 		},
 		Removes: []string{"n000"},
 	}
@@ -47,7 +54,7 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		e.WriteULong(1 << 30)
 		f.Add(little, e.Bytes())
 
-		e = cdr.NewEncoder(order) // hostile profile count in the first IOR
+		e = cdr.NewEncoder(order) // hostile endpoint length in the first upsert
 		e.WriteULongLong(1)
 		e.WriteULongLong(2)
 		e.WriteULong(1)
@@ -55,7 +62,6 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		e.WriteULongLong(2)
 		e.WriteString("n001")
 		e.WriteString("workstation")
-		e.WriteString("IDL:corbalc/NetworkCohesion:1.0")
 		e.WriteULong(1 << 30)
 		f.Add(little, e.Bytes())
 	}
@@ -70,24 +76,37 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		if err != nil {
 			return
 		}
-		marshal := func(dd *DirectoryDelta) []byte {
+		marshal := func(m func(*cdr.Encoder)) []byte {
 			e := cdr.NewEncoder(order)
-			dd.Marshal(e)
+			m(e)
 			return e.Bytes()
 		}
-		first := marshal(got)
+		first := marshal(got.Marshal)
 		again, err := UnmarshalDelta(cdr.NewDecoder(first, order))
 		if err != nil {
 			t.Fatalf("re-marshalled delta does not decode: %v", err)
 		}
-		if second := marshal(again); !bytes.Equal(second, first) {
+		if second := marshal(again.Marshal); !bytes.Equal(second, first) {
 			t.Fatalf("marshal∘decode is not stable:\n% x\n% x", first, second)
+		}
+
+		for _, up := range got.Upserts {
+			for svc := range services {
+				ref := marshal(up.Desc.Ref(Service(svc)).Marshal)
+				back, err := ior.Unmarshal(cdr.NewDecoder(ref, order))
+				if err != nil {
+					t.Fatalf("%s: derived reference %d does not decode: %v", up.Desc.Name, svc, err)
+				}
+				if remarshalled := marshal(back.Marshal); !bytes.Equal(remarshalled, ref) {
+					t.Fatalf("%s: derived reference %d is not stable:\n% x\n% x", up.Desc.Name, svc, ref, remarshalled)
+				}
+			}
 		}
 
 		for i := range buf {
 			buf[i] ^= 0xFF
 		}
-		if after := marshal(got); !bytes.Equal(after, first) {
+		if after := marshal(got.Marshal); !bytes.Equal(after, first) {
 			t.Fatalf("overwriting the input changed the decoded delta:\n% x\nwant\n% x", after, first)
 		}
 	})

@@ -144,7 +144,7 @@ func (g *gossiper) drop(dest string) {
 
 // prune drops every destination not in the member set, reclaiming
 // queues and delivery goroutines as churn removes nodes.
-func (g *gossiper) prune(members map[string]*NodeDesc) {
+func (g *gossiper) prune(members map[string]*Entry) {
 	g.mu.Lock()
 	var dead []string
 	for dest := range g.cancels {

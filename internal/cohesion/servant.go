@@ -28,11 +28,11 @@ func (s *agentServant) InvokeContext(ctx context.Context, op string, args *cdr.D
 		return nil
 
 	case "join":
-		desc, err := UnmarshalNodeDesc(args)
+		en, err := unmarshalEntry(args)
 		if err != nil {
 			return orb.Marshal()
 		}
-		dir, err := a.handleJoin(ctx, desc)
+		dir, err := a.handleJoin(ctx, en)
 		if err != nil {
 			return joinExc(err)
 		}
@@ -201,14 +201,14 @@ func joinExc(err error) error {
 
 // handleJoin admits a node: executed at the root leader, forwarded
 // otherwise.
-func (a *Agent) handleJoin(ctx context.Context, desc *NodeDesc) (dir *Directory, err error) {
+func (a *Agent) handleJoin(ctx context.Context, en *Entry) (dir *Directory, err error) {
 	forward := false
 	a.step(func(c *core, now time.Time) (acts []action) {
-		dir, acts, forward = c.join(now, desc)
+		dir, acts, forward = c.join(now, en)
 		return acts
 	})
 	if forward {
-		err = a.callRoot(ctx, "join", desc.Marshal, intoDirectory(&dir))
+		err = a.callRoot(ctx, "join", en.Marshal, intoDirectory(&dir))
 	}
 	return dir, err
 }
@@ -385,14 +385,14 @@ func (a *Agent) queryFlat(ctx context.Context, portID, verReq string) ([]*node.O
 		return nil, ErrNotJoined
 	}
 	var out []*node.Offer
-	for name, nd := range dir.Nodes {
+	for name, en := range dir.Nodes {
 		if name == a.name {
 			out = append(out, a.localOffers(portID, verReq)...)
 			continue
 		}
 		var offers []*node.Offer
 		a.locked(func(c *core, _ time.Time) { c.stats.QueriesSent++ })
-		err := a.o.NewRef(nd.Registry).InvokeContext(ctx, "query",
+		err := a.o.NewRef(en.Ref(ComponentRegistry)).InvokeContext(ctx, "query",
 			func(e *cdr.Encoder) { e.WriteString(portID); e.WriteString(verReq) }, intoOffers(&offers))
 		if err == nil {
 			out = append(out, offers...)

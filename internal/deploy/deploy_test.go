@@ -217,7 +217,9 @@ func TestPDAUsesComponentsRemotely(t *testing.T) {
 	if err := net.Attach("pda", pda.Node.ORB()); err != nil {
 		t.Fatal(err)
 	}
-	server.Bootstrap()
+	if err := server.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
 	if err := pda.Join(server.Contact()); err != nil {
 		t.Fatal(err)
 	}

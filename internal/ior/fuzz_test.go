@@ -213,3 +213,36 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDerive derives a reference from arbitrary endpoint bytes that
+// CheckEndpoint accepts: it marshals and decodes back to bytes that
+// marshal identically, and it cuts back to the same endpoint.
+func FuzzDerive(f *testing.F) {
+	r := New("IDL:corbalc/NetworkCohesion:1.0", "10.0.0.7", 2809, []byte("node/cohesion"))
+	r.AddProfile(TagCorbalcInProcess, []byte("orb-7\x00node/cohesion"))
+	r.AddProfile(TagCorbalcVirtual, []byte("n042\x00node/cohesion"))
+	ep, err := Cut(r)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ep, "node/registry")
+	f.Add(ep[:len(ep)-3], "k")                                              // truncated inside the last body
+	f.Add(append(binary.LittleEndian.AppendUint32(nil, 0), 0xFF, 0x7F), "") // hostile length
+
+	f.Fuzz(func(t *testing.T, ep []byte, key string) {
+		if CheckEndpoint(ep) != nil {
+			return
+		}
+		first := marshalled(Derive(ep, "IDL:x:1.0", key))
+		again, err := Unmarshal(cdr.NewDecoder(first, cdr.BigEndian))
+		if err != nil {
+			t.Fatalf("a derived reference does not decode: %v", err)
+		}
+		if second := marshalled(again); !bytes.Equal(second, first) {
+			t.Fatalf("marshal∘decode is not stable:\n% x\n% x", first, second)
+		}
+		if back, err := Cut(again); err != nil || !bytes.Equal(back, ep) {
+			t.Fatalf("Cut(Derive(ep)) = % x, %v; want % x", back, err, ep)
+		}
+	})
+}
