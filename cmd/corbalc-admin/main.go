@@ -102,7 +102,7 @@ func main() {
 	case "components":
 		nd := nodeArg(dir, args, 1)
 		var names []string
-		must(o.NewRef(nd.Ref(cohesion.ComponentRegistry)).InvokeContext(ctx, "list_components", nil, func(d *cdr.Decoder) error {
+		must(o.NewRef(nd.Ref(node.ComponentRegistry)).InvokeContext(ctx, "list_components", nil, func(d *cdr.Decoder) error {
 			var e error
 			names, e = d.ReadStringSeq()
 			return e
@@ -139,7 +139,7 @@ func main() {
 			fatal(err)
 		}
 		var id string
-		must(o.NewRef(nd.Ref(cohesion.ComponentAcceptor)).InvokeContext(ctx, "install",
+		must(o.NewRef(nd.Ref(node.ComponentAcceptor)).InvokeContext(ctx, "install",
 			func(e *cdr.Encoder) { e.WriteOctetSeq(data) },
 			func(d *cdr.Decoder) error { var e error; id, e = d.ReadString(); return e }))
 		fmt.Println("installed", id, "on", nd.Name)
@@ -149,7 +149,7 @@ func main() {
 			fatal(fmt.Errorf("instantiate needs <node> <component-id> <instance>"))
 		}
 		var equiv *ior.IOR
-		must(o.NewRef(nd.Ref(cohesion.ComponentAcceptor)).InvokeContext(ctx, "instantiate",
+		must(o.NewRef(nd.Ref(node.ComponentAcceptor)).InvokeContext(ctx, "instantiate",
 			func(e *cdr.Encoder) { e.WriteString(args[2]); e.WriteString(args[3]) },
 			func(d *cdr.Decoder) error { var e error; equiv, e = ior.Unmarshal(d); return e }))
 		fmt.Printf("instance %s of %s running on %s\n", args[3], args[2], nd.Name)
@@ -159,7 +159,7 @@ func main() {
 		if len(args) < 4 {
 			fatal(fmt.Errorf("ports needs <node> <component-id> <instance>"))
 		}
-		must(o.NewRef(nd.Ref(cohesion.ComponentRegistry)).InvokeContext(ctx, "instance_ports",
+		must(o.NewRef(nd.Ref(node.ComponentRegistry)).InvokeContext(ctx, "instance_ports",
 			func(e *cdr.Encoder) { e.WriteString(args[2]); e.WriteString(args[3]) },
 			func(d *cdr.Decoder) error {
 				n, err := d.ReadULong()
@@ -197,7 +197,7 @@ func main() {
 			r := fetchReport(ctx, o, nd)
 			fmt.Printf("%s (%s) load=%.2f\n", name, nd.Capability, r.LoadFraction())
 			var comps []string
-			_ = o.NewRef(nd.Ref(cohesion.ComponentRegistry)).InvokeContext(ctx, "list_components", nil, func(d *cdr.Decoder) error {
+			_ = o.NewRef(nd.Ref(node.ComponentRegistry)).InvokeContext(ctx, "list_components", nil, func(d *cdr.Decoder) error {
 				var e error
 				comps, e = d.ReadStringSeq()
 				return e
@@ -207,7 +207,7 @@ func main() {
 			}
 			type instRow struct{ comp, inst string }
 			var insts []instRow
-			_ = o.NewRef(nd.Ref(cohesion.ComponentRegistry)).InvokeContext(ctx, "list_instances", nil, func(d *cdr.Decoder) error {
+			_ = o.NewRef(nd.Ref(node.ComponentRegistry)).InvokeContext(ctx, "list_instances", nil, func(d *cdr.Decoder) error {
 				n, err := d.ReadULong()
 				if err != nil {
 					return err
@@ -227,7 +227,7 @@ func main() {
 			})
 			for _, ir := range insts {
 				fmt.Printf("  instance  %s of %s\n", ir.inst, ir.comp)
-				_ = o.NewRef(nd.Ref(cohesion.ComponentRegistry)).InvokeContext(ctx, "instance_ports",
+				_ = o.NewRef(nd.Ref(node.ComponentRegistry)).InvokeContext(ctx, "instance_ports",
 					func(e *cdr.Encoder) { e.WriteString(ir.comp); e.WriteString(ir.inst) },
 					func(d *cdr.Decoder) error {
 						n, err := d.ReadULong()
@@ -266,12 +266,9 @@ func main() {
 		// channel plus a dropped total, so overflow policies are
 		// observable from outside (DESIGN.md §12).
 		nd := nodeArg(dir, args, 1)
-		var evRef *ior.IOR
-		must(o.NewRef(nd.Ref(cohesion.ComponentAcceptor)).InvokeContext(ctx, "event_service", nil,
-			func(d *cdr.Decoder) error { var e error; evRef, e = ior.Unmarshal(d); return e }))
 		var total uint64
 		var rows int
-		must(o.NewRef(evRef).InvokeContext(ctx, "events_stats", nil, func(d *cdr.Decoder) error {
+		must(o.NewRef(nd.Ref(node.EventService)).InvokeContext(ctx, "events_stats", nil, func(d *cdr.Decoder) error {
 			n, err := d.ReadULong()
 			if err != nil {
 				return err
@@ -316,7 +313,7 @@ func main() {
 		// gossip frames/bytes it has shipped.
 		nd := nodeArg(dir, args, 1)
 		var st *cohesion.Stats
-		must(o.NewRef(nd.Ref(cohesion.NetworkCohesion)).InvokeContext(ctx, "cohesion_stats", nil,
+		must(o.NewRef(nd.Ref(node.NetworkCohesion)).InvokeContext(ctx, "cohesion_stats", nil,
 			func(d *cdr.Decoder) error { var e error; st, e = cohesion.UnmarshalStats(d); return e }))
 		fmt.Printf("directory: epoch=%d nodes=%d groups=%d vv-entries=%d\n",
 			st.Epoch, st.Nodes, st.Groups, st.VVSize)
@@ -425,14 +422,14 @@ func orDefaultStr(s, def string) string {
 func callOp(ctx context.Context, o *orb.ORB, nd *cohesion.Entry, compID, instance, port, op string, rawArgs []string) {
 	// The component's IDL travels inside its package.
 	var pkgBytes []byte
-	must(o.NewRef(nd.Ref(cohesion.ComponentRegistry)).InvokeContext(ctx, "get_package",
+	must(o.NewRef(nd.Ref(node.ComponentRegistry)).InvokeContext(ctx, "get_package",
 		func(e *cdr.Encoder) { e.WriteString(compID) },
 		func(d *cdr.Decoder) error { var e error; pkgBytes, e = d.ReadOctetSeq(); return e }))
 	comp, err := component.LoadBytes(pkgBytes)
 	must(err)
 
 	var portRef *ior.IOR
-	must(o.NewRef(nd.Ref(cohesion.ComponentAcceptor)).InvokeContext(ctx, "provide",
+	must(o.NewRef(nd.Ref(node.ComponentAcceptor)).InvokeContext(ctx, "provide",
 		func(e *cdr.Encoder) {
 			e.WriteString(compID)
 			e.WriteString(instance)
@@ -516,7 +513,7 @@ func fetchDirectory(ctx context.Context, contact *orb.ObjectRef) *cohesion.Direc
 
 func fetchReport(ctx context.Context, o *orb.ORB, nd *cohesion.Entry) *node.Report {
 	var r *node.Report
-	must(o.NewRef(nd.Ref(cohesion.ResourceManager)).InvokeContext(ctx, "report", nil, func(d *cdr.Decoder) error {
+	must(o.NewRef(nd.Ref(node.ResourceManager)).InvokeContext(ctx, "report", nil, func(d *cdr.Decoder) error {
 		var e error
 		r, e = node.UnmarshalReport(d)
 		return e
@@ -532,7 +529,7 @@ func rootQuery(ctx context.Context, o *orb.ORB, dir *cohesion.Directory, portID,
 			continue
 		}
 		var offers []*node.Offer
-		err := o.NewRef(nd.Ref(cohesion.NetworkCohesion)).InvokeContext(ctx, "root_query",
+		err := o.NewRef(nd.Ref(node.NetworkCohesion)).InvokeContext(ctx, "root_query",
 			func(e *cdr.Encoder) {
 				e.WriteString(portID)
 				e.WriteString(verReq)

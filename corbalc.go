@@ -124,7 +124,7 @@ func NewPeer(name string, opts Options) *Peer {
 func (p *Peer) Bootstrap() error { return p.Agent.Bootstrap() }
 
 // Contact returns the reference other peers pass to Join.
-func (p *Peer) Contact() *ior.IOR { return p.Agent.CohesionIOR() }
+func (p *Peer) Contact() *ior.IOR { return p.Node.Ref(node.NetworkCohesion) }
 
 // Join enters the logical network reachable at contact.
 func (p *Peer) Join(contact *ior.IOR) error { return p.Agent.Join(contact) }

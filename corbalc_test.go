@@ -223,8 +223,8 @@ func TestFigure1NodeWiring(t *testing.T) {
 	o := p.Node.ORB()
 	// External view: the four Fig. 1 interfaces exist and respond.
 	for _, svc := range []struct{ ref, op string }{
-		{p.Node.ResourcesIOR().String(), "report"},
-		{p.Node.RegistryIOR().String(), "list_components"},
+		{p.Node.Ref(node.ResourceManager).String(), "report"},
+		{p.Node.Ref(node.ComponentRegistry).String(), "list_components"},
 	} {
 		ref, err := o.ResolveStr(svc.ref)
 		if err != nil {
@@ -250,13 +250,13 @@ func TestFigure1NodeWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc := o.NewRef(p.Node.AcceptorIOR())
+	acc := o.NewRef(p.Node.Ref(node.ComponentAcceptor))
 	if err := acc.InvokeContext(context.Background(), "install",
 		func(e *cdr.Encoder) { e.WriteOctetSeq(comp.Package().Bytes()) },
 		func(d *cdr.Decoder) error { _, e := d.ReadString(); return e }); err != nil {
 		t.Fatal(err)
 	}
-	regRef := o.NewRef(p.Node.RegistryIOR())
+	regRef := o.NewRef(p.Node.Ref(node.ComponentRegistry))
 	var names []string
 	if err := regRef.InvokeContext(context.Background(), "list_components", nil, func(d *cdr.Decoder) error {
 		var e error
@@ -271,7 +271,7 @@ func TestFigure1NodeWiring(t *testing.T) {
 
 	// "reflects": the resource manager reports the server profile and
 	// reservation changes show in the dynamic data.
-	rm := o.NewRef(p.Node.ResourcesIOR())
+	rm := o.NewRef(p.Node.Ref(node.ResourceManager))
 	readReport := func() *node.Report {
 		var r *node.Report
 		if err := rm.InvokeContext(context.Background(), "report", nil, func(d *cdr.Decoder) error {

@@ -14,6 +14,7 @@ import (
 	"corbalc/internal/component"
 	"corbalc/internal/idl"
 	"corbalc/internal/ior"
+	"corbalc/internal/node"
 	"corbalc/internal/orb"
 )
 
@@ -60,10 +61,10 @@ func TestServiceIDLConformance(t *testing.T) {
 	o := p.Node.ORB()
 	targets := map[string]*ior.IOR{
 		"corbalc::NetworkCohesion":   p.Contact(),
-		"corbalc::ComponentRegistry": p.Node.RegistryIOR(),
-		"corbalc::ComponentAcceptor": p.Node.AcceptorIOR(),
-		"corbalc::ResourceManager":   p.Node.ResourcesIOR(),
-		"corbalc::EventService":      p.Node.EventsIOR(),
+		"corbalc::ComponentRegistry": p.Node.Ref(node.ComponentRegistry),
+		"corbalc::ComponentAcceptor": p.Node.Ref(node.ComponentAcceptor),
+		"corbalc::ResourceManager":   p.Node.Ref(node.ResourceManager),
+		"corbalc::EventService":      p.Node.Ref(node.EventService),
 		"corbalc::ComponentFactory":  ct.FactoryIOR(),
 		"corbalc::ComponentInstance": mi.EquivalentIOR(),
 	}

@@ -132,7 +132,7 @@ func (r *Runner) Run(ctx context.Context, componentName, verReq string, job []by
 
 // obtain binds to a provider's aggregable port.
 func (r *Runner) obtain(ctx context.Context, of *node.Offer) (*orb.ObjectRef, error) {
-	acc := r.ORB.NewRef(of.Acceptor)
+	acc := r.ORB.NewRef(of.Ref(node.ComponentAcceptor))
 	var port *ior.IOR
 	err := acc.InvokeContext(ctx, "obtain",
 		func(e *cdr.Encoder) {

@@ -7,6 +7,7 @@ import (
 	"corbalc/internal/cdr"
 	"corbalc/internal/deploy"
 	"corbalc/internal/ior"
+	"corbalc/internal/node"
 	"corbalc/internal/orb"
 )
 
@@ -123,32 +124,13 @@ func (dep *Deployed) portRepoID(ctx context.Context, pl *deploy.Placement, port 
 	return repoID, nil
 }
 
-// eventServiceOf fetches a node's event service ref through its acceptor.
-func (dep *Deployed) eventServiceOf(ctx context.Context, pl *deploy.Placement) (*ior.IOR, error) {
-	acc := dep.o.NewRef(pl.Acceptor)
-	var ref *ior.IOR
-	err := acc.InvokeContext(ctx, "event_service", nil, func(d *cdr.Decoder) error {
-		var err error
-		ref, err = ior.Unmarshal(d)
-		return err
-	})
-	return ref, err
-}
-
 // bridge links the emitter node's channel for typeID to the consumer's
 // node.
 func (dep *Deployed) bridge(ctx context.Context, from, to *deploy.Placement, typeID string) error {
-	src, err := dep.eventServiceOf(ctx, from)
-	if err != nil {
-		return err
-	}
-	dst, err := dep.eventServiceOf(ctx, to)
-	if err != nil {
-		return err
-	}
+	src, dst := from.Ref(node.EventService), to.Ref(node.EventService)
 	srcRef := dep.o.NewRef(src)
 	var id string
-	err = srcRef.InvokeContext(ctx, "bridge",
+	err := srcRef.InvokeContext(ctx, "bridge",
 		func(e *cdr.Encoder) {
 			e.WriteString(typeID)
 			dst.Marshal(e)
@@ -179,7 +161,7 @@ func (dep *Deployed) TeardownContext(ctx context.Context) {
 	}
 	dep.bridges = nil
 	for declName, pl := range dep.Placements {
-		reg := dep.o.NewRef(pl.Registry)
+		reg := dep.o.NewRef(pl.Ref(node.ComponentRegistry))
 		var factory *ior.IOR
 		err := reg.InvokeContext(ctx, "factory",
 			func(e *cdr.Encoder) { e.WriteString(pl.ComponentID) },

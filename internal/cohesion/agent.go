@@ -45,12 +45,6 @@ const (
 // epsilon is the dead-band width as a load fraction.
 const epsilon = 0.05
 
-// KeyCohesion is the agent's object key in the node's adapter.
-const KeyCohesion = "node/cohesion"
-
-// CohesionRepoID is the CORBA interface ID of the cohesion agent.
-const CohesionRepoID = "IDL:corbalc/NetworkCohesion:1.0"
-
 // Errors returned by the agent.
 var (
 	ErrNotJoined = errors.New("cohesion: agent has not joined a network")
@@ -258,7 +252,7 @@ func NewAgent(cfg Config) *Agent {
 	}
 	a.ctx, a.cancel = context.WithCancel(context.Background())
 	a.gossip = newGossiper(a)
-	a.o.Activate(KeyCohesion, &agentServant{a: a})
+	a.o.Activate(node.NetworkCohesion.Key(), &agentServant{a: a})
 	if cfg.Mode == Strong {
 		a.floodKick = make(chan struct{}, 1)
 		a.n.SetChangeListener(func() { kick(a.floodKick) })
@@ -350,19 +344,15 @@ func (a *Agent) Desc() *NodeDesc {
 	return &NodeDesc{
 		Name:       a.name,
 		Capability: string(a.n.Resources().Profile().Capability),
-		Cohesion:   a.o.NewIOR(CohesionRepoID, KeyCohesion),
-		Registry:   a.n.RegistryIOR(),
-		Acceptor:   a.n.AcceptorIOR(),
-		Resources:  a.n.ResourcesIOR(),
+		Cohesion:   a.n.Ref(node.NetworkCohesion),
+		Registry:   a.n.Ref(node.ComponentRegistry),
+		Acceptor:   a.n.Ref(node.ComponentAcceptor),
+		Resources:  a.n.Ref(node.ResourceManager),
 	}
 }
 
 // entry folds this agent's descriptor into its directory entry.
 func (a *Agent) entry() (*Entry, error) { return newEntry(a.Desc()) }
-
-// CohesionIOR returns the agent's own servant reference, used as a join
-// contact by other nodes.
-func (a *Agent) CohesionIOR() *ior.IOR { return a.o.NewIOR(CohesionRepoID, KeyCohesion) }
 
 // Stats snapshots the protocol counters.
 func (a *Agent) Stats() Stats {
@@ -538,7 +528,7 @@ func (a *Agent) refOf(name string) (*orb.ObjectRef, bool) {
 	if en == nil {
 		return nil, false
 	}
-	return a.o.NewRef(en.Ref(NetworkCohesion)), true
+	return a.o.NewRef(en.Ref(node.NetworkCohesion)), true
 }
 
 // rpcTimeout bounds one protocol RPC: generous against the failure
@@ -589,7 +579,7 @@ func (a *Agent) callRoot(ctx context.Context, op string, args orb.Marshaller, re
 		}
 		ref, ok := a.refOf(rc)
 		if rc == a.name {
-			ref, ok = a.o.NewRef(a.CohesionIOR()), true // self-call through the ORB's collocation path
+			ref, ok = a.o.NewRef(a.n.Ref(node.NetworkCohesion)), true // self-call through the ORB's collocation path
 		}
 		if !ok {
 			continue

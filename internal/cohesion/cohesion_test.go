@@ -80,7 +80,7 @@ func newCluster(t testing.TB, n int, tweak func(*Config)) *testCluster {
 		// starved CI core — is safe to retry.
 		var err error
 		for attempt := 0; attempt < 3; attempt++ {
-			if err = tc.agents[i].Join(tc.agents[0].CohesionIOR()); err == nil {
+			if err = tc.agents[i].Join(tc.nodes[0].Ref(node.NetworkCohesion)); err == nil {
 				break
 			}
 			time.Sleep(100 * time.Millisecond)
@@ -308,7 +308,7 @@ func (tc *testCluster) joinLate(t testing.TB, name string, tweak func(*Config)) 
 	t.Helper()
 	nd, ag := tc.newAgent(t, name, tweak)
 	t.Cleanup(func() { ag.Stop(); nd.Close() })
-	if err := ag.Join(tc.agents[0].CohesionIOR()); err != nil {
+	if err := ag.Join(tc.nodes[0].Ref(node.NetworkCohesion)); err != nil {
 		t.Fatal(err)
 	}
 	return ag
@@ -928,7 +928,7 @@ func TestJoinForwardedThroughNonRootContact(t *testing.T) {
 	ag := NewAgent(Config{Node: nd, GroupSize: 3, Replicas: 2, UpdateInterval: 25 * time.Millisecond})
 	t.Cleanup(func() { ag.Stop(); nd.Close() })
 	// agents[2] is a plain member, not even an MRM candidate.
-	if err := ag.Join(tc.agents[2].CohesionIOR()); err != nil {
+	if err := ag.Join(tc.nodes[2].Ref(node.NetworkCohesion)); err != nil {
 		t.Fatal(err)
 	}
 	if ag.Directory().Len() != 4 {

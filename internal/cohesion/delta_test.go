@@ -12,12 +12,13 @@ import (
 	"corbalc/internal/cdr"
 	"corbalc/internal/ior"
 	"corbalc/internal/leak"
+	"corbalc/internal/node"
 	"corbalc/internal/simnet"
 )
 
 // testEntry mints an entry whose endpoint is distinguishable per name.
 func testEntry(name string) *Entry {
-	ep, err := ior.Cut(ior.New(CohesionRepoID, "h-"+name, 7, []byte(KeyCohesion)))
+	ep, err := ior.Cut(ior.New(node.NetworkCohesion.RepoID(), "h-"+name, 7, []byte(node.NetworkCohesion.Key())))
 	if err != nil {
 		panic(err)
 	}

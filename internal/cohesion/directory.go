@@ -40,27 +40,8 @@ type NodeDesc struct {
 	Resources  *ior.IOR
 }
 
-// Service names one of the four services every node runs (Fig. 1).
-type Service uint8
-
-// The four node services.
-const (
-	NetworkCohesion Service = iota
-	ComponentRegistry
-	ComponentAcceptor
-	ResourceManager
-)
-
-// services holds each service's repository ID and well-known object key.
-var services = [...]struct{ repoID, key string }{
-	NetworkCohesion:   {CohesionRepoID, KeyCohesion},
-	ComponentRegistry: {node.ComponentRegistryRepoID, node.KeyRegistry},
-	ComponentAcceptor: {node.ComponentAcceptorRepoID, node.KeyAcceptor},
-	ResourceManager:   {node.ResourceManagerRepoID, node.KeyResources},
-}
-
 // Entry is one node's directory entry: its name, its capability and the
-// one endpoint (ior.Cut) its four services share. A service's reference
+// one endpoint (ior.Cut) its services share. A service's reference
 // is derived from it where one is invoked (Ref); deltas, patches and
 // joins carry and apply entries without deriving any.
 type Entry struct {
@@ -91,10 +72,7 @@ func newEntry(desc *NodeDesc) (*Entry, error) {
 }
 
 // Ref derives the reference of one of the entry's services.
-func (en *Entry) Ref(svc Service) *ior.IOR {
-	s := services[svc]
-	return ior.Derive(en.endpoint, s.repoID, s.key)
-}
+func (en *Entry) Ref(svc node.Service) *ior.IOR { return node.Derive(en.endpoint, svc) }
 
 // Marshal encodes the entry: name, capability, endpoint.
 func (en *Entry) Marshal(e *cdr.Encoder) {

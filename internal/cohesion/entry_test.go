@@ -16,10 +16,11 @@ import (
 	"corbalc/internal/simnet"
 )
 
-// TestDerivedRefsMatchMinted pins that an entry loses nothing: every
-// reference derived from a node's entry marshals byte-identically to the
-// one its ORB mints, on simnet (in-process and virtual profiles) and with
-// an IIOP endpoint (IIOP and in-process profiles). A call through the
+// TestDerivedRefsMatchMinted pins that an entry and an offer lose
+// nothing: every reference derived from a node's entry, and from an
+// offer its LocalQuery returns, marshals byte-identically to the one its
+// ORB mints, on simnet (in-process and virtual profiles) and with an
+// IIOP endpoint (IIOP and in-process profiles). A call through the
 // node's own derived cohesion reference takes the collocated path: it
 // succeeds with the node cut off from every transport.
 func TestDerivedRefsMatchMinted(t *testing.T) {
@@ -38,21 +39,27 @@ func TestDerivedRefsMatchMinted(t *testing.T) {
 	}
 	defer srv.Close() // a second Close is a no-op
 
+	c, err := adderSpec("adder", "1.0.0").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	entries := map[*node.Node]*Entry{}
 	for _, nd := range []*node.Node{onSimnet, onIIOP} {
-		ag := NewAgent(Config{Node: nd})
-		en := selfEntry(t, ag)
+		en := selfEntry(t, NewAgent(Config{Node: nd}))
 		entries[nd] = en
-		minted := map[Service]*ior.IOR{
-			NetworkCohesion:   ag.CohesionIOR(),
-			ComponentRegistry: nd.RegistryIOR(),
-			ComponentAcceptor: nd.AcceptorIOR(),
-			ResourceManager:   nd.ResourcesIOR(),
+		if _, err := nd.InstallComponent(c); err != nil {
+			t.Fatal(err)
 		}
-		for svc, want := range minted {
-			got, want := encode(en.Ref(svc).Marshal), encode(want.Marshal)
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s: service %d derives\n% x\nits ORB mints\n% x", nd.Name(), svc, got, want)
+		offers, err := nd.LocalQuery("IDL:test/Adder:1.0", "*")
+		if err != nil || len(offers) != 1 {
+			t.Fatalf("%s: LocalQuery = %d offers, %v", nd.Name(), len(offers), err)
+		}
+		for svc := node.NetworkCohesion; svc <= node.EventService; svc++ {
+			want := encode(nd.Ref(svc).Marshal)
+			for from, got := range map[string]*ior.IOR{"entry": en.Ref(svc), "offer": offers[0].Ref(svc)} {
+				if got := encode(got.Marshal); !bytes.Equal(got, want) {
+					t.Errorf("%s: the %s derives service %d as\n% x\nits ORB mints\n% x", nd.Name(), from, svc, got, want)
+				}
 			}
 		}
 	}
@@ -63,7 +70,7 @@ func TestDerivedRefsMatchMinted(t *testing.T) {
 	}
 	for nd, en := range entries {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		err := nd.ORB().NewRef(en.Ref(NetworkCohesion)).InvokeContext(ctx, "ping", nil, func(d *cdr.Decoder) error {
+		err := nd.ORB().NewRef(en.Ref(node.NetworkCohesion)).InvokeContext(ctx, "ping", nil, func(d *cdr.Decoder) error {
 			_, err := d.ReadULongLong()
 			return err
 		})
@@ -134,8 +141,8 @@ func TestAssignCutsOneEndpoint(t *testing.T) {
 	if _, err := dir.Assign(desc("n000", 9000), 8); err != nil {
 		t.Fatalf("the ladder's shape is refused: %v", err)
 	}
-	got := dir.Nodes["n000"].Ref(ComponentRegistry)
-	want := ior.New(node.ComponentRegistryRepoID, "127.0.0.1", 9000, []byte(node.KeyRegistry))
+	got := dir.Nodes["n000"].Ref(node.ComponentRegistry)
+	want := ior.New(node.ComponentRegistry.RepoID(), "127.0.0.1", 9000, []byte(node.ComponentRegistry.Key()))
 	if !bytes.Equal(encode(got.Marshal), encode(want.Marshal)) {
 		t.Errorf("derived registry reference = %v, want %v", got, want)
 	}
@@ -163,7 +170,7 @@ func TestJoinRefusesBadEndpoint(t *testing.T) {
 	bad := &Entry{Name: "intruder", Capability: "workstation", endpoint: []byte("not an endpoint")}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	err := tc.nodes[0].ORB().NewRef(root.CohesionIOR()).InvokeContext(ctx, "join", bad.Marshal, nil)
+	err := tc.nodes[0].ORB().NewRef(tc.nodes[0].Ref(node.NetworkCohesion)).InvokeContext(ctx, "join", bad.Marshal, nil)
 	if err == nil {
 		t.Fatal("a join with a malformed endpoint was admitted")
 	}

@@ -11,6 +11,7 @@ import (
 
 	"corbalc/internal/cdr"
 	"corbalc/internal/ior"
+	"corbalc/internal/node"
 )
 
 // FuzzUnmarshalDelta decodes arbitrary bytes in either byte order. A
@@ -21,9 +22,10 @@ import (
 // byte-identically.
 func FuzzUnmarshalDelta(f *testing.F) {
 	entry := func(name string) *Entry {
-		ref := ior.New(CohesionRepoID, "10.0.0.7", 2809, []byte(KeyCohesion))
-		ref.AddProfile(ior.TagCorbalcInProcess, []byte("orb-7\x00"+KeyCohesion))
-		ref.AddProfile(ior.TagCorbalcVirtual, []byte(name+"\x00"+KeyCohesion))
+		key := node.NetworkCohesion.Key()
+		ref := ior.New(node.NetworkCohesion.RepoID(), "10.0.0.7", 2809, []byte(key))
+		ref.AddProfile(ior.TagCorbalcInProcess, []byte("orb-7\x00"+key))
+		ref.AddProfile(ior.TagCorbalcVirtual, []byte(name+"\x00"+key))
 		ep, err := ior.Cut(ref)
 		if err != nil {
 			f.Fatal(err)
@@ -91,8 +93,8 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		}
 
 		for _, up := range got.Upserts {
-			for svc := range services {
-				ref := marshal(up.Desc.Ref(Service(svc)).Marshal)
+			for svc := node.NetworkCohesion; svc <= node.EventService; svc++ {
+				ref := marshal(up.Desc.Ref(svc).Marshal)
 				back, err := ior.Unmarshal(cdr.NewDecoder(ref, order))
 				if err != nil {
 					t.Fatalf("%s: derived reference %d does not decode: %v", up.Desc.Name, svc, err)

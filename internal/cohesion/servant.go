@@ -15,7 +15,7 @@ import (
 // Cohesion interface of Fig. 1.
 type agentServant struct{ a *Agent }
 
-func (s *agentServant) RepositoryID() string { return CohesionRepoID }
+func (s *agentServant) RepositoryID() string { return node.NetworkCohesion.RepoID() }
 
 // InvokeContext implements orb.Servant: forwarded root calls run
 // under the inbound request's context, so a caller's deadline bounds the
@@ -392,7 +392,7 @@ func (a *Agent) queryFlat(ctx context.Context, portID, verReq string) ([]*node.O
 		}
 		var offers []*node.Offer
 		a.locked(func(c *core, _ time.Time) { c.stats.QueriesSent++ })
-		err := a.o.NewRef(en.Ref(ComponentRegistry)).InvokeContext(ctx, "query",
+		err := a.o.NewRef(en.Ref(node.ComponentRegistry)).InvokeContext(ctx, "query",
 			func(e *cdr.Encoder) { e.WriteString(portID); e.WriteString(verReq) }, intoOffers(&offers))
 		if err == nil {
 			out = append(out, offers...)

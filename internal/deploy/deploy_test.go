@@ -298,7 +298,7 @@ func TestYieldInstanceOp(t *testing.T) {
 	if _, err := c.Peers[0].Node.Instantiate(context.Background(), comp.ID(), "y1"); err != nil {
 		t.Fatal(err)
 	}
-	acc := c.Peers[1].Node.ORB().NewRef(c.Peers[0].Node.AcceptorIOR())
+	acc := c.Peers[1].Node.ORB().NewRef(c.Peers[0].Node.Ref(node.ComponentAcceptor))
 	var capsule []byte
 	err = acc.InvokeContext(context.Background(), "yield_instance",
 		func(e *cdr.Encoder) { e.WriteString(comp.ID().String()); e.WriteString("y1") },

@@ -161,7 +161,7 @@ func (e *Engine) shouldFetch(of *node.Offer) bool {
 // installs it locally and obtains the port from the local copy.
 func (e *Engine) fetchAndObtain(ctx context.Context, of *node.Offer, id component.ID, portRepoID string) (*ior.IOR, error) {
 	if _, ok := e.n.Repo().Get(id); !ok {
-		reg := e.n.ORB().NewRef(of.Registry)
+		reg := e.n.ORB().NewRef(of.Ref(node.ComponentRegistry))
 		var pkg []byte
 		err := reg.InvokeContext(ctx, "get_package",
 			func(enc *cdr.Encoder) { enc.WriteString(of.ComponentID) },
@@ -183,7 +183,7 @@ func (e *Engine) fetchAndObtain(ctx context.Context, of *node.Offer, id componen
 // remoteObtain asks the offering node for a port on a (possibly shared)
 // instance.
 func (e *Engine) remoteObtain(ctx context.Context, of *node.Offer, portRepoID string) (*ior.IOR, error) {
-	acc := e.n.ORB().NewRef(of.Acceptor)
+	acc := e.n.ORB().NewRef(of.Ref(node.ComponentAcceptor))
 	var ref *ior.IOR
 	err := acc.InvokeContext(ctx, "obtain",
 		func(enc *cdr.Encoder) {
@@ -211,10 +211,12 @@ type Placement struct {
 	ComponentID  string
 	Node         string
 	Equivalent   *ior.IOR
-	Acceptor     *ior.IOR
-	Registry     *ior.IOR
-	Events       *ior.IOR
+	// Endpoint is the hosting node's endpoint (ior.Cut).
+	Endpoint []byte
 }
+
+// Ref derives the reference to one of the hosting node's services.
+func (pl *Placement) Ref(svc node.Service) *ior.IOR { return node.Derive(pl.Endpoint, svc) }
 
 // Place instantiates component `name` (satisfying verReq) on the
 // least-loaded offering node under the given instance name.
@@ -238,7 +240,7 @@ func (e *Engine) Place(ctx context.Context, name, verReq, instanceName string) (
 }
 
 func (e *Engine) instantiateAt(ctx context.Context, of *node.Offer, instanceName string) (*Placement, error) {
-	acc := e.n.ORB().NewRef(of.Acceptor)
+	acc := e.n.ORB().NewRef(of.Ref(node.ComponentAcceptor))
 	var equiv *ior.IOR
 	err := acc.InvokeContext(ctx, "instantiate",
 		func(enc *cdr.Encoder) {
@@ -258,8 +260,7 @@ func (e *Engine) instantiateAt(ctx context.Context, of *node.Offer, instanceName
 		ComponentID:  of.ComponentID,
 		Node:         of.Node,
 		Equivalent:   equiv,
-		Acceptor:     of.Acceptor,
-		Registry:     of.Registry,
+		Endpoint:     of.Endpoint,
 	}, nil
 }
 

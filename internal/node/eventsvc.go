@@ -13,14 +13,9 @@ import (
 	"corbalc/internal/orb"
 )
 
-// KeyEvents is the event service's object key.
-const KeyEvents = "node/events"
-
-// EventServiceRepoID is the CORBA interface ID of the event service.
-const EventServiceRepoID = "IDL:corbalc/EventService:1.0"
-
-// EventsIOR returns the node's event service reference.
-func (n *Node) EventsIOR() *ior.IOR { return n.orb.NewIOR(EventServiceRepoID, KeyEvents) }
+// EventsIOR returns the node's event service reference, as
+// Ref(EventService) does; the benchmark module calls it by this name.
+func (n *Node) EventsIOR() *ior.IOR { return n.Ref(EventService) }
 
 // eventService makes a node's event hub reachable over CORBA and
 // supports cross-node event links: a bridge subscribes to a local
@@ -48,7 +43,7 @@ func newEventService(n *Node) *eventService {
 	}
 }
 
-func (s *eventService) RepositoryID() string { return EventServiceRepoID }
+func (s *eventService) RepositoryID() string { return EventService.RepoID() }
 
 func (s *eventService) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	switch op {

@@ -31,11 +31,11 @@ func TestEventServiceSubscribeForwardsBatches(t *testing.T) {
 
 	// Subscribe b's event service to a's channel: batches of events
 	// published on a arrive on b as push_batch oneways.
-	evA := a.ORB().NewRef(a.EventsIOR())
+	evA := a.ORB().NewRef(a.Ref(EventService))
 	var subID string
 	if err := evA.InvokeContext(context.Background(), "subscribe", func(e *cdr.Encoder) {
 		e.WriteString("IDL:test/E:1.0")
-		b.EventsIOR().Marshal(e)
+		b.Ref(EventService).Marshal(e)
 	}, func(d *cdr.Decoder) error {
 		var e error
 		subID, e = d.ReadString()
@@ -76,7 +76,7 @@ func TestEventServicePushBatchOp(t *testing.T) {
 	cancel := n.Hub().Channel("IDL:test/E:1.0").Subscribe("t", func(ev events.Event) { got.Add(1) })
 	defer cancel()
 
-	ev := n.ORB().NewRef(n.EventsIOR())
+	ev := n.ORB().NewRef(n.Ref(EventService))
 	if err := ev.InvokeContext(context.Background(), "push_batch", func(e *cdr.Encoder) {
 		e.WriteString("IDL:test/E:1.0")
 		e.WriteULong(3)
@@ -111,7 +111,7 @@ func TestEventServiceStatsOp(t *testing.T) {
 		subs           uint32
 	}
 	var rows []row
-	ev := n.ORB().NewRef(n.EventsIOR())
+	ev := n.ORB().NewRef(n.Ref(EventService))
 	if err := ev.InvokeContext(context.Background(), "events_stats", nil, func(d *cdr.Decoder) error {
 		cnt, err := d.ReadULong()
 		if err != nil {

@@ -5,7 +5,8 @@
 // Registry (the reflective external view of the repository and the
 // running instances), the Component Acceptor (hooks for run-time
 // installation and instantiation), and, attached by the network layer,
-// the Network Cohesion protocol endpoint.
+// the Network Cohesion protocol endpoint — plus the event service that
+// stretches its push channels across nodes. Service names each of them.
 package node
 
 import (
@@ -26,18 +27,40 @@ import (
 	"corbalc/internal/xmldesc"
 )
 
-// Object keys of the node services in the node's object adapter.
+// Service names one of the five services every node runs: the four of
+// Fig. 1 and the event service that stretches its push channels across
+// nodes (§2.1.2).
+type Service uint8
+
+// The node services.
 const (
-	KeyResources = "node/resources"
-	KeyRegistry  = "node/registry"
-	KeyAcceptor  = "node/acceptor"
+	NetworkCohesion Service = iota
+	ComponentRegistry
+	ComponentAcceptor
+	ResourceManager
+	EventService
 )
 
-// CORBA interface IDs of the node services.
-const (
-	ComponentRegistryRepoID = "IDL:corbalc/ComponentRegistry:1.0"
-	ComponentAcceptorRepoID = "IDL:corbalc/ComponentAcceptor:1.0"
-)
+// services holds each service's repository ID and well-known object key
+// in the node's adapter. Every reference to a node service is minted
+// (Node.Ref) or derived from the node's endpoint (Derive) through it.
+var services = [...]struct{ repoID, key string }{
+	NetworkCohesion:   {"IDL:corbalc/NetworkCohesion:1.0", "node/cohesion"},
+	ComponentRegistry: {"IDL:corbalc/ComponentRegistry:1.0", "node/registry"},
+	ComponentAcceptor: {"IDL:corbalc/ComponentAcceptor:1.0", "node/acceptor"},
+	ResourceManager:   {"IDL:corbalc/ResourceManager:1.0", "node/resources"},
+	EventService:      {"IDL:corbalc/EventService:1.0", "node/events"},
+}
+
+// RepoID returns the service's CORBA interface ID.
+func (svc Service) RepoID() string { return services[svc].repoID }
+
+// Key returns the service's object key in the node's adapter.
+func (svc Service) Key() string { return services[svc].key }
+
+// Derive returns the reference to a service of the node at endpoint ep
+// (ior.Cut): byte-identical to the one that node's Ref mints.
+func Derive(ep []byte, svc Service) *ior.IOR { return ior.Derive(ep, svc.RepoID(), svc.Key()) }
 
 // DependencyResolver finds a provider reference for a required port.
 // The node's default resolver only looks locally; the Distributed
@@ -128,10 +151,10 @@ func New(cfg Config) *Node {
 	n.ctx, n.cancel = context.WithCancel(context.Background())
 	n.resolver = &localResolver{n: n}
 	n.eventSvc = newEventService(n)
-	o.Activate(KeyResources, &resourceServant{n: n})
-	o.Activate(KeyRegistry, &registryServant{n: n})
-	o.Activate(KeyAcceptor, &acceptorServant{n: n})
-	o.Activate(KeyEvents, n.eventSvc)
+	o.Activate(ResourceManager.Key(), &resourceServant{n: n})
+	o.Activate(ComponentRegistry.Key(), &registryServant{n: n})
+	o.Activate(ComponentAcceptor.Key(), &acceptorServant{n: n})
+	o.Activate(EventService.Key(), n.eventSvc)
 	return n
 }
 
@@ -215,16 +238,17 @@ func (n *Node) Report() Report {
 	return r
 }
 
-// Service IORs.
+// Ref mints the reference to one of the node's services. It is minted
+// on each call, so it carries the profiles of every transport attached
+// by then.
+func (n *Node) Ref(svc Service) *ior.IOR { return n.orb.NewIOR(svc.RepoID(), svc.Key()) }
 
-// ResourcesIOR returns the Resource Manager reference.
-func (n *Node) ResourcesIOR() *ior.IOR { return n.orb.NewIOR(ResourceManagerRepoID, KeyResources) }
-
-// RegistryIOR returns the Component Registry reference.
-func (n *Node) RegistryIOR() *ior.IOR { return n.orb.NewIOR(ComponentRegistryRepoID, KeyRegistry) }
-
-// AcceptorIOR returns the Component Acceptor reference.
-func (n *Node) AcceptorIOR() *ior.IOR { return n.orb.NewIOR(ComponentAcceptorRepoID, KeyAcceptor) }
+// endpoint is the one endpoint (ior.Cut) all of the node's services
+// share. Cut refuses no reference the node's ORB mints.
+func (n *Node) endpoint() []byte {
+	ep, _ := ior.Cut(n.Ref(ComponentAcceptor))
+	return ep
+}
 
 // Install verifies and installs a component package from its archive
 // bytes — the Component Acceptor path ("hooks for accepting new
@@ -390,11 +414,14 @@ type Offer struct {
 	BandwidthMin float64
 	// NodeLoad is the offering node's load fraction at snapshot time.
 	NodeLoad float64
-	// Acceptor and Registry are the offering node's service refs, used
-	// to instantiate remotely or fetch the package.
-	Acceptor *ior.IOR
-	Registry *ior.IOR
+	// Endpoint is the offering node's endpoint (ior.Cut): Ref derives
+	// its acceptor, to instantiate remotely, or its registry, to fetch
+	// the package.
+	Endpoint []byte
 }
+
+// Ref derives the reference to one of the offering node's services.
+func (of *Offer) Ref(svc Service) *ior.IOR { return Derive(of.Endpoint, svc) }
 
 // Marshal encodes the offer.
 func (of *Offer) Marshal(e *cdr.Encoder) {
@@ -407,11 +434,11 @@ func (of *Offer) Marshal(e *cdr.Encoder) {
 	e.WriteULong(of.MemoryMinMB)
 	e.WriteDouble(of.BandwidthMin)
 	e.WriteDouble(of.NodeLoad)
-	of.Acceptor.Marshal(e)
-	of.Registry.Marshal(e)
+	e.WriteOctetSeq(of.Endpoint)
 }
 
-// UnmarshalOffer decodes an offer.
+// UnmarshalOffer decodes an offer and refuses an endpoint
+// ior.CheckEndpoint refuses.
 func UnmarshalOffer(d *cdr.Decoder) (*Offer, error) {
 	of := &Offer{}
 	var err error
@@ -442,10 +469,10 @@ func UnmarshalOffer(d *cdr.Decoder) (*Offer, error) {
 	if of.NodeLoad, err = d.ReadDouble(); err != nil {
 		return nil, err
 	}
-	if of.Acceptor, err = ior.Unmarshal(d); err != nil {
+	if of.Endpoint, err = d.ReadOctetSeq(); err != nil {
 		return nil, err
 	}
-	if of.Registry, err = ior.Unmarshal(d); err != nil {
+	if err := ior.CheckEndpoint(of.Endpoint); err != nil {
 		return nil, err
 	}
 	return of, nil
@@ -488,6 +515,7 @@ func (n *Node) LocalQuery(portRepoID, versionReq string) ([]*Offer, error) {
 	}
 	report := n.Report()
 	load := report.LoadFraction()
+	ep := n.endpoint()
 	provs := n.repo.Providers(portRepoID, req)
 	offers := make([]*Offer, 0, len(provs))
 	for _, c := range provs {
@@ -500,8 +528,7 @@ func (n *Node) LocalQuery(portRepoID, versionReq string) ([]*Offer, error) {
 			MemoryMinMB:  uint32(c.Type().QoS.MemoryMinMB),
 			BandwidthMin: c.Type().QoS.BandwidthMin,
 			NodeLoad:     load,
-			Acceptor:     n.AcceptorIOR(),
-			Registry:     n.RegistryIOR(),
+			Endpoint:     ep,
 		}
 		// Name the concrete port when the key is an interface ID.
 		for _, p := range c.Type().PortsOf(xmldesc.PortProvides) {
@@ -561,6 +588,7 @@ func ComponentKey(name string) string { return "component:" + name }
 func (n *Node) AllOffers() []*Offer {
 	report := n.Report()
 	load := report.LoadFraction()
+	ep := n.endpoint()
 	var offers []*Offer
 	for _, id := range n.repo.List() {
 		c, ok := n.repo.Get(id)
@@ -578,8 +606,7 @@ func (n *Node) AllOffers() []*Offer {
 				MemoryMinMB:  uint32(c.Type().QoS.MemoryMinMB),
 				BandwidthMin: c.Type().QoS.BandwidthMin,
 				NodeLoad:     load,
-				Acceptor:     n.AcceptorIOR(),
-				Registry:     n.RegistryIOR(),
+				Endpoint:     ep,
 			}
 		}
 		offers = append(offers, mk("", ComponentKey(id.Name)))

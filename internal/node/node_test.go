@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"corbalc/internal/component"
 	"corbalc/internal/container"
 	"corbalc/internal/events"
+	"corbalc/internal/iiop"
 	"corbalc/internal/ior"
 	"corbalc/internal/leak"
 	"corbalc/internal/orb"
@@ -234,32 +236,48 @@ func TestReportMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOfferMarshalRoundTrip pins a real node's offer, on simnet and with
+// an IIOP endpoint, at 144 B on the wire in either byte order: the
+// offering node travels as its endpoint. Two full references (acceptor
+// and registry) made it 318 B on simnet and 368 B with IIOP. Offers
+// decode to what was marshalled.
 func TestOfferMarshalRoundTrip(t *testing.T) {
 	leak.Check(t)
-	in := &Offer{
-		ComponentID: "adder-1.0.0",
-		Node:        "alpha",
-		Port:        "sum",
-		PortRepoID:  "IDL:test/Adder:1.0",
-		Movable:     true,
-		CPUMin:      0.1,
-		MemoryMinMB: 8,
-		NodeLoad:    0.25,
-		Acceptor:    ior.New("IDL:corbalc/ComponentAcceptor:1.0", "h", 1, []byte("a")),
-		Registry:    ior.New("IDL:corbalc/ComponentRegistry:1.0", "h", 1, []byte("r")),
-	}
-	e := cdr.NewEncoder(cdr.LittleEndian)
-	MarshalOffers(e, []*Offer{in, in})
-	out, err := UnmarshalOffers(cdr.NewDecoder(e.Bytes(), cdr.LittleEndian))
+	onSimnet, _, _ := twoNodesOverSimnet(t)
+	onIIOP := newTestNode(t, "gamma", WorkstationProfile())
+	srv, err := iiop.ListenAndActivate(onIIOP.ORB(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 || out[0].ComponentID != in.ComponentID || out[1].NodeLoad != 0.25 ||
-		!out[0].Movable || out[0].Acceptor.TypeID != in.Acceptor.TypeID {
-		t.Fatalf("offers = %+v", out[0])
+	defer srv.Close()
+	for _, n := range []*Node{onSimnet, onIIOP} {
+		if _, err := n.InstallComponent(buildAdder(t, "adder", "1.0.0")); err != nil {
+			t.Fatal(err)
+		}
+		offers, err := n.LocalQuery("IDL:test/Adder:1.0", "*")
+		if err != nil || len(offers) != 1 {
+			t.Fatalf("%s: LocalQuery = %d offers, %v", n.Name(), len(offers), err)
+		}
+		in := offers[0]
+		for _, order := range []cdr.ByteOrder{cdr.LittleEndian, cdr.BigEndian} {
+			e := cdr.NewEncoder(order)
+			in.Marshal(e)
+			if e.Len() > 144 {
+				t.Errorf("%s: an offer is %d B on the wire, want <= 144", n.Name(), e.Len())
+			}
+			e = cdr.NewEncoder(order)
+			MarshalOffers(e, []*Offer{in, in})
+			out, err := UnmarshalOffers(cdr.NewDecoder(e.Bytes(), order))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != 2 || !reflect.DeepEqual(out[1], in) {
+				t.Fatalf("%s: offers = %+v, want %+v", n.Name(), out[1], in)
+			}
+		}
 	}
 	// Hostile count.
-	e = cdr.NewEncoder(cdr.LittleEndian)
+	e := cdr.NewEncoder(cdr.LittleEndian)
 	e.WriteULong(1 << 30)
 	if _, err := UnmarshalOffers(cdr.NewDecoder(e.Bytes(), cdr.LittleEndian)); err == nil {
 		t.Fatal("hostile offer count accepted")
@@ -288,7 +306,7 @@ func TestRemoteInstallQueryInstantiateOverCORBA(t *testing.T) {
 
 	// beta installs the component on alpha through alpha's acceptor —
 	// pure CORBA, no shared memory.
-	acceptor := b.ORB().NewRef(a.AcceptorIOR())
+	acceptor := b.ORB().NewRef(a.Ref(ComponentAcceptor))
 	pkgBytes := buildAdder(t, "adder", "1.0.0").Package().Bytes()
 	var idStr string
 	err := acceptor.InvokeContext(context.Background(), "install",
@@ -302,7 +320,7 @@ func TestRemoteInstallQueryInstantiateOverCORBA(t *testing.T) {
 	}
 
 	// Query alpha's registry from beta.
-	reg := b.ORB().NewRef(a.RegistryIOR())
+	reg := b.ORB().NewRef(a.Ref(ComponentRegistry))
 	var offers []*Offer
 	err = reg.InvokeContext(context.Background(), "query",
 		func(e *cdr.Encoder) { e.WriteString("IDL:test/Adder:1.0"); e.WriteString("*") },
@@ -362,7 +380,7 @@ func TestPackageFetchBetweenNodes(t *testing.T) {
 	}
 	// beta fetches the binary package from alpha's registry and installs
 	// it locally: "fetching them from the host they are installed".
-	reg := b.ORB().NewRef(a.RegistryIOR())
+	reg := b.ORB().NewRef(a.Ref(ComponentRegistry))
 	var pkg []byte
 	err := reg.InvokeContext(context.Background(), "get_package",
 		func(e *cdr.Encoder) { e.WriteString("adder-1.0.0") },
@@ -420,7 +438,7 @@ func TestMigrationViaAcceptorCapsule(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ship the capsule to beta through its acceptor.
-	acceptor := a.ORB().NewRef(b.AcceptorIOR())
+	acceptor := a.ORB().NewRef(b.Ref(ComponentAcceptor))
 	var instRef *ior.IOR
 	err = acceptor.InvokeContext(context.Background(), "receive_capsule",
 		func(e *cdr.Encoder) {
@@ -546,7 +564,7 @@ func TestE2RegistryShape(t *testing.T) {
 				}
 				pkgs[i] = c.Package().Bytes()
 			}
-			acc := n.ORB().NewRef(n.AcceptorIOR())
+			acc := n.ORB().NewRef(n.Ref(ComponentAcceptor))
 			start := time.Now()
 			for _, pkg := range pkgs {
 				err := acc.InvokeContext(context.Background(), "install",
@@ -558,7 +576,7 @@ func TestE2RegistryShape(t *testing.T) {
 			}
 			installRate := float64(count) / time.Since(start).Seconds()
 
-			reg := n.ORB().NewRef(n.RegistryIOR())
+			reg := n.ORB().NewRef(n.Ref(ComponentRegistry))
 			found := 0
 			start = time.Now()
 			for i := 0; i < queries; i++ {

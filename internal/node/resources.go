@@ -246,13 +246,10 @@ func (rm *Resources) Snapshot() Report {
 	}
 }
 
-// ResourceManagerRepoID is the CORBA interface ID of the servant.
-const ResourceManagerRepoID = "IDL:corbalc/ResourceManager:1.0"
-
 // resourceServant exposes the Resource Manager over CORBA.
 type resourceServant struct{ n *Node }
 
-func (s *resourceServant) RepositoryID() string { return ResourceManagerRepoID }
+func (s *resourceServant) RepositoryID() string { return ResourceManager.RepoID() }
 
 func (s *resourceServant) InvokeContext(_ context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
 	switch op {

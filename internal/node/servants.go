@@ -14,7 +14,7 @@ import (
 // Repository and helps in performing distributed component queries").
 type registryServant struct{ n *Node }
 
-func (s *registryServant) RepositoryID() string { return ComponentRegistryRepoID }
+func (s *registryServant) RepositoryID() string { return ComponentRegistry.RepoID() }
 
 // InvokeContext implements orb.Servant.
 func (s *registryServant) InvokeContext(ctx context.Context, op string, args *cdr.Decoder, reply *cdr.Encoder) error {
@@ -162,7 +162,7 @@ func noComponentExc(id string) error {
 // in the local Component Repository, instantiation and running").
 type acceptorServant struct{ n *Node }
 
-func (s *acceptorServant) RepositoryID() string { return ComponentAcceptorRepoID }
+func (s *acceptorServant) RepositoryID() string { return ComponentAcceptor.RepoID() }
 
 // InvokeContext implements orb.Servant: instantiation and port
 // obtainment resolve dependencies network-wide under the caller's
@@ -275,12 +275,6 @@ func (s *acceptorServant) InvokeContext(ctx context.Context, op string, args *cd
 			return installExc(err)
 		}
 		ref.Marshal(reply)
-		return nil
-
-	case "event_service":
-		// -> the node's event service reference (for cross-node event
-		// channel bridging).
-		n.EventsIOR().Marshal(reply)
 		return nil
 
 	case "yield_instance":

@@ -22,7 +22,7 @@ import (
 func TestResourceServantOverCORBA(t *testing.T) {
 	leak.Check(t)
 	n := newTestNode(t, "rs", ServerProfile())
-	rm := n.ORB().NewRef(n.ResourcesIOR())
+	rm := n.ORB().NewRef(n.Ref(ResourceManager))
 
 	var r *Report
 	if err := rm.InvokeContext(context.Background(), "report", nil, func(d *cdr.Decoder) error {
@@ -78,7 +78,7 @@ func TestResourceServantOverCORBA(t *testing.T) {
 func TestRegistryServantDigestFactoryAndInstances(t *testing.T) {
 	leak.Check(t)
 	n := newTestNode(t, "rg", WorkstationProfile())
-	reg := n.ORB().NewRef(n.RegistryIOR())
+	reg := n.ORB().NewRef(n.Ref(ComponentRegistry))
 
 	readDigest := func() uint64 {
 		var d64 uint64
@@ -180,21 +180,23 @@ func TestRegistryServantDigestFactoryAndInstances(t *testing.T) {
 func TestAcceptorUninstallAndEventServiceOps(t *testing.T) {
 	leak.Check(t)
 	n := newTestNode(t, "au", WorkstationProfile())
-	acc := n.ORB().NewRef(n.AcceptorIOR())
+	acc := n.ORB().NewRef(n.Ref(ComponentAcceptor))
 	id, err := n.InstallComponent(buildAdder(t, "adder", "1.0.0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var evRef *ior.IOR
-	if err := acc.InvokeContext(context.Background(), "event_service", nil, func(d *cdr.Decoder) error {
-		var e error
-		evRef, e = ior.Unmarshal(d)
-		return e
+	// The event service is reached through the reference an offer
+	// derives from the node's endpoint, as bridging assemblies reach it.
+	offers, err := n.LocalQuery("IDL:test/Adder:1.0", "*")
+	if err != nil || len(offers) != 1 {
+		t.Fatalf("LocalQuery = %d offers, %v", len(offers), err)
+	}
+	ev := n.ORB().NewRef(offers[0].Ref(EventService))
+	if err := ev.InvokeContext(context.Background(), "events_stats", nil, func(d *cdr.Decoder) error {
+		_, err := d.ReadULong()
+		return err
 	}); err != nil {
 		t.Fatal(err)
-	}
-	if evRef.TypeID != EventServiceRepoID {
-		t.Fatalf("event service type = %q", evRef.TypeID)
 	}
 	if err := acc.InvokeContext(context.Background(), "uninstall", func(e *cdr.Encoder) { e.WriteString(id.String()) }, nil); err != nil {
 		t.Fatal(err)
@@ -223,7 +225,7 @@ func TestEventServicePushAndBridge(t *testing.T) {
 	defer cancel()
 
 	// Push directly into b's hub over CORBA.
-	evB := a.ORB().NewRef(b.EventsIOR())
+	evB := a.ORB().NewRef(b.Ref(EventService))
 	if err := evB.InvokeContext(context.Background(), "push", func(e *cdr.Encoder) {
 		e.WriteString("IDL:test/E:1.0")
 		e.WriteString("tester")
@@ -234,11 +236,11 @@ func TestEventServicePushAndBridge(t *testing.T) {
 	waitCount(t, &got, 1)
 
 	// Bridge a's channel to b: events published on a flow to b.
-	evA := a.ORB().NewRef(a.EventsIOR())
+	evA := a.ORB().NewRef(a.Ref(EventService))
 	var bridgeID string
 	if err := evA.InvokeContext(context.Background(), "bridge", func(e *cdr.Encoder) {
 		e.WriteString("IDL:test/E:1.0")
-		b.EventsIOR().Marshal(e)
+		b.Ref(EventService).Marshal(e)
 	}, func(d *cdr.Decoder) error {
 		var e error
 		bridgeID, e = d.ReadString()

@@ -332,6 +332,7 @@ func (o *ORB) handleRequest(ctx context.Context, m *giop.Message) (*giop.Message
 	} else {
 		invokeErr = safeInvoke(ctx, servant, req.Operation, d, out)
 	}
+	o.stats.servedTotal.Add(1)
 	o.stats.served.record(!req.ResponseExpected, invokeErr)
 
 	if !req.ResponseExpected {

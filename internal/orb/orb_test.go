@@ -351,8 +351,8 @@ func TestRemoteInvokeViaTransport(t *testing.T) {
 	if got != "remote" {
 		t.Fatalf("echo = %q", got)
 	}
-	if server.RequestsServed() != 1 || client.stats.sent.total.Load() != 1 {
-		t.Fatalf("served=%d sent=%d", server.RequestsServed(), client.stats.sent.total.Load())
+	if sentErrs, _ := client.Stats().Errors(); server.RequestsServed() != 1 || sentErrs != 0 {
+		t.Fatalf("served=%d sent errors=%d", server.RequestsServed(), sentErrs)
 	}
 
 	// Channel caching: 10 more calls, still one dial.
@@ -375,6 +375,9 @@ func TestRemoteInvokeViaTransport(t *testing.T) {
 	var se *SystemException
 	if !errors.As(err, &se) || se.Name != "COMM_FAILURE" {
 		t.Fatalf("broken call err = %v", err)
+	}
+	if sentErrs, _ := client.Stats().Errors(); sentErrs != 1 {
+		t.Fatalf("sent errors = %d after the broken call, want 1", sentErrs)
 	}
 	if err := ref.InvokeContext(context.Background(), "add", func(e *cdr.Encoder) { e.WriteLong(1); e.WriteLong(1) }, func(d *cdr.Decoder) error {
 		_, err := d.ReadLong()
