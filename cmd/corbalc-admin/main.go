@@ -89,7 +89,7 @@ func main() {
 			}
 			fmt.Printf("group %d:", g)
 			for _, m := range members {
-				fmt.Printf(" %s(%s)", m, dir.Nodes[m].Capability)
+				fmt.Printf(" %s(%s)", m, dir.Entry(m).Capability)
 			}
 			fmt.Println()
 		}
@@ -193,7 +193,7 @@ func main() {
 		// available components, instances and connections among them"):
 		// every node, its components, instances and port states.
 		for _, name := range dir.Names() {
-			nd := dir.Nodes[name]
+			nd := dir.Entry(name)
 			r := fetchReport(ctx, o, nd)
 			fmt.Printf("%s (%s) load=%.2f\n", name, nd.Capability, r.LoadFraction())
 			var comps []string
@@ -315,8 +315,8 @@ func main() {
 		var st *cohesion.Stats
 		must(o.NewRef(nd.Ref(node.NetworkCohesion)).InvokeContext(ctx, "cohesion_stats", nil,
 			func(d *cdr.Decoder) error { var e error; st, e = cohesion.UnmarshalStats(d); return e }))
-		fmt.Printf("directory: epoch=%d nodes=%d groups=%d vv-entries=%d\n",
-			st.Epoch, st.Nodes, st.Groups, st.VVSize)
+		fmt.Printf("directory: epoch=%d nodes=%d groups=%d\n", st.Epoch, st.Nodes, st.Groups)
+		fmt.Printf("held:      view=%d queues=%d\n", st.Viewed, st.Queues)
 		fmt.Printf("deltas:    sent=%d recv=%d applied=%d\n",
 			st.DeltasSent, st.DeltasRecv, st.DeltasApplied)
 		fmt.Printf("anti-entropy: pulls=%d served=%d\n",
@@ -524,7 +524,7 @@ func fetchReport(ctx context.Context, o *orb.ORB, nd *cohesion.Entry) *node.Repo
 // rootQuery asks the root MRM (first root candidate that answers).
 func rootQuery(ctx context.Context, o *orb.ORB, dir *cohesion.Directory, portID, verReq string) []*node.Offer {
 	for _, cand := range dir.RootCandidates(4) {
-		nd := dir.Nodes[cand]
+		nd := dir.Entry(cand)
 		if nd == nil {
 			continue
 		}
@@ -552,7 +552,7 @@ func nodeArg(dir *cohesion.Directory, args []string, i int) *cohesion.Entry {
 	if len(args) <= i {
 		fatal(fmt.Errorf("command needs a node name; known: %v", dir.Names()))
 	}
-	nd := dir.Nodes[args[i]]
+	nd := dir.Entry(args[i])
 	if nd == nil {
 		fatal(fmt.Errorf("unknown node %q; known: %v", args[i], dir.Names()))
 	}

@@ -3,14 +3,13 @@ package corbalc_test
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
 	"corbalc"
 	"corbalc/internal/cdr"
-	"corbalc/internal/cohesion"
 	"corbalc/internal/component"
+	"corbalc/internal/leak"
 	"corbalc/internal/node"
 	"corbalc/internal/orb"
 	"corbalc/internal/simnet"
@@ -296,23 +295,17 @@ func TestFigure1NodeWiring(t *testing.T) {
 	}
 }
 
-// liveHeap is the heap in use after a forced collection.
-func liveHeap() uint64 {
-	runtime.GC()
-	runtime.GC() // the first may only have queued finalizers
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.HeapAlloc
-}
-
 // A crashed peer is still reachable — simnet keeps its endpoint, the
 // endpoint its ORB, the ORB the cohesion servant, the servant the agent
-// — so Close must leave the agent holding nothing: it reads as never
-// joined, and a cluster that keeps crashing and replacing peers without
-// ever detaching them does not grow by half a directory replica per
-// corpse beyond what a peer closed before it ever joined keeps.
+// — so Close must leave the agent holding nothing: no directory entry,
+// no member state, no gossip queue, and no goroutine it started. A
+// cluster that keeps crashing and replacing peers without ever detaching
+// them checks each corpse as it closes and again once the cluster has
+// moved on; corpses are closed once, so the leak check at the end finds
+// any goroutine one left behind.
 func TestClosedPeerPinsNoState(t *testing.T) {
-	const n, cycles = 40, 90
+	leak.Check(t)
+	const n, cycles = 40, 12
 	opts := corbalc.Options{UpdateInterval: 20 * time.Millisecond}
 	c, err := corbalc.NewCluster(n, "hp%02d", simnet.Link{}, opts)
 	if err != nil {
@@ -328,54 +321,40 @@ func TestClosedPeerPinsNoState(t *testing.T) {
 		}
 		return n0 == len(peers)
 	}
-	settle := func(peers []*corbalc.Peer) {
+	waitFor := func(what string, cond func() bool) {
 		t.Helper()
-		for deadline := time.Now().Add(20 * time.Second); !agreed(peers); time.Sleep(2 * time.Millisecond) {
+		for deadline := time.Now().Add(20 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatal("cluster never agreed on its membership")
+				t.Fatal(what)
 			}
 		}
 	}
+	settle := func(peers []*corbalc.Peer) {
+		t.Helper()
+		waitFor("cluster never agreed on its membership", func() bool { return agreed(peers) })
+	}
+	holdsNothing := func(p *corbalc.Peer) {
+		t.Helper()
+		st := p.Agent.Stats()
+		if _, members, _ := p.Agent.Stamp(); members != 0 || p.Agent.Directory().Len() != 0 || st.Nodes != 0 || st.Groups != 0 {
+			t.Fatalf("%s: closed peer still holds a %d-member directory in %d groups", p.Node.Name(), members, st.Groups)
+		}
+		if st.Viewed != 0 || st.Queues != 0 {
+			t.Fatalf("%s: closed peer still holds %d member states and %d gossip queues", p.Node.Name(), st.Viewed, st.Queues)
+		}
+	}
 	settle(c.Peers)
-
-	// What one decoded replica of this cluster's directory weighs.
-	e := cdr.NewEncoder(cdr.LittleEndian)
-	c.Peers[0].Agent.Directory().Marshal(e)
-	replicas := make([]*cohesion.Directory, 32)
-	before := liveHeap()
-	for i := range replicas {
-		if replicas[i], err = cohesion.UnmarshalDirectory(cdr.NewDecoder(e.Bytes(), cdr.LittleEndian)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	replica := (liveHeap() - before) / uint64(len(replicas))
-	runtime.KeepAlive(replicas)
-
-	// What every corpse keeps by design: a peer attached, downed and
-	// closed before it ever joined holds its endpoint, ORB, node and
-	// agent and no protocol state.
-	var idle []*corbalc.Peer
-	before = liveHeap()
-	for i := 0; i < cycles; i++ {
-		name := fmt.Sprintf("hp-idle%02d", i)
-		p := corbalc.NewPeer(name, opts)
-		if err := c.Net.Attach(name, p.Node.ORB()); err != nil {
-			t.Fatal(err)
-		}
-		c.Net.SetDown(name, true)
-		p.Close()
-		idle = append(idle, p)
-	}
-	floor := (int64(liveHeap()) - int64(before)) / cycles
-	runtime.KeepAlive(idle)
+	waitFor("the root MRM never held a member state: the checks below would prove nothing",
+		func() bool { return c.Peers[0].Agent.Stats().Viewed > 0 })
 
 	var corpses []*corbalc.Peer
-	before = liveHeap()
 	for i := 0; i < cycles; i++ {
 		last := len(c.Peers) - 1
 		victim := c.Peers[last]
+		waitFor(victim.Node.Name()+" never held a gossip queue", func() bool { return victim.Agent.Stats().Queues > 0 })
 		c.Net.SetDown(victim.Node.Name(), true) // down, never detached
 		victim.Close()
+		holdsNothing(victim)
 		corpses = append(corpses, victim)
 		settle(c.Peers[:last])
 		name := fmt.Sprintf("hp-new%02d", i)
@@ -389,18 +368,7 @@ func TestClosedPeerPinsNoState(t *testing.T) {
 		}
 		settle(c.Peers)
 	}
-	grown := int64(liveHeap()) - int64(before)
-
 	for _, p := range corpses {
-		if _, members, _ := p.Agent.Stamp(); members != 0 || p.Agent.Directory().Len() != 0 {
-			t.Fatalf("%s: closed peer still holds a %d-member directory", p.Node.Name(), members)
-		}
-	}
-	perCorpse := grown/cycles - floor
-	t.Logf("one replica %d B; heap grew %d B over %d crash+join cycles, %d B per crashed peer beyond the %d B a peer closed unjoined keeps", replica, grown, cycles, perCorpse, floor)
-	// Half a replica: the replica is weighed while the cluster gossips,
-	// so the figure itself wanders by a quarter.
-	if perCorpse >= int64(replica/2) {
-		t.Fatalf("heap grew %d B per crashed peer (beyond a %d B floor) against a directory replica of %d B: closed peers pin state", perCorpse, floor, replica)
+		holdsNothing(p)
 	}
 }

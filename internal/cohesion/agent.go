@@ -111,14 +111,15 @@ type Stats struct {
 	PullsServed      uint64 // sync_pull rounds answered
 	GossipBatches    uint64 // gossip_batch frames shipped
 	GossipBytes      uint64 // bytes across shipped gossip frames
-	VVSize           int    // current version-vector entry count
 	RepairHintsSent  uint64 // push hints sent to peers seen behind
 	RepairHintsRecv  uint64 // push hints received (each kicks a pull)
 
-	// Directory snapshot (cohesion_stats remote view).
+	// What the node holds (cohesion_stats remote view).
 	Epoch  uint64
-	Nodes  int
+	Nodes  int // directory entries
 	Groups int
+	Viewed int // member states in this node's MRM view
+	Queues int // gossip destinations with a queue and a forwarder
 }
 
 // Marshal encodes the stats for the cohesion_stats operation, ending in
@@ -127,7 +128,6 @@ func (s *Stats) Marshal(e *cdr.Encoder) {
 	e.WriteULongLong(s.Epoch)
 	e.WriteULong(uint32(s.Nodes))
 	e.WriteULong(uint32(s.Groups))
-	e.WriteULong(uint32(s.VVSize))
 	e.WriteULongLong(s.UpdatesSent)
 	e.WriteULongLong(s.UpdateBytes)
 	e.WriteULongLong(s.UpdatesRecv)
@@ -141,12 +141,14 @@ func (s *Stats) Marshal(e *cdr.Encoder) {
 	e.WriteULongLong(s.PullsServed)
 	e.WriteULongLong(s.GossipBatches)
 	e.WriteULongLong(s.GossipBytes)
-	// The repair-hint counters ride in the extension blob: admin tools
-	// built before them still parse the frame, ones built after read
-	// them out of the blob when present.
+	// The repair-hint counters and the held-state figures ride in the
+	// extension blob: admin tools built before them still parse the
+	// frame, ones built after read them out of the blob when present.
 	ext := cdr.NewEncoder(cdr.LittleEndian)
 	ext.WriteULongLong(s.RepairHintsSent)
 	ext.WriteULongLong(s.RepairHintsRecv)
+	ext.WriteULong(uint32(s.Viewed))
+	ext.WriteULong(uint32(s.Queues))
 	e.WriteOctetSeq(ext.Bytes())
 }
 
@@ -168,7 +170,6 @@ func UnmarshalStats(d *cdr.Decoder) (*Stats, error) {
 	}
 	readN(&s.Nodes)
 	readN(&s.Groups)
-	readN(&s.VVSize)
 	read64 := func(dst *uint64) {
 		if err == nil {
 			*dst, err = d.ReadULongLong()
@@ -195,9 +196,11 @@ func UnmarshalStats(d *cdr.Decoder) (*Stats, error) {
 		return nil, err
 	}
 	if len(ext) >= 16 {
-		ed := cdr.NewDecoder(ext, cdr.LittleEndian)
-		s.RepairHintsSent, _ = ed.ReadULongLong()
-		s.RepairHintsRecv, _ = ed.ReadULongLong()
+		d = cdr.NewDecoder(ext, cdr.LittleEndian) // read64 and readN now read the blob
+		read64(&s.RepairHintsSent)
+		read64(&s.RepairHintsRecv)
+		readN(&s.Viewed) // absent from agents built before it: reads 0
+		readN(&s.Queues)
 	}
 	return s, nil
 }
@@ -276,6 +279,17 @@ func (a *Agent) step(in func(c *core, now time.Time) []action) {
 	var acts []action
 	a.locked(func(c *core, now time.Time) { acts = in(c, now) })
 	a.run(acts)
+}
+
+// feed is step for gossip: a stopped agent drops it, so a batch still in
+// flight when Stop reset the core leaves nothing behind.
+func (a *Agent) feed(in func(c *core, now time.Time) []action) {
+	a.step(func(c *core, now time.Time) []action {
+		if a.ctx.Err() != nil {
+			return nil
+		}
+		return in(c, now)
+	})
 }
 
 // run performs the core's actions in order on the calling goroutine: the
@@ -359,9 +373,9 @@ func (a *Agent) Stats() Stats {
 	var st Stats
 	a.locked(func(c *core, _ time.Time) {
 		st = c.stats
-		st.Epoch, st.Nodes, st.Groups, st.VVSize = c.dir.Epoch, len(c.dir.Nodes), len(c.dir.Groups), len(c.dir.Versions)
+		st.Epoch, st.Nodes, st.Groups, st.Viewed = c.dir.Epoch, c.dir.Len(), len(c.dir.Groups), len(c.view)
 	})
-	st.GossipBatches, st.GossipBytes = a.gossip.batches.Load(), a.gossip.bytes.Load()
+	st.GossipBatches, st.GossipBytes, st.Queues = a.gossip.batches.Load(), a.gossip.bytes.Load(), len(a.gossip.hub.ChannelStats())
 	return st
 }
 
@@ -524,7 +538,7 @@ func (a *Agent) floodReport() {
 // derived from its directory entry.
 func (a *Agent) refOf(name string) (*orb.ObjectRef, bool) {
 	var en *Entry
-	a.locked(func(c *core, _ time.Time) { en = c.dir.Nodes[name] })
+	a.locked(func(c *core, _ time.Time) { en = c.dir.Entry(name) })
 	if en == nil {
 		return nil, false
 	}

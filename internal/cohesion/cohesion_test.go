@@ -181,11 +181,44 @@ func TestDirectoryMarshalRoundTrip(t *testing.T) {
 	if got.Epoch != dir.Epoch || got.Len() != 5 || len(got.Groups) != 3 {
 		t.Fatalf("round trip = %+v", got)
 	}
-	if got.Nodes["m3"].Capability != "workstation" {
+	if got.Entry("m3").Capability != "workstation" {
 		t.Fatal("node desc lost")
+	}
+	// The decoded directory owns its bytes: its endpoints were copied out
+	// of the input, which the caller may recycle.
+	in := e.Bytes()
+	for i := range in {
+		in[i] ^= 0xFF
+	}
+	if !sameDir(dir, got) {
+		t.Fatal("overwriting the input changed the decoded directory")
 	}
 	if _, err := UnmarshalDirectory(cdr.NewDecoder([]byte{0, 1}, cdr.BigEndian)); err == nil {
 		t.Fatal("garbage directory accepted")
+	}
+}
+
+// TestStatsMarshalRoundTrip: every field of a cohesion_stats reply
+// survives the wire, and a reply whose extension blob stops after the
+// repair-hint counters (an agent built before the held-state figures)
+// decodes with those figures at zero.
+func TestStatsMarshalRoundTrip(t *testing.T) {
+	want := Stats{UpdatesSent: 1, UpdateBytes: 2, UpdatesRecv: 3, QueriesSent: 4, QueriesServed: 5,
+		Floods: 6, DeltasSent: 7, DeltasRecv: 8, DeltasApplied: 9, AntiEntropyPulls: 10, PullsServed: 11,
+		GossipBatches: 12, GossipBytes: 13, RepairHintsSent: 14, RepairHintsRecv: 15,
+		Epoch: 16, Nodes: 17, Groups: 18, Viewed: 19, Queues: 20}
+	buf := encode(want.Marshal)
+	got, err := UnmarshalStats(cdr.NewDecoder(buf, cdr.LittleEndian))
+	if err != nil || *got != want {
+		t.Fatalf("round trip = %+v, %v; want %+v", got, err, want)
+	}
+	older := append([]byte(nil), buf[:len(buf)-28]...) // less the blob's length and its 24 bytes
+	older = append(older, 16, 0, 0, 0)
+	older = append(older, buf[len(buf)-24:len(buf)-8]...)
+	got, err = UnmarshalStats(cdr.NewDecoder(older, cdr.LittleEndian))
+	want.Viewed, want.Queues = 0, 0
+	if err != nil || *got != want {
+		t.Fatalf("older blob = %+v, %v; want %+v", got, err, want)
 	}
 }
 
@@ -767,7 +800,7 @@ func TestQuickDirectoryInvariants(t *testing.T) {
 			if count != 1 {
 				return false
 			}
-			if _, ok := dir.Nodes[name]; !ok {
+			if dir.Entry(name) == nil {
 				return false
 			}
 		}

@@ -49,7 +49,7 @@ type action struct {
 	msg     byte              // gossip kind (actSend, actFlood)
 	body    []byte            // gossip body, never mutated once returned
 	vv      map[string]uint64 // actSyncPull's version vector
-	members map[string]*Entry // actPrune's surviving destinations
+	members []string          // actPrune's surviving destinations, sorted
 }
 
 // memberState is an MRM's knowledge of one node. Until the member's
@@ -127,7 +127,7 @@ type core struct {
 	forceSend              bool
 
 	ticks uint64
-	stats Stats // Epoch, Nodes, Groups, VVSize and the gossip pair are filled on read
+	stats Stats // Epoch, Nodes, Groups, Viewed and the gossip figures are filled on read
 }
 
 func newCore(cfg Config, name string) core {
@@ -449,8 +449,7 @@ func (c *core) observePeerEpoch(peer string, peerEpoch uint64, mayHint bool) []a
 	} else {
 		st.epoch, st.streak = peerEpoch, 1
 	}
-	_, known := c.dir.Nodes[peer]
-	if !mayHint || !known || peerEpoch >= c.dir.Epoch || st.streak%hintStreak != 0 {
+	if !mayHint || c.dir.Entry(peer) == nil || peerEpoch >= c.dir.Epoch || st.streak%hintStreak != 0 {
 		return nil
 	}
 	e := cdr.NewEncoder(cdr.LittleEndian)
@@ -559,9 +558,7 @@ func (c *core) join(now time.Time, en *Entry) (dir *Directory, acts []action, fo
 	}
 	from := c.dir.Epoch
 	group := c.dir.assign(en, c.cfg.GroupSize)
-	acts = c.disseminate(&DirectoryDelta{From: from, To: c.dir.Epoch, Upserts: []DirUpsert{{
-		Group: int32(group), Version: c.dir.Versions[en.Name], Desc: en,
-	}}})
+	acts = c.disseminate(&DirectoryDelta{From: from, To: c.dir.Epoch, Upserts: []DirUpsert{{Group: int32(group), Desc: en}}})
 	return c.dir.Clone(), acts, false
 }
 
@@ -699,7 +696,7 @@ func (c *core) pinged(rootEpoch uint64) []action {
 		return nil
 	}
 	c.stats.AntiEntropyPulls++
-	return []action{{kind: actSyncPull, vv: maps.Clone(c.dir.Versions)}}
+	return []action{{kind: actSyncPull, vv: c.dir.VersionVector()}}
 }
 
 // patched takes a sync_pull's patch: rejoin if it leaves this node out
@@ -717,7 +714,7 @@ func (c *core) patched(p *DirectoryPatch) []action {
 	if p.Epoch <= c.dir.Epoch {
 		return nil
 	}
-	if dir, ok := p.Rebuild(c.dir.Nodes); ok {
+	if dir, ok := p.Rebuild(c.dir); ok {
 		c.dir = dir
 		return c.prune()
 	}
@@ -748,16 +745,16 @@ func (c *core) adopt(dir *Directory) {
 // reclaim their gossip channels.
 func (c *core) prune() []action {
 	for name := range c.sent {
-		if _, ok := c.dir.Nodes[name]; !ok {
+		if c.dir.Entry(name) == nil {
 			delete(c.sent, name)
 		}
 	}
 	for name := range c.peerEpochs {
-		if _, ok := c.dir.Nodes[name]; !ok {
+		if c.dir.Entry(name) == nil {
 			delete(c.peerEpochs, name)
 		}
 	}
-	return []action{{kind: actPrune, members: maps.Clone(c.dir.Nodes)}}
+	return []action{{kind: actPrune, members: c.dir.Names()}}
 }
 
 // viewQuery answers a component query from this MRM's (or, in Strong

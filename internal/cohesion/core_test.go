@@ -182,10 +182,10 @@ func TestCoreSyncDecisions(t *testing.T) {
 	// entry, cannot be rebuilt: fall back to the snapshot.
 	newer := c.dir.Clone()
 	newer.assign(testEntry("n03"), 3)
-	vv := newer.Versions // claims n03 is known: the patch ships no entry for it
+	vv := newer.VersionVector() // claims n03 is known: the patch ships no entry for it
 	expectActs(t, "patch that cannot be rebuilt", c.patched(newer.BuildPatch(vv)), "snapshot")
-	expectActs(t, "patch not newer", c.patched(c.dir.BuildPatch(c.dir.Versions)), "")
-	expectActs(t, "patch that rebuilds", c.patched(newer.BuildPatch(c.dir.Versions)), "prune")
+	expectActs(t, "patch not newer", c.patched(c.dir.BuildPatch(c.dir.VersionVector())), "")
+	expectActs(t, "patch that rebuilds", c.patched(newer.BuildPatch(c.dir.VersionVector())), "prune")
 	if c.dir.Epoch != newer.Epoch || c.dir.GroupOf("n03") < 0 {
 		t.Fatalf("rebuilt directory at epoch %d lacks n03", c.dir.Epoch)
 	}
@@ -209,7 +209,7 @@ func TestCoreLeaverNeverRejoins(t *testing.T) {
 	expectActs(t, "repair hint", c.hint(root.Epoch+5), "")
 	expectActs(t, "digest ping", c.pinged(root.Epoch), "")
 	expectActs(t, "digest ping ahead", c.pinged(root.Epoch+1), "")
-	expectActs(t, "patch without self", c.patched(root.BuildPatch(c.dir.Versions)), "")
+	expectActs(t, "patch without self", c.patched(root.BuildPatch(c.dir.VersionVector())), "")
 	rejoined := root.Clone()
 	rejoined.assign(testEntry("n02"), 3)
 	expectActs(t, "late rejoin", c.rejoined(now, rejoined, node.Report{Node: "n02"}, nil), "")

@@ -1,7 +1,9 @@
 package cohesion
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"corbalc/internal/cdr"
@@ -20,10 +22,7 @@ import (
 type DirUpsert struct {
 	// Group is the index the root placed the node into.
 	Group int32
-	// Version is the entry's version-vector value (the epoch at which
-	// it last changed).
-	Version uint64
-	// Desc is the node's directory entry.
+	// Desc is the node's directory entry, its version inside.
 	Desc *Entry
 }
 
@@ -41,12 +40,7 @@ func (dd *DirectoryDelta) Marshal(e *cdr.Encoder) { dd.marshalExt(e, nil) }
 func (dd *DirectoryDelta) marshalExt(e *cdr.Encoder, ext []byte) {
 	e.WriteULongLong(dd.From)
 	e.WriteULongLong(dd.To)
-	e.WriteULong(uint32(len(dd.Upserts)))
-	for _, up := range dd.Upserts {
-		e.WriteLong(up.Group)
-		e.WriteULongLong(up.Version)
-		up.Desc.Marshal(e)
-	}
+	marshalUpserts(e, dd.Upserts)
 	e.WriteStringSeq(dd.Removes)
 	e.WriteOctetSeq(ext)
 }
@@ -61,26 +55,8 @@ func UnmarshalDelta(d *cdr.Decoder) (*DirectoryDelta, error) {
 	if dd.To, err = d.ReadULongLong(); err != nil {
 		return nil, err
 	}
-	nu, err := d.ReadULong()
-	if err != nil {
+	if dd.Upserts, err = unmarshalUpserts(d, "delta"); err != nil {
 		return nil, err
-	}
-	if uint32(d.Remaining())/12 < nu {
-		return nil, cdr.ErrTooLong
-	}
-	dd.Upserts = make([]DirUpsert, 0, nu)
-	for i := uint32(0); i < nu; i++ {
-		var up DirUpsert
-		if up.Group, err = d.ReadLong(); err != nil {
-			return nil, err
-		}
-		if up.Version, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if up.Desc, err = unmarshalEntry(d); err != nil {
-			return nil, fmt.Errorf("cohesion: delta upsert %d: %w", i, err)
-		}
-		dd.Upserts = append(dd.Upserts, up)
 	}
 	if dd.Removes, err = d.ReadStringSeq(); err != nil {
 		return nil, err
@@ -109,19 +85,52 @@ func (dir *Directory) Apply(dd *DirectoryDelta) {
 // member is appended to the group the root picked (growing the group
 // table when the root opened a fresh group).
 func (dir *Directory) place(up DirUpsert) {
-	name := up.Desc.Name
-	if dir.GroupOf(name) < 0 {
-		for int(up.Group) >= len(dir.Groups) {
-			dir.Groups = append(dir.Groups, nil)
+	if !dir.put(up.Desc) {
+		return
+	}
+	for int(up.Group) >= len(dir.Groups) {
+		dir.Groups = append(dir.Groups, nil)
+	}
+	dir.Groups[up.Group] = append(dir.Groups[up.Group], up.Desc.Name)
+}
+
+// marshalUpserts encodes upserts: group, version, entry.
+func marshalUpserts(e *cdr.Encoder, ups []DirUpsert) {
+	e.WriteULong(uint32(len(ups)))
+	for _, up := range ups {
+		e.WriteLong(up.Group)
+		e.WriteULongLong(up.Desc.version)
+		up.Desc.Marshal(e)
+	}
+}
+
+// unmarshalUpserts decodes the upserts of a delta or a patch (what).
+func unmarshalUpserts(d *cdr.Decoder, what string) ([]DirUpsert, error) {
+	nu, err := d.ReadULong()
+	if err != nil {
+		return nil, err
+	}
+	if uint32(d.Remaining())/12 < nu {
+		return nil, cdr.ErrTooLong
+	}
+	ups := make([]DirUpsert, 0, nu)
+	for i := uint32(0); i < nu; i++ {
+		group, err := d.ReadLong()
+		if err != nil {
+			return nil, err
 		}
-		dir.Groups[up.Group] = append(dir.Groups[up.Group], name)
-		dir.memberXor ^= nameHash(name)
+		version, err := d.ReadULongLong()
+		if err != nil {
+			return nil, err
+		}
+		en, err := unmarshalEntry(d)
+		if err != nil {
+			return nil, fmt.Errorf("cohesion: %s upsert %d: %w", what, i, err)
+		}
+		en.endpoint, en.version = bytes.Clone(en.endpoint), version
+		ups = append(ups, DirUpsert{Group: group, Desc: en})
 	}
-	dir.Nodes[name] = up.Desc
-	if dir.Versions == nil {
-		dir.Versions = make(map[string]uint64)
-	}
-	dir.Versions[name] = up.Version
+	return ups, nil
 }
 
 // DirectoryPatch is an anti-entropy pull's answer: the full (cheap)
@@ -135,57 +144,58 @@ type DirectoryPatch struct {
 	Upserts  []DirUpsert
 }
 
-// BuildPatch diffs the directory against a puller's version vector.
+// BuildPatch diffs the directory against a puller's version vector in
+// one walk of the groups.
 func (dir *Directory) BuildPatch(vv map[string]uint64) *DirectoryPatch {
 	p := &DirectoryPatch{
 		Epoch:    dir.Epoch,
 		Groups:   make([][]string, len(dir.Groups)),
-		Versions: make(map[string]uint64, len(dir.Versions)),
+		Versions: make(map[string]uint64, len(dir.entries)),
 	}
 	for i, g := range dir.Groups {
-		p.Groups[i] = append([]string(nil), g...)
-	}
-	for name, ver := range dir.Versions {
-		p.Versions[name] = ver
-		if vv[name] != ver {
-			p.Upserts = append(p.Upserts, DirUpsert{
-				Group:   int32(dir.GroupOf(name)),
-				Version: ver,
-				Desc:    dir.Nodes[name],
-			})
+		p.Groups[i] = slices.Clone(g)
+		for _, name := range g {
+			en := dir.Entry(name)
+			if en == nil {
+				continue // a peer's snapshot can list a member without its entry
+			}
+			p.Versions[name] = en.version
+			if vv[name] != en.version {
+				p.Upserts = append(p.Upserts, DirUpsert{Group: int32(i), Desc: en})
+			}
 		}
 	}
 	return p
 }
 
 // Rebuild reconstructs a full directory from the patch, reusing the
-// puller's previous entries for the members the patch did not need to
-// ship. ok is false when a group member has neither an upsert nor a
-// prior entry — the puller must fall back to a full pull.
-func (p *DirectoryPatch) Rebuild(prev map[string]*Entry) (*Directory, bool) {
-	dir := &Directory{
-		Epoch:    p.Epoch,
-		Groups:   p.Groups,
-		Nodes:    make(map[string]*Entry, len(p.Versions)),
-		Versions: p.Versions,
-	}
-	fresh := make(map[string]*Entry, len(p.Upserts))
+// puller's previous entries (prev) for the members the patch did not
+// need to ship. ok is false when a group member has neither an upsert
+// nor a prior entry at its version, or an upsert no group lists: the
+// puller must fall back to a full pull.
+func (p *DirectoryPatch) Rebuild(prev *Directory) (*Directory, bool) {
+	dir := &Directory{Epoch: p.Epoch, Groups: p.Groups, entries: make([]*Entry, 0, len(p.Versions))}
 	for _, up := range p.Upserts {
-		fresh[up.Desc.Name] = up.Desc
+		dir.put(up.Desc)
 	}
+	members := 0
 	for _, g := range p.Groups {
+		members += len(g)
 		for _, name := range g {
-			nd := fresh[name]
-			if nd == nil {
-				nd = prev[name]
+			if dir.Entry(name) != nil {
+				continue
 			}
-			if nd == nil {
+			nd := prev.Entry(name)
+			if nd == nil || nd.version != p.Versions[name] {
 				return nil, false
 			}
-			dir.Nodes[name] = nd
-			dir.memberXor ^= nameHash(name)
+			dir.put(nd)
 		}
 	}
+	if dir.Len() != members {
+		return nil, false
+	}
+	dir.alias()
 	return dir, true
 }
 
@@ -199,12 +209,7 @@ func (p *DirectoryPatch) marshalExt(e *cdr.Encoder, ext []byte) {
 		e.WriteStringSeq(g)
 	}
 	MarshalVersionVector(e, p.Versions)
-	e.WriteULong(uint32(len(p.Upserts)))
-	for _, up := range p.Upserts {
-		e.WriteLong(up.Group)
-		e.WriteULongLong(up.Version)
-		up.Desc.Marshal(e)
-	}
+	marshalUpserts(e, p.Upserts)
 	e.WriteOctetSeq(ext)
 }
 
@@ -231,26 +236,8 @@ func UnmarshalPatch(d *cdr.Decoder) (*DirectoryPatch, error) {
 	if p.Versions, err = UnmarshalVersionVector(d); err != nil {
 		return nil, err
 	}
-	nu, err := d.ReadULong()
-	if err != nil {
+	if p.Upserts, err = unmarshalUpserts(d, "patch"); err != nil {
 		return nil, err
-	}
-	if uint32(d.Remaining())/12 < nu {
-		return nil, cdr.ErrTooLong
-	}
-	p.Upserts = make([]DirUpsert, 0, nu)
-	for i := uint32(0); i < nu; i++ {
-		var up DirUpsert
-		if up.Group, err = d.ReadLong(); err != nil {
-			return nil, err
-		}
-		if up.Version, err = d.ReadULongLong(); err != nil {
-			return nil, err
-		}
-		if up.Desc, err = unmarshalEntry(d); err != nil {
-			return nil, fmt.Errorf("cohesion: patch upsert %d: %w", i, err)
-		}
-		p.Upserts = append(p.Upserts, up)
 	}
 	if _, err := d.ReadOctetSeqAlias(); err != nil { // skip extensions
 		return nil, err

@@ -25,6 +25,12 @@ func testEntry(name string) *Entry {
 	return &Entry{Name: name, Capability: "workstation", endpoint: ep}
 }
 
+// atVersion versions a test entry no directory holds yet.
+func atVersion(en *Entry, version uint64) *Entry {
+	en.version = version
+	return en
+}
+
 // selfEntry is the entry ag enters in a directory.
 func selfEntry(t *testing.T, ag *Agent) *Entry {
 	t.Helper()
@@ -46,8 +52,8 @@ func TestDeltaMarshalRoundTrip(t *testing.T) {
 	dd := &DirectoryDelta{
 		From: 41, To: 42,
 		Upserts: []DirUpsert{
-			{Group: 0, Version: 42, Desc: testEntry("a")},
-			{Group: 3, Version: 42, Desc: testEntry("b")},
+			{Group: 0, Desc: atVersion(testEntry("a"), 42)},
+			{Group: 3, Desc: atVersion(testEntry("b"), 42)},
 		},
 		Removes: []string{"gone", "also-gone"},
 	}
@@ -73,7 +79,7 @@ func TestPatchMarshalRoundTrip(t *testing.T) {
 		Epoch:    9,
 		Groups:   [][]string{{"a", "b"}, nil, {"c"}},
 		Versions: map[string]uint64{"a": 1, "b": 5, "c": 9},
-		Upserts:  []DirUpsert{{Group: 2, Version: 9, Desc: testEntry("c")}},
+		Upserts:  []DirUpsert{{Group: 2, Desc: atVersion(testEntry("c"), 9)}},
 	}
 	buf := encode(p.Marshal)
 	got, err := UnmarshalPatch(cdr.NewDecoder(buf, cdr.LittleEndian))
@@ -94,11 +100,11 @@ func TestPatchMarshalRoundTrip(t *testing.T) {
 func TestDeltaTruncation(t *testing.T) {
 	leak.Check(t)
 	dd := &DirectoryDelta{From: 1, To: 2,
-		Upserts: []DirUpsert{{Group: 1, Version: 2, Desc: testEntry("x")}},
+		Upserts: []DirUpsert{{Group: 1, Desc: atVersion(testEntry("x"), 2)}},
 		Removes: []string{"y"}}
 	p := &DirectoryPatch{Epoch: 3, Groups: [][]string{{"x"}},
 		Versions: map[string]uint64{"x": 3},
-		Upserts:  []DirUpsert{{Group: 0, Version: 3, Desc: testEntry("x")}}}
+		Upserts:  []DirUpsert{{Group: 0, Desc: atVersion(testEntry("x"), 3)}}}
 	dir := NewDirectory()
 	dir.assign(testEntry("x"), 3)
 	dir.assign(testEntry("y"), 3)
@@ -168,7 +174,7 @@ func TestDeltaExtensionTolerance(t *testing.T) {
 
 	p := &DirectoryPatch{Epoch: 7, Groups: [][]string{{"z"}},
 		Versions: map[string]uint64{"z": 7},
-		Upserts:  []DirUpsert{{Group: 0, Version: 7, Desc: testEntry("z")}}}
+		Upserts:  []DirUpsert{{Group: 0, Desc: atVersion(testEntry("z"), 7)}}}
 	buf = encode(func(e *cdr.Encoder) { p.marshalExt(e, junk) })
 	gp, err := UnmarshalPatch(cdr.NewDecoder(buf, cdr.LittleEndian))
 	if err != nil || gp.Epoch != 7 || gp.Upserts[0].Desc.Name != "z" {
@@ -211,7 +217,7 @@ func TestQuickDeltaReplay(t *testing.T) {
 				g := root.assign(desc, 4)
 				present = append(present, name)
 				delta = &DirectoryDelta{From: from, To: root.Epoch,
-					Upserts: []DirUpsert{{Group: int32(g), Version: root.Versions[name], Desc: desc}}}
+					Upserts: []DirUpsert{{Group: int32(g), Desc: desc}}}
 			} else {
 				j := rng.Intn(len(present))
 				name := present[j]
@@ -235,13 +241,13 @@ func TestQuickDeltaReplay(t *testing.T) {
 		}
 		// Anti-entropy: a patch against the stale replica's version
 		// vector must rebuild the root state from upserts + survivors.
-		patch := root.BuildPatch(stale.Versions)
+		patch := root.BuildPatch(stale.VersionVector())
 		buf := encode(patch.Marshal)
 		gp, err := UnmarshalPatch(cdr.NewDecoder(buf, cdr.LittleEndian))
 		if err != nil {
 			return false
 		}
-		rebuilt, ok := gp.Rebuild(stale.Nodes)
+		rebuilt, ok := gp.Rebuild(stale)
 		return ok && sameDir(root, rebuilt)
 	}
 	if err := quick.Check(check, cfg); err != nil {
@@ -268,14 +274,9 @@ func sameDir(a, b *Directory) bool {
 			}
 		}
 	}
-	for name, v := range a.Versions {
-		if b.Versions[name] != v {
-			return false
-		}
-	}
-	for name, nd := range a.Nodes {
-		other := b.Nodes[name]
-		if other == nil || !bytes.Equal(encode(nd.Marshal), encode(other.Marshal)) {
+	for i, en := range a.entries {
+		other := b.entries[i]
+		if other.version != en.version || !bytes.Equal(encode(en.Marshal), encode(other.Marshal)) {
 			return false
 		}
 	}
@@ -460,7 +461,7 @@ func TestRootQueryRacesDeltaStream(t *testing.T) {
 			}
 			e, _, _ := root.Stamp()
 			root.handleDelta(&DirectoryDelta{From: e, To: e + 1,
-				Upserts: []DirUpsert{{Group: 0, Version: e + 1, Desc: x}}}, nil)
+				Upserts: []DirUpsert{{Group: 0, Desc: x}}}, nil)
 			root.handleDelta(&DirectoryDelta{From: e + 1, To: e + 2, Removes: []string{"x"}}, nil)
 		}
 	}()

@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
+	"strings"
 
 	"corbalc/internal/cdr"
 	"corbalc/internal/ior"
@@ -40,14 +40,16 @@ type NodeDesc struct {
 	Resources  *ior.IOR
 }
 
-// Entry is one node's directory entry: its name, its capability and the
-// one endpoint (ior.Cut) its services share. A service's reference
-// is derived from it where one is invoked (Ref); deltas, patches and
-// joins carry and apply entries without deriving any.
+// Entry is one node's directory entry: its name, its capability, the
+// one endpoint (ior.Cut) its services share and its version. A service's
+// reference is derived from it where one is invoked (Ref); deltas,
+// patches and joins carry and apply entries without deriving any. Once a
+// directory holds an entry it is immutable, so clones share entries.
 type Entry struct {
 	Name       string
 	Capability string
 	endpoint   []byte
+	version    uint64 // the epoch at which the entry last changed
 }
 
 // newEntry folds a descriptor into an entry. It refuses a descriptor
@@ -82,17 +84,20 @@ func (en *Entry) Marshal(e *cdr.Encoder) {
 }
 
 // unmarshalEntry decodes an entry (a delta's, a patch's, a directory's or
-// a join's) and refuses an endpoint ior.CheckEndpoint refuses.
+// a join's) and refuses an endpoint ior.CheckEndpoint refuses. The
+// endpoint aliases d's buffer: the caller copies it out.
 func unmarshalEntry(d *cdr.Decoder) (*Entry, error) {
 	en := &Entry{}
 	var err error
 	if en.Name, err = d.ReadString(); err != nil {
 		return nil, err
 	}
-	if en.Capability, err = d.ReadString(); err != nil {
+	capability, err := d.ReadStringAlias()
+	if err != nil {
 		return nil, err
 	}
-	if en.endpoint, err = d.ReadOctetSeq(); err != nil {
+	en.Capability = vocabulary(capability)
+	if en.endpoint, err = d.ReadOctetSeqAlias(); err != nil {
 		return nil, err
 	}
 	if err := ior.CheckEndpoint(en.endpoint); err != nil {
@@ -101,18 +106,25 @@ func unmarshalEntry(d *cdr.Decoder) (*Entry, error) {
 	return en, nil
 }
 
+// vocabulary returns a capability the node package names as its
+// constant, so a replica's entries share it; any other value is copied.
+func vocabulary(b []byte) string {
+	for _, c := range [...]node.Capability{node.CapServer, node.CapWorkstation, node.CapPDA} {
+		if string(b) == string(c) {
+			return string(c)
+		}
+	}
+	return string(b)
+}
+
 // Directory is the replicated membership state: the set of nodes, their
 // grouping, and a monotonically increasing epoch. The root MRM mutates
 // it (joins, leaves, confirmed deaths) and disseminates versioned
 // deltas to every node; everyone else treats it as read-only.
 type Directory struct {
-	Epoch  uint64
-	Groups [][]string // group index -> member names, join order preserved
-	Nodes  map[string]*Entry
-	// Versions is the per-entry version vector: for each member, the
-	// epoch at which its entry last changed. Anti-entropy pulls ship it
-	// so the root can answer with only the entries the puller lacks.
-	Versions map[string]uint64
+	Epoch   uint64
+	Groups  [][]string // group index -> member names, join order preserved
+	entries []*Entry   // each member once, sorted by name
 
 	// memberXor folds every member name into one order-independent hash,
 	// maintained incrementally — (Epoch, Len, memberXor) is an O(1)
@@ -121,9 +133,7 @@ type Directory struct {
 }
 
 // NewDirectory returns an empty directory at epoch 0.
-func NewDirectory() *Directory {
-	return &Directory{Nodes: make(map[string]*Entry), Versions: make(map[string]uint64)}
-}
+func NewDirectory() *Directory { return &Directory{} }
 
 func nameHash(name string) uint64 {
 	h := fnv.New64a()
@@ -134,27 +144,52 @@ func nameHash(name string) uint64 {
 // Stamp returns the O(1) convergence probe: two directories with equal
 // stamps hold the same epoch and member set.
 func (dir *Directory) Stamp() (epoch uint64, n int, xor uint64) {
-	return dir.Epoch, len(dir.Nodes), dir.memberXor
+	return dir.Epoch, len(dir.entries), dir.memberXor
+}
+
+// search finds name in the entry table: its index, or where it would go.
+func (dir *Directory) search(name string) (int, bool) {
+	return slices.BinarySearchFunc(dir.entries, name, func(en *Entry, name string) int {
+		return strings.Compare(en.Name, name)
+	})
+}
+
+// Entry returns a member's entry, or nil.
+func (dir *Directory) Entry(name string) *Entry {
+	if i, ok := dir.search(name); ok {
+		return dir.entries[i]
+	}
+	return nil
+}
+
+// put installs en, replacing the member's entry; it reports whether the member is new.
+func (dir *Directory) put(en *Entry) bool {
+	i, ok := dir.search(en.Name)
+	if ok {
+		dir.entries[i] = en
+		return false
+	}
+	dir.entries = slices.Insert(dir.entries, i, en)
+	dir.memberXor ^= nameHash(en.Name)
+	return true
+}
+
+// VersionVector maps each member to its entry's version, for a sync_pull.
+func (dir *Directory) VersionVector() map[string]uint64 {
+	vv := make(map[string]uint64, len(dir.entries))
+	for _, en := range dir.entries {
+		vv[en.Name] = en.version
+	}
+	return vv
 }
 
 // Clone deep-copies the directory (entries are shared, they are
 // immutable once published).
 func (dir *Directory) Clone() *Directory {
-	out := &Directory{
-		Epoch:     dir.Epoch,
-		Nodes:     make(map[string]*Entry, len(dir.Nodes)),
-		Versions:  make(map[string]uint64, len(dir.Versions)),
-		memberXor: dir.memberXor,
-	}
+	out := &Directory{Epoch: dir.Epoch, entries: slices.Clone(dir.entries), memberXor: dir.memberXor}
 	out.Groups = make([][]string, len(dir.Groups))
 	for i, g := range dir.Groups {
-		out.Groups[i] = append([]string(nil), g...)
-	}
-	for k, v := range dir.Nodes {
-		out.Nodes[k] = v
-	}
-	for k, v := range dir.Versions {
-		out.Versions[k] = v
+		out.Groups[i] = slices.Clone(g)
 	}
 	return out
 }
@@ -191,38 +226,24 @@ func (dir *Directory) Assign(desc *NodeDesc, g int) (int, error) {
 }
 
 // assign places a node into the first group with room (group size limit
-// g), creating a new group when all are full. It mutates the directory
-// and bumps the epoch. Assigning an existing member is idempotent
-// (refreshes its entry, keeps its group) so duplicate or racing joins
-// cannot corrupt the grouping.
+// g), creating a new group when all are full. It bumps the epoch and
+// versions en (held by no directory yet) at it. Assigning an existing
+// member is idempotent (refreshes its entry, keeps its group) so
+// duplicate or racing joins cannot corrupt the grouping.
 func (dir *Directory) assign(en *Entry, g int) int {
-	if existing := dir.GroupOf(en.Name); existing >= 0 {
-		dir.Nodes[en.Name] = en
-		dir.Epoch++
-		dir.setVersion(en.Name)
-		return existing
+	dir.Epoch++
+	en.version = dir.Epoch
+	if !dir.put(en) {
+		return dir.GroupOf(en.Name)
 	}
-	dir.Nodes[en.Name] = en
-	dir.memberXor ^= nameHash(en.Name)
 	for i := range dir.Groups {
 		if len(dir.Groups[i]) < g {
 			dir.Groups[i] = append(dir.Groups[i], en.Name)
-			dir.Epoch++
-			dir.setVersion(en.Name)
 			return i
 		}
 	}
 	dir.Groups = append(dir.Groups, []string{en.Name})
-	dir.Epoch++
-	dir.setVersion(en.Name)
 	return len(dir.Groups) - 1
-}
-
-func (dir *Directory) setVersion(name string) {
-	if dir.Versions == nil {
-		dir.Versions = make(map[string]uint64)
-	}
-	dir.Versions[name] = dir.Epoch
 }
 
 // Remove deletes a node (leave or confirmed death); empty groups are
@@ -239,11 +260,11 @@ func (dir *Directory) Remove(name string) bool {
 // Remove (root mutation, bumps) and delta application (the delta's To
 // epoch is adopted instead).
 func (dir *Directory) drop(name string) bool {
-	if _, ok := dir.Nodes[name]; !ok {
+	i, ok := dir.search(name)
+	if !ok {
 		return false
 	}
-	delete(dir.Nodes, name)
-	delete(dir.Versions, name)
+	dir.entries = slices.Delete(dir.entries, i, i+1)
 	dir.memberXor ^= nameHash(name)
 	for i, g := range dir.Groups {
 		for j, m := range g {
@@ -258,16 +279,15 @@ func (dir *Directory) drop(name string) bool {
 
 // Names lists all member names, sorted.
 func (dir *Directory) Names() []string {
-	out := make([]string, 0, len(dir.Nodes))
-	for n := range dir.Nodes {
-		out = append(out, n)
+	out := make([]string, len(dir.entries))
+	for i, en := range dir.entries {
+		out[i] = en.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
 // Len reports the node count.
-func (dir *Directory) Len() int { return len(dir.Nodes) }
+func (dir *Directory) Len() int { return len(dir.entries) }
 
 // RootGroup is the group whose leading members act as the root MRM
 // replicas. It is the first non-empty group.
@@ -310,16 +330,17 @@ func (dir *Directory) marshalExt(e *cdr.Encoder, ext []byte) {
 	for _, g := range dir.Groups {
 		e.WriteStringSeq(g)
 	}
-	e.WriteULong(uint32(len(dir.Nodes)))
-	for _, name := range dir.Names() {
-		dir.Nodes[name].Marshal(e)
-		e.WriteULongLong(dir.Versions[name])
+	e.WriteULong(uint32(len(dir.entries)))
+	for _, en := range dir.entries {
+		en.Marshal(e)
+		e.WriteULongLong(en.version)
 	}
 	e.WriteOctetSeq(ext)
 }
 
 // UnmarshalDirectory decodes a directory, rebuilding the incremental
-// membership hash and tolerating (skipping) unknown trailing fields.
+// membership hash and tolerating (skipping) unknown trailing fields. It
+// holds each name once and its endpoints in one block (DESIGN.md §13.1).
 func UnmarshalDirectory(d *cdr.Decoder) (*Directory, error) {
 	dir := NewDirectory()
 	var err error
@@ -346,21 +367,39 @@ func UnmarshalDirectory(d *cdr.Decoder) (*Directory, error) {
 	if uint32(d.Remaining())/8 < nn {
 		return nil, cdr.ErrTooLong
 	}
+	dir.entries = make([]*Entry, 0, nn)
+	size := 0
 	for i := uint32(0); i < nn; i++ {
 		nd, err := unmarshalEntry(d)
 		if err != nil {
 			return nil, fmt.Errorf("cohesion: node %d: %w", i, err)
 		}
-		ver, err := d.ReadULongLong()
-		if err != nil {
+		if nd.version, err = d.ReadULongLong(); err != nil {
 			return nil, err
 		}
-		dir.Nodes[nd.Name] = nd
-		dir.Versions[nd.Name] = ver
-		dir.memberXor ^= nameHash(nd.Name)
+		size += len(nd.endpoint)
+		dir.put(nd) // in the sorted order Marshal writes, an append
 	}
 	if _, err := d.ReadOctetSeqAlias(); err != nil { // skip extensions
 		return nil, err
 	}
+	endpoints := make([]byte, 0, size)
+	for _, en := range dir.entries {
+		n := len(endpoints)
+		endpoints = append(endpoints, en.endpoint...)
+		en.endpoint = endpoints[n:len(endpoints):len(endpoints)]
+	}
+	dir.alias()
 	return dir, nil
+}
+
+// alias points the groups' member names at the entries' strings.
+func (dir *Directory) alias() {
+	for _, g := range dir.Groups {
+		for j, m := range g {
+			if en := dir.Entry(m); en != nil {
+				g[j] = en.Name
+			}
+		}
+	}
 }

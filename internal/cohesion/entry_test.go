@@ -3,6 +3,7 @@ package cohesion
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -112,6 +113,7 @@ func TestEntryFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		en.endpoint = bytes.Clone(en.endpoint) // as a delta's or a join's entry is kept
 		keep[i] = en
 	}
 	runtime.GC()
@@ -121,6 +123,47 @@ func TestEntryFootprint(t *testing.T) {
 	t.Logf("a swarm entry: %d B on the wire, %d B live", len(raw), per)
 	if per > 200 {
 		t.Errorf("a decoded swarm entry holds %d B live, want at most 200", per)
+	}
+}
+
+// TestReplicaFootprint pins what a decoded replica of the swarm
+// benchmark's directory holds: 120 members on simnet, workstations, in
+// groups of 8, at most 140 B per member. One map for the entries and one
+// for the versions, a capability string per entry and the group lists'
+// own copies of the names made it 243 B.
+func TestReplicaFootprint(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	const members = 120
+	tc := &testCluster{net: simnet.New(simnet.Link{})}
+	dir := NewDirectory()
+	for i := range members {
+		nd, ag := tc.newAgent(t, fmt.Sprintf("n%03d", i), nil)
+		if _, err := dir.Assign(ag.Desc(), 8); err != nil {
+			t.Fatal(err)
+		}
+		nd.Close()
+	}
+	raw := encode(dir.Marshal)
+	keep := make([]*Directory, members)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		got, err := UnmarshalDirectory(cdr.NewDecoder(raw, cdr.LittleEndian))
+		if err != nil || got.Len() != members {
+			t.Fatalf("decoded %v nodes: %v", got.Len(), err)
+		}
+		keep[i] = got
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / (members * members)
+	runtime.KeepAlive(keep)
+	t.Logf("a %d-member replica: %d B on the wire, %d B live per member", members, len(raw), per)
+	if per > 140 {
+		t.Errorf("a decoded replica holds %d B live per member, want at most 140", per)
 	}
 }
 
@@ -141,7 +184,7 @@ func TestAssignCutsOneEndpoint(t *testing.T) {
 	if _, err := dir.Assign(desc("n000", 9000), 8); err != nil {
 		t.Fatalf("the ladder's shape is refused: %v", err)
 	}
-	got := dir.Nodes["n000"].Ref(node.ComponentRegistry)
+	got := dir.Entry("n000").Ref(node.ComponentRegistry)
 	want := ior.New(node.ComponentRegistry.RepoID(), "127.0.0.1", 9000, []byte(node.ComponentRegistry.Key()))
 	if !bytes.Equal(encode(got.Marshal), encode(want.Marshal)) {
 		t.Errorf("derived registry reference = %v, want %v", got, want)

@@ -21,7 +21,7 @@ import (
 // from an accepted upsert marshals, decodes and re-marshals
 // byte-identically.
 func FuzzUnmarshalDelta(f *testing.F) {
-	entry := func(name string) *Entry {
+	entry := func(name string, version uint64) *Entry {
 		key := node.NetworkCohesion.Key()
 		ref := ior.New(node.NetworkCohesion.RepoID(), "10.0.0.7", 2809, []byte(key))
 		ref.AddProfile(ior.TagCorbalcInProcess, []byte("orb-7\x00"+key))
@@ -30,13 +30,13 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		return &Entry{Name: name, Capability: "workstation", endpoint: ep}
+		return &Entry{Name: name, Capability: "workstation", endpoint: ep, version: version}
 	}
 	dd := &DirectoryDelta{
 		From: 41, To: 42,
 		Upserts: []DirUpsert{
-			{Group: 0, Version: 42, Desc: entry("n001")},
-			{Group: 3, Version: 42, Desc: entry("n002")},
+			{Group: 0, Desc: entry("n001", 42)},
+			{Group: 3, Desc: entry("n002", 42)},
 		},
 		Removes: []string{"n000"},
 	}

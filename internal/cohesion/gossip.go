@@ -1,6 +1,7 @@
 package cohesion
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,11 +145,11 @@ func (g *gossiper) drop(dest string) {
 
 // prune drops every destination not in the member set, reclaiming
 // queues and delivery goroutines as churn removes nodes.
-func (g *gossiper) prune(members map[string]*Entry) {
+func (g *gossiper) prune(members []string) {
 	g.mu.Lock()
 	var dead []string
 	for dest := range g.cancels {
-		if _, ok := members[dest]; !ok {
+		if _, ok := slices.BinarySearch(members, dest); !ok {
 			dead = append(dead, dest)
 		}
 	}

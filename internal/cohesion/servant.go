@@ -1,6 +1,7 @@
 package cohesion
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"time"
@@ -32,6 +33,7 @@ func (s *agentServant) InvokeContext(ctx context.Context, op string, args *cdr.D
 		if err != nil {
 			return orb.Marshal()
 		}
+		en.endpoint = bytes.Clone(en.endpoint)
 		dir, err := a.handleJoin(ctx, en)
 		if err != nil {
 			return joinExc(err)
@@ -148,7 +150,7 @@ func (s *agentServant) dispatchGossip(kind byte, body []byte) {
 		}
 		// Trailing epoch advertisement, absent in older senders.
 		epoch, err := d.ReadULongLong()
-		a.step(func(c *core, now time.Time) []action {
+		a.feed(func(c *core, now time.Time) []action {
 			return c.update(now, report, offers, hasOffers, epoch, err == nil)
 		})
 	case gossipSummary:
@@ -174,7 +176,7 @@ func (s *agentServant) dispatchGossip(kind byte, body []byte) {
 		if err == nil {
 			leader, _ = d.ReadString()
 		}
-		a.step(func(c *core, now time.Time) []action {
+		a.feed(func(c *core, now time.Time) []action {
 			return c.summary(now, int(group), alive, freeCPU, exports, epoch, leader)
 		})
 	case gossipDelta:
@@ -182,13 +184,13 @@ func (s *agentServant) dispatchGossip(kind byte, body []byte) {
 		if err != nil {
 			return
 		}
-		a.step(func(c *core, now time.Time) []action { return c.delta(now, delta, body) })
+		a.feed(func(c *core, now time.Time) []action { return c.delta(now, delta, body) })
 	case gossipHint:
 		epoch, err := d.ReadULongLong()
 		if err != nil {
 			return
 		}
-		a.step(func(c *core, _ time.Time) []action { return c.hint(epoch) })
+		a.feed(func(c *core, _ time.Time) []action { return c.hint(epoch) })
 	}
 }
 
@@ -385,8 +387,8 @@ func (a *Agent) queryFlat(ctx context.Context, portID, verReq string) ([]*node.O
 		return nil, ErrNotJoined
 	}
 	var out []*node.Offer
-	for name, en := range dir.Nodes {
-		if name == a.name {
+	for _, en := range dir.entries {
+		if en.Name == a.name {
 			out = append(out, a.localOffers(portID, verReq)...)
 			continue
 		}

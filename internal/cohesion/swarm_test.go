@@ -220,9 +220,6 @@ func TestSwarmGossipStats(t *testing.T) {
 			mrm.GossipBatches > 0 && mrm.GossipBytes > 0 && mrm.UpdatesRecv > 0
 	})
 	st := tc.agents[2].Stats()
-	if st.VVSize != n {
-		t.Errorf("version vector size = %d, want %d", st.VVSize, n)
-	}
 	if st.Epoch == 0 || st.Nodes != n {
 		t.Errorf("stats snapshot: epoch %d nodes %d", st.Epoch, st.Nodes)
 	}

@@ -296,7 +296,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	for {
 		raw, err := giop.ReadMessagePooled(br)
 		if err != nil {
-			sc.reportOversized(err)
+			sc.reportRefused(err)
 			return
 		}
 		if raw.Header.Type == giop.MsgCloseConnection {
@@ -311,7 +311,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			raw.Release()
 		}
 		if err != nil {
-			sc.reportOversized(err)
+			sc.reportRefused(err)
 			return // corrupt or oversized fragment stream: drop the connection
 		}
 		if m == nil {
@@ -328,11 +328,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// reportOversized answers a read-loop failure that is an oversized
-// frame or reassembly with MessageError before the connection drops:
-// the headers decoded fine, so the peer can be told why.
-func (sc *serverConn) reportOversized(err error) {
-	if errors.Is(err, giop.ErrMessageSize) {
+// reportRefused answers a read-loop failure that is an oversized frame
+// or reassembly, or a GIOP version this server does not speak, with a
+// GIOP 1.2 MessageError before the connection drops, so the peer learns why.
+func (sc *serverConn) reportRefused(err error) {
+	if errors.Is(err, giop.ErrMessageSize) || errors.Is(err, giop.ErrBadVersion) {
 		_ = sc.co.write(giop.Header{Version: giop.V12, Type: giop.MsgMessageError}, nil)
 	}
 }

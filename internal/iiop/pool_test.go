@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -27,14 +28,38 @@ import (
 // answer with a GIOP MessageError before dropping the connection —
 // the protocol-visible half of the max-message-size satellite.
 func TestOversizedFrameRejectedWithMessageError(t *testing.T) {
+	// A header claiming one byte more than the cap; no body follows (the
+	// server must reject on the header alone, before buffering anything).
+	hdr := giop.EncodeHeader(giop.Header{
+		Version: giop.V12, Order: cdr.LittleEndian, Type: giop.MsgRequest,
+	}, giop.MaxMessageSize+1)
+	expectMessageError(t, hdr[:])
+}
+
+// TestUnsupportedVersionRejectedWithMessageError sends hand-built GIOP
+// 1.3 and 2.0 request headers and expects a GIOP 1.2 MessageError before
+// the server drops the connection: GIOP answers a message whose version
+// the recipient does not know with MessageError.
+func TestUnsupportedVersionRejectedWithMessageError(t *testing.T) {
+	for _, v := range []giop.Version{{Major: 1, Minor: 3}, {Major: 2, Minor: 0}} {
+		t.Run(fmt.Sprintf("%d.%d", v.Major, v.Minor), func(t *testing.T) {
+			hdr := []byte{'G', 'I', 'O', 'P', v.Major, v.Minor, byte(cdr.LittleEndian), byte(giop.MsgRequest), 0, 0, 0, 0}
+			expectMessageError(t, hdr)
+		})
+	}
+}
+
+// expectMessageError writes raw to a fresh connection and expects a GIOP
+// 1.2 MessageError back, then the connection's close.
+func expectMessageError(t *testing.T, raw []byte) {
+	t.Helper()
 	serverORB := orb.NewORB()
 	srv, err := ListenAndActivate(serverORB, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	host, _ := serverORB.Endpoint()
-	_, port := serverORB.Endpoint()
+	host, port := serverORB.Endpoint()
 
 	conn, err := net.Dial("tcp", fmt.Sprintf("%s:%d", host, port))
 	if err != nil {
@@ -42,26 +67,23 @@ func TestOversizedFrameRejectedWithMessageError(t *testing.T) {
 	}
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-
-	// A header claiming one byte more than the cap; no body follows (the
-	// server must reject on the header alone, before buffering anything).
-	hdr := giop.EncodeHeader(giop.Header{
-		Version: giop.V12, Order: cdr.LittleEndian, Type: giop.MsgRequest,
-	}, giop.MaxMessageSize+1)
-	if _, err := conn.Write(hdr[:]); err != nil {
+	if _, err := conn.Write(raw); err != nil {
 		t.Fatal(err)
 	}
 
 	var resp [giop.HeaderLen]byte
-	if _, err := conn.Read(resp[:]); err != nil {
+	if _, err := io.ReadFull(conn, resp[:]); err != nil {
 		t.Fatalf("no MessageError before close: %v", err)
 	}
 	h, err := giop.DecodeHeader(resp[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Type != giop.MsgMessageError {
-		t.Fatalf("reply type = %v, want MessageError", h.Type)
+	if h.Type != giop.MsgMessageError || h.Version != giop.V12 {
+		t.Fatalf("reply: GIOP %v %v, want a GIOP 1.2 MessageError", h.Version, h.Type)
+	}
+	if n, err := conn.Read(resp[:]); err != io.EOF {
+		t.Fatalf("after the MessageError: %d bytes, %v; want the connection closed", n, err)
 	}
 }
 
