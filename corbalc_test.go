@@ -351,7 +351,7 @@ func TestClosedPeerPinsNoState(t *testing.T) {
 	for i := 0; i < cycles; i++ {
 		last := len(c.Peers) - 1
 		victim := c.Peers[last]
-		waitFor(victim.Node.Name()+" never held a gossip queue", func() bool { return victim.Agent.Stats().Queues > 0 })
+		waitFor(victim.Node.Name()+" never shipped gossip", func() bool { return victim.Agent.Stats().GossipBatches > 0 })
 		c.Net.SetDown(victim.Node.Name(), true) // down, never detached
 		victim.Close()
 		holdsNothing(victim)

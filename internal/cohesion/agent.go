@@ -119,7 +119,7 @@ type Stats struct {
 	Nodes  int // directory entries
 	Groups int
 	Viewed int // member states in this node's MRM view
-	Queues int // gossip destinations with a queue and a forwarder
+	Queues int // gossip destinations with messages waiting
 }
 
 // Marshal encodes the stats for the cohesion_stats operation, ending in
@@ -302,7 +302,7 @@ func (a *Agent) run(acts []action) {
 		case actSend:
 			a.gossip.enqueue(act.peer, act.msg, act.body)
 		case actFlood:
-			a.gossip.sendNow(act.peer, act.msg, act.body)
+			a.gossip.ship(act.peer, []message{{act.msg, act.body}}) // a frame of its own
 		case actDrop:
 			a.gossip.drop(act.peer)
 		case actPrune:
@@ -375,7 +375,7 @@ func (a *Agent) Stats() Stats {
 		st = c.stats
 		st.Epoch, st.Nodes, st.Groups, st.Viewed = c.dir.Epoch, c.dir.Len(), len(c.dir.Groups), len(c.view)
 	})
-	st.GossipBatches, st.GossipBytes, st.Queues = a.gossip.batches.Load(), a.gossip.bytes.Load(), len(a.gossip.hub.ChannelStats())
+	st.GossipBatches, st.GossipBytes, st.Queues = a.gossip.batches.Load(), a.gossip.bytes.Load(), a.gossip.waiting()
 	return st
 }
 

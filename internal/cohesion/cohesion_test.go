@@ -10,7 +10,6 @@ import (
 
 	"corbalc/internal/cdr"
 	"corbalc/internal/component"
-	"corbalc/internal/events"
 	"corbalc/internal/idl"
 	"corbalc/internal/ior"
 	"corbalc/internal/leak"
@@ -646,12 +645,11 @@ func TestStrongFloodRidesGossipOnly(t *testing.T) {
 	}
 }
 
-// The gossip queue settings were options nothing set; they are fixed at
+// The gossip outbox limits were options nothing set; they are fixed at
 // the values that were their defaults.
 func TestGossipQueueDefaultsPinned(t *testing.T) {
-	want := events.Config{Depth: 128, Policy: events.DropOldest, BatchWindow: 2 * time.Millisecond}
-	if gossipQueue != want {
-		t.Fatalf("gossipQueue = %+v, want %+v", gossipQueue, want)
+	if gossipDepth != 128 || gossipFrame != 64 || gossipWindow != 2*time.Millisecond {
+		t.Fatalf("outbox depth %d, frame %d, window %v; want 128, 64, 2ms", gossipDepth, gossipFrame, gossipWindow)
 	}
 }
 

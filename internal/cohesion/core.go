@@ -295,8 +295,8 @@ func encodeUpdate(r *node.Report, offers []*node.Offer, hasOffers bool, epoch ui
 // flood is what Strong mode adds to Soft: this node's full update
 // (report and offers) to every member, not just its MRM replicas — the
 // same gossipUpdate entry, each in a gossip_batch frame of its own. It
-// bypasses the queues because a flood is N messages per change: queued,
-// every node would keep a queue and a forwarder per member (N² of them)
+// bypasses the outboxes because a flood is N messages per change: queued,
+// every node would start an outbox and a sender per member (N² of them)
 // and drop under overload exactly what this mode promises to deliver;
 // sent from the one flood worker, it throttles itself.
 func (c *core) flood(r node.Report, offers []*node.Offer) []action {

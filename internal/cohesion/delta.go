@@ -1,7 +1,6 @@
 package cohesion
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -81,10 +80,11 @@ func (dir *Directory) Apply(dd *DirectoryDelta) {
 	dir.Epoch = dd.To
 }
 
-// place installs one upsert: a refresh keeps the node's group, a new
-// member is appended to the group the root picked (growing the group
-// table when the root opened a fresh group).
+// place installs one upsert, packing its endpoint: a refresh keeps the
+// node's group, a new member is appended to the group the root picked
+// (growing the group table when the root opened a fresh group).
 func (dir *Directory) place(up DirUpsert) {
+	dir.spare = pack(dir.spare, up.Desc)
 	if !dir.put(up.Desc) {
 		return
 	}
@@ -104,7 +104,8 @@ func marshalUpserts(e *cdr.Encoder, ups []DirUpsert) {
 	}
 }
 
-// unmarshalUpserts decodes the upserts of a delta or a patch (what).
+// unmarshalUpserts decodes the upserts of a delta or a patch (what),
+// their endpoints copied into one block.
 func unmarshalUpserts(d *cdr.Decoder, what string) ([]DirUpsert, error) {
 	nu, err := d.ReadULong()
 	if err != nil {
@@ -114,6 +115,7 @@ func unmarshalUpserts(d *cdr.Decoder, what string) ([]DirUpsert, error) {
 		return nil, cdr.ErrTooLong
 	}
 	ups := make([]DirUpsert, 0, nu)
+	size := 0
 	for i := uint32(0); i < nu; i++ {
 		group, err := d.ReadLong()
 		if err != nil {
@@ -127,8 +129,13 @@ func unmarshalUpserts(d *cdr.Decoder, what string) ([]DirUpsert, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cohesion: %s upsert %d: %w", what, i, err)
 		}
-		en.endpoint, en.version = bytes.Clone(en.endpoint), version
+		en.version = version
+		size += len(en.endpoint)
 		ups = append(ups, DirUpsert{Group: group, Desc: en})
+	}
+	block := make([]byte, 0, size)
+	for _, up := range ups {
+		block = pack(block, up.Desc)
 	}
 	return ups, nil
 }

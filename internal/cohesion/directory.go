@@ -130,6 +130,26 @@ type Directory struct {
 	// maintained incrementally — (Epoch, Len, memberXor) is an O(1)
 	// convergence probe for swarm-scale tests.
 	memberXor uint64
+
+	// spare is the free tail of the block that entries placed one at a
+	// time (joins, deltas) pack their endpoints into; clones lack it.
+	spare []byte
+}
+
+// endpointBlock sizes a spare block: fifteen 34-byte swarm endpoints fill
+// a 512-byte size class; copied one by one, each would round up to 48.
+const endpointBlock = 512
+
+// pack copies en's endpoint (en held by no directory yet) into block's
+// free tail, starting a new block when it does not fit.
+func pack(block []byte, en *Entry) []byte {
+	if cap(block)-len(block) < len(en.endpoint) {
+		block = make([]byte, 0, max(endpointBlock, len(en.endpoint)))
+	}
+	n := len(block)
+	block = append(block, en.endpoint...)
+	en.endpoint = block[n:len(block):len(block)]
+	return block
 }
 
 // NewDirectory returns an empty directory at epoch 0.
@@ -227,12 +247,13 @@ func (dir *Directory) Assign(desc *NodeDesc, g int) (int, error) {
 
 // assign places a node into the first group with room (group size limit
 // g), creating a new group when all are full. It bumps the epoch and
-// versions en (held by no directory yet) at it. Assigning an existing
-// member is idempotent (refreshes its entry, keeps its group) so
-// duplicate or racing joins cannot corrupt the grouping.
+// versions en (held by no directory yet) at it, packing its endpoint.
+// Assigning an existing member is idempotent (refreshes its entry, keeps
+// its group) so duplicate or racing joins cannot corrupt the grouping.
 func (dir *Directory) assign(en *Entry, g int) int {
 	dir.Epoch++
 	en.version = dir.Epoch
+	dir.spare = pack(dir.spare, en)
 	if !dir.put(en) {
 		return dir.GroupOf(en.Name)
 	}
@@ -383,11 +404,9 @@ func UnmarshalDirectory(d *cdr.Decoder) (*Directory, error) {
 	if _, err := d.ReadOctetSeqAlias(); err != nil { // skip extensions
 		return nil, err
 	}
-	endpoints := make([]byte, 0, size)
+	block := make([]byte, 0, size)
 	for _, en := range dir.entries {
-		n := len(endpoints)
-		endpoints = append(endpoints, en.endpoint...)
-		en.endpoint = endpoints[n:len(endpoints):len(endpoints)]
+		block = pack(block, en)
 	}
 	dir.alias()
 	return dir, nil

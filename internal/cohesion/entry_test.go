@@ -113,7 +113,7 @@ func TestEntryFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		en.endpoint = bytes.Clone(en.endpoint) // as a delta's or a join's entry is kept
+		en.endpoint = bytes.Clone(en.endpoint) // the endpoint copied out on its own
 		keep[i] = en
 	}
 	runtime.GC()
@@ -126,11 +126,14 @@ func TestEntryFootprint(t *testing.T) {
 	}
 }
 
-// TestReplicaFootprint pins what a decoded replica of the swarm
-// benchmark's directory holds: 120 members on simnet, workstations, in
-// groups of 8, at most 140 B per member. One map for the entries and one
-// for the versions, a capability string per entry and the group lists'
-// own copies of the names made it 243 B.
+// TestReplicaFootprint pins what a replica of the swarm benchmark's
+// directory holds: 120 members on simnet, workstations, in groups of 8,
+// at most 140 B per member decoded from one snapshot. A replica built
+// from one one-entry delta per member holds within 4 B of that. One map
+// for the entries and one for the versions, a capability string per
+// entry and the group lists' own copies of the names made a snapshot's
+// 243 B; each delta's endpoint copied on its own into a 48 B size class
+// put the delta-built replica about 14 B per member above it.
 func TestReplicaFootprint(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -138,33 +141,62 @@ func TestReplicaFootprint(t *testing.T) {
 	const members = 120
 	tc := &testCluster{net: simnet.New(simnet.Link{})}
 	dir := NewDirectory()
+	var deltas [][]byte
 	for i := range members {
 		nd, ag := tc.newAgent(t, fmt.Sprintf("n%03d", i), nil)
-		if _, err := dir.Assign(ag.Desc(), 8); err != nil {
-			t.Fatal(err)
-		}
+		en := selfEntry(t, ag)
+		g := dir.assign(en, 8)
+		dd := &DirectoryDelta{From: dir.Epoch - 1, To: dir.Epoch, Upserts: []DirUpsert{{Group: int32(g), Desc: en}}}
+		deltas = append(deltas, encode(dd.Marshal))
 		nd.Close()
 	}
 	raw := encode(dir.Marshal)
+	snapshot := replicaBytes(t, members, func() *Directory {
+		got, err := UnmarshalDirectory(cdr.NewDecoder(raw, cdr.LittleEndian))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	})
+	replayed := replicaBytes(t, members, func() *Directory {
+		got := NewDirectory()
+		for _, b := range deltas {
+			dd, err := UnmarshalDelta(cdr.NewDecoder(b, cdr.LittleEndian))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Apply(dd)
+		}
+		return got
+	})
+	t.Logf("a %d-member replica: %d B on the wire; %d B live per member from a snapshot, %d B from deltas",
+		members, len(raw), snapshot, replayed)
+	if snapshot > 140 {
+		t.Errorf("a decoded replica holds %d B live per member, want at most 140", snapshot)
+	}
+	if replayed > snapshot+4 {
+		t.Errorf("a delta-built replica holds %d B live per member, want at most %d", replayed, snapshot+4)
+	}
+}
+
+// replicaBytes builds members replicas of a members-strong directory and
+// returns the live bytes they hold per member.
+func replicaBytes(t *testing.T, members int, build func() *Directory) int64 {
+	t.Helper()
 	keep := make([]*Directory, members)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := range keep {
-		got, err := UnmarshalDirectory(cdr.NewDecoder(raw, cdr.LittleEndian))
-		if err != nil || got.Len() != members {
-			t.Fatalf("decoded %v nodes: %v", got.Len(), err)
+		keep[i] = build()
+		if keep[i].Len() != members {
+			t.Fatalf("built a replica of %d members, want %d", keep[i].Len(), members)
 		}
-		keep[i] = got
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / (members * members)
 	runtime.KeepAlive(keep)
-	t.Logf("a %d-member replica: %d B on the wire, %d B live per member", members, len(raw), per)
-	if per > 140 {
-		t.Errorf("a decoded replica holds %d B live per member, want at most 140", per)
-	}
+	return (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(members*members)
 }
 
 // TestAssignCutsOneEndpoint: Assign takes the benchmark ladder's shape,

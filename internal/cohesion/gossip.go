@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"corbalc/internal/cdr"
-	"corbalc/internal/events"
 	"corbalc/internal/orb"
 )
 
@@ -19,109 +18,119 @@ const (
 	gossipHint    = byte(4) // repair hint: sender's epoch, pull if behind
 )
 
-// kindSources are the pre-interned Event.Source values carrying the
-// message kind through the hub without an allocation per enqueue.
-var kindSources = [5]string{0: "?", gossipUpdate: "u", gossipSummary: "s", gossipDelta: "d", gossipHint: "h"}
+// The outbox limits: past gossipDepth waiting messages a destination
+// drops its oldest (anti-entropy repairs the gap), a frame carries at
+// most gossipFrame, and a drained sender waits gossipWindow for more.
+const (
+	gossipDepth  = 128
+	gossipFrame  = 64
+	gossipWindow = 2 * time.Millisecond
+)
 
-func kindOf(source string) byte {
-	switch source {
-	case "u":
-		return gossipUpdate
-	case "s":
-		return gossipSummary
-	case "d":
-		return gossipDelta
-	case "h":
-		return gossipHint
-	}
-	return 0
+// message is one queued protocol message.
+type message struct {
+	kind byte
+	body []byte
 }
 
-// gossiper routes the cohesion protocol's periodic traffic over the
-// event fabric (DESIGN.md §12): one bounded channel per destination
-// node, a batch forwarder per channel that drains whole runs and ships
-// them as single gossip_batch oneways under SyncNone — so updates,
-// summaries and directory deltas coalesce per destination and ride the
-// transport's write coalescer instead of going out as point-to-point
-// calls. The queues drop-oldest on overflow: a slow peer loses stale
-// gossip, never stalls the protocol, and anti-entropy repairs the gap.
-type gossiper struct {
-	a   *Agent
-	hub *events.Hub
+// outbox is one destination's FIFO of waiting messages, oldest first.
+type outbox struct{ msgs []message }
 
-	mu      sync.Mutex
-	cancels map[string]func()
-	closed  bool
+// gossiper routes the cohesion protocol's periodic traffic (DESIGN.md
+// §13.4): a destination holds an outbox and one sender only while
+// messages wait for it, and the sender ships each run as one
+// gossip_batch oneway under SyncNone. A slow peer loses stale gossip,
+// never stalls the protocol or another destination.
+type gossiper struct {
+	a *Agent
+
+	mu       sync.Mutex
+	outboxes map[string]*outbox // nil once closed
+	senders  sync.WaitGroup
 
 	batches atomic.Uint64
 	bytes   atomic.Uint64
 }
 
-// gossipQueue configures every destination's queue: messages for one
-// peer within the 2ms window ride a single gossip_batch frame, and past
-// 128 queued the oldest is dropped (anti-entropy repairs the gap).
-var gossipQueue = events.Config{
-	Depth:       128,
-	Policy:      events.DropOldest,
-	BatchWindow: 2 * time.Millisecond,
-}
-
 func newGossiper(a *Agent) *gossiper {
-	return &gossiper{
-		a:       a,
-		hub:     events.NewHubConfig(gossipQueue),
-		cancels: make(map[string]func()),
-	}
+	return &gossiper{a: a, outboxes: make(map[string]*outbox)}
 }
 
-// enqueue queues one protocol message for a destination, wiring the
-// destination's forwarder on first use. The body must not be mutated or
-// recycled after the call — it sits in the queue until drained.
+// enqueue queues one protocol message for a destination, starting the
+// destination's sender when nothing was waiting for it. The body must
+// not be mutated or recycled after the call — it sits in the outbox
+// until shipped.
 func (g *gossiper) enqueue(dest string, kind byte, body []byte) {
-	ch := g.channel(dest)
-	if ch == nil {
-		return
-	}
-	_ = ch.Push(events.Event{Source: kindSources[kind], Data: body})
-}
-
-// sendNow ships one protocol message to dest as a frame of its own,
-// bypassing the queue; it returns once the transport took the frame.
-func (g *gossiper) sendNow(dest string, kind byte, body []byte) {
-	g.ship(dest, []events.Event{{Source: kindSources[kind], Data: body}})
-}
-
-// channel returns dest's coalescing channel, attaching its batch
-// forwarder on first use; nil after close.
-func (g *gossiper) channel(dest string) *events.Channel {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.closed {
+	if g.outboxes == nil {
+		return
+	}
+	ob := g.outboxes[dest]
+	if ob == nil {
+		ob = &outbox{}
+		g.outboxes[dest] = ob
+		g.senders.Add(1)
+		go g.send(dest, ob)
+	}
+	if len(ob.msgs) == gossipDepth {
+		ob.msgs = slices.Delete(ob.msgs, 0, 1)
+	}
+	ob.msgs = append(ob.msgs, message{kind, body})
+}
+
+// send is ob's sender: it ships runs until the outbox is empty or
+// discarded, waiting one window whenever a run leaves nothing behind.
+func (g *gossiper) send(dest string, ob *outbox) {
+	defer g.senders.Done()
+	for run := g.take(dest, ob); run != nil; run = g.take(dest, ob) {
+		g.ship(dest, run)
+		if g.empty(ob) {
+			time.Sleep(gossipWindow)
+		}
+	}
+}
+
+// take detaches ob's oldest run of at most gossipFrame messages; nil
+// once ob is discarded, or empty, which unlists it.
+func (g *gossiper) take(dest string, ob *outbox) []message {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.outboxes[dest] != ob {
 		return nil
 	}
-	ch := g.hub.Channel(dest)
-	if _, ok := g.cancels[dest]; !ok {
-		g.cancels[dest] = ch.SubscribeBatch("gossip/"+dest, func(batch []events.Event) { g.ship(dest, batch) })
+	if len(ob.msgs) == 0 {
+		delete(g.outboxes, dest)
+		return nil
 	}
-	return ch
+	n := min(len(ob.msgs), gossipFrame)
+	run := ob.msgs[:n:n]
+	ob.msgs = ob.msgs[n:]
+	return run
+}
+
+// empty reports whether nothing waits in ob.
+func (g *gossiper) empty(ob *outbox) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(ob.msgs) == 0
 }
 
 // ship sends one run of protocol messages to dest as a single
-// gossip_batch frame.
-func (g *gossiper) ship(dest string, batch []events.Event) {
-	a := g.a
-	ref, ok := a.refOf(dest)
+// gossip_batch frame; it returns once the transport took the frame.
+func (g *gossiper) ship(dest string, run []message) {
+	ref, ok := g.a.refOf(dest)
 	if !ok {
 		return
 	}
-	ctx, done := a.rpcCtx()
+	ctx, done := g.a.rpcCtx()
 	defer done()
 	size := 0
 	err := ref.InvokeOnewayScoped(ctx, "gossip_batch", func(e *cdr.Encoder) {
-		e.WriteULong(uint32(len(batch)))
-		for _, ev := range batch {
-			e.WriteOctet(kindOf(ev.Source))
-			e.WriteOctetSeq(ev.Data)
+		e.WriteULong(uint32(len(run)))
+		for _, m := range run {
+			e.WriteOctet(m.kind)
+			e.WriteOctetSeq(m.body)
 		}
 		size = e.Len()
 	}, orb.SyncNone)
@@ -131,44 +140,37 @@ func (g *gossiper) ship(dest string, batch []events.Event) {
 	}
 }
 
-// drop tears down one destination's channel and forwarder.
+// waiting counts the destinations with messages waiting.
+func (g *gossiper) waiting() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.outboxes)
+}
+
+// drop discards one destination's outbox; its sender exits after the
+// run in hand.
 func (g *gossiper) drop(dest string) {
 	g.mu.Lock()
-	cancel := g.cancels[dest]
-	delete(g.cancels, dest)
-	g.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	g.hub.Remove(dest)
+	defer g.mu.Unlock()
+	delete(g.outboxes, dest)
 }
 
-// prune drops every destination not in the member set, reclaiming
-// queues and delivery goroutines as churn removes nodes.
+// prune discards the outbox of every destination not in the member set.
 func (g *gossiper) prune(members []string) {
 	g.mu.Lock()
-	var dead []string
-	for dest := range g.cancels {
+	defer g.mu.Unlock()
+	for dest := range g.outboxes {
 		if _, ok := slices.BinarySearch(members, dest); !ok {
-			dead = append(dead, dest)
+			delete(g.outboxes, dest)
 		}
-	}
-	g.mu.Unlock()
-	for _, dest := range dead {
-		g.drop(dest)
 	}
 }
 
-// close cancels every forwarder and drains the hub; in-flight sends
-// abort on the agent's cancelled lifetime context.
+// close discards every outbox and waits for the senders; in-flight
+// sends abort on the agent's cancelled lifetime context.
 func (g *gossiper) close() {
 	g.mu.Lock()
-	g.closed = true
-	cancels := g.cancels
-	g.cancels = make(map[string]func())
+	g.outboxes = nil
 	g.mu.Unlock()
-	for _, cancel := range cancels {
-		cancel()
-	}
-	g.hub.Close()
+	g.senders.Wait()
 }

@@ -1,7 +1,6 @@
 package cohesion
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"time"
@@ -29,11 +28,10 @@ func (s *agentServant) InvokeContext(ctx context.Context, op string, args *cdr.D
 		return nil
 
 	case "join":
-		en, err := unmarshalEntry(args)
+		en, err := unmarshalEntry(args) // the root's assign copies the endpoint out
 		if err != nil {
 			return orb.Marshal()
 		}
-		en.endpoint = bytes.Clone(en.endpoint)
 		dir, err := a.handleJoin(ctx, en)
 		if err != nil {
 			return joinExc(err)

@@ -22,7 +22,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Event is one occurrence pushed through a channel. The payload is
@@ -81,11 +80,6 @@ type Config struct {
 	Depth int
 	// Policy selects the overflow behaviour on a full subscriber.
 	Policy OverflowPolicy
-	// BatchWindow makes a batch subscriber's delivery loop pause after
-	// draining the queue dry, so a trickle of events coalesces into
-	// window-sized batches instead of N single-event deliveries. Zero
-	// delivers immediately. Per-event consumers ignore it.
-	BatchWindow time.Duration
 	// maxBatch bounds how many events one delivery pass takes (and the
 	// largest slice a BatchConsumer sees). Zero means DefaultMaxBatch;
 	// the parking tests set 1.
@@ -182,9 +176,8 @@ func (c *Channel) Subscribe(name string, fn Consumer) (cancel func()) {
 }
 
 // SubscribeBatch registers a batch consumer: the delivery loop hands it
-// whole runs as views of the ring (up to DefaultMaxBatch events),
-// coalescing trickle into batches when BatchWindow is set. Returns a
-// cancel function.
+// whole runs as views of the ring (up to DefaultMaxBatch events).
+// Returns a cancel function.
 func (c *Channel) SubscribeBatch(name string, fn BatchConsumer) (cancel func()) {
 	return c.subscribe(&subscriber{bfn: fn})
 }
@@ -503,11 +496,6 @@ func (c *Channel) deliverLoop(s *subscriber) {
 			}
 		}
 		s.held.Store(s.cursor.Load())
-		if s.bfn != nil && c.cfg.BatchWindow > 0 && s.cursor.Load() == c.head.Load() && !c.closed.Load() {
-			// Let a trickle accumulate into the next batch instead of
-			// waking per event; teardown pays at most one window.
-			time.Sleep(c.cfg.BatchWindow)
-		}
 	}
 }
 
@@ -570,20 +558,6 @@ func (h *Hub) snapshot() []*Channel {
 		out = append(out, c)
 	}
 	return out
-}
-
-// Remove closes and forgets one channel (a no-op when absent), so hubs
-// keyed by peer identity — the cohesion gossip plane keeps one channel
-// per destination — reclaim queues and delivery goroutines under churn.
-// The removed channel's counters leave the hub's totals with it.
-func (h *Hub) Remove(typeID string) {
-	h.mu.Lock()
-	c := h.channels[typeID]
-	delete(h.channels, typeID)
-	h.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
 }
 
 // Close closes every channel.

@@ -90,7 +90,7 @@ type Config struct {
 // eventQueues configures the node hub's channels: a subscriber may fall
 // 256 events behind, one that far behind blocks the publisher
 // (backpressure, nothing dropped), and batch subscribers are handed
-// events as they arrive (no window).
+// events as they arrive.
 var eventQueues = events.Config{Depth: 256, Policy: events.Block}
 
 // Node is one CORBA-LC node.

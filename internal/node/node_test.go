@@ -538,7 +538,7 @@ func TestAdmitReleasesOnDestroy(t *testing.T) {
 // The node hub's queue settings were options nothing set; they are fixed
 // at the values that were their defaults.
 func TestEventQueueDefaultsPinned(t *testing.T) {
-	want := events.Config{Depth: 256, Policy: events.Block, BatchWindow: 0}
+	want := events.Config{Depth: 256, Policy: events.Block}
 	if eventQueues != want {
 		t.Fatalf("eventQueues = %+v, want %+v", eventQueues, want)
 	}
