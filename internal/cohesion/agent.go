@@ -19,11 +19,13 @@ type Mode int
 // Consistency modes.
 const (
 	// Soft: periodic keep-alive updates to the group's MRM replicas;
-	// MRMs hold an approximate view and time out silent nodes.
+	// MRMs hold an approximate view and time out silent nodes. An offer
+	// change is pushed to the replicas and the root's summary at once.
 	Soft Mode = iota
-	// Strong: Soft, plus every reflective change is immediately flooded
-	// to every node as a full update, giving all of them "perfect
-	// knowledge" — the baseline the paper argues is unscalable.
+	// Strong: Soft's periodic traffic, plus every reflective change is
+	// immediately flooded to every node as a full update, giving all of
+	// them "perfect knowledge" — the baseline the paper argues is
+	// unscalable.
 	Strong
 )
 
@@ -225,10 +227,11 @@ type Agent struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	// floodKick coalesces Strong-mode change floods: many rapid changes
-	// collapse into one pending flood, and a single worker does the
-	// sends so a change never waits on the network.
-	floodKick chan struct{}
+	// changeKick coalesces the node's reflective changes: many rapid
+	// changes collapse into one pending run. In Soft mode the loop takes
+	// it and pushes an offer change; in Strong mode the flood worker
+	// takes it and floods, so a change never waits on the network.
+	changeKick chan struct{}
 	// pullKick coalesces anti-entropy rounds — the periodic one, a gap in
 	// the delta stream, a repair hint — so a node has one in flight.
 	pullKick chan struct{}
@@ -245,21 +248,19 @@ type Agent struct {
 func NewAgent(cfg Config) *Agent {
 	cfg.fill()
 	a := &Agent{
-		cfg:       cfg,
-		n:         cfg.Node,
-		o:         cfg.Node.ORB(),
-		name:      cfg.Node.Name(),
-		c:         newCore(cfg, cfg.Node.Name()),
-		pullKick:  make(chan struct{}, 1),
-		deathKick: make(chan struct{}, 1),
+		cfg:        cfg,
+		n:          cfg.Node,
+		o:          cfg.Node.ORB(),
+		name:       cfg.Node.Name(),
+		c:          newCore(cfg, cfg.Node.Name()),
+		changeKick: make(chan struct{}, 1),
+		pullKick:   make(chan struct{}, 1),
+		deathKick:  make(chan struct{}, 1),
 	}
 	a.ctx, a.cancel = context.WithCancel(context.Background())
 	a.gossip = newGossiper(a)
 	a.o.Activate(node.NetworkCohesion.Key(), &agentServant{a: a})
-	if cfg.Mode == Strong {
-		a.floodKick = make(chan struct{}, 1)
-		a.n.SetChangeListener(func() { kick(a.floodKick) })
-	}
+	a.n.SetChangeListener(func() { kick(a.changeKick) })
 	return a
 }
 
@@ -462,13 +463,15 @@ func (a *Agent) halt() {
 
 func (a *Agent) start() {
 	a.wg.Add(3)
-	go a.loop()
+	changes := a.changeKick
+	if a.cfg.Mode == Strong {
+		changes = nil // the flood worker takes every change
+		a.wg.Add(1)
+		go a.kickLoop(a.changeKick, a.floodReport)
+	}
+	go a.loop(changes)
 	go a.kickLoop(a.pullKick, a.syncDirectory)
 	go a.kickLoop(a.deathKick, a.detectFailures)
-	if a.cfg.Mode == Strong {
-		a.wg.Add(1)
-		go a.kickLoop(a.floodKick, a.floodReport)
-	}
 }
 
 // kickLoop is the worker behind a coalescing kick channel: it runs work
@@ -495,17 +498,22 @@ func kick(ch chan<- struct{}) {
 }
 
 // loop ticks once on start — first contact: a joiner's MRMs hear from it
-// milliseconds after the root admitted it — then every UpdateInterval.
-func (a *Agent) loop() {
+// milliseconds after the root admitted it — then every UpdateInterval,
+// and between ticks takes the node's changes (nil in Strong mode).
+func (a *Agent) loop(changes <-chan struct{}) {
 	defer a.wg.Done()
 	t := time.NewTicker(a.cfg.UpdateInterval)
 	defer t.Stop()
+	a.tick()
 	for {
-		a.tick()
 		select {
 		case <-a.ctx.Done():
 			return
 		case <-t.C:
+			a.tick()
+		case <-changes:
+			r, offers := a.n.Report(), a.n.AllOffers()
+			a.step(func(c *core, now time.Time) []action { return c.changed(now, r, offers) })
 		}
 	}
 }

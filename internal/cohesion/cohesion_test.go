@@ -292,6 +292,35 @@ func TestHierarchicalQueryAcrossGroups(t *testing.T) {
 	}
 }
 
+// An install is found from another group at once, and an uninstall is
+// gone from it at once: the offer change is pushed to the member's MRM
+// replicas and, through its group's leader, to the root's summary. The
+// 2 s interval keeps every tick far outside the 300 ms the queries get.
+func TestOfferChangeReachesOtherGroupsAtOnce(t *testing.T) {
+	leak.Check(t)
+	tc := newCluster(t, 7, func(c *Config) { c.UpdateInterval = 2 * time.Second }) // groups: {0,1,2} {3,4,5} {6}
+	waitFor(t, 5*time.Second, "convergence", func() bool { return swarmConverged(tc.agents, 7) })
+	c, err := adderSpec("adder", "1.0.0").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := tc.nodes[5].InstallComponent(c) // a plain member of group 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 300*time.Millisecond, "group 2 to find the install", func() bool {
+		offers, err := tc.agents[6].Query(context.Background(), "IDL:test/Adder:1.0", "*")
+		return err == nil && len(offers) == 1 && offers[0].Node == "n05"
+	})
+	if err := tc.nodes[5].Uninstall(id); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 300*time.Millisecond, "group 2 to lose the uninstall", func() bool {
+		offers, err := tc.agents[6].Query(context.Background(), "IDL:test/Adder:1.0", "*")
+		return err == nil && len(offers) == 0
+	})
+}
+
 func TestFlatQueryBaseline(t *testing.T) {
 	leak.Check(t)
 	tc := newCluster(t, 6, nil)

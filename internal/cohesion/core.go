@@ -181,14 +181,13 @@ func (c *core) tick(now time.Time, r node.Report, offers []*node.Offer) []action
 	// suspended.
 	if group := c.dir.GroupOf(c.name); group >= 0 {
 		// Both modes keep their MRM replicas current this way; Strong
-		// floods changes to everyone on top (flood).
-		cands := c.dir.Candidates(group, c.cfg.Replicas)
-		acts = c.heartbeat(now, r, offers, cands, acts)
-		// MRM replica duties. Stale view entries are not deleted here:
-		// the failure timeout filters them out of every read, and detect
-		// needs to see them once to escalate to the root.
-		if slices.Contains(cands, c.name) && c.actingLeader(now, group) {
-			acts = c.sendSummary(now, group, r, offers, acts)
+		// floods changes to everyone on top (flood). Stale view entries
+		// are not deleted here: the failure timeout filters them out of
+		// every read, and detect needs to see them once to escalate to
+		// the root.
+		var leads bool
+		acts, leads = c.publish(now, group, r, offers)
+		if leads {
 			acts = append(acts, action{kind: actDetect})
 		}
 	}
@@ -210,11 +209,38 @@ func (c *core) tick(now time.Time, r node.Report, offers []*node.Offer) []action
 	return acts
 }
 
+// changed takes a reflective change between ticks (DESIGN.md §13.6).
+// Only an offer change acts: this node's full update goes to its MRM
+// replicas at once, and an acting leader's summary to the root, so an
+// install or an uninstall is seen from every group without waiting for
+// a tick. Digest-only and load changes wait for the tick.
+func (c *core) changed(now time.Time, r node.Report, offers []*node.Offer) []action {
+	group := c.dir.GroupOf(c.name)
+	if !c.joined || group < 0 || c.lastSent != nil && c.lastSent.OffersEpoch == r.OffersEpoch {
+		return nil
+	}
+	c.forceSend = true
+	acts, _ := c.publish(now, group, r, offers)
+	return acts
+}
+
+// publish sends this node's update to its MRM replicas if the send
+// policy wants one now and, when this node leads its group, the group's
+// summary to the root.
+func (c *core) publish(now time.Time, group int, r node.Report, offers []*node.Offer) (acts []action, leads bool) {
+	cands := c.dir.Candidates(group, c.cfg.Replicas)
+	acts = c.heartbeat(now, r, offers, cands, nil)
+	if leads = slices.Contains(cands, c.name) && c.actingLeader(now, group); leads {
+		acts = c.sendSummary(now, group, &memberState{report: &r, offers: offers}, acts)
+	}
+	return acts, leads
+}
+
 // heartbeat sends this node's update to its MRM candidates if the send
 // policy wants one now.
 func (c *core) heartbeat(now time.Time, r node.Report, offers []*node.Offer, cands []string, acts []action) []action {
 	if full, send := c.policyDecide(now, &r); send {
-		acts = c.sendUpdate(cands, &r, offers, full, acts)
+		acts = c.sendUpdate(now, cands, &r, offers, full, acts)
 	}
 	return acts
 }
@@ -251,8 +277,9 @@ func (c *core) predict(now time.Time) float64 {
 
 // sendUpdate queues one update to each MRM replica candidate; it carries
 // the offer list only when that changed for the destination (or on
-// keep-alive refresh).
-func (c *core) sendUpdate(cands []string, r *node.Report, offers []*node.Offer, full bool, acts []action) []action {
+// keep-alive refresh). A candidate's own replica is written in place:
+// counted as an update sent, no bytes on the gossip plane.
+func (c *core) sendUpdate(now time.Time, cands []string, r *node.Report, offers []*node.Offer, full bool, acts []action) []action {
 	// Encode the two possible bodies once; destinations share them. Both
 	// advertise this node's directory epoch so a fresher receiver can
 	// push a repair hint back instead of leaving the gap to the next
@@ -261,6 +288,11 @@ func (c *core) sendUpdate(cands []string, r *node.Report, offers []*node.Offer, 
 	slim := encodeUpdate(r, nil, false, epoch)
 	var fat []byte // built lazily: steady state never needs it
 	for _, cand := range cands {
+		if cand == c.name {
+			c.stats.UpdatesSent++
+			c.view[c.name] = &memberState{report: r, offers: offers, lastSeen: now}
+			continue
+		}
 		body := slim
 		if last, ok := c.sent[cand]; full || !ok || last != r.OffersEpoch {
 			c.sent[cand] = r.OffersEpoch
@@ -343,26 +375,8 @@ func (c *core) actingRootLeader(now time.Time) bool {
 // fresher root pushes a repair hint straight back (observePeerEpoch) —
 // candidates are the relay tier, and a stale leader starves its whole
 // group of deltas until repaired.
-func (c *core) sendSummary(now time.Time, group int, r node.Report, offers []*node.Offer, acts []action) []action {
-	alive := uint32(0)
-	freeCPU := 0.0
-	exports := make(map[string]bool)
-	for _, m := range c.dir.Members(group) {
-		st, ok := c.view[m]
-		if !ok && m == c.name {
-			// The leader's own state may not round-trip through its view;
-			// count it directly.
-			st, ok = &memberState{report: &r, offers: offers}, true
-		}
-		if !ok || st.report == nil {
-			continue
-		}
-		alive++
-		freeCPU += st.report.CPUFree()
-		for _, of := range st.offers {
-			exports[of.PortRepoID] = true
-		}
-	}
+func (c *core) sendSummary(now time.Time, group int, own *memberState, acts []action) []action {
+	alive, freeCPU, exports := c.aggregate(group, own)
 	exportList := slices.Collect(maps.Keys(exports))
 	e := cdr.NewEncoder(cdr.LittleEndian)
 	e.WriteULong(uint32(group))
@@ -382,22 +396,65 @@ func (c *core) sendSummary(now time.Time, group int, r node.Report, offers []*no
 	return acts
 }
 
+// aggregate folds the group's members into its summary figures: own
+// stands in for this node's state (the report and offers in hand, fresher
+// than any view entry), the view for every other member's.
+func (c *core) aggregate(group int, own *memberState) (alive uint32, freeCPU float64, exports map[string]bool) {
+	exports = make(map[string]bool)
+	for _, m := range c.dir.Members(group) {
+		st := c.view[m]
+		if m == c.name {
+			st = own
+		}
+		if st == nil || st.report == nil {
+			continue
+		}
+		alive++
+		freeCPU += st.report.CPUFree()
+		for _, of := range st.offers {
+			exports[of.PortRepoID] = true
+		}
+	}
+	return alive, freeCPU, exports
+}
+
 // update takes a member's gossipUpdate. An update without offers
-// ("unchanged") keeps the offers last shipped. advertised is false when
-// the sender predates the trailing epoch; otherwise only the reporter's
-// acting group leader may answer it with a hint.
+// ("unchanged") keeps the offers last shipped. An acting leader whose
+// group's export set the update changes sends its summary at once, so the
+// root routes queries to an install (or away from an uninstall) without
+// waiting for a tick. advertised is false when the sender predates the
+// trailing epoch; otherwise only the reporter's acting group leader may
+// answer it with a hint.
 func (c *core) update(now time.Time, r *node.Report, offers []*node.Offer, hasOffers bool, epoch uint64, advertised bool) []action {
 	c.stats.UpdatesRecv++
-	if prev, ok := c.view[r.Node]; ok && !hasOffers {
-		offers = prev.offers
+	var prev []*node.Offer
+	if st := c.view[r.Node]; st != nil {
+		prev = st.offers
 	}
-	c.view[r.Node] = &memberState{report: r, offers: offers, lastSeen: now}
-	if !advertised {
-		return nil
+	if !hasOffers {
+		offers = prev
 	}
 	g := c.dir.GroupOf(r.Node)
-	return c.observePeerEpoch(r.Node, epoch, g >= 0 && c.actingLeader(now, g))
+	var before map[string]bool
+	if hasOffers && g >= 0 && !slices.EqualFunc(prev, offers, samePort) {
+		_, _, before = c.aggregate(g, c.view[c.name])
+	}
+	c.view[r.Node] = &memberState{report: r, offers: offers, lastSeen: now}
+	leads := g >= 0 && c.actingLeader(now, g)
+	var acts []action
+	if before != nil && leads {
+		if _, _, after := c.aggregate(g, c.view[c.name]); !maps.Equal(before, after) {
+			acts = c.sendSummary(now, g, c.view[c.name], acts)
+		}
+	}
+	if !advertised {
+		return acts
+	}
+	return append(acts, c.observePeerEpoch(r.Node, epoch, leads)...)
 }
+
+// samePort reports whether two offers provide the same port.
+func samePort(a, b *node.Offer) bool { return a.PortRepoID == b.PortRepoID }
 
 // summary takes a group leader's gossipSummary. leader is empty when the
 // sender predates the trailing advertisement; otherwise a stuck group

@@ -1,12 +1,14 @@
 package cohesion
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"corbalc/internal/cdr"
 	"corbalc/internal/node"
 )
 
@@ -279,5 +281,153 @@ func TestCoreDigestPhaseSpread(t *testing.T) {
 	}
 	if len(phases) < 8 {
 		t.Errorf("16 nodes that joined together ping in %d distinct ticks of the period, want at least 8", len(phases))
+	}
+}
+
+// adderOffer is name's offer of the test adder's port.
+func adderOffer(name string) *node.Offer {
+	return &node.Offer{Node: name, ComponentID: "adder-1.0.0", Port: "sum", PortRepoID: "IDL:test/Adder:1.0", Endpoint: testEntry(name).endpoint}
+}
+
+// decodedUpdate decodes an update body into its offers, or reports that
+// it carried none.
+func decodedUpdate(t *testing.T, body []byte) (offers []*node.Offer, hasOffers bool) {
+	t.Helper()
+	d := cdr.NewDecoder(body, cdr.LittleEndian)
+	if _, err := node.UnmarshalReport(d); err != nil {
+		t.Fatal(err)
+	}
+	hasOffers, err := d.ReadBool()
+	if err == nil && hasOffers {
+		offers, err = node.UnmarshalOffers(d)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return offers, hasOffers
+}
+
+// decodedExports decodes a summary body into its sorted export list.
+func decodedExports(t *testing.T, body []byte) []string {
+	t.Helper()
+	d := cdr.NewDecoder(body, cdr.LittleEndian)
+	_, errGroup := d.ReadULong()
+	_, errAlive := d.ReadULong()
+	_, errCPU := d.ReadDouble()
+	exports, err := d.ReadStringSeq()
+	if err = errors.Join(errGroup, errAlive, errCPU, err); err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(exports)
+	return exports
+}
+
+// An MRM candidate writes its own replica in place: no action it returns
+// names itself, and its view holds the offers it just sent, so its own
+// queries see them at once.
+func TestCoreNoSelfGossip(t *testing.T) {
+	c := testCore("n01", "n00", "n01", "n02") // n01 is n00's replica
+	now := time.Unix(1000, 0)
+	c.view["n00"] = &memberState{report: &node.Report{Node: "n00"}, lastSeen: now} // the leader is heard
+	offers := []*node.Offer{adderOffer("n01")}
+	acts := c.tick(now, node.Report{Node: "n01", Digest: 1, OffersEpoch: 1}, offers)
+	expectActs(t, "replica's tick", acts, "send n00") // nothing to n01
+	if st := c.view["n01"]; st == nil || len(st.offers) != 1 || !st.lastSeen.Equal(now) {
+		t.Fatalf("own view entry = %+v, want the offers just sent", st)
+	}
+	if got := c.viewQuery(now, "IDL:test/Adder:1.0", "*"); len(got) != 1 || got[0].Node != "n01" {
+		t.Fatalf("own query = %v, want n01's offer", got)
+	}
+	if c.stats.UpdatesSent != 2 {
+		t.Fatalf("updates sent = %d, want 2 (the own replica counts)", c.stats.UpdatesSent)
+	}
+}
+
+// A leader's summary counts the report and offers in hand, not its view
+// entry from the last tick: an install between ticks is in the body.
+func TestCoreSummaryCountsOwnStateInHand(t *testing.T) {
+	c := testCore("n03", "n00", "n01", "n02", "n03", "n04") // n03 leads group 1
+	t0 := time.Unix(1000, 0)
+	c.tick(t0, node.Report{Node: "n03"}, nil) // the view's own entry: no offers
+	r := node.Report{Node: "n03", Digest: 1, OffersEpoch: 1}
+	acts := c.sendSummary(t0.Add(time.Millisecond), 1, &memberState{report: &r, offers: []*node.Offer{adderOffer("n03")}}, nil)
+	expectActs(t, "summary", acts, "send n00, send n01")
+	if got := decodedExports(t, acts[0].body); !slices.Equal(got, []string{"IDL:test/Adder:1.0"}) {
+		t.Fatalf("summary exports %v, want the install in hand", got)
+	}
+}
+
+// An offer change between ticks is pushed at once: the full update, with
+// offers, to the MRM replicas and, from an acting leader, the summary to
+// the root. A change that moves only the digest or the load (Touch, a QoS
+// admission, an instance) waits for the tick.
+func TestCoreOfferChangePushed(t *testing.T) {
+	// groups {n00 n01 n02} {n03 n04 n05}; n00 leads the root.
+	member := testCore("n05", "n00", "n01", "n02", "n03", "n04", "n05")
+	t0 := time.Unix(1000, 0)
+	member.tick(t0, node.Report{Node: "n05"}, nil)
+	t1 := t0.Add(time.Millisecond) // well inside the keep-alive floor
+	offers := []*node.Offer{adderOffer("n05")}
+	acts := member.changed(t1, node.Report{Node: "n05", Digest: 1, OffersEpoch: 1}, offers)
+	expectActs(t, "member's install", acts, "send n03, send n04")
+	for _, act := range acts {
+		if got, has := decodedUpdate(t, act.body); act.msg != gossipUpdate || !has || len(got) != 1 {
+			t.Fatalf("update to %s carries offers %v (%v), want the install", act.peer, got, has)
+		}
+	}
+	expectActs(t, "Touch", member.changed(t1, node.Report{Node: "n05", Digest: 2, OffersEpoch: 1}, offers), "")
+	expectActs(t, "admission", member.changed(t1, node.Report{Node: "n05", Digest: 3, OffersEpoch: 1, CPUCores: 4, CPUUsed: 1}, offers), "")
+
+	leader := testCore("n03", "n00", "n01", "n02", "n03", "n04", "n05")
+	leader.tick(t0, node.Report{Node: "n03"}, nil)
+	acts = leader.changed(t1, node.Report{Node: "n03", Digest: 1, OffersEpoch: 1}, []*node.Offer{adderOffer("n03")})
+	expectActs(t, "leader's install", acts, "send n04, send n00, send n01")
+	if got := decodedExports(t, acts[1].body); acts[1].msg != gossipSummary || !slices.Equal(got, []string{"IDL:test/Adder:1.0"}) {
+		t.Fatalf("leader's summary exports %v, want the install", got)
+	}
+
+	// The root leader leads group 0 too: its summary lands in its own
+	// root view without a message.
+	root := testCore("n00", "n00", "n01", "n02", "n03")
+	root.tick(t0, node.Report{Node: "n00"}, nil)
+	acts = root.changed(t1, node.Report{Node: "n00", Digest: 1, OffersEpoch: 1}, []*node.Offer{adderOffer("n00")})
+	expectActs(t, "root's install", acts, "send n01, send n01")
+	if got := root.exporters("IDL:test/Adder:1.0", -1); len(got) != 1 || !slices.Equal(got[0], []string{"n00", "n01"}) {
+		t.Fatalf("root routes the port to %v, want group 0", got)
+	}
+}
+
+// At the acting leader, a member's update that changes the group's
+// export set yields the summary at once; one that leaves the set as it
+// was (a keep-alive, a second provider of a port already exported)
+// does not, and neither does a replica that does not lead. An uninstall
+// takes the export out of the summary.
+func TestCoreMemberOfferChangeSummarised(t *testing.T) {
+	names := []string{"n00", "n01", "n02", "n03", "n04", "n05"}
+	leader := testCore("n03", names...)
+	replica := testCore("n04", names...)
+	t0 := time.Unix(1000, 0)
+	leader.tick(t0, node.Report{Node: "n03"}, nil)
+	replica.update(t0, &node.Report{Node: "n03"}, nil, true, leader.dir.Epoch, true) // the leader is heard
+	offers := []*node.Offer{adderOffer("n05")}
+	install := func(c *core, who string, offers []*node.Offer, hasOffers bool) []action {
+		return c.update(t0, &node.Report{Node: who, OffersEpoch: 1}, offers, hasOffers, c.dir.Epoch, true)
+	}
+
+	acts := install(leader, "n05", offers, true)
+	expectActs(t, "member's install at the leader", acts, "send n00, send n01")
+	if got := decodedExports(t, acts[0].body); !slices.Equal(got, []string{"IDL:test/Adder:1.0"}) {
+		t.Fatalf("summary exports %v, want n05's install", got)
+	}
+	expectActs(t, "member's install at a replica", install(replica, "n05", offers, true), "")
+	expectActs(t, "keep-alive with the same offers", install(leader, "n05", offers, true), "")
+	expectActs(t, "update without offers", install(leader, "n05", nil, false), "")
+	expectActs(t, "second provider", install(leader, "n04", []*node.Offer{adderOffer("n04")}, true), "")
+
+	expectActs(t, "second provider's uninstall", install(leader, "n04", nil, true), "")
+	acts = install(leader, "n05", nil, true)
+	expectActs(t, "last provider's uninstall", acts, "send n00, send n01")
+	if got := decodedExports(t, acts[0].body); len(got) != 0 {
+		t.Fatalf("summary exports %v after the uninstall, want none", got)
 	}
 }

@@ -1,12 +1,16 @@
 package cohesion
 
-// Fuzz the directory delta decoder: every delta a member applies arrives
-// from a peer, and every upsert in it carries an entry whose endpoint the
-// member derives references from. A join's argument is an entry decoded
-// by the same function.
+// Fuzz the directory decoders that read a peer's bytes: every delta a
+// member applies arrives from a peer, and every upsert in it carries an
+// entry whose endpoint the member derives references from. A join's
+// argument is an entry decoded by the same function. Every sync_pull
+// decodes the puller's version vector at the root and the root's patch
+// at the puller.
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"testing"
 
 	"corbalc/internal/cdr"
@@ -41,10 +45,7 @@ func FuzzUnmarshalDelta(f *testing.F) {
 		Removes: []string{"n000"},
 	}
 	for _, little := range []bool{false, true} {
-		order := cdr.BigEndian
-		if little {
-			order = cdr.LittleEndian
-		}
+		order := byteOrder(little)
 		e := cdr.NewEncoder(order)
 		dd.Marshal(e)
 		f.Add(little, e.Bytes())
@@ -69,10 +70,7 @@ func FuzzUnmarshalDelta(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, little bool, in []byte) {
-		order := cdr.BigEndian
-		if little {
-			order = cdr.LittleEndian
-		}
+		order := byteOrder(little)
 		buf := append([]byte(nil), in...)
 		got, err := UnmarshalDelta(cdr.NewDecoder(buf, order))
 		if err != nil {
@@ -112,4 +110,136 @@ func FuzzUnmarshalDelta(f *testing.F) {
 			t.Fatalf("overwriting the input changed the decoded delta:\n% x\nwant\n% x", after, first)
 		}
 	})
+}
+
+// byteOrder is the CDR byte order a fuzz input's flag selects.
+func byteOrder(little bool) cdr.ByteOrder {
+	if little {
+		return cdr.LittleEndian
+	}
+	return cdr.BigEndian
+}
+
+// fuzzPatchDir is a three-member directory in two groups, the source of
+// the patch and version-vector seeds.
+func fuzzPatchDir() *Directory {
+	dir := NewDirectory()
+	for _, name := range []string{"n00", "n01", "n02"} {
+		dir.assign(testEntry(name), 2)
+	}
+	return dir
+}
+
+// FuzzUnmarshalVersionVector decodes arbitrary bytes in either byte
+// order. A decode never panics; an accepted vector re-marshals to bytes
+// that decode to the same vector and re-marshal byte-identically.
+func FuzzUnmarshalVersionVector(f *testing.F) {
+	vv := fuzzPatchDir().VersionVector()
+	for _, little := range []bool{false, true} {
+		e := cdr.NewEncoder(byteOrder(little))
+		MarshalVersionVector(e, vv)
+		f.Add(little, e.Bytes())
+		f.Add(little, e.Bytes()[:e.Len()-3]) // truncated inside the last version
+
+		e = cdr.NewEncoder(byteOrder(little)) // hostile count
+		e.WriteULong(1 << 30)
+		f.Add(little, e.Bytes())
+
+		e = cdr.NewEncoder(byteOrder(little)) // one name twice
+		e.WriteULong(2)
+		for v := uint64(1); v <= 2; v++ {
+			e.WriteString("n00")
+			e.WriteULongLong(v)
+		}
+		f.Add(little, e.Bytes())
+	}
+
+	f.Fuzz(func(t *testing.T, little bool, in []byte) {
+		order := byteOrder(little)
+		got, err := UnmarshalVersionVector(cdr.NewDecoder(in, order))
+		if err != nil {
+			return
+		}
+		e := cdr.NewEncoder(order)
+		MarshalVersionVector(e, got)
+		first := e.Bytes()
+		again, err := UnmarshalVersionVector(cdr.NewDecoder(first, order))
+		if err != nil {
+			t.Fatalf("re-marshalled vector does not decode: %v", err)
+		}
+		if !maps.Equal(again, got) {
+			t.Fatalf("decode∘marshal changed the vector: %v, want %v", again, got)
+		}
+		e = cdr.NewEncoder(order)
+		MarshalVersionVector(e, again)
+		if second := e.Bytes(); !bytes.Equal(second, first) {
+			t.Fatalf("marshal∘decode is not stable:\n% x\n% x", first, second)
+		}
+	})
+}
+
+// FuzzUnmarshalPatch decodes arbitrary bytes in either byte order. A
+// decode never panics; an accepted patch re-marshals to bytes that
+// decode to the same patch and re-marshal byte-identically, and it owns
+// its bytes (overwriting the input changes nothing in it).
+func FuzzUnmarshalPatch(f *testing.F) {
+	dir := fuzzPatchDir()
+	stale := dir.VersionVector()
+	delete(stale, "n02") // the puller lacks n02: the patch ships its entry
+	for _, little := range []bool{false, true} {
+		for _, vv := range []map[string]uint64{nil, stale, dir.VersionVector()} {
+			e := cdr.NewEncoder(byteOrder(little))
+			dir.BuildPatch(vv).Marshal(e)
+			f.Add(little, e.Bytes())
+			f.Add(little, e.Bytes()[:e.Len()/2]) // truncated
+		}
+
+		e := cdr.NewEncoder(byteOrder(little)) // hostile group count
+		e.WriteULongLong(7)
+		e.WriteULong(1 << 30)
+		f.Add(little, e.Bytes())
+	}
+
+	f.Fuzz(func(t *testing.T, little bool, in []byte) {
+		order := byteOrder(little)
+		buf := append([]byte(nil), in...)
+		got, err := UnmarshalPatch(cdr.NewDecoder(buf, order))
+		if err != nil {
+			return
+		}
+		marshal := func(p *DirectoryPatch) []byte {
+			e := cdr.NewEncoder(order)
+			p.Marshal(e)
+			return e.Bytes()
+		}
+		first := marshal(got)
+		again, err := UnmarshalPatch(cdr.NewDecoder(first, order))
+		if err != nil {
+			t.Fatalf("re-marshalled patch does not decode: %v", err)
+		}
+		if !samePatch(again, got) {
+			t.Fatalf("decode∘marshal changed the patch: %+v, want %+v", again, got)
+		}
+		if second := marshal(again); !bytes.Equal(second, first) {
+			t.Fatalf("marshal∘decode is not stable:\n% x\n% x", first, second)
+		}
+
+		for i := range buf {
+			buf[i] ^= 0xFF
+		}
+		if after := marshal(got); !bytes.Equal(after, first) {
+			t.Fatalf("overwriting the input changed the decoded patch:\n% x\nwant\n% x", after, first)
+		}
+	})
+}
+
+// samePatch reports whether two patches carry the same epoch, groups,
+// versions and upserts.
+func samePatch(a, b *DirectoryPatch) bool {
+	sameUpsert := func(x, y DirUpsert) bool {
+		return x.Group == y.Group && x.Desc.Name == y.Desc.Name && x.Desc.Capability == y.Desc.Capability &&
+			x.Desc.version == y.Desc.version && bytes.Equal(x.Desc.endpoint, y.Desc.endpoint)
+	}
+	return a.Epoch == b.Epoch && slices.EqualFunc(a.Groups, b.Groups, slices.Equal) &&
+		maps.Equal(a.Versions, b.Versions) && slices.EqualFunc(a.Upserts, b.Upserts, sameUpsert)
 }

@@ -351,8 +351,8 @@ func (a *Agent) QueryAll(ctx context.Context, portID, verReq string) ([]*node.Of
 }
 
 // knownOffers answers from this node alone, as Strong mode does: its
-// view plus its own offers (views exclude self, since agents do not
-// flood to themselves).
+// view plus its own offers (a view holds this node only where it is an
+// MRM candidate, since agents do not flood to themselves).
 func (a *Agent) knownOffers(portID, verReq string) []*node.Offer {
 	return dedupOffers(append(a.viewQuery(portID, verReq), a.localOffers(portID, verReq)...))
 }

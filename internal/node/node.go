@@ -214,13 +214,16 @@ func (n *Node) bumpDigest() {
 
 // Touch records a reflective change without altering state — the
 // experiment harness uses it to drive configurable change rates through
-// the same path real installs and instantiations take.
+// the same path real instantiations take. It moves the digest, not the
+// offers (Report.OffersEpoch), and runs the change listener.
 func (n *Node) Touch() { n.bumpDigest() }
 
 // SetChangeListener registers fn to run after every reflection change
 // (install/uninstall, instance creation/destruction, QoS reservations).
-// The strong-consistency mode of the Distributed Registry uses it to
-// propagate changes immediately.
+// fn runs on the changing goroutine and must not block. The Distributed
+// Registry's agent registers one in both consistency modes: Soft pushes
+// an offer change to the node's MRM replicas and the root's summary at
+// once, Strong floods every change.
 func (n *Node) SetChangeListener(fn func()) {
 	if fn == nil {
 		n.onChange.Store(nil)
